@@ -3,8 +3,20 @@
 Verification is definition-first: a BFS from every vertex, with the
 per-cell neighbour counts (c_i, b_i) tested for constancy cell by cell.
 Theorem shortcuts are available as cross-checks but never replace the
-definition.  The per-source loops are vectorized with numpy; every count
-is exact integer work.
+definition.
+
+Every distance comes from one engine, :func:`_levels`: level-synchronous
+BFS from up to ``_BATCH`` sources of one class at once, as products with
+the biadjacency matrix N (BFS as linear algebra).  A frontier on B times N
+reaches C, one on C times N^T reaches B; each product counts, per vertex,
+its neighbours in the frontier.  The graph is bipartite, so no edge joins
+two vertices at the same distance: for a vertex first reached at level i
+the product is exactly c_i, and b_i = deg - c_i.  One pass gives the
+distances and the (c, b) profile of every source in the batch.  Float32
+products are exact: the terms are 0/1, so every partial sum is an integer
+at most the maximum degree, and degrees of 2**24 or more are refused.
+Memory: edges are two sorted int32 arrays; the engine holds N densely
+(4 nB nC bytes) plus, per level, a few ``_BATCH`` x class-size arrays.
 
 Vertices are addressed by a single index: the B class occupies
 ``0..nB-1`` and the C class ``nB..nB+nC-1``.
@@ -16,7 +28,8 @@ print as ``{k;c1,...,cdB | l;c1,...,cdC}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import io
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,36 +62,39 @@ __all__ = [
 
 
 class BipartiteGraph:
-    """Immutable bipartite graph on two indexed vertex classes."""
+    """Immutable bipartite graph on two indexed vertex classes.
+
+    The edges are held as int32 arrays ``eb`` and ``ec`` of class-local
+    endpoints, sorted by (b, c); repeated input pairs are dropped.
+    """
 
     def __init__(
         self,
         nB: int,
         nC: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         labels_b: Sequence | None = None,
         labels_c: Sequence | None = None,
     ):
-        edges = sorted(set((int(b), int(c)) for b, c in edges))
-        for b, c in edges:
-            if not (0 <= b < nB and 0 <= c < nC):
-                raise ValueError(f"edge ({b},{c}) out of range for B={nB} C={nC}")
-        self.nB = nB
-        self.nC = nC
-        self.edges = tuple(edges)
+        if nB < 0 or nC < 0:
+            raise ValueError(f"class sizes must be non-negative, got B={nB} C={nC}")
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        b, c = pairs.reshape(-1, 2).T
+        bad = (b < 0) | (b >= nB) | (c < 0) | (c >= nC)
+        if bad.any():
+            b0, c0 = min(zip(b[bad].tolist(), c[bad].tolist()))
+            raise ValueError(f"edge ({b0},{c0}) out of range for B={nB} C={nC}")
+        eb, ec = np.divmod(np.unique(b * nC + c), max(nC, 1))
+        self.eb, self.ec = eb.astype(np.int32), ec.astype(np.int32)
+        self.nB, self.nC, self.V = nB, nC, nB + nC
         self.labels_b = tuple(labels_b) if labels_b is not None else None
         self.labels_c = tuple(labels_c) if labels_c is not None else None
-        self.V = nB + nC
-        if edges:
-            eb = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-            ec = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges)) + nB
-        else:
-            eb = np.zeros(0, dtype=np.int64)
-            ec = np.zeros(0, dtype=np.int64)
-        # directed edge arrays, both orientations
-        self._src = np.concatenate([eb, ec])
-        self._dst = np.concatenate([ec, eb])
-        self.degrees = np.bincount(self._src, minlength=self.V)
+        self.degrees = np.bincount(np.concatenate([self.eb, self.ec + nB]), minlength=self.V)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as sorted (b, c) pairs."""
+        return tuple(zip(self.eb.tolist(), self.ec.tolist()))
 
     def vertex(self, side: str, idx: int) -> int:
         if side == "B":
@@ -95,18 +111,17 @@ class BipartiteGraph:
         return "B" if v < self.nB else "C"
 
     def neighbors(self, v: int) -> np.ndarray:
-        return np.sort(self._dst[self._src == v])
+        if v < self.nB:
+            return self.ec[self.eb == v].astype(np.int64) + self.nB
+        return self.eb[self.ec == v - self.nB].astype(np.int64)
 
-    def biadjacency(self) -> np.ndarray:
-        n = np.zeros((self.nB, self.nC), dtype=np.int64)
-        if self.edges:
-            rows = [e[0] for e in self.edges]
-            cols = [e[1] for e in self.edges]
-            n[rows, cols] = 1
+    def biadjacency(self, dtype=np.int64) -> np.ndarray:
+        n = np.zeros((self.nB, self.nC), dtype=dtype)
+        n[self.eb, self.ec] = 1
         return n
 
     def __repr__(self) -> str:
-        return f"BipartiteGraph(B={self.nB}, C={self.nC}, edges={len(self.edges)})"
+        return f"BipartiteGraph(B={self.nB}, C={self.nC}, edges={len(self.eb)})"
 
 
 class Graph:
@@ -164,16 +179,15 @@ class IntersectionArray:
     def bB(self, i: int) -> int:
         if i == 0:
             return self.k
-        own, other = (self.k, self.l) if i % 2 == 0 else (self.l, self.k)
-        return own - self.cB[i - 1]
+        return (self.k if i % 2 == 0 else self.l) - self.cB[i - 1]
 
     def bC(self, i: int) -> int:
         if i == 0:
             return self.l
-        own, other = (self.l, self.k) if i % 2 == 0 else (self.k, self.l)
-        return own - self.cC[i - 1]
+        return (self.l if i % 2 == 0 else self.k) - self.cC[i - 1]
 
     def validate(self) -> None:
+        """Raise ValueError if a necessary condition on the array fails."""
         for name, k, cs in (("B", self.k, self.cB), ("C", self.l, self.cC)):
             other = self.l if name == "B" else self.k
             if not cs or cs[0] != 1:
@@ -186,6 +200,10 @@ class IntersectionArray:
             final_cap = k if d % 2 == 0 else other
             if cs[-1] != final_cap:
                 raise ValueError(f"final c of {name}-line must equal {final_cap}")
+        if abs(self.dB - self.dC) > 1:  # adjacent eccentricities differ by at most one
+            raise ValueError(f"covering radii {self.dB} and {self.dC} differ by more than one")
+        if max(self.dB, self.dC) % 2 and self.k != self.l:
+            raise ValueError("odd diameter forces a regular graph (k = l)")
 
     @property
     def regular(self) -> bool:
@@ -221,34 +239,47 @@ def arrays_equal_up_to_swap(a: IntersectionArray, b: IntersectionArray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# BFS core
+# Distance engine
 # ---------------------------------------------------------------------------
 
-def _bfs(g: BipartiteGraph, source: int) -> np.ndarray:
-    dist = np.full(g.V, -1, dtype=np.int16)
-    dist[source] = 0
-    frontier = np.zeros(g.V, dtype=bool)
-    frontier[source] = True
-    level = 0
-    src, dst = g._src, g._dst
+_BATCH = 64  # sources per BFS pass: per-level arrays stay at _BATCH x class size
+_EXACT_DEGREE = 1 << 24  # float32 counts every integer up to 2**24 exactly
+
+
+def _levels(g: BipartiteGraph, n: np.ndarray, side: int, sources: np.ndarray):
+    """BFS from class-local ``sources`` of class ``side`` (0 = B, 1 = C), with
+    ``n`` the float32 biadjacency.  Yields ``(level, cls, new, counts)`` for
+    level 1, 2, ...: ``new`` marks, one row per source, the class-``cls``
+    vertices first reached there; ``counts`` under ``new`` are their c_level."""
+    steps = (n, n.T)
+    seen = [np.zeros((len(sources), g.nB), bool), np.zeros((len(sources), g.nC), bool)]
+    seen[side][np.arange(len(sources)), sources] = True
+    counts, level = steps[side][sources], 1  # level 1: the sources' own rows
     while True:
-        hits = dst[frontier[src]]
-        hits = hits[dist[hits] == -1]
-        if hits.size == 0:
-            return dist
-        level += 1
-        dist[hits] = level
-        frontier[:] = False
-        frontier[hits] = True
+        side = 1 - side
+        new = (counts > 0) & ~seen[side]
+        if not new.any():
+            return
+        seen[side] |= new
+        yield level, side, new, counts
+        if seen[0].all() and seen[1].all():
+            return
+        counts, level = new.astype(np.float32) @ steps[side], level + 1
 
 
-def _profile_counts(g: BipartiteGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex counts of neighbours one level closer / farther."""
-    sd = dist[g._src]
-    dd = dist[g._dst]
-    c = np.bincount(g._src[dd == sd - 1], minlength=g.V)
-    b = np.bincount(g._src[dd == sd + 1], minlength=g.V)
-    return c, b
+def _sweeps(g: BipartiteGraph, vertices: Iterable[int]):
+    """Yield ``(batch, levels)`` per run of up to ``_BATCH`` same-class
+    vertices of the increasing ``vertices``; ``levels`` is its BFS."""
+    vs = np.asarray(vertices, dtype=np.int64)
+    if vs.size and (vs[0] < 0 or vs[-1] >= g.V):
+        raise ValueError(f"vertex out of range for V={g.V}")
+    if g.V and g.degrees.max() >= _EXACT_DEGREE:
+        raise ValueError("maximum degree must be below 2**24 for exact float32 counts")
+    n = g.biadjacency(np.float32)
+    for side, part in ((0, vs[vs < g.nB]), (1, vs[vs >= g.nB] - g.nB)):
+        for start in range(0, len(part), _BATCH):
+            batch = part[start:start + _BATCH]
+            yield batch + side * g.nB, _levels(g, n, side, batch)
 
 
 @dataclass(frozen=True)
@@ -266,11 +297,11 @@ class DistancePartition:
 
 def distance_partition(g: BipartiteGraph, v: int) -> DistancePartition:
     """BFS-exact distance partition from v; raises if g is disconnected."""
-    dist = _bfs(g, v)
-    if (dist < 0).any():
+    (_, levels), = _sweeps(g, [v])
+    cells = ((v,),) + tuple(tuple((np.flatnonzero(new[0]) + cls * g.nB).tolist())
+                            for _, cls, new, _ in levels)
+    if sum(map(len, cells)) < g.V:
         raise ValueError("graph is disconnected")
-    ecc = int(dist.max())
-    cells = tuple(tuple(np.flatnonzero(dist == i)) for i in range(ecc + 1))
     return DistancePartition(v, cells)
 
 
@@ -282,22 +313,32 @@ class LocalCheck:
     witness: tuple[int, int, int] | None = None  # (level, vertex, vertex)
 
 
-def _local_profile(g: BipartiteGraph, dist: np.ndarray) -> LocalCheck:
-    cpv, bpv = _profile_counts(g, dist)
-    ecc = int(dist.max())
-    cs, bs = [], []
-    for i in range(ecc + 1):
-        members = np.flatnonzero(dist == i)
-        cv = cpv[members]
-        bv = bpv[members]
-        if cv.max() != cv.min() or bv.max() != bv.min():
-            u = int(members[0])
-            mask = (cv != cv[0]) | (bv != bv[0])
-            w = int(members[np.flatnonzero(mask)[0]])
-            return LocalCheck(False, witness=(i, u, w))
-        cs.append(int(cv[0]))
-        bs.append(int(bv[0]))
-    return LocalCheck(True, c=tuple(cs), b=tuple(bs))
+def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
+    """Yield the :class:`LocalCheck` of each of the increasing ``vertices``.
+
+    A cell is equitable iff c and the degree are constant on it (b = deg - c).
+    Raises ValueError if g is disconnected.
+    """
+    deg = (g.degrees[:g.nB], g.degrees[g.nB:])
+    for batch, levels in _sweeps(g, vertices):
+        rows = np.arange(len(batch))
+        profiles = [[(0, d)] for d in g.degrees[batch].tolist()]
+        fail, reached = {}, np.ones(len(batch), np.int64)
+        for level, cls, new, counts in levels:
+            u = new.argmax(axis=1)
+            cu, du = counts[rows, u], deg[cls][u]
+            bad = new & ((counts != cu[:, None]) | (deg[cls] != du[:, None]))
+            off = cls * g.nB
+            for r in np.flatnonzero(bad.any(axis=1)).tolist():
+                fail.setdefault(r, (level, int(u[r]) + off, int(bad[r].argmax()) + off))
+            for r in np.flatnonzero(new.any(axis=1)).tolist():
+                profiles[r].append((int(cu[r]), int(du[r]) - int(cu[r])))
+            reached += new.sum(axis=1)
+        if reached.min() < g.V:
+            raise ValueError("graph is disconnected")
+        for r, profile in enumerate(profiles):
+            c, b = zip(*profile)
+            yield LocalCheck(False, witness=fail[r]) if r in fail else LocalCheck(True, c=c, b=b)
 
 
 def local_dr_check(g: BipartiteGraph, v: int) -> LocalCheck:
@@ -306,10 +347,7 @@ def local_dr_check(g: BipartiteGraph, v: int) -> LocalCheck:
     The returned c/b tuples run over distances 0..ecc (so ``c[0] = 0``
     and ``b[0]`` is the valency of v).
     """
-    dist = _bfs(g, v)
-    if (dist < 0).any():
-        raise ValueError("graph is disconnected")
-    return _local_profile(g, dist)
+    return next(_local_checks(g, [v]))
 
 
 @dataclass(frozen=True)
@@ -328,53 +366,37 @@ def dbrg_check(g: BipartiteGraph) -> DbrgResult:
 
     Accepts iff every distance partition is equitable and the (c, b)
     profile is constant on each class.  Regular graphs (k = l) are
-    accepted and flagged via ``regular``.
+    accepted and flagged via ``regular``.  The witness names the first
+    failing vertex, an inequitable partition before a profile mismatch.
+    Raises ValueError if a class is empty or the graph is disconnected.
     """
-    if g.V == 0:
-        raise ValueError("empty graph")
-    first = _bfs(g, 0)
-    if (first < 0).any():
-        raise ValueError("graph is disconnected")
-    profiles: dict[str, tuple] = {}
-    rep: dict[str, int] = {}
-    for v in range(g.V):
-        dist = first if v == 0 else _bfs(g, v)
-        res = _local_profile(g, dist)
-        side = g.side_of(v)
+    if g.nB == 0 or g.nC == 0:
+        raise ValueError(f"both classes must be non-empty, got B={g.nB} C={g.nC}")
+    first: dict[str, tuple] = {}  # side -> (vertex, c, b) of its first vertex
+    for v, res in enumerate(_local_checks(g, range(g.V))):
         if not res.ok:
-            lvl, u, w = res.witness
-            return DbrgResult(False, witness=("local", v, lvl, u, w))
-        prof = (res.c, res.b)
-        if side not in profiles:
-            profiles[side] = prof
-            rep[side] = v
-        elif profiles[side] != prof:
-            return DbrgResult(False, witness=("side", side, rep[side], v))
-    cB, bB = profiles["B"]
-    cC, bC = profiles["C"]
+            return DbrgResult(False, witness=("local", v, *res.witness))
+        side = g.side_of(v)
+        rep, c, b = first.setdefault(side, (v, res.c, res.b))
+        if (c, b) != (res.c, res.b):
+            return DbrgResult(False, witness=("side", side, rep, v))
+    (_, cB, bB), (_, cC, bC) = first["B"], first["C"]
     array = IntersectionArray(k=bB[0], l=bC[0], cB=cB[1:], cC=cC[1:])
     array.validate()
-    d_b, d_c = array.dB, array.dC
-    d = max(d_b, d_c)
-    assert min(d_b, d_c) >= d - 1, "covering radii differ by more than one"
-    if d % 2 == 1:
-        assert array.k == array.l, "odd diameter forces a regular graph"
     return DbrgResult(True, array=array, regular=array.regular)
 
 
 def girth(g: BipartiteGraph) -> int:
-    """Exact girth via BFS parent counts; 0 for an acyclic graph."""
+    """Exact girth, 0 for an acyclic graph: a vertex first reached at level i
+    with two parents closes a cycle of length at most 2i, and every vertex
+    of a shortest cycle sees one at half its length."""
     best = 0
-    for v in range(g.V):
-        dist = _bfs(g, v)
-        cpv, _ = _profile_counts(g, dist)
-        reach = dist >= 0
-        multi = reach & (cpv >= 2)
-        if multi.any():
-            lvl = int(dist[multi].min())
-            cand = 2 * lvl
-            if best == 0 or cand < best:
-                best = cand
+    for _, levels in _sweeps(g, range(g.V)):
+        for level, _, new, counts in levels:
+            if (counts[new] >= 2).any():
+                best = 2 * level
+            if best and 2 * level + 2 >= best:
+                break
     return best
 
 
@@ -388,15 +410,11 @@ class SemiregularResult:
 
 def semiregular_check(g: BipartiteGraph) -> SemiregularResult:
     """Constant valency on each side; witness is the first offender."""
-    degs = g.degrees
-    kb = int(degs[0]) if g.nB else 0
-    kc = int(degs[g.nB]) if g.nC else 0
-    for v in range(g.nB):
-        if degs[v] != kb:
-            return SemiregularResult(False, witness=v)
-    for v in range(g.nB, g.V):
-        if degs[v] != kc:
-            return SemiregularResult(False, witness=v)
+    kb = int(g.degrees[0]) if g.nB else 0
+    kc = int(g.degrees[g.nB]) if g.nC else 0
+    bad = np.flatnonzero(g.degrees != np.repeat([kb, kc], [g.nB, g.nC]))
+    if bad.size:
+        return SemiregularResult(False, witness=int(bad[0]))
     return SemiregularResult(True, k=kb, l=kc)
 
 
@@ -404,7 +422,7 @@ def halved_graphs(g: BipartiteGraph) -> tuple[Graph, Graph]:
     """Distance-two graphs on B and on C (for a connected bipartite g)."""
     # float matmul is exact here (counts are far below 2**53) and avoids
     # numpy's slow integer matmul path
-    n = g.biadjacency().astype(np.float64)
+    n = g.biadjacency(np.float64)
     bb = (n @ n.T) > 0.5
     cc = (n.T @ n) > 0.5
     hb_edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(bb, 1)))]
@@ -454,34 +472,28 @@ def srg_check(h: Graph) -> SrgResult:
 
 def subdivision(h: Graph) -> BipartiteGraph:
     """Vertex-edge incidence graph: B = vertices of h, C = edges of h."""
-    edges = []
-    for ci, (u, v) in enumerate(h.edges):
-        edges.append((u, ci))
-        edges.append((v, ci))
+    edges = [(u, ci) for ci, e in enumerate(h.edges) for u in e]
     return BipartiteGraph(h.n, len(h.edges), edges,
                           labels_b=range(h.n), labels_c=h.edges)
 
 
 def flip(g: BipartiteGraph) -> BipartiteGraph:
     """The same graph with the two classes exchanged."""
-    return BipartiteGraph(
-        g.nC, g.nB, [(c, b) for b, c in g.edges],
-        labels_b=g.labels_c, labels_c=g.labels_b,
-    )
+    return BipartiteGraph(g.nC, g.nB, np.column_stack([g.ec, g.eb]),
+                          labels_b=g.labels_c, labels_c=g.labels_b)
 
 
 def induced_subgraph(
     g: BipartiteGraph, b_keep: Sequence[int], c_keep: Sequence[int]
 ) -> BipartiteGraph:
     """Induced bipartite subgraph; class indices are re-numbered in order."""
-    b_map = {v: i for i, v in enumerate(sorted(set(b_keep)))}
-    c_map = {v: i for i, v in enumerate(sorted(set(c_keep)))}
-    edges = [
-        (b_map[b], c_map[c]) for b, c in g.edges if b in b_map and c in c_map
-    ]
-    lb = [g.labels_b[v] for v in sorted(b_map)] if g.labels_b else sorted(b_map)
-    lc = [g.labels_c[v] for v in sorted(c_map)] if g.labels_c else sorted(c_map)
-    return BipartiteGraph(len(b_map), len(c_map), edges, labels_b=lb, labels_c=lc)
+    b_keep, c_keep = sorted(set(b_keep)), sorted(set(c_keep))
+    keep = np.isin(g.eb, b_keep) & np.isin(g.ec, c_keep)
+    edges = np.column_stack([np.searchsorted(b_keep, g.eb[keep]),
+                             np.searchsorted(c_keep, g.ec[keep])])
+    lb = [g.labels_b[v] for v in b_keep] if g.labels_b else b_keep
+    lc = [g.labels_c[v] for v in c_keep] if g.labels_c else c_keep
+    return BipartiteGraph(len(b_keep), len(c_keep), edges, labels_b=lb, labels_c=lc)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +508,7 @@ class ShortcutResult:
     agrees: bool | None = None
 
 
-def c3_shortcut_check(
-    g: BipartiteGraph, c2b: int, c3b: int, c2c: int
-) -> ShortcutResult:
+def c3_shortcut_check(g: BipartiteGraph, c2b: int, c3b: int, c2c: int) -> ShortcutResult:
     """Diameter-4 certification shortcut from one locally regular side.
 
     Hypotheses verified on the graph: every B vertex locally
@@ -513,17 +523,14 @@ def c3_shortcut_check(
         return ShortcutResult("hypothesis_failed", f"not semiregular at {semi.witness}")
     k, l = semi.k, semi.l
     expected = (1, c2b, c3b, k)
-    for v in range(g.nB):
-        res = local_dr_check(g, v)
+    for v, res in enumerate(_local_checks(g, range(g.nB))):
         if not res.ok:
             return ShortcutResult("hypothesis_failed", f"B vertex {v} not locally distance-regular")
         if res.c[1:] != expected:
-            return ShortcutResult(
-                "hypothesis_failed",
-                f"B vertex {v} has c-line {res.c[1:]}, wanted {expected}",
-            )
-    n = g.biadjacency()
-    cc = (n.T.astype(np.float64) @ n.astype(np.float64)).astype(np.int64)
+            return ShortcutResult("hypothesis_failed",
+                                  f"B vertex {v} has c-line {res.c[1:]}, wanted {expected}")
+    n = g.biadjacency(np.float64)
+    cc = (n.T @ n).astype(np.int64)
     off = cc[~np.eye(g.nC, dtype=bool)]
     vals = set(np.unique(off).tolist()) - {0}
     if vals != {c2c}:
@@ -548,33 +555,42 @@ def c3_shortcut_check(
 
 def serialize_graph(g: BipartiteGraph) -> str:
     lines = [f"B={g.nB} C={g.nC}"]
-    lines.extend(f"{b} {c}" for b, c in g.edges)
+    lines.extend(f"{b} {c}" for b, c in zip(g.eb.tolist(), g.ec.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> BipartiteGraph:
-    lines = text.splitlines()
-    if not lines:
+    """Parse the graph text format; ValueError names the offending line."""
+    if not text:
         raise ValueError("empty graph file")
-    header = lines[0].split()
+    lines = io.StringIO(text, newline=None)  # one line alive at a time: low peak memory
+    head = lines.readline().rstrip("\n")
+    header = head.split()
     try:
         nb = int(header[0].removeprefix("B="))
         nc = int(header[1].removeprefix("C="))
     except (IndexError, ValueError) as exc:
-        raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
-    edges = []
-    for no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
+        raise ValueError(f"line 1: bad header {head!r}") from exc
+    if nb < 0 or nc < 0:
+        raise ValueError(f"line 1: negative class size in {head!r}")
+    eb, ec, nos = (np.empty(text.count("\n") + text.count("\r") + 1, np.int64) for _ in range(3))
+    m = 0
+    for no, line in enumerate(lines, start=2):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise ValueError(f"line {no}: expected '<b> <c>', got {line!r}")
+            raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            b, c = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"line {no}: non-integer edge {line!r}") from exc
-    try:
-        return BipartiteGraph(nb, nc, edges)
-    except ValueError as exc:
-        raise ValueError(f"graph file invalid: {exc}") from exc
+            raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
+        if not (0 <= b < nb and 0 <= c < nc):
+            raise ValueError(f"line {no}: edge ({b},{c}) out of range for B={nb} C={nc}")
+        eb[m], ec[m], nos[m] = b, c, no
+        m += 1
+    g = BipartiteGraph(nb, nc, np.column_stack([eb[:m], ec[:m]]))
+    if len(g.eb) < m:  # name the first line that repeats an earlier edge
+        i = np.setdiff1d(np.arange(m), np.unique(eb[:m] * nc + ec[:m], return_index=True)[1])[0]
+        raise ValueError(f"line {nos[i]}: duplicate edge '{eb[i]} {ec[i]}'")
+    return g

@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .bigraph import BipartiteGraph, IntersectionArray, dbrg_check, induced_subgraph
+from .bigraph import (BipartiteGraph, IntersectionArray, dbrg_check, distance_partition,
+                      flip, induced_subgraph)
 from .gfcore import (
     FieldContext,
     Subspace,
@@ -28,6 +29,7 @@ from .gfcore import (
     subspace_make,
     vector_index,
     index_vector,
+    orthogonal_complement,
 )
 from .geometry import cone_spaces, field_for_order, hyperoval
 from .perpsys import PerpSystem
@@ -111,23 +113,13 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
 
 def _coset_incidence(ctx: FieldContext, n: int, members: tuple[Subspace, ...]) -> BipartiteGraph:
     """B = all vectors of F_q^n, C = all cosets of all members, by inclusion."""
-    q = ctx.q
-    coset_count = q ** (n - members[0].dim)
-    rep_pos: list[dict] = []
-    for m in members:
-        rep_pos.append({rep: i for i, rep in enumerate(enumerate_cosets(m))})
-    edges = []
-    labels_c = []
-    for mi, m in enumerate(members):
-        for rep, pos in rep_pos[mi].items():
-            labels_c.append((mi, rep))
-    for vid in range(q**n):
-        v = index_vector(ctx, vid, n)
-        for mi, m in enumerate(members):
-            rep = m.reduce(v)
-            edges.append((vid, mi * coset_count + rep_pos[mi][rep]))
-    labels_b = [index_vector(ctx, vid, n) for vid in range(q**n)]
-    return BipartiteGraph(q**n, len(members) * coset_count, edges,
+    rep_pos = [{rep: i for i, rep in enumerate(enumerate_cosets(m))} for m in members]
+    coset_count = ctx.q ** (n - members[0].dim)
+    labels_b = [index_vector(ctx, vid, n) for vid in range(ctx.q**n)]
+    labels_c = [(mi, rep) for mi, pos in enumerate(rep_pos) for rep in pos]
+    edges = [(vid, mi * coset_count + pos[m.reduce(v)])
+             for vid, v in enumerate(labels_b) for mi, (m, pos) in enumerate(zip(members, rep_pos))]
+    return BipartiteGraph(len(labels_b), len(members) * coset_count, edges,
                           labels_b=labels_b, labels_c=labels_c)
 
 
@@ -185,8 +177,6 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
     ctx = field_for_order(q)
     oval = hyperoval(q)
     # planes of the dual hyperoval: perps of the oval points
-    from .gfcore import orthogonal_complement
-
     planes = [orthogonal_complement(p) for p in oval.sorted_points()]
     exterior = []
     for vid in range(1, q**3):
@@ -246,12 +236,7 @@ def derived_local_graph(
         array = res.array
     arr = array if z_side == "C" else array.swapped()
     # orient the graph so that z lies in class C
-    if z_side == "B":
-        from .bigraph import flip
-
-        graph = flip(parent)
-    else:
-        graph = parent
+    graph = flip(parent) if z_side == "B" else parent
     z = graph.vertex("C", z_index)
     if arr.dB < 4 or arr.dC < 4:
         raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
@@ -271,13 +256,11 @@ def derived_local_graph(
         raise DerivedGraphError("gamma3_integrality", f"gamma3 = {gamma3} is not an integer")
     gamma3 = int(gamma3)
 
-    from .bigraph import _bfs
-
-    dist = _bfs(graph, z)
-    n3 = [int(v) for v in (dist == 3).nonzero()[0]]
-    n4 = [int(v) - graph.nB for v in (dist == 4).nonzero()[0]]
+    part = distance_partition(graph, z)
+    if part.eccentricity < 4:
+        raise DerivedGraphError("diameter", f"z has eccentricity {part.eccentricity} < 4")
     # distance 3 from a C vertex lands in B, distance 4 back in C
-    sub = induced_subgraph(graph, n3, n4)
+    sub = induced_subgraph(graph, part.cells[3], [v - graph.nB for v in part.cells[4]])
     c2_new = c2b - gamma3
     if (c2_new * c3b) % c2c:
         raise DerivedGraphError("array_integrality", "derived c3 is not an integer")

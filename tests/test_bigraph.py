@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dbrg import bigraph
 from dbrg.bigraph import (
     BipartiteGraph,
     Graph,
@@ -91,8 +92,7 @@ def test_local_dr_pendant_failure():
     g = BipartiteGraph(2, 4, edges)
     res = local_dr_check(g, g.vertex("C", 0))
     assert not res.ok
-    level, u, w = res.witness
-    assert level >= 1 and u != w
+    assert res.witness == (1, 0, 1)  # level, the cell's first vertex, the first that differs
 
 
 def test_dbrg_complete_bipartite_53():
@@ -114,7 +114,8 @@ def test_dbrg_rejects_pendant():
     g = BipartiteGraph(2, 4, edges)
     res = dbrg_check(g)
     assert not res.ok
-    assert res.witness[0] in ("local", "side")
+    # the first failing vertex in index order is named
+    assert res.witness == ("local", 0, 1, 2, 5)
 
 
 def test_dbrg_hypercube4():
@@ -180,7 +181,7 @@ def test_subdivision_petersen_array():
 def test_subdivision_path_rejected():
     p3 = Graph(3, [(0, 1), (1, 2)])
     res = dbrg_check(subdivision(p3))
-    assert not res.ok and res.witness is not None
+    assert not res.ok and res.witness == ("side", "B", 0, 1)
 
 
 def test_c3_shortcut_applies_on_hypercube():
@@ -225,6 +226,14 @@ def test_graph_file_round_trip():
     assert "line 3" in str(err.value)
     with pytest.raises(ValueError):
         parse_graph("")
+    with pytest.raises(ValueError, match="line 1: negative"):
+        parse_graph("B=-1 C=2")
+    with pytest.raises(ValueError, match="line 5: duplicate edge '0 1'"):
+        parse_graph("B=2 C=2\n0 1\n\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match="line 3: edge \\(2,0\\) out of range"):
+        parse_graph("B=2 C=2\n0 1\n2 0\n")
+    # builders, unlike files, may repeat a pair
+    assert BipartiteGraph(2, 2, [(1, 0), (0, 1), (1, 0)]).edges == ((0, 1), (1, 0))
 
 
 def test_intersection_array_parse_and_validate():
@@ -251,3 +260,24 @@ def test_biadjacency_identity_on_hypercube():
     lhs = n @ n.T
     rhs = 4 * np.eye(8, dtype=int) + 2 * hb.adjacency()
     assert (lhs == rhs).all()
+
+
+def test_dbrg_check_needs_both_classes():
+    for g in (BipartiteGraph(1, 0, []), BipartiteGraph(0, 1, []), BipartiteGraph(0, 0, [])):
+        with pytest.raises(ValueError, match="both classes"):
+            dbrg_check(g)
+
+
+def test_array_invariants_raise():
+    # each array passes the per-line bounds but no connected graph has it
+    with pytest.raises(ValueError, match="covering radii 5 and 3"):
+        IntersectionArray(3, 2, (1, 1, 1, 1, 2), (1, 1, 3)).validate()
+    with pytest.raises(ValueError, match="odd diameter"):
+        IntersectionArray(3, 2, (1, 1, 2), (1, 1, 3)).validate()
+
+
+def test_engine_refuses_degrees_beyond_exact_float32(monkeypatch):
+    monkeypatch.setattr(bigraph, "_EXACT_DEGREE", 3)
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        dbrg_check(complete_bip(3, 3))
+    assert dbrg_check(complete_bip(2, 2)).ok

@@ -34,7 +34,7 @@ def test_verify_rejects_broken_graph(tmp_path, capsys):
     assert rc == 2
     payload = last_json(capsys)
     assert not payload["distance_biregular"]
-    assert payload["witness"] is not None
+    assert payload["witness"] == ["local", 0, 1, 3, 6]
 
 
 def test_gen_delorme_pipeline(tmp_path, capsys):
@@ -100,6 +100,10 @@ def test_roundtrip_and_parse_errors(tmp_path, capsys):
     assert main(["roundtrip", prefix + ".graph"]) == 0
     bad = tmp_path / "bad.graph"
     bad.write_text("B=2 C=2\n0 x\n")
+    assert main(["verify", str(bad)]) == 65
+    bad.write_text("B=-1 C=2\n")
+    assert main(["verify", str(bad)]) == 65
+    bad.write_text("B=2 C=2\n0 1\n0 1\n")
     assert main(["verify", str(bad)]) == 65
     assert main(["verify", str(tmp_path / "missing.graph")]) == 66
 

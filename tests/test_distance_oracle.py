@@ -1,0 +1,137 @@
+"""The batched distance engine against an independent all-pairs BFS oracle.
+
+networkx computes every distance; the oracle then applies the definition
+of distance-biregularity one vertex at a time, in index order, the way
+the witness contract states it.
+"""
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dbrg.bigraph import (
+    BipartiteGraph,
+    Graph,
+    IntersectionArray,
+    dbrg_check,
+    distance_partition,
+    girth,
+    local_dr_check,
+    subdivision,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def random_bigraphs(draw):
+    nb, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, nb - 1), st.integers(0, nc - 1))
+    return BipartiteGraph(nb, nc, draw(st.lists(pairs, max_size=nb * nc)))
+
+
+@st.composite
+def structured_bigraphs(draw):
+    # families rich in distance-biregular members, plus a random extra edge set
+    kind = draw(st.sampled_from(["complete", "cycle", "subdivided-cycle", "subdivided-complete"]))
+    n = draw(st.integers(2, 6))
+    if kind == "complete":
+        nc = draw(st.integers(1, 6))
+        g = BipartiteGraph(n, nc, [(b, c) for b in range(n) for c in range(nc)])
+    elif kind == "cycle":
+        g = BipartiteGraph(n, n, [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)])
+    elif kind == "subdivided-cycle":
+        g = subdivision(Graph(n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)]))
+    else:
+        g = subdivision(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+    extra = draw(st.lists(st.tuples(st.integers(0, g.nB - 1), st.integers(0, g.nC - 1)),
+                          max_size=2))
+    return BipartiteGraph(g.nB, g.nC, list(g.edges) + extra)
+
+
+def bigraphs():
+    return st.one_of(random_bigraphs(), structured_bigraphs())
+
+
+class Oracle:
+    def __init__(self, g):
+        self.g = g
+        self.G = nx.Graph()
+        self.G.add_nodes_from(range(g.V))
+        self.G.add_edges_from((b, g.nB + c) for b, c in g.edges)
+        self.dist = dict(nx.all_pairs_shortest_path_length(self.G))
+        self.connected = nx.is_connected(self.G)
+
+    def cells(self, v):
+        d = self.dist[v]
+        return [sorted(x for x in d if d[x] == i) for i in range(max(d.values()) + 1)]
+
+    def counts(self, v, x):
+        d = self.dist[v]
+        c = sum(1 for y in self.G[x] if d.get(y) == d[x] - 1)
+        b = sum(1 for y in self.G[x] if d.get(y) == d[x] + 1)
+        return c, b
+
+    def local(self, v):
+        """(c, b) or the witness (level, first vertex, first differing vertex)."""
+        cs, bs = [], []
+        for level, cell in enumerate(self.cells(v)):
+            prof = [self.counts(v, x) for x in cell]
+            odd = [x for x, p in zip(cell, prof) if p != prof[0]]
+            if odd:
+                return None, (level, cell[0], odd[0])
+            cs.append(prof[0][0])
+            bs.append(prof[0][1])
+        return (tuple(cs), tuple(bs)), None
+
+    def dbrg(self):
+        first = {}
+        for v in range(self.g.V):
+            prof, wit = self.local(v)
+            if wit:
+                return None, ("local", v, *wit)
+            side = "B" if v < self.g.nB else "C"
+            rep, seen = first.setdefault(side, (v, prof))
+            if seen != prof:
+                return None, ("side", side, rep, v)
+        (_, (cB, bB)), (_, (cC, bC)) = first["B"], first["C"]
+        return IntersectionArray(bB[0], bC[0], cB[1:], cC[1:]), None
+
+
+@SETTINGS
+@given(bigraphs())
+def test_dbrg_check_matches_oracle(g):
+    oracle = Oracle(g)
+    if not oracle.connected:
+        with pytest.raises(ValueError, match="disconnected"):
+            dbrg_check(g)
+        return
+    array, witness = oracle.dbrg()
+    res = dbrg_check(g)
+    assert (res.ok, res.array, res.witness) == (array is not None, array, witness)
+
+
+@SETTINGS
+@given(bigraphs())
+def test_local_checks_and_partitions_match_oracle(g):
+    oracle = Oracle(g)
+    for v in range(g.V):
+        if not oracle.connected:
+            with pytest.raises(ValueError, match="disconnected"):
+                local_dr_check(g, v)
+            with pytest.raises(ValueError, match="disconnected"):
+                distance_partition(g, v)
+            continue
+        prof, witness = oracle.local(v)
+        res = local_dr_check(g, v)
+        assert (res.ok, (res.c, res.b) if res.ok else None, res.witness) == (
+            prof is not None, prof, witness)
+        cells = oracle.cells(v)
+        assert distance_partition(g, v).cells == tuple(tuple(c) for c in cells)
+
+
+@SETTINGS
+@given(bigraphs())
+def test_girth_matches_oracle(g):
+    expected = nx.girth(Oracle(g).G)
+    assert girth(g) == (0 if expected == float("inf") else expected)

@@ -158,7 +158,7 @@ def test_reference_table_contained_at_1300():
 
 def test_gamma_constants_match_brute_force_on_hypercube():
     # the 4-cube is distance-2 homogeneous with constant 1; measure it
-    from dbrg.bigraph import BipartiteGraph, _bfs
+    from dbrg.bigraph import BipartiteGraph, distance_partition
 
     evens = [v for v in range(16) if bin(v).count("1") % 2 == 0]
     odds = [v for v in range(16) if bin(v).count("1") % 2 == 1]
@@ -170,7 +170,8 @@ def test_gamma_constants_match_brute_force_on_hypercube():
     e2 = next(e for e in entries if e.i == 2 and e.orientation == "as-given")
     assert e2.delta == 0 and e2.gamma == 1
     nbrs = [set(g.neighbors(v).tolist()) for v in range(g.V)]
-    dist = [_bfs(g, v) for v in range(g.V)]
+    dist = [{x: d for d, cell in enumerate(distance_partition(g, v).cells) for x in cell}
+            for v in range(g.V)]
     seen = set()
     for u in range(8):
         for v in range(8):
