@@ -57,25 +57,23 @@ def _array_payload(arr: bigraph.IntersectionArray | None):
 # construct
 # ---------------------------------------------------------------------------
 
-def _build(args) -> constructions.ConstructionResult:
-    fam = args.family
-    if fam == "complete-bipartite":
-        return constructions.complete_bipartite(args.k, args.l)
-    if fam == "bi-johnson":
-        return constructions.bi_johnson(args.n, args.k)
-    if fam == "bi-grassmann":
-        return constructions.bi_grassmann(args.n, args.k, args.q)
-    if fam == "gen-delorme":
-        ctx, n, k, members = perpsys.parse_perp(Path(args.perp).read_text())
-        res = perpsys.perp_verify(ctx, n, k, members)
-        if isinstance(res, perpsys.PerpViolation):
-            raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
-        return constructions.gen_delorme_graph(res)
-    if fam == "cone":
-        return constructions.cone_graph(args.q)
-    if fam == "hyperoval-affine":
-        return constructions.hyperoval_affine_graph(args.q)
-    raise AssertionError(fam)
+def _gen_delorme(args) -> constructions.ConstructionResult:
+    ctx, n, k, members = perpsys.parse_perp(Path(args.perp).read_text())
+    res = perpsys.perp_verify(ctx, n, k, members)
+    if isinstance(res, perpsys.PerpViolation):
+        raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
+    return constructions.gen_delorme_graph(res)
+
+
+# family -> (required options, builder)
+_FAMILIES = {
+    "complete-bipartite": (("k", "l"), lambda a: constructions.complete_bipartite(a.k, a.l)),
+    "bi-johnson": (("n", "k"), lambda a: constructions.bi_johnson(a.n, a.k)),
+    "bi-grassmann": (("n", "k", "q"), lambda a: constructions.bi_grassmann(a.n, a.k, a.q)),
+    "gen-delorme": (("perp",), _gen_delorme),
+    "cone": (("q",), lambda a: constructions.cone_graph(a.q)),
+    "hyperoval-affine": (("q",), lambda a: constructions.hyperoval_affine_graph(a.q)),
+}
 
 
 class _Verdict(Exception):
@@ -83,7 +81,13 @@ class _Verdict(Exception):
 
 
 def cmd_construct(args) -> int:
-    built = _build(args)
+    required, build = _FAMILIES[args.family]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        print(f"usage error: construct {args.family} requires {' '.join(missing)}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    built = build(args)
     res = bigraph.dbrg_check(built.graph)
     _write(args.out + ".graph", bigraph.serialize_graph(built.graph))
     payload = {
@@ -277,9 +281,7 @@ def _make_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a graph family and verify it")
-    c.add_argument("family", choices=["complete-bipartite", "bi-johnson",
-                                      "bi-grassmann", "gen-delorme", "cone",
-                                      "hyperoval-affine"])
+    c.add_argument("family", choices=list(_FAMILIES))
     c.add_argument("--k", type=int)
     c.add_argument("--l", type=int)
     c.add_argument("--n", type=int)

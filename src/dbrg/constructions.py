@@ -127,13 +127,15 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
     """Vector-coset incidence graph of a perp system.
 
     B is all q^n vectors, C the s*q^k affine cosets of the members; the
-    predicted diameter-4 array is determined by (n, k, q, d, s).
+    predicted diameter-4 array is determined by (n, k, q, d, s).  Raises
+    ValueError when d does not divide q^(n-2k)(s-1), the numerator of c3B.
     """
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
+    c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)
+    if rem:
+        raise ValueError(f"c3B = q^(n-2k)(s-1)/d = {q ** (n - 2 * k) * (s - 1)}/{d} is not an integer")
     g = _coset_incidence(ctx, n, system.members)
-    c3b = q ** (n - 2 * k) * (s - 1) // d
-    assert c3b * d == q ** (n - 2 * k) * (s - 1)
     arr = IntersectionArray(
         s, q ** (n - k),
         (1, d, c3b, s),

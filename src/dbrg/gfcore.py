@@ -26,6 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "FieldContext",
     "Subspace",
@@ -37,6 +39,9 @@ __all__ = [
     "subspace_join",
     "orthogonal_complement",
     "enumerate_subspaces",
+    "echelon_bases",
+    "subspace_vector_ids",
+    "vector_bitsets",
     "enumerate_cosets",
     "enumerate_hyperplanes",
     "enumerate_projective_points",
@@ -498,26 +503,85 @@ def enumerate_subspaces(ctx: FieldContext, n: int, m: int) -> Iterator[Subspace]
     lexicographically (last free cell varies fastest).  The stream can be
     restarted at will and always yields qbinom(n, m, q) subspaces.
     """
+    for block in echelon_bases(ctx, n, m):
+        for rows in block:  # one row at a time: a block can hold q^(m(n-m)) bases
+            yield Subspace(ctx, n, tuple(map(tuple, rows.tolist())))
+
+
+def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:
+    """The subspaces of :func:`enumerate_subspaces` as stacked echelon bases.
+
+    Yields one array of shape (count, m, n) per pivot-column set, in the
+    same order, so row r of the concatenated blocks is the basis of the
+    r-th subspace that :func:`enumerate_subspaces` yields.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got ({n}, {m})")
-    if m == 0:
-        yield Subspace(ctx, n, ())
-        return
+    q = ctx.q
+    dtype = np.int8 if q < 128 else np.int32
     for pivots in itertools.combinations(range(n), m):
         pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(m)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(ctx.elements(), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(m)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), val in zip(free_cells, values):
-                rows[i][j] = val
-            yield Subspace(ctx, n, tuple(tuple(r) for r in rows))
+        cells = [(i, j) for i in range(m) for j in range(pivots[i] + 1, n) if j not in pivot_set]
+        # every assignment of the free cells, the last cell varying fastest
+        grid = np.indices((q,) * len(cells), dtype=dtype).reshape(len(cells), q ** len(cells))
+        block = np.zeros((grid.shape[1], m, n), dtype=dtype)
+        block[:, range(m), pivots] = 1
+        if cells:
+            rows, cols = zip(*cells)
+            block[:, rows, cols] = grid.T
+        yield block
+
+
+def subspace_vector_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
+    """Sorted :func:`vector_index` ids of the nonzero vectors of each subspace.
+
+    ``bases`` has shape (K, m, n) and holds linearly independent rows;
+    the result has shape (K, q^m - 1).  The id of a vector reads its
+    coordinates as one base-q number, and the base-p digits of a
+    coordinate are its polynomial coefficients, so the base-p digits of
+    an id are the vector's coordinates over GF(p): adding two vectors is
+    adding their ids digit by digit mod p (XOR when p = 2).  Scalar
+    multiples come from the exp/log tables; all work is exact integers.
+    """
+    count, m, n = bases.shape
+    q, p = ctx.q, ctx.p
+    dtype = np.int32 if q**n < 2**31 else np.int64
+    weights = q ** np.arange(n - 1, -1, -1, dtype=dtype)
+    exp, log = np.array(ctx._exp, dtype=dtype), np.array(ctx._log, dtype=dtype)
+    rows = bases.astype(dtype)
+    # ids of c * row for every scalar c, shape (q, count, m)
+    scaled = np.zeros((q, count, m), dtype=dtype)
+    for c in range(1, q):
+        prod = np.where(rows != 0, exp[(log[c] + log[rows]) % (q - 1)], 0)
+        scaled[c] = prod @ weights
+    # all combinations, the coefficient of the first row varying slowest
+    ids = np.zeros((count, 1), dtype=dtype)
+    for i in range(m):
+        a, b = ids[:, :, None], scaled[:, :, i].T[:, None, :]
+        if p == 2:
+            ids = a ^ b
+        else:
+            total = np.zeros((count, a.shape[1], q), dtype=dtype)
+            place = 1
+            for _ in range(n * ctx.t):
+                total += (a // place + b // place) % p * place
+                place *= p
+            ids = total
+        ids = ids.reshape(count, -1)
+    return np.sort(ids[:, 1:], axis=1)
+
+
+def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
+    """Rows of ``ids`` as uint64 bitsets over ``size`` vector ids.
+
+    Word ``w`` of row ``r`` has bit ``b`` set iff ``64 w + b`` is in
+    ``ids[r]``; the ids in a row must be distinct.
+    """
+    bits = np.zeros((len(ids), -(-size // 64)), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(ids)), ids.shape[1])
+    flat = ids.ravel()
+    np.bitwise_or.at(bits, (rows, flat >> 6), np.uint64(1) << (flat & 63).astype(np.uint64))
+    return bits
 
 
 def enumerate_cosets(m: Subspace) -> Iterator[tuple[int, ...]]:

@@ -13,10 +13,10 @@ associated graph is strongly regular.
 
 ``perp_verify`` measures everything exhaustively and returns either a
 :class:`PerpSystem` or a :class:`PerpViolation` naming the offending
-vector or member pair.  ``perp_search`` is a deterministic lexicographic
-backtracking search; ``orbit_search`` restricts to families invariant
-under a prescribed cyclic group of linear maps, which cuts the search
-space by orders of magnitude when such symmetry exists.
+vector or member pair.  ``perp_search`` is a deterministic exact-cover
+search with multiplicities (Knuth's Algorithm M): it branches on the
+partially covered vector with the fewest candidates left.  Both work on
+the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`.
 
 File format (one system per file)::
 
@@ -40,16 +40,17 @@ from .gfcore import (
     FieldContext,
     Subspace,
     dot,
+    echelon_bases,
     enumerate_projective_points,
-    enumerate_subspaces,
-    field,
     format_vector,
+    index_vector,
     orthogonal_complement,
     parse_vector,
     qbinom,
     subspace_make,
     subspace_meet,
-    vector_index,
+    subspace_vector_ids,
+    vector_bitsets,
 )
 from .geometry import PointSet, field_for_order
 
@@ -68,7 +69,6 @@ __all__ = [
     "two_intersection_set",
     "perp_dualize",
     "perp_search",
-    "orbit_search",
     "serialize_perp",
     "parse_perp",
 ]
@@ -106,17 +106,9 @@ class PerpViolation:
     detail: str = ""
 
 
-def _member_vector_ids(ctx: FieldContext, m: Subspace) -> np.ndarray:
-    ids = [vector_index(ctx, v) for v in m.vectors()]
-    ids = [i for i in ids if i != 0]
-    return np.array(sorted(ids), dtype=np.int64)
-
-
-def _member_mask(ids: np.ndarray) -> int:
-    mask = 0
-    for i in ids.tolist():
-        mask |= 1 << i
-    return mask
+def _meet_sizes(bits: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Nonzero vectors shared by each bitset in ``bits`` with ``row``."""
+    return np.bitwise_count(bits & row).sum(axis=1)
 
 
 def perp_verify(
@@ -144,13 +136,8 @@ def perp_verify(
         return PerpViolation("d_too_small", detail="family has a single member (s >= 2 required)")
 
     q = ctx.q
-    counts = np.zeros(q**n, dtype=np.int32)
-    id_lists = []
-    for m in members:
-        ids = _member_vector_ids(ctx, m)
-        id_lists.append(ids)
-        counts[ids] += 1
-    mults = counts[1:]
+    ids = subspace_vector_ids(ctx, np.array([m.basis for m in members]))
+    mults = np.bincount(ids.ravel(), minlength=q**n)[1:]
     covered = mults[mults > 0]
     if covered.size == 0:
         return PerpViolation("none_covered", detail="no nonzero vector lies in any member")
@@ -158,8 +145,6 @@ def perp_verify(
     if uniq.size > 1:
         ref = int(uniq[-1])
         bad = int(np.flatnonzero((mults > 0) & (mults != ref))[0]) + 1
-        from .gfcore import index_vector
-
         return PerpViolation(
             "mixed_multiplicity",
             vector=index_vector(ctx, bad, n),
@@ -171,15 +156,16 @@ def perp_verify(
     if (mults == 0).sum() == 0:
         return PerpViolation("all_covered", detail="no vector with multiplicity 0")
     want = q ** (n - 2 * k) - 1
-    masks = [_member_mask(ids) for ids in id_lists]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if (masks[i] & masks[j]).bit_count() != want:
-                got = subspace_meet(members[i], members[j]).dim
-                return PerpViolation(
-                    "pair_meet", pair=(i, j),
-                    detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
-                )
+    bits = vector_bitsets(ids, q**n)
+    for i in range(len(members) - 1):
+        wrong = np.flatnonzero(_meet_sizes(bits[i + 1:], bits[i]) != want)
+        if wrong.size:
+            j = i + 1 + int(wrong[0])
+            got = subspace_meet(members[i], members[j]).dim
+            return PerpViolation(
+                "pair_meet", pair=(i, j),
+                detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
+            )
     return PerpSystem(ctx, n, k, members, d, len(members))
 
 
@@ -401,9 +387,28 @@ class SearchOutcome:
     status: str  # found | exhausted | budget
     system: PerpSystem | None
     nodes: int
-    elapsed: float
+    elapsed: float  # wall seconds from entry, set-up included
     solutions: int = 0  # populated by count_all runs
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
+    setup_seconds: float = 0.0  # candidates, their vector ids and bitsets
+
+
+@dataclass
+class _Node:
+    """A partial family in :func:`perp_search`."""
+
+    members: tuple[int, ...]  # candidate indices
+    cover: np.ndarray  # per vector id: members containing it
+    live: np.ndarray  # per candidate: may still join
+    avail: np.ndarray  # per vector id: live candidates containing it
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Found(Exception):
+    pass
 
 
 def perp_search(
@@ -417,290 +422,128 @@ def perp_search(
     seed: int = 0,
     count_all: bool = False,
 ) -> SearchOutcome:
-    """Deterministic lexicographic backtracking for a perp system.
+    """Deterministic exact-cover search for a perp system.
 
-    Candidates are the codimension-k subspaces in enumeration order with
-    the first member pinned to the least one (the conditions are
-    GL-invariant, so this loses no solutions).  Pruning: pairwise meet
-    dimension, vector multiplicities capped at d, and completion
-    feasibility for partially covered vectors.  ``seed`` is accepted for
+    Candidates are the codimension-k subspaces in enumeration order, and
+    the first member is pinned to candidate 0 (the conditions are
+    GL-invariant, so this loses no solutions).  This is Algorithm X with
+    multiplicities (Knuth, *Dancing Links*; TAOCP 7.2.2.1 Algorithm M):
+    every nonzero vector must end up in 0 or d members.  After each
+    inclusion the candidates that meet the new member in the wrong size
+    or contain a vector now covered d times are killed.  The search
+    branches on the partially covered vector with the fewest live
+    candidates (on all live candidates when no vector is partially
+    covered); sibling i excludes siblings 0..i-1, so ``count_all``
+    counts each system once.  A node is pruned when some partially
+    covered vector has fewer live candidates than it still needs, or
+    needs more than the members left.  ``seed`` is accepted for
     interface stability; the search itself is fully deterministic.
 
-    Returns status ``found`` with a verified system, ``exhausted`` when
-    the whole space was explored (with ``solutions`` counted if
-    ``count_all``), or ``budget`` when a cap was hit first.
+    A node is one inclusion tried.  ``budget_seconds`` bounds the wall
+    time from entry, set-up included.  Returns status ``found`` with a
+    system checked by :func:`perp_verify`, ``exhausted`` when the whole
+    space was explored (with ``solutions`` counted if ``count_all``), or
+    ``budget`` when a cap was hit first.
     """
+    t0 = time.monotonic()
     report = perp_params(n, k, q, d)
     if not report.admissible:
         reasons = "; ".join(c.detail for c in report.checks if not c.ok)
         raise ValueError(f"inadmissible parameters: {reasons}")
     s_target = report.s
     ctx = field_for_order(q)
-    cands = list(enumerate_subspaces(ctx, n, n - k))
-    ids = [_member_vector_ids(ctx, m) for m in cands]
-    masks = [_member_mask(i) for i in ids]
-    want = q ** (n - 2 * k) - 1
-
-    counts = np.zeros(q**n, dtype=np.int32)
-    chosen: list[int] = []
-    best: list[PerpSystem | None] = [None]
-    stats = {"nodes": 0, "solutions": 0}
-    t0 = time.monotonic()
-
-    def out_of_budget() -> bool:
-        if budget_nodes is not None and stats["nodes"] >= budget_nodes:
-            return True
-        if budget_seconds is not None and stats["nodes"] % 512 == 0:
-            return time.monotonic() - t0 > budget_seconds
-        return False
-
-    class Budget(Exception):
-        pass
-
-    class Found(Exception):
-        pass
-
-    def feasible_after_add() -> bool:
-        pos = counts[1:]
-        part = pos[(pos > 0) & (pos < d)]
-        if part.size and d - int(part.min()) > s_target - len(chosen):
-            return False
-        return True
-
-    def extend(start: int) -> None:
-        if len(chosen) == s_target:
-            mults = counts[1:]
-            uc = np.unique(mults[mults > 0])
-            if uc.size == 1 and int(uc[0]) == d and (mults == 0).any():
-                stats["solutions"] += 1
-                if best[0] is None:
-                    res = perp_verify(ctx, n, k, tuple(cands[i] for i in chosen))
-                    assert isinstance(res, PerpSystem)
-                    best[0] = res
-                if not count_all:
-                    raise Found
-            return
-        for idx in range(start, len(cands)):
-            stats["nodes"] += 1
-            if out_of_budget():
-                raise Budget
-            mask = masks[idx]
-            if any((mask & masks[j]).bit_count() != want for j in chosen):
-                continue
-            if counts[ids[idx]].max() >= d:
-                continue
-            counts[ids[idx]] += 1
-            chosen.append(idx)
-            if feasible_after_add():
-                extend(idx + 1)
-            chosen.pop()
-            counts[ids[idx]] -= 1
-
-    status = "exhausted"
-    complete = True
-    try:
-        counts[ids[0]] += 1
-        chosen.append(0)
-        extend(1)
-    except Found:
-        status = "found"
-        complete = False
-    except Budget:
-        status = "budget"
-        complete = False
-    if best[0] is not None:
-        status = "found"
-    return SearchOutcome(status, best[0], stats["nodes"], time.monotonic() - t0,
-                         stats["solutions"], complete)
-
-
-def orbit_search(
-    n: int,
-    k: int,
-    q: int,
-    d: int,
-    *,
-    orbit_order: int = 7,
-    galois_power: int | None = None,
-    budget_seconds: float | None = None,
-) -> SearchOutcome:
-    """Search for systems invariant under a prescribed cyclic linear group.
-
-    The group generator is multiplication by an element of order
-    ``orbit_order`` in the extension field F_{q^n} acting F_q-linearly on
-    the vector space; ``orbit_order`` must divide q^n - 1 and have
-    multiplicative order n modulo q, so that every subspace orbit is
-    free.  All unions of member-orbits satisfying the covering and meet
-    conditions are scanned.  With ``galois_power = e`` the group is
-    enlarged by x -> a x^(q^e), and single orbits of the larger group are
-    tried first -- when the target family is an orbit of such a group
-    this finds it in seconds.
-    """
-    report = perp_params(n, k, q, d)
-    if not report.admissible:
-        raise ValueError("inadmissible parameters")
-    s_target = report.s
-    if s_target % orbit_order:
-        raise ValueError(f"orbit order {orbit_order} does not divide s = {s_target}")
-    if (q**n - 1) % orbit_order:
-        raise ValueError(f"orbit order {orbit_order} does not divide q^n - 1")
-    ctx = field_for_order(q)
-    if ctx.t != 1:
-        raise ValueError("orbit_search currently supports prime q only")
-    big = field(q, n)  # F_{q^n} with digit vectors as F_q coordinates
-    unit_order = q**n - 1
-    g = big.generator
-    sigma_mult = big.pow(g, unit_order // orbit_order)
-
-    def as_elem(v: tuple[int, ...]) -> int:
-        e = 0
-        for c in reversed(v):
-            e = e * q + c
-        return e
-
-    def as_vec(e: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n):
-            out.append(e % q)
-            e //= q
-        return tuple(out)
-
-    def apply_mult(m: Subspace, a: int) -> Subspace:
-        rows = [as_vec(big.mul(a, as_elem(r))) for r in m.basis]
-        return subspace_make(ctx, n, rows)
-
-    t0 = time.monotonic()
-    cands = list(enumerate_subspaces(ctx, n, n - k))
-    index = {m: i for i, m in enumerate(cands)}
-    ids = [_member_vector_ids(ctx, m) for m in cands]
-    masks = [_member_mask(i) for i in ids]
-    want = q ** (n - 2 * k) - 1
-
-    # group candidates into sigma-orbits
-    orbit_of = [-1] * len(cands)
-    orbits: list[list[int]] = []
-    for i, m in enumerate(cands):
-        if orbit_of[i] >= 0:
-            continue
-        orb = [i]
-        orbit_of[i] = len(orbits)
-        cur = m
-        while True:
-            cur = apply_mult(cur, sigma_mult)
-            j = index[cur]
-            if j == i:
-                break
-            orbit_of[j] = len(orbits)
-            orb.append(j)
-        if len(orb) != orbit_order:
-            raise AssertionError("subspace orbit is not free; choose another orbit order")
-        orbits.append(orb)
-
     size = q**n
+    want = q ** (n - 2 * k) - 1
 
-    def orbit_ok(orb: list[int]) -> np.ndarray | None:
-        # within-orbit meets and multiplicity cap
-        i0 = orb[0]
-        for j in orb[1:]:
-            if (masks[i0] & masks[j]).bit_count() != want:
-                return None
-        cnt = np.zeros(size, dtype=np.int16)
-        for j in orb:
-            cnt[ids[j]] += 1
-        if cnt.max() > d:
-            return None
-        return cnt
+    def out_of_time() -> bool:
+        return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
-    def orbits_compatible(a: list[int], b: list[int]) -> bool:
-        i0 = a[0]
-        return all((masks[i0] & masks[j]).bit_count() == want for j in b)
+    blocks, id_blocks = [], []
+    for block in echelon_bases(ctx, n, n - k):
+        if out_of_time():
+            spent = time.monotonic() - t0
+            return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
+        blocks.append(block)
+        id_blocks.append(subspace_vector_ids(ctx, block))
+    bases, ids = np.concatenate(blocks), np.concatenate(id_blocks)
+    del blocks, id_blocks
+    bits = vector_bitsets(ids, size)
+    # row v - 1: the candidates containing vector v, in index order
+    through = (np.argsort(ids.ravel(), kind="stable") // ids.shape[1]).reshape(size - 1, -1)
+    setup_seconds = time.monotonic() - t0
 
-    def check_union(group: list[list[int]]) -> PerpSystem | None:
-        members = tuple(cands[i] for orb in group for i in orb)
-        if len(set(members)) != len(members):
-            return None
-        res = perp_verify(ctx, n, k, members)
-        return res if isinstance(res, PerpSystem) else None
+    def drop(node: _Node, dead) -> None:
+        node.live[dead] = False
+        node.avail -= np.bincount(ids[dead].ravel(), minlength=size)
 
-    n_orbits = s_target // orbit_order
-    good = [(o, c) for o in orbits if (c := orbit_ok(o)) is not None]
+    def join(node: _Node, c: int) -> _Node:
+        cover = node.cover.copy()
+        cover[ids[c]] += 1
+        cand = np.flatnonzero(node.live)
+        dead = np.zeros(len(ids), dtype=bool)
+        dead[cand[_meet_sizes(bits[cand], bits[c]) != want]] = True  # c itself included
+        dead[through[ids[c][cover[ids[c]] == d] - 1]] = True  # vectors now covered d times
+        child = _Node(node.members + (c,), cover, node.live.copy(), node.avail.copy())
+        drop(child, np.flatnonzero(dead & node.live))
+        return child
 
-    if galois_power is not None:
-        if (3 * galois_power) % n:
-            raise ValueError("galois_power e must satisfy n | 3e for an order-3 twist")
-        frob_pow = q**galois_power
+    def feasible(node: _Node) -> bool:
+        part = (node.cover > 0) & (node.cover < d)
+        need = d - node.cover[part]
+        left = s_target - len(node.members)
+        return not need.size or (need.max() <= left and (node.avail[part] >= need).all())
 
-        def try_twists() -> PerpSystem | None:
-            # x -> a x^(q^e) cubes to a scalar map (hence identity on
-            # subspaces) iff a^(1 + q^e + q^2e) lies in the prime subfield
-            expo = 1 + frob_pow + frob_pow * frob_pow
-            twists = [a for a in range(1, q**n) if big.pow(a, expo) < q]
+    nodes = solutions = 0
+    first: PerpSystem | None = None
 
-            def apply_twist(m: Subspace, a: int) -> Subspace:
-                rows = [as_vec(big.mul(a, big.pow(as_elem(r), frob_pow))) for r in m.basis]
-                return subspace_make(ctx, n, rows)
+    def visit(node: _Node) -> None:
+        nonlocal nodes, solutions, first
+        if len(node.members) == s_target:
+            # feasible, so every vector is covered 0 or d times
+            if (node.cover[1:] == 0).any():
+                members = tuple(Subspace(ctx, n, tuple(map(tuple, bases[c].tolist())))
+                                for c in node.members)
+                res = perp_verify(ctx, n, k, members)
+                if not isinstance(res, PerpSystem):
+                    raise RuntimeError(f"search produced a family that fails perp_verify: {res}")
+                solutions += 1
+                if first is None:
+                    first = res
+                if not count_all:
+                    raise _Found
+            return
+        part = np.flatnonzero((node.cover > 0) & (node.cover < d))
+        if part.size:
+            row = through[part[np.argmin(node.avail[part])] - 1]
+            branch = row[node.live[row]]
+        else:
+            branch = np.flatnonzero(node.live)
+        for c in branch.tolist():
+            nodes += 1
+            if (budget_nodes is not None and nodes >= budget_nodes) or out_of_time():
+                raise _Budget
+            child = join(node, c)
+            if feasible(child):
+                visit(child)
+            drop(node, [c])  # later siblings exclude c
+            if not feasible(node):
+                return
 
-            for a in twists:
-                if budget_seconds and time.monotonic() - t0 > budget_seconds:
-                    return None
-                for orb, _ in good:
-                    m0 = cands[orb[0]]
-                    group = [orb]
-                    cur = m0
-                    ok = True
-                    for _ in range(n_orbits - 1):
-                        cur = apply_twist(cur, a)
-                        oid = orbit_of[index[cur]]
-                        if any(o is orbits[oid] for o in group):
-                            ok = False
-                            break
-                        group.append(orbits[oid])
-                    if not ok or len({id(o) for o in group}) != n_orbits:
-                        continue
-                    sys_ = check_union(group)
-                    if sys_ is not None:
-                        return sys_
-            return None
-
-        found = try_twists()
-        if found is not None:
-            return SearchOutcome("found", found, 0, time.monotonic() - t0, 1)
-
-    # general scan over n_orbits-subsets of compatible orbits
-    sols = 0
-    found_sys: PerpSystem | None = None
-    stack: list[tuple[list[int], np.ndarray]] = []
-
-    def rec(start: int, acc: np.ndarray, group: list[list[int]]) -> PerpSystem | None:
-        nonlocal sols
-        if budget_seconds and time.monotonic() - t0 > budget_seconds:
-            raise TimeoutError
-        if len(group) == n_orbits:
-            total = acc[1:]
-            pos = total[total > 0]
-            if pos.size and (pos == d).all() and (total == 0).any():
-                return check_union(group)
-            return None
-        for gi in range(start, len(good)):
-            orb, cnt = good[gi]
-            new = acc + cnt
-            if new[1:].max() > d:
-                continue
-            if any(not orbits_compatible(prev, orb) for prev in group):
-                continue
-            res = rec(gi + 1, new, group + [orb])
-            if res is not None:
-                return res
-        return None
-
+    root = _Node((), np.zeros(size, dtype=np.int64), np.ones(len(ids), dtype=bool),
+                 np.bincount(ids.ravel(), minlength=size))
+    start = join(root, 0)
+    status, complete = "exhausted", True
     try:
-        found_sys = rec(0, np.zeros(size, dtype=np.int16), [])
-    except TimeoutError:
-        return SearchOutcome("budget", None, 0, time.monotonic() - t0, 0)
-    if found_sys is not None:
-        return SearchOutcome("found", found_sys, 0, time.monotonic() - t0, 1)
-    return SearchOutcome("exhausted", None, 0, time.monotonic() - t0, 0)
-
+        if feasible(start):
+            visit(start)
+    except _Found:
+        complete = False
+    except _Budget:
+        status, complete = "budget", False
+    if first is not None:
+        status = "found"
+    return SearchOutcome(status, first, nodes, time.monotonic() - t0, solutions, complete,
+                         setup_seconds)
 
 # ---------------------------------------------------------------------------
 # File format

@@ -177,8 +177,8 @@ def test_criterion_5_sporadic_search_and_file_path():
         detail = f"search found the (6,2,3,3,21) system after {out.nodes} nodes"
     else:
         detail = (f"search reported budget exhaustion after {out.nodes} nodes "
-                  f"({budget:.0f}s budget; the recorded 1800s run explored "
-                  f"600657920 nodes without completing)")
+                  f"({budget:.0f}s budget; a recorded 600s run explored "
+                  f"2703580 nodes without finding one)")
     # external-coordinate path: a supplied file must verify end to end
     fixture = os.path.join(os.path.dirname(__file__), "data", "perp_6_2_3_3_21.perp")
     if os.path.exists(fixture):

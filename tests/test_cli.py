@@ -108,6 +108,21 @@ def test_roundtrip_and_parse_errors(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.graph")]) == 66
 
 
+@pytest.mark.parametrize("argv", [
+    ["complete-bipartite", "--k", "2"],
+    ["bi-johnson", "--n", "6"],
+    ["bi-grassmann", "--n", "4", "--k", "1"],
+    ["gen-delorme"],
+    ["cone"],
+    ["hyperoval-affine"],
+])
+def test_construct_missing_family_arguments(tmp_path, capsys, argv):
+    rc = main(["construct", *argv, "--out", str(tmp_path / "x")])
+    assert rc == 64
+    assert "requires --" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_errors():
     assert main(["no-such-command"]) == 64
     assert main([]) == 64

@@ -1,5 +1,7 @@
 """Builders against the definition-exact verifier."""
 
+import dataclasses
+
 import pytest
 
 from dbrg.bigraph import (
@@ -74,6 +76,13 @@ def test_gen_delorme_q2_hypercube_parameters():
     assert (r.graph.nB, r.graph.nC) == (8, 8)
     assert str(r.predicted) == "{4;1,2,3,4 | 4;1,2,3,4}"
     verified(r)
+
+
+def test_gen_delorme_rejects_non_integral_c3b():
+    # q^(n-2k)(s-1)/d = 4 * 5 / 3 is not an integer
+    broken = dataclasses.replace(dual_hyperoval_system(4), d=3)
+    with pytest.raises(ValueError, match="c3B"):
+        gen_delorme_graph(broken)
 
 
 def test_gen_delorme_q4_row1():

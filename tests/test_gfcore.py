@@ -2,10 +2,16 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbrg.gfcore import (
     FieldContext,
+    echelon_bases,
+    subspace_vector_ids,
+    vector_bitsets,
+    vector_index,
     field,
     field_arith,
     qbinom,
@@ -212,3 +218,58 @@ def test_vector_literals_round_trip():
         parse_vector(gf3, "1,,2")
     with pytest.raises(ValueError):
         parse_vector(gf3, "1,5,2")
+
+
+@st.composite
+def subspace_stacks(draw):
+    """A field of order 2, 3, 4, 8 or 9 and a few random subspaces of one
+    dimension in F_q^n."""
+    p, t = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]))
+    gf = field(p, t)
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, n))
+    count = draw(st.integers(1, 4))
+    spaces = []
+    while len(spaces) < count:
+        rows = draw(st.lists(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        space = subspace_make(gf, n, rows)
+        if space.dim == m:
+            spaces.append(space)
+    return gf, n, m, spaces
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subspace_stacks())
+def test_kernel_ids_match_subspace_vectors(case):
+    gf, n, m, spaces = case
+    bases = np.array([s.basis for s in spaces], dtype=np.int32).reshape(len(spaces), m, n)
+    ids = subspace_vector_ids(gf, bases)
+    for row, s in zip(ids.tolist(), spaces):
+        assert row == sorted(vector_index(gf, v) for v in s.vectors() if any(v))
+    bits = vector_bitsets(ids, gf.q**n)
+    for row, words in zip(ids.tolist(), bits.tolist()):
+        assert sum(w << (64 * i) for i, w in enumerate(words)) == sum(1 << v for v in row)
+
+
+def echelon_loop(gf, n, m):
+    """Reference enumeration: echelon bases one at a time, in the
+    documented order (pivot sets, then free cells, last cell fastest)."""
+    for pivots in itertools.combinations(range(n), m):
+        cells = [(i, j) for i in range(m) for j in range(pivots[i] + 1, n) if j not in pivots]
+        for values in itertools.product(gf.elements(), repeat=len(cells)):
+            rows = [[0] * n for _ in range(m)]
+            for i, piv in enumerate(pivots):
+                rows[i][piv] = 1
+            for (i, j), val in zip(cells, values):
+                rows[i][j] = val
+            yield tuple(map(tuple, rows))
+
+
+def test_echelon_bases_match_loop_reference():
+    for p, t, n, m in [(2, 1, 4, 2), (3, 1, 4, 3), (2, 2, 3, 1), (3, 2, 3, 2), (2, 1, 3, 0)]:
+        gf = field(p, t)
+        want = list(echelon_loop(gf, n, m))
+        stacked = np.concatenate(list(echelon_bases(gf, n, m)))
+        assert [tuple(map(tuple, b)) for b in stacked.tolist()] == want
+        assert [s.basis for s in enumerate_subspaces(gf, n, m)] == want

@@ -1,8 +1,11 @@
 """Perp-system verification, parameters, duals, search, and file format."""
 
+import itertools
+
 import pytest
 
-from dbrg.gfcore import field, subspace_make, subspace_meet
+from dbrg.gfcore import enumerate_subspaces, field, subspace_make, subspace_meet
+from dbrg.geometry import field_for_order
 from dbrg.geometry import dualize, hyperoval
 from dbrg.perpsys import (
     DualPerpSystem,
@@ -47,13 +50,22 @@ def test_verify_rejects_multiplicity_one():
 
 
 def test_verify_rejects_mixed_multiplicity():
-    from dbrg.gfcore import enumerate_subspaces
-
     gf2 = field(2)
     planes = list(dualize(hyperoval(2)).members)
     extra = next(s for s in enumerate_subspaces(gf2, 3, 2) if s not in planes)
     res = perp_verify(gf2, 3, 1, tuple(planes[:3]) + (extra,))
     assert isinstance(res, PerpViolation)
+
+
+def test_verify_reports_pair_meet():
+    # the 7 lines of a plane of PG(3,2) cover its points 3 times each, but any two meet
+    gf2 = field(2)
+    plane = subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+    lines = [s for s in enumerate_subspaces(gf2, 4, 2) if all(plane.contains(r) for r in s.basis)]
+    res = perp_verify(gf2, 4, 2, lines)
+    assert isinstance(res, PerpViolation)
+    assert (res.kind, res.pair) == ("pair_meet", (0, 1))
+    assert "dimension 1, expected 0" in res.detail
 
 
 def test_verify_precondition_errors():
@@ -143,6 +155,42 @@ def test_search_budget_exhaustion_reported():
     assert out.status == "budget"
     assert not out.complete
     assert out.nodes >= 2000
+
+
+@pytest.mark.parametrize("params,systems,nodes", [
+    ((3, 1, 2, 2), 4, 10),
+    ((3, 1, 3, 3), 9, 56),
+    ((4, 1, 2, 4), 8, 108),
+    ((3, 1, 4, 2), 48, 164),
+    ((3, 1, 4, 4), 16, 195),
+])
+def test_search_count_all_pinned(params, systems, nodes):
+    out = perp_search(*params, count_all=True)
+    assert out.complete and out.status == "found"
+    assert out.solutions == systems
+    # node counts of this branching rule; the counts above are what must not change
+    assert out.nodes == nodes
+
+
+@pytest.mark.parametrize("n,k,q,d", [(3, 1, 2, 2), (3, 1, 3, 3), (4, 1, 2, 4)])
+def test_search_count_matches_brute_force(n, k, q, d):
+    # every s-subset of the candidates through candidate 0, checked by perp_verify
+    ctx = field_for_order(q)
+    s = perp_params(n, k, q, d).s
+    cands = list(enumerate_subspaces(ctx, n, n - k))
+    brute = 0
+    for rest in itertools.combinations(cands[1:], s - 1):
+        res = perp_verify(ctx, n, k, (cands[0],) + rest)
+        brute += isinstance(res, PerpSystem) and res.d == d
+    out = perp_search(n, k, q, d, count_all=True)
+    assert out.complete and out.solutions == brute
+
+
+def test_search_time_budget_covers_setup():
+    out = perp_search(6, 2, 3, 3, budget_seconds=0.5)
+    assert out.status == "budget" and not out.complete
+    assert 0 < out.setup_seconds <= out.elapsed
+    assert abs(out.elapsed - 0.5) < 1.0
 
 
 def test_search_determinism():
