@@ -219,18 +219,22 @@ class IntersectionArray:
 
     @classmethod
     def parse(cls, text: str) -> "IntersectionArray":
+        """Read ``{k;c_1,...,c_dB | l;c_1,...,c_dC}`` ('/' may replace '|');
+        ValueError quoting ``text`` if it has another form."""
         body = text.strip().strip("{}")
         sep = "|" if "|" in body else "/"
         parts = body.split(sep)
         if len(parts) != 2:
-            raise ValueError(f"cannot parse intersection array {text!r}")
-
-        def line(s: str) -> tuple[int, tuple[int, ...]]:
-            head, _, rest = s.partition(";")
-            return int(head.strip()), tuple(int(x) for x in rest.split(","))
-
-        k, cb = line(parts[0])
-        l, cc = line(parts[1])
+            raise ValueError(f"cannot parse intersection array {text!r}: expected two lines")
+        lines = []
+        for part in parts:
+            head, _, rest = part.partition(";")
+            try:
+                lines.append((int(head), tuple(int(x) for x in rest.split(","))))
+            except ValueError as exc:
+                raise ValueError(f"cannot parse intersection array {text!r}: each line must be "
+                                 "'<valency>;<c_1>,...,<c_d>' with integer entries") from exc
+        (k, cb), (l, cc) = lines
         return cls(k, l, cb, cc)
 
 

@@ -276,8 +276,6 @@ def cmd_roundtrip(args) -> int:
 def _make_parser() -> _Parser:
     p = _Parser(prog="dbrg", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (results are identical regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a graph family and verify it")

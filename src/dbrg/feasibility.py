@@ -20,9 +20,12 @@ The implemented necessary conditions:
 
 Everything is exact integer/Fraction arithmetic.  ``enumerate_feasible``
 reproduces the known table of admissible arrays up to 1300 vertices per
-side; arrays that only the homogeneity or plane conditions reject stay
-listed with status ``infeasible`` (they are part of the table), while
-anything failing a structural condition is not listed at all.
+side.  It starts c2B at k^2/(max_side-2) and skips a c3B that leaves k3
+non-integral before building anything; both drop only tuples that the
+cell recursion rejects (see its docstring).  Arrays that only the
+homogeneity or plane conditions reject stay listed with status
+``infeasible`` (they are part of the table), while anything failing a
+structural condition is not listed at all.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt
 from typing import Iterable
+
+import numpy as np
 
 from .bigraph import IntersectionArray
 
@@ -287,14 +292,15 @@ def _derive_side(v: int, val: int, c2: int, theta: int, kl: int) -> HalvedDeriva
     return p
 
 
-def halved_srg_derive(a: CandidateArray) -> SrgDerivation:
+def halved_srg_derive(a: CandidateArray, counts: Counts | None = None) -> SrgDerivation:
     """Strongly-regular parameters of both halved graphs, or a rejection.
 
     The middle eigenvalue theta of the walk matrix is forced by the
     array (the trace of the squared side-quotient); each halved graph
-    then has eigenvalues k_H, (theta-val)/c2, -val/c2.
+    then has eigenvalues k_H, (theta-val)/c2, -val/c2.  ``counts``, when
+    given, must be ``vertex_counts(a)``.
     """
-    counts = vertex_counts(a)
+    counts = vertex_counts(a) if counts is None else counts
     if not counts.ok:
         return SrgDerivation(False, detail=f"cell counts: {counts.detail}")
     k, l = a.k, a.l
@@ -372,29 +378,17 @@ def evaluate(a: CandidateArray) -> FeasibilityReport:
     """Run every implemented condition on one candidate array."""
     a.validate()
     counts = vertex_counts(a)
-    conditions: list[Condition] = []
-    reasons: list[str] = []
-    if not counts.ok:
-        conditions.append(Condition("counts", False, counts.detail))
-        reasons.append(counts.detail)
-    else:
-        conditions.append(Condition("counts", True))
-    prod = delorme_relations_check(a)
-    conditions.append(prod)
-    if not prod.ok:
-        reasons.append(prod.detail)
+    return _report(a, counts, halved_srg_derive(a, counts))
+
+
+def _report(a: CandidateArray, counts: Counts, srg: SrgDerivation) -> FeasibilityReport:
+    """The full report, given ``vertex_counts(a)`` and ``halved_srg_derive(a)``."""
     hom, entries = delta_gamma_check(a)
-    conditions.append(hom)
-    if not hom.ok:
-        reasons.append(hom.detail)
-    srg = halved_srg_derive(a)
-    conditions.append(Condition("halved-srg", srg.ok, srg.detail))
-    if not srg.ok:
-        reasons.append(f"halved graphs: {srg.detail}")
     plane = plane_implication_check(a)
-    conditions.append(plane)
-    if not plane.ok:
-        reasons.append(plane.detail)
+    conditions = [Condition("counts", counts.ok, counts.detail), delorme_relations_check(a),
+                  hom, Condition("halved-srg", srg.ok, srg.detail), plane]
+    reasons = [("halved graphs: " if c.name == "halved-srg" else "") + c.detail
+               for c in conditions if not c.ok]
 
     if all(c.ok for c in conditions):
         gamma_notes = [e for e in entries if e.gamma is not None]
@@ -416,39 +410,44 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
     homogeneity and plane failures are reported as ``infeasible`` status
     on listed rows.  Output is a pure function of max_side, sorted by
     (nB, nC, k, l, c2B, c3B).
+
+    Each bound and stride drops only tuples the cell recursion rejects:
+    k4 >= 1 gives k2 = k(l-1)/c2B <= max_side - 2, and l - 1 >= k, so
+    c2B starts at k^2/(max_side-2); l - 1 steps by the lcm (numpy, all
+    c2B of one k at once) of the strides making k2 and c2C integral; c3B
+    steps so that c3C is integral and at most k - 1; and a c3B that does
+    not divide k2*b2B (k3 not integral) is skipped before any object is
+    built.  The products hold by construction; full reports are built
+    only for rows passing the counts and halved-SRG checks.
     """
     if max_side < 2:
         raise ValueError("max_side must be at least 2")
+    span = max_side - 2
     rows: list[FeasibilityReport] = []
-    for k in range(3, max_side + 1):
-        if k * k // (k - 1) > max_side - 2:
+    for k in range(3, span):
+        lo = max(2, -(-k * k // span))
+        if lo >= k:
             break
-        for c2b in range(2, k):
-            g1 = gcd(k - c2b, k - 1)
-            m1 = (k - 1) // g1
-            m2 = c2b // gcd(k, c2b)
-            step = m1 * m2 // gcd(m1, m2)
-            lmax_minus1 = (max_side - 2) * c2b // k
-            first = ((k - 1) // step + 1) * step  # smallest multiple of step with l > k
-            for l_minus1 in range(first, lmax_minus1 + 1, step):
-                l = l_minus1 + 1
+        c2bs = np.arange(lo, k, dtype=np.int64)
+        steps = np.lcm((k - 1) // np.gcd(k - c2bs, k - 1), c2bs // np.gcd(k, c2bs))
+        firsts = ((k - 1) // steps + 1) * steps  # smallest multiple of step with l > k
+        lasts = span * c2bs // k
+        keep = firsts <= lasts
+        pairs = zip(*(x[keep].tolist() for x in (c2bs, steps, firsts, lasts)))
+        for c2b, step, first, last in pairs:
+            for l_minus1 in range(first, last + 1, step):
+                l, k2b2 = l_minus1 + 1, k * l_minus1 // c2b * (k - c2b)
                 c2c = l - (l_minus1 * (k - c2b)) // (k - 1)
-                if not 2 <= c2c <= l - 1:
-                    continue
-                g3 = gcd(c2b, c2c)
-                step3 = c2c // g3
-                c3b_max = min(l - 1, (k - 1) * c2c // c2b)
-                for c3b in range(step3, c3b_max + 1, step3):
-                    c3c = c2b * c3b // c2c
-                    if not 1 <= c3c <= k - 1:
+                step3 = c2c // gcd(c2b, c2c)
+                for c3b in range(step3, min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
+                    if k2b2 % c3b:  # k3 = k2*b2B/c3B is not an integer
                         continue
-                    cand = CandidateArray(k, l, c2b, c3b, c2c, c3c)
+                    cand = CandidateArray(k, l, c2b, c3b, c2c, c2b * c3b // c2c)
                     counts = vertex_counts(cand)
-                    if not counts.ok or counts.nB > max_side or counts.nC > max_side:
-                        continue
-                    report = evaluate(cand)
-                    if report.structurally_sound:
-                        rows.append(report)
+                    if counts.ok and counts.nB <= max_side and counts.nC <= max_side:
+                        srg = halved_srg_derive(cand, counts)
+                        if srg.ok:
+                            rows.append(_report(cand, counts, srg))
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
                              r.array.c2B, r.array.c3B))
     return rows
@@ -459,18 +458,23 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
 # ---------------------------------------------------------------------------
 
 def reference_table(path: str | None = None) -> list[dict]:
-    """Curated catalog of the known feasible-array table with statuses."""
+    """Curated catalog of the known feasible-array table with statuses.
+
+    ValueError if the JSON is malformed, a status is unknown, or an array
+    does not parse as a diameter-4 intersection array."""
     if path is None:
         text = resources.files("dbrg").joinpath("data/catalog.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    data = json.loads(text)
-    rows = data["rows"]
-    for row in rows:
-        if row["status"] not in ("exists", "unknown", "nonexistent"):
-            raise ValueError(f"catalog status {row['status']!r} invalid")
-        IntersectionArray.parse(row["array"])  # syntax check
+    try:
+        rows = json.loads(text)["rows"]
+        for row in rows:
+            if row["status"] not in ("exists", "unknown", "nonexistent"):
+                raise ValueError(f"catalog status {row['status']!r} invalid")
+            _canon_key(IntersectionArray.parse(row["array"]))  # a diameter-4 array
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed catalog: {exc!r}") from exc
     return rows
 
 

@@ -132,7 +132,8 @@ def denniston_arc(q: int, r: int) -> PointSet:
     Requires q and r powers of two with 1 < r <= q and r | q.  Uses the
     anisotropic form x^2 + xy + beta*y^2 (trace(beta) = 1) and collects
     the affine points whose form value lies in the additive subgroup
-    {0 .. r-1} of GF(q); sizes come out to q*r - q + r.
+    {0 .. r-1} of GF(q); sizes come out to q*r - q + r (RuntimeError
+    if not: the construction is broken).
     """
     for name, val in (("q", q), ("r", r)):
         if val < 2 or val & (val - 1):
@@ -151,7 +152,8 @@ def denniston_arc(q: int, r: int) -> PointSet:
             if val in group:
                 pts.append(point(ctx, (1, x, y)))
     arc = PointSet(ctx, 3, frozenset(pts))
-    assert len(arc) == q * r - q + r
+    if len(arc) != q * r - q + r:
+        raise RuntimeError(f"arc of size {len(arc)}, expected {q * r - q + r}")
     return arc
 
 
@@ -227,6 +229,7 @@ def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     Returns (all of them, the ruling through <e1, e3, e5>): sizes
     2(q+1)(q^2+1) and (q+1)(q^2+1).  The second family is selected by
     dim(M  meet  M0) being odd, which picks exactly one of the two rulings.
+    RuntimeError if either family has another size (a broken construction).
     """
     ctx = field_for_order(q)
     singular = []
@@ -247,6 +250,6 @@ def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     s_star = SpaceFamily(
         ctx, 6, tuple(m for m in singular if subspace_meet(m, m0).dim in (1, 3))
     )
-    assert len(r_star) == 2 * (q + 1) * (q * q + 1)
-    assert len(s_star) == (q + 1) * (q * q + 1)
+    if (len(r_star), len(s_star)) != (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1)):
+        raise RuntimeError(f"quadric families of sizes {len(r_star)} and {len(s_star)}")
     return r_star, s_star

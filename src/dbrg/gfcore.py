@@ -297,15 +297,21 @@ def field_arith(ctx: FieldContext, op: str, a: int, b: int | None = None) -> int
 
 
 def qbinom(n: int, m: int, q: int) -> int:
-    """Number of m-dimensional subspaces of F_q^n (Gaussian binomial)."""
+    """Number of m-dimensional subspaces of F_q^n (Gaussian binomial).
+
+    ValueError unless 0 <= m <= n; RuntimeError if the quotient is not
+    an integer, which cannot happen for q >= 2.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"qbinom requires 0 <= m <= n, got ({n}, {m})")
     num, den = 1, 1
     for i in range(m):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    quot, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"Gaussian binomial [{n} choose {m}]_{q} is not an integer")
+    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,9 @@ def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> HalvedSrgParams:
     """Strongly regular parameters of the distance-two graph on the vectors.
 
     Everything is exact rational arithmetic; any non-integral parameter or
-    multiplicity raises ValueError (the parameter set is inadmissible).
+    multiplicity, or mu != k + r*s (s inconsistent with n, k, q, d), raises
+    ValueError (the parameter set is inadmissible).  RuntimeError means an
+    eigenvalue identity that holds by construction failed.
     """
     v = q**n
     mu = Fraction(q ** (n - 2 * k) * s * (s - 1), d * d)
@@ -285,10 +287,11 @@ def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> HalvedSrgParams:
     out = HalvedSrgParams(
         v, int(k_h), int(lam), int(mu), int(r_e), int(s_e), int(f1), int(f2)
     )
-    assert out.mu == out.k + out.r * out.s
-    assert out.lam == out.mu + out.r + out.s
-    assert out.f1 + out.f2 == out.v - 1
-    assert out.k + out.f1 * out.r + out.f2 * out.s == 0
+    if out.mu != out.k + out.r * out.s:
+        raise ValueError(f"SRG identity mu = k + r*s fails: {out.mu} != {out.k + out.r * out.s}")
+    if (out.lam != out.mu + out.r + out.s or out.f1 + out.f2 != out.v - 1
+            or out.k + out.f1 * out.r + out.f2 * out.s != 0):
+        raise RuntimeError(f"SRG eigenvalue identities fail for {out}")
     return out
 
 
@@ -311,7 +314,11 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     """The d-times-covered points, with the hyperplane sizes verified.
 
     Exhaustively intersects every hyperplane with the point set and
-    checks that exactly the two predicted sizes occur.
+    checks that exactly the two predicted sizes occur.  ValueError means
+    ``system`` is not a perp system (a predicted size is not an integer,
+    or the measured point set differs); RuntimeError means the double
+    count of point-hyperplane incidences failed, which holds by
+    construction.
     """
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
@@ -323,10 +330,12 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
     h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
     h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
-    assert big_n.denominator == 1 and h1.denominator == 1 and h2.denominator == 1
+    if big_n.denominator != 1 or h1.denominator != 1 or h2.denominator != 1:
+        raise ValueError(f"non-integral point count or hyperplane size: N={big_n}, "
+                         f"h1={h1}, h2={h2}")
     big_n, h1, h2 = int(big_n), int(h1), int(h2)
     if len(reps) != big_n:
-        raise AssertionError(f"covered-point count {len(reps)} != predicted {big_n}")
+        raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
     n1 = n2 = 0
     for w in enumerate_projective_points(ctx, n):
         cnt = sum(1 for y in reps if dot(ctx, w, y) == 0)
@@ -335,10 +344,11 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
         elif cnt == h2:
             n2 += 1
         else:
-            raise AssertionError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
+            raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
     if h1 != h2 and (n1 == 0 or n2 == 0):
-        raise AssertionError("one of the two hyperplane sizes does not occur")
-    assert big_n * qbinom(n - 1, 1, q) == n1 * h1 + n2 * h2
+        raise ValueError("one of the two hyperplane sizes does not occur")
+    if big_n * qbinom(n - 1, 1, q) != n1 * h1 + n2 * h2:
+        raise RuntimeError("point-hyperplane incidences do not double count")
     pts = PointSet(ctx, n, frozenset(subspace_make(ctx, n, [w]) for w in reps))
     return TwoIntersectionSet(pts, big_n, n, h1, h2, n1, n2)
 
@@ -353,6 +363,7 @@ def perp_dualize(system: PerpSystem | DualPerpSystem) -> DualPerpSystem | PerpSy
     Primal -> dual: k-dimensional members, pairwise trivial meets, every
     hyperplane containing 0 or d members (checked exhaustively).
     Dual -> primal: re-verified through :func:`perp_verify`.
+    ValueError means ``system`` fails one of these checks.
     """
     ctx, n, k, d = system.ctx, system.n, system.k, system.d
     duals = tuple(sorted((orthogonal_complement(m) for m in system.members),
@@ -360,21 +371,21 @@ def perp_dualize(system: PerpSystem | DualPerpSystem) -> DualPerpSystem | PerpSy
     if isinstance(system, DualPerpSystem):
         res = perp_verify(ctx, n, k, duals)
         if isinstance(res, PerpViolation):
-            raise AssertionError(f"dual of a dual system failed verification: {res}")
+            raise ValueError(f"dual of a dual system failed verification: {res}")
         return res
     for i in range(len(duals)):
         for j in range(i + 1, len(duals)):
             if subspace_meet(duals[i], duals[j]).dim != 0:
-                raise AssertionError(f"dual members {i},{j} do not meet trivially")
+                raise ValueError(f"dual members {i},{j} do not meet trivially")
     seen = set()
     for w in enumerate_projective_points(ctx, n):
         hyp = orthogonal_complement(subspace_make(ctx, n, [w]))
         cnt = sum(1 for m in duals if all(hyp.contains(row) for row in m.basis))
         if cnt not in (0, d):
-            raise AssertionError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
+            raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
         seen.add(cnt)
     if seen != {0, d}:
-        raise AssertionError("hyperplane covering must take both values 0 and d")
+        raise ValueError("hyperplane covering must take both values 0 and d")
     return DualPerpSystem(ctx, n, k, duals, d, system.s)
 
 

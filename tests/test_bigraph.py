@@ -250,6 +250,19 @@ def test_intersection_array_parse_and_validate():
         IntersectionArray(6, 16, (1, 2, 10, 5), (1, 4, 5, 16)).validate()
 
 
+@pytest.mark.parametrize("text", [
+    "{6;1,2,x,6 | 16;1,4,5,16}",
+    "{6 | 16;1,4,5,16}",
+    "{6;1,2,10,6 | 16;}",
+    "{6;1,2,10,6 | 16;1,4,5,16 | 3;1}",
+    "6;1,2,10,6",
+])
+def test_intersection_array_parse_errors_quote_text(text):
+    with pytest.raises(ValueError, match="cannot parse intersection array") as err:
+        IntersectionArray.parse(text)
+    assert repr(text) in str(err.value)
+
+
 def test_biadjacency_identity_on_hypercube():
     # N N^T = k I + c2 A(H_B) for the 4-cube
     import numpy as np

@@ -126,6 +126,26 @@ def test_construct_missing_family_arguments(tmp_path, capsys, argv):
 def test_usage_errors():
     assert main(["no-such-command"]) == 64
     assert main([]) == 64
+    assert main(["--threads", "2", "feas", "enumerate", "--max-side", "64"]) == 64
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"rows": [{"array": "{6;1,2,x,6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "cannot parse intersection array '{6;1,2,x,6 | 16;1,4,5,16}'"),
+    ('{"rows": [{"array": "{6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "cannot parse intersection array"),
+    ('{"rows": [{"array": "{2;1,2 | 3;1,3}", "status": "exists"}]}', "covering radius 4"),
+    ('{"rows": [{"array": "{6;1,2,10,6 | 16;1,4,5,16}", "status": "maybe"}]}', "'maybe' invalid"),
+    ('{"rows": [{"status": "exists"}]}', "malformed catalog"),
+    ('{"table": []}', "malformed catalog"),
+    ('{"rows": [7]}', "malformed catalog"),
+    ("not json", "invalid input"),
+])
+def test_catalog_bad_file_exits_65(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["catalog", "--max-side", "64", "--catalog", str(path)]) == 65
+    assert message in capsys.readouterr().err
 
 
 def test_determinism(tmp_path):

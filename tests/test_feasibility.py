@@ -1,5 +1,6 @@
 """Feasibility conditions, halved-SRG derivation, and table enumeration."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,46 @@ def test_enumeration_determinism():
     b = enumerate_feasible(100)
     assert rows_to_csv(a) == rows_to_csv(b)
     assert rows_to_json(a) == rows_to_json(b)
+
+
+def _brute_force_rows(max_side):
+    """Every canonical array by direct search: no gcd strides, no bounds but
+    k2 <= max_side (which also bounds l, since l - 1 < k2 < nB)."""
+    rows = []
+    for l in range(4, max_side + 1):
+        for k in range(3, l):
+            for c2b in range(2, k):
+                k2, r = divmod(k * (l - 1), c2b)
+                if r or k2 > max_side:
+                    continue
+                b2c, r = divmod((l - 1) * (k - c2b), k - 1)  # b1B*b2B = b1C*b2C
+                c2c = l - b2c
+                if r or not 2 <= c2c <= l - 1:
+                    continue
+                for c3b in range(1, l):
+                    c3c, r = divmod(c2b * c3b, c2c)  # c2B*c3B = c2C*c3C
+                    if r or not 1 <= c3c <= k - 1:
+                        continue
+                    rep = evaluate(CandidateArray(k, l, c2b, c3b, c2c, c3c))
+                    if rep.structurally_sound and max(rep.counts.nB, rep.counts.nC) <= max_side:
+                        rows.append(rep)
+    rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
+                             r.array.c2B, r.array.c3B))
+    return rows
+
+
+@pytest.mark.parametrize("max_side", [64, 150, 300, 400])
+def test_enumeration_matches_brute_force(max_side):
+    assert rows_to_json(enumerate_feasible(max_side)) == rows_to_json(_brute_force_rows(max_side))
+
+
+def test_enumeration_pinned_at_2000():
+    rows = enumerate_feasible(2000)
+    statuses = [r.status for r in rows]
+    assert (len(rows), statuses.count("feasible"), statuses.count("flagged"),
+            statuses.count("infeasible")) == (91, 80, 5, 6)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == (
+        "be06a14218a9d4649dcac188497c4f68da9d5f0c9af0c39ffcaf413bdccd4418")
 
 
 def test_reference_table_contained_at_1300():

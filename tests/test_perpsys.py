@@ -102,6 +102,23 @@ def test_srg_params_values_and_identities():
         assert hp.mu == hp.k + hp.r * hp.s
     with pytest.raises(ValueError):
         perp_srg_params(6, 2, 3, 2, 21)  # s/d not integral
+    with pytest.raises(ValueError, match="mu = k"):
+        perp_srg_params(3, 1, 8, 2, 4)  # integral, but s = 4 is not the forced s = 10
+
+
+def test_unverified_systems_raise_value_error():
+    good = dual_hyperoval_system(4)
+    short = PerpSystem(good.ctx, good.n, good.k, good.members[:-1], good.d, good.s)
+    with pytest.raises(ValueError, match="covered-point count"):
+        two_intersection_set(short)
+    with pytest.raises(ValueError, match="non-integral"):
+        two_intersection_set(PerpSystem(good.ctx, good.n, good.k, good.members, good.d, 5))
+    twice = PerpSystem(good.ctx, good.n, good.k, good.members + good.members[:1], good.d, good.s)
+    with pytest.raises(ValueError, match="do not meet trivially"):
+        perp_dualize(twice)
+    dual = perp_dualize(good)
+    with pytest.raises(ValueError, match="failed verification"):
+        perp_dualize(DualPerpSystem(dual.ctx, dual.n, dual.k, dual.members[:-1], dual.d, dual.s))
 
 
 def test_two_intersection_set_q4():
