@@ -18,6 +18,13 @@ at most the maximum degree, and degrees of 2**24 or more are refused.
 Memory: edges are two sorted int32 arrays; the engine holds N densely
 (4 nB nC bytes) plus, per level, a few ``_BATCH`` x class-size arrays.
 
+A simple :class:`Graph` (a halved graph, or subdivision input) is held as
+a dense read-only boolean adjacency matrix: every consumer works densely,
+so its edge list is derived from the matrix, not stored.  A strongly
+regular graph's parameters come from one derivation,
+:func:`srg_from_spectrum`, which both the feasibility conditions and the
+perp-system parameters use.
+
 Vertices are addressed by a single index: the B class occupies
 ``0..nB-1`` and the C class ``nB..nB+nC-1``.
 
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +51,8 @@ __all__ = [
     "DbrgResult",
     "SemiregularResult",
     "SrgResult",
+    "SrgParams",
+    "srg_from_spectrum",
     "ShortcutResult",
     "distance_partition",
     "local_dr_check",
@@ -68,14 +78,7 @@ class BipartiteGraph:
     endpoints, sorted by (b, c); repeated input pairs are dropped.
     """
 
-    def __init__(
-        self,
-        nB: int,
-        nC: int,
-        edges: Iterable[tuple[int, int]] | np.ndarray,
-        labels_b: Sequence | None = None,
-        labels_c: Sequence | None = None,
-    ):
+    def __init__(self, nB: int, nC: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if nB < 0 or nC < 0:
             raise ValueError(f"class sizes must be non-negative, got B={nB} C={nC}")
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -87,8 +90,6 @@ class BipartiteGraph:
         eb, ec = np.divmod(np.unique(b * nC + c), max(nC, 1))
         self.eb, self.ec = eb.astype(np.int32), ec.astype(np.int32)
         self.nB, self.nC, self.V = nB, nC, nB + nC
-        self.labels_b = tuple(labels_b) if labels_b is not None else None
-        self.labels_c = tuple(labels_c) if labels_c is not None else None
         self.degrees = np.bincount(np.concatenate([self.eb, self.ec + nB]), minlength=self.V)
 
     @property
@@ -125,28 +126,49 @@ class BipartiteGraph:
 
 
 class Graph:
-    """Immutable simple graph (used for halved graphs and subdivision input)."""
+    """Immutable simple graph held as a dense read-only boolean adjacency.
+
+    Edges are (u, v) pairs; loops and out-of-range endpoints raise
+    ValueError, repeated pairs and orientations are merged.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        norm = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        for u, v in pairs.tolist():
             if u == v:
                 raise ValueError("loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = tuple(sorted(norm))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
+        self._set(adj)
+
+    @classmethod
+    def from_adjacency(cls, adj: np.ndarray) -> "Graph":
+        """The graph of a square symmetric boolean matrix with a false
+        diagonal, taken without a copy; ValueError if it is not one."""
+        if (adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]
+                or adj.diagonal().any() or (adj != adj.T).any()):
+            raise ValueError("need a square symmetric boolean matrix with a false diagonal")
+        g = cls.__new__(cls)
+        g._set(adj)
+        return g
+
+    def _set(self, adj: np.ndarray) -> None:
+        adj.flags.writeable = False
+        self.n, self._adj = len(adj), adj
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1
-        return a
+        """The read-only boolean adjacency matrix."""
+        return self._adj
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as sorted (u, v) pairs with u < v."""
+        return tuple(zip(*(x.tolist() for x in np.nonzero(np.triu(self._adj, 1)))))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
+        return f"Graph(n={self.n}, edges={int(self._adj.sum()) // 2})"
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +446,14 @@ def semiregular_check(g: BipartiteGraph) -> SemiregularResult:
 
 def halved_graphs(g: BipartiteGraph) -> tuple[Graph, Graph]:
     """Distance-two graphs on B and on C (for a connected bipartite g)."""
-    # float matmul is exact here (counts are far below 2**53) and avoids
-    # numpy's slow integer matmul path
-    n = g.biadjacency(np.float64)
-    bb = (n @ n.T) > 0.5
-    cc = (n.T @ n) > 0.5
-    hb_edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(bb, 1)))]
-    hc_edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(cc, 1)))]
-    return Graph(g.nB, hb_edges), Graph(g.nC, hc_edges)
+    # float32 products are exact: every count is at most nB or nC, far below 2**24
+    n = g.biadjacency(np.float32)
+    halves = []
+    for prod in (n @ n.T, n.T @ n):
+        adj = prod > 0.5
+        np.fill_diagonal(adj, False)
+        halves.append(Graph.from_adjacency(adj))
+    return halves[0], halves[1]
 
 
 @dataclass(frozen=True)
@@ -448,19 +470,18 @@ def srg_check(h: Graph) -> SrgResult:
     lambda, non-adjacent pairs on mu.  Requires a regular, non-complete,
     non-empty graph; the witness names the first violation.
     """
-    v = h.n
-    a = h.adjacency()
-    degs = a.sum(axis=1)
+    v, adj = h.n, h.adjacency()
+    degs = adj.sum(axis=1)
     k = int(degs[0])
     bad = np.flatnonzero(degs != k)
     if bad.size:
         return SrgResult(False, witness=("degree", int(bad[0])))
-    common = (a.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
-    off = ~np.eye(v, dtype=bool)
-    adj = a.astype(bool)
-    non = off & ~adj
+    non = ~adj
+    np.fill_diagonal(non, False)
     if not adj.any() or not non.any():
         raise ValueError("srg_check requires a non-complete, non-empty graph")
+    a = adj.astype(np.float32)  # exact: common-neighbour counts are below v < 2**24
+    common = (a @ a).astype(np.int64)
     lam_vals = common[adj]
     lam = int(lam_vals[0])
     if (lam_vals != lam).any():
@@ -474,17 +495,69 @@ def srg_check(h: Graph) -> SrgResult:
     return SrgResult(True, params=(v, k, lam, mu))
 
 
+@dataclass(frozen=True)
+class SrgParams:
+    """Strongly regular parameters with the eigenvalues r >= 0 > s of the
+    adjacency matrix and their multiplicities f1, f2."""
+
+    v: int
+    k: int
+    lam: int
+    mu: int
+    r: int
+    s: int
+    f1: int
+    f2: int
+
+    def tuple4(self) -> tuple[int, int, int, int]:
+        return (self.v, self.k, self.lam, self.mu)
+
+
+def srg_from_spectrum(v: int, k: int | Fraction, r: int | Fraction,
+                      s: int | Fraction) -> SrgParams:
+    """The strongly regular graph on v vertices with eigenvalues k, r, s.
+
+    mu = k + r*s and lambda = mu + r + s; f1 and f2 solve f1 + f2 = v - 1
+    and k + f1*r + f2*s = 0.  ValueError names the first failing
+    condition (Brouwer-Cohen-Neumaier, *Distance-Regular Graphs*, 1.3 and
+    2.3): integral eigenvalues with r >= 0 > s, integral non-negative
+    multiplicities, lambda >= 0, 1 <= mu <= k, the counting identity
+    k(k - lambda - 1) = (v - k - 1) mu, and both Krein inequalities.
+    """
+    if k.denominator != 1 or r.denominator != 1 or s.denominator != 1:
+        raise ValueError("non-integral halved eigenvalue")
+    k, r, s = int(k), int(r), int(s)
+    mu = k + r * s
+    lam = mu + r + s
+    if not r >= 0 > s:
+        raise ValueError(f"eigenvalues out of order: r={r}, s={s}")
+    f1, rem = divmod(-k - (v - 1) * s, r - s)
+    if rem:
+        raise ValueError(f"non-integral multiplicity f1 = {Fraction(-k - (v - 1) * s, r - s)}")
+    f2 = v - 1 - f1
+    if f1 < 0 or f2 < 0:
+        raise ValueError(f"negative multiplicity (f1={f1}, f2={f2})")
+    if lam < 0:
+        raise ValueError(f"negative lambda = {lam}")
+    if mu < 1 or mu > k:
+        raise ValueError(f"mu = {mu} outside [1, k]")
+    if k * (k - lam - 1) != (v - k - 1) * mu:
+        raise ValueError("SRG counting identity fails")
+    if ((r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) ** 2
+            or (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2):
+        raise ValueError(f"Krein condition fails for ({v},{k},{lam},{mu})")
+    return SrgParams(v, k, lam, mu, r, s, f1, f2)
+
+
 def subdivision(h: Graph) -> BipartiteGraph:
     """Vertex-edge incidence graph: B = vertices of h, C = edges of h."""
-    edges = [(u, ci) for ci, e in enumerate(h.edges) for u in e]
-    return BipartiteGraph(h.n, len(h.edges), edges,
-                          labels_b=range(h.n), labels_c=h.edges)
+    edges = h.edges
+    return BipartiteGraph(h.n, len(edges), [(u, ci) for ci, e in enumerate(edges) for u in e])
 
 
 def flip(g: BipartiteGraph) -> BipartiteGraph:
     """The same graph with the two classes exchanged."""
-    return BipartiteGraph(g.nC, g.nB, np.column_stack([g.ec, g.eb]),
-                          labels_b=g.labels_c, labels_c=g.labels_b)
+    return BipartiteGraph(g.nC, g.nB, np.column_stack([g.ec, g.eb]))
 
 
 def induced_subgraph(
@@ -495,9 +568,7 @@ def induced_subgraph(
     keep = np.isin(g.eb, b_keep) & np.isin(g.ec, c_keep)
     edges = np.column_stack([np.searchsorted(b_keep, g.eb[keep]),
                              np.searchsorted(c_keep, g.ec[keep])])
-    lb = [g.labels_b[v] for v in b_keep] if g.labels_b else b_keep
-    lc = [g.labels_c[v] for v in c_keep] if g.labels_c else c_keep
-    return BipartiteGraph(len(b_keep), len(c_keep), edges, labels_b=lb, labels_c=lc)
+    return BipartiteGraph(len(b_keep), len(c_keep), edges)
 
 
 # ---------------------------------------------------------------------------

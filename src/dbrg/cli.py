@@ -93,7 +93,7 @@ def cmd_construct(args) -> int:
     payload = {
         "command": "construct",
         "family": args.family,
-        "params": {k: v for k, v in built.params.items() if not isinstance(v, tuple)},
+        "params": built.params,
         "provenance": built.provenance,
         "nB": built.graph.nB,
         "nC": built.graph.nC,
@@ -175,7 +175,6 @@ def cmd_perp_search(args) -> int:
         args.n, args.k, args.q, args.d,
         budget_nodes=args.budget_nodes,
         budget_seconds=args.budget_seconds,
-        seed=args.seed,
         count_all=args.count_all,
     )
     payload = {
@@ -285,7 +284,6 @@ def _make_parser() -> _Parser:
     c.add_argument("--n", type=int)
     c.add_argument("--q", type=int)
     c.add_argument("--perp", help="perp-system file for gen-delorme")
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True, help="output prefix")
     c.set_defaults(func=cmd_construct)
 
@@ -311,7 +309,6 @@ def _make_parser() -> _Parser:
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--budget-nodes", type=int)
     ps.add_argument("--budget-seconds", type=float)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--count-all", action="store_true")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_perp_search)

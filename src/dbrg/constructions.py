@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+
+import numpy as np
 
 from .bigraph import (BipartiteGraph, IntersectionArray, dbrg_check, distance_partition,
                       flip, induced_subgraph)
+from .feasibility import distance3_homogeneity
 from .gfcore import (
     FieldContext,
     Subspace,
     enumerate_cosets,
     enumerate_subspaces,
     qbinom,
-    subspace_make,
-    vector_index,
     index_vector,
     orthogonal_complement,
 )
@@ -85,7 +85,7 @@ def bi_johnson(n: int, k: int) -> ConstructionResult:
         rest = set(range(n)) - set(s)
         for extra in rest:
             edges.append((bi, big_index[tuple(sorted(s + (extra,)))]))
-    g = BipartiteGraph(len(small), len(large), edges, labels_b=small, labels_c=large)
+    g = BipartiteGraph(len(small), len(large), edges)
     arr = IntersectionArray(n - k, k + 1, _stair(2 * k + 1), _stair(2 * k + 2))
     return ConstructionResult(g, arr, "subset-inclusion", {"n": n, "k": k})
 
@@ -112,15 +112,15 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
 
 
 def _coset_incidence(ctx: FieldContext, n: int, members: tuple[Subspace, ...]) -> BipartiteGraph:
-    """B = all vectors of F_q^n, C = all cosets of all members, by inclusion."""
+    """B = all vectors of F_q^n by vector index, C = all cosets of all
+    members by inclusion: coset j of member i (in :func:`enumerate_cosets`
+    order, so j = 0 is the member itself) is C vertex i * q^(n-dim) + j."""
     rep_pos = [{rep: i for i, rep in enumerate(enumerate_cosets(m))} for m in members]
     coset_count = ctx.q ** (n - members[0].dim)
-    labels_b = [index_vector(ctx, vid, n) for vid in range(ctx.q**n)]
-    labels_c = [(mi, rep) for mi, pos in enumerate(rep_pos) for rep in pos]
+    vectors = [index_vector(ctx, vid, n) for vid in range(ctx.q**n)]
     edges = [(vid, mi * coset_count + pos[m.reduce(v)])
-             for vid, v in enumerate(labels_b) for mi, (m, pos) in enumerate(zip(members, rep_pos))]
-    return BipartiteGraph(len(labels_b), len(members) * coset_count, edges,
-                          labels_b=labels_b, labels_c=labels_c)
+             for vid, v in enumerate(vectors) for mi, (m, pos) in enumerate(zip(members, rep_pos))]
+    return BipartiteGraph(len(vectors), len(members) * coset_count, edges)
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -128,8 +128,10 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
 
     B is all q^n vectors, C the s*q^k affine cosets of the members; the
     predicted diameter-4 array is determined by (n, k, q, d, s).  Raises
-    ValueError when d does not divide q^(n-2k)(s-1), the numerator of c3B.
+    ValueError on a dual system, and when d does not divide
+    q^(n-2k)(s-1), the numerator of c3B.
     """
+    system.require_primal("the coset graph")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)
@@ -176,30 +178,12 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
     """
     if q < 4 or q & (q - 1):
         raise ValueError("need q = 2^m with m >= 2")
-    ctx = field_for_order(q)
-    oval = hyperoval(q)
-    # planes of the dual hyperoval: perps of the oval points
-    planes = [orthogonal_complement(p) for p in oval.sorted_points()]
-    exterior = []
-    for vid in range(1, q**3):
-        v = index_vector(ctx, vid, 3)
-        if not any(w.contains(v) for w in planes):
-            exterior.append(v)
-    b_index = {v: i for i, v in enumerate(exterior)}
-    edges = []
-    labels_c = []
-    ci = 0
-    for li, w in enumerate(planes):
-        for rep in enumerate_cosets(w):
-            if all(x == 0 for x in rep):
-                continue  # the plane through the origin
-            labels_c.append((li, rep))
-            for u in w.vectors():
-                y = tuple(ctx.add(a, b) for a, b in zip(rep, u))
-                if y in b_index:
-                    edges.append((b_index[y], ci))
-            ci += 1
-    g = BipartiteGraph(len(exterior), ci, edges, labels_b=exterior, labels_c=labels_c)
+    # planes of the dual hyperoval: perps of the oval points; each has q
+    # cosets, the plane through the origin first
+    planes = tuple(orthogonal_complement(p) for p in hyperoval(q).sorted_points())
+    full = _coset_incidence(field_for_order(q), 3, planes)
+    exterior = np.setdiff1d(np.arange(full.nB), full.eb[full.ec % q == 0])
+    g = induced_subgraph(full, exterior.tolist(), np.flatnonzero(np.arange(full.nC) % q).tolist())
     arr = IntersectionArray(
         q + 2, q * (q - 1) // 2,
         (1, 2, q * (q + 1) // 4, q + 2),
@@ -242,14 +226,10 @@ def derived_local_graph(
     z = graph.vertex("C", z_index)
     if arr.dB < 4 or arr.dC < 4:
         raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
-    c2b, c3b = arr.cB[1], arr.cB[2]
-    c2c, c3c, c4c = arr.cC[1], arr.cC[2], arr.cC[3]
-    b2c, b3c = arr.bC(2), arr.bC(3)
-    denom = b3c * (c4c - 1) + c3c * (b2c - 1)
-    delta3 = Fraction((b2c - 1) * (c4c - 1)) - Fraction(denom * (c2c - 1), c2b)
+    c2b, c3b, c2c, b3c = arr.cB[1], arr.cB[2], arr.cC[1], arr.bC(3)
+    delta3, gamma3 = distance3_homogeneity(arr)
     if delta3 != 0:
         raise DerivedGraphError("delta3_nonzero", f"distance-3 homogeneity scalar is {delta3}")
-    gamma3 = Fraction(c2b * c3c * (b2c - 1), denom)
     if not (c2b > gamma3):
         raise DerivedGraphError("c2_bound", f"need c2 > gamma3 = {gamma3}")
     if not (b3c > c2b - gamma3):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt
@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bigraph import IntersectionArray
+from .bigraph import IntersectionArray, SrgParams, srg_from_spectrum
 
 __all__ = [
     "CandidateArray",
@@ -49,10 +49,10 @@ __all__ = [
     "Condition",
     "DeltaGammaEntry",
     "SrgDerivation",
-    "HalvedDerivation",
     "vertex_counts",
     "delorme_relations_check",
     "delta_gamma_check",
+    "distance3_homogeneity",
     "halved_srg_derive",
     "plane_implication_check",
     "evaluate",
@@ -183,30 +183,34 @@ class DeltaGammaEntry:
     ok: bool
 
 
+def distance3_homogeneity(arr: IntersectionArray) -> tuple[Fraction, Fraction | None]:
+    """(Delta_3, gamma_3) seen from the C line of a diameter-4 array.
+
+    Delta_3 is the distance-3 homogeneity scalar; gamma_3, the forced
+    triple-intersection constant, is given only when Delta_3 vanishes
+    (otherwise None).  c_4 is read from the C line, where it equals l.
+    """
+    c2B, c2C, c3C, c4C = arr.cB[1], arr.cC[1], arr.cC[2], arr.cC[3]
+    b2C, b3C = arr.bC(2), arr.bC(3)
+    den3 = b3C * (c4C - 1) + c3C * (b2C - 1)
+    delta3 = Fraction((b2C - 1) * (c4C - 1)) - Fraction(den3 * (c2C - 1), c2B)
+    return delta3, Fraction(c2B * c3C * (b2C - 1), den3) if delta3 == 0 else None
+
+
 def _delta_gamma(a: CandidateArray) -> list[DeltaGammaEntry]:
     out = []
     for orientation in ("as-given", "swapped"):
         arr = a if orientation == "as-given" else a.swapped()
-        k, l = arr.k, arr.l
-        b1B, b2B = l - 1, k - arr.c2B
-        b2C, b3C = l - arr.c2C, k - arr.c3C
-        c4C = l
+        b1B, b2B = arr.l - 1, arr.k - arr.c2B
         # distance 2: own-line quantities with the cross factor (c2C - 1)
         den2 = b2B * (arr.c3B - 1) + arr.c2B * (b1B - 1)
         delta2 = Fraction((b1B - 1) * (arr.c3B - 1)) - Fraction(den2 * (arr.c2C - 1), arr.c2B)
         gamma2 = Fraction(arr.c2B * arr.c2B * (b1B - 1), den2) if delta2 == 0 else None
-        out.append(
-            DeltaGammaEntry(2, orientation, delta2, gamma2,
-                            gamma2 is None or (gamma2.denominator == 1 and gamma2 >= 0))
-        )
         # distance 3: other-line quantities
-        den3 = b3C * (c4C - 1) + arr.c3C * (b2C - 1)
-        delta3 = Fraction((b2C - 1) * (c4C - 1)) - Fraction(den3 * (arr.c2C - 1), arr.c2B)
-        gamma3 = Fraction(arr.c2B * arr.c3C * (b2C - 1), den3) if delta3 == 0 else None
-        out.append(
-            DeltaGammaEntry(3, orientation, delta3, gamma3,
-                            gamma3 is None or (gamma3.denominator == 1 and gamma3 >= 0))
-        )
+        delta3, gamma3 = distance3_homogeneity(arr.to_intersection_array())
+        for i, delta, gamma in ((2, delta2, gamma2), (3, delta3, gamma3)):
+            ok = gamma is None or (gamma.denominator == 1 and gamma >= 0)
+            out.append(DeltaGammaEntry(i, orientation, delta, gamma, ok))
     return out
 
 
@@ -231,65 +235,12 @@ def delta_gamma_check(a: CandidateArray) -> tuple[Condition, list[DeltaGammaEntr
 
 
 @dataclass(frozen=True)
-class HalvedDerivation:
-    v: int
-    k: int
-    lam: int
-    mu: int
-    r: int
-    s: int
-    f1: int
-    f2: int
-
-    def tuple4(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
-
-
-@dataclass(frozen=True)
 class SrgDerivation:
     ok: bool
     theta: int | None = None
-    B: HalvedDerivation | None = None
-    C: HalvedDerivation | None = None
+    B: SrgParams | None = None
+    C: SrgParams | None = None
     detail: str = ""
-
-
-def _krein_ok(p: HalvedDerivation) -> bool:
-    k, r, s = p.k, p.r, p.s
-    return (r + 1) * (k + r + 2 * r * s) <= (k + r) * (s + 1) ** 2 and (
-        (s + 1) * (k + s + 2 * r * s) <= (k + s) * (r + 1) ** 2
-    )
-
-
-def _derive_side(v: int, val: int, c2: int, theta: int, kl: int) -> HalvedDerivation | str:
-    # halved valency = number of vertices at distance two
-    k_h_f = Fraction(val * (kl // val - 1), c2)
-    r_f = Fraction(theta - val, c2)
-    s_f = Fraction(-val, c2)
-    if k_h_f.denominator != 1 or r_f.denominator != 1 or s_f.denominator != 1:
-        return "non-integral halved eigenvalue"
-    k_h, r, s = int(k_h_f), int(r_f), int(s_f)
-    mu = k_h + r * s
-    lam = mu + r + s
-    if r < 0 or s >= 0 or r <= s:
-        return f"eigenvalues out of order: r={r}, s={s}"
-    f1_f = Fraction(-k_h - (v - 1) * s, r - s)
-    f2_f = (v - 1) - f1_f
-    if f1_f.denominator != 1:
-        return f"non-integral multiplicity f1 = {f1_f}"
-    f1, f2 = int(f1_f), int(f2_f)
-    if f1 < 0 or f2 < 0:
-        return f"negative multiplicity (f1={f1}, f2={f2})"
-    if lam < 0:
-        return f"negative lambda = {lam}"
-    if mu < 1 or mu > k_h:
-        return f"mu = {mu} outside [1, k]"
-    if k_h * (k_h - lam - 1) != (v - k_h - 1) * mu:
-        return "SRG counting identity fails"
-    p = HalvedDerivation(v, k_h, lam, mu, r, s, f1, f2)
-    if not _krein_ok(p):
-        return f"Krein condition fails for ({v},{k_h},{lam},{mu})"
-    return p
 
 
 def halved_srg_derive(a: CandidateArray, counts: Counts | None = None) -> SrgDerivation:
@@ -311,13 +262,14 @@ def halved_srg_derive(a: CandidateArray, counts: Counts | None = None) -> SrgDer
         return SrgDerivation(False, detail=f"walk traces disagree: {theta} vs {theta_c}")
     if theta <= 0 or theta >= kl:
         return SrgDerivation(False, detail=f"middle eigenvalue {theta} outside (0, kl)")
-    side_b = _derive_side(counts.nB, k, a.c2B, theta, kl)
-    if isinstance(side_b, str):
-        return SrgDerivation(False, theta=theta, detail=f"B side: {side_b}")
-    side_c = _derive_side(counts.nC, l, a.c2C, theta, kl)
-    if isinstance(side_c, str):
-        return SrgDerivation(False, theta=theta, detail=f"C side: {side_c}")
-    return SrgDerivation(True, theta, side_b, side_c)
+    sides = []
+    for name, v, val, c2 in (("B", counts.nB, k, a.c2B), ("C", counts.nC, l, a.c2C)):
+        try:  # the halved valency counts the vertices at distance two
+            sides.append(srg_from_spectrum(v, Fraction(val * (kl // val - 1), c2),
+                                           Fraction(theta - val, c2), Fraction(-val, c2)))
+        except ValueError as exc:
+            return SrgDerivation(False, theta=theta, detail=f"{name} side: {exc}")
+    return SrgDerivation(True, theta, *sides)
 
 
 def _sum_of_two_squares(n: int) -> bool:
@@ -460,8 +412,9 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
 def reference_table(path: str | None = None) -> list[dict]:
     """Curated catalog of the known feasible-array table with statuses.
 
-    ValueError if the JSON is malformed, a status is unknown, or an array
-    does not parse as a diameter-4 intersection array."""
+    ValueError if the JSON is malformed, a status is unknown, an array
+    does not parse as a diameter-4 intersection array, or two rows list
+    the same array (in either orientation)."""
     if path is None:
         text = resources.files("dbrg").joinpath("data/catalog.json").read_text()
     else:
@@ -469,10 +422,14 @@ def reference_table(path: str | None = None) -> list[dict]:
             text = fh.read()
     try:
         rows = json.loads(text)["rows"]
+        seen = set()
         for row in rows:
             if row["status"] not in ("exists", "unknown", "nonexistent"):
                 raise ValueError(f"catalog status {row['status']!r} invalid")
-            _canon_key(IntersectionArray.parse(row["array"]))  # a diameter-4 array
+            key = _canon_key(IntersectionArray.parse(row["array"]))  # a diameter-4 array
+            if key in seen:
+                raise ValueError(f"malformed catalog: {key} listed twice")
+            seen.add(key)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
     return rows

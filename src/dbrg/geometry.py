@@ -98,10 +98,6 @@ class SpaceFamily:
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members in SpaceFamily")
 
-    @property
-    def member_dim(self) -> int:
-        return self.members[0].dim if self.members else 0
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -22,7 +22,7 @@ iff their echelon bases are identical tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -32,7 +32,6 @@ __all__ = [
     "FieldContext",
     "Subspace",
     "field",
-    "field_arith",
     "qbinom",
     "subspace_make",
     "subspace_meet",
@@ -232,9 +231,6 @@ class FieldContext:
             raise ZeroDivisionError("inversion of zero field element")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -249,14 +245,6 @@ class FieldContext:
 
     def nonzero(self) -> range:
         return range(1, self.q)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector of an element (little-endian)."""
-        out = []
-        for _ in range(self.t):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
 
     # -- comparison / display ------------------------------------------------
 
@@ -277,23 +265,6 @@ class FieldContext:
 def field(p: int, t: int = 1) -> FieldContext:
     """Shared context for GF(p^t) with the canonical (least) modulus."""
     return FieldContext(p, t)
-
-
-def field_arith(ctx: FieldContext, op: str, a: int, b: int | None = None) -> int:
-    """Dispatch a single arithmetic operation by name.
-
-    ``op`` is one of ``add``, ``mul``, ``inv``, ``pow``; ``b`` is the second
-    operand (or the exponent for ``pow``), omitted for ``inv``.
-    """
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    if op == "inv":
-        return ctx.inv(a)
-    if op == "pow":
-        return ctx.pow(a, b)
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 def qbinom(n: int, m: int, q: int) -> int:
@@ -320,10 +291,6 @@ def qbinom(n: int, m: int, q: int) -> int:
 
 def vec_add(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(ctx.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(ctx.sub(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(ctx: FieldContext, c: int, u: Sequence[int]) -> tuple[int, ...]:

@@ -18,6 +18,13 @@ search with multiplicities (Knuth's Algorithm M): it branches on the
 partially covered vector with the fewest candidates left.  Both work on
 the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`.
 
+One :class:`PerpSystem` type holds both formulations.  ``perp_dualize``
+maps a system to its orthogonal-complement dual (k-dimensional members
+meeting trivially, every hyperplane holding 0 or d of them), flagged
+``dual=True``, and back.  The coset graph, the two-intersection set and
+the file format are defined for the primal formulation only; they raise
+ValueError on a dual system.
+
 File format (one system per file)::
 
     q=<p>^<t> modulus=<c0,...,ct> n=<n> k=<k>
@@ -36,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bigraph import SrgParams, srg_from_spectrum
 from .gfcore import (
     FieldContext,
     Subspace,
@@ -56,11 +64,9 @@ from .geometry import PointSet, field_for_order
 
 __all__ = [
     "PerpSystem",
-    "DualPerpSystem",
     "PerpViolation",
     "ParamCheck",
     "ParamReport",
-    "HalvedSrgParams",
     "TwoIntersectionSet",
     "SearchOutcome",
     "perp_verify",
@@ -76,7 +82,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerpSystem:
-    """A verified perp system (construct through :func:`perp_verify`)."""
+    """A verified perp system (construct through :func:`perp_verify`).
+
+    With ``dual`` set it is the dual formulation (from :func:`perp_dualize`):
+    k-dimensional members, pairwise trivial meets, every hyperplane
+    containing 0 or d members.
+    """
 
     ctx: FieldContext
     n: int
@@ -84,18 +95,13 @@ class PerpSystem:
     members: tuple[Subspace, ...]
     d: int
     s: int
+    dual: bool = False
 
-
-@dataclass(frozen=True)
-class DualPerpSystem:
-    """Dual formulation: k-dim members, trivial meets, hyperplanes covered 0/d times."""
-
-    ctx: FieldContext
-    n: int
-    k: int
-    members: tuple[Subspace, ...]
-    d: int
-    s: int
+    def require_primal(self, what: str) -> None:
+        """ValueError if this is a dual system, for which ``what`` is undefined."""
+        if self.dual:
+            raise ValueError(f"{what} is defined for the primal formulation only; "
+                             "dualize the system back first")
 
 
 @dataclass(frozen=True)
@@ -249,50 +255,21 @@ def perp_params(n: int, k: int, q: int, d: int) -> ParamReport:
     return ParamReport(n, k, q, d, s, tuple(checks))
 
 
-@dataclass(frozen=True)
-class HalvedSrgParams:
-    v: int
-    k: int
-    lam: int
-    mu: int
-    r: int
-    s: int
-    f1: int
-    f2: int
-
-    def tuple4(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
-
-
-def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> HalvedSrgParams:
+def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> SrgParams:
     """Strongly regular parameters of the distance-two graph on the vectors.
 
-    Everything is exact rational arithmetic; any non-integral parameter or
-    multiplicity, or mu != k + r*s (s inconsistent with n, k, q, d), raises
-    ValueError (the parameter set is inadmissible).  RuntimeError means an
-    eigenvalue identity that holds by construction failed.
+    Its eigenvalues are s(q^(n-k) - 1)/d, (q^(n-k) - s)/d and -s/d, and
+    mu = q^(n-2k) s (s-1) / d^2.  ValueError if mu != k + r*s (s
+    inconsistent with n, k, q, d), checked first, or if
+    :func:`dbrg.bigraph.srg_from_spectrum` rejects the spectrum (the
+    parameter set is inadmissible).
     """
-    v = q**n
+    k_h = Fraction(s * (q ** (n - k) - 1), d)
+    r_e, s_e = Fraction(q ** (n - k) - s, d), Fraction(-s, d)
     mu = Fraction(q ** (n - 2 * k) * s * (s - 1), d * d)
-    k_h = Fraction(s, d) * (q ** (n - k) - 1)
-    r_e = Fraction(-s, d) + Fraction(q ** (n - k), d)
-    s_e = Fraction(-s, d)
-    lam = mu - Fraction(2 * s, d) + Fraction(q ** (n - k), d)
-    f1 = Fraction(-k_h - (v - 1) * s_e, r_e - s_e)
-    f2 = v - 1 - f1
-    vals = {"k": k_h, "lambda": lam, "mu": mu, "r": r_e, "s": s_e, "f1": f1, "f2": f2}
-    for name, val in vals.items():
-        if val.denominator != 1:
-            raise ValueError(f"non-integral SRG parameter {name} = {val}")
-    out = HalvedSrgParams(
-        v, int(k_h), int(lam), int(mu), int(r_e), int(s_e), int(f1), int(f2)
-    )
-    if out.mu != out.k + out.r * out.s:
-        raise ValueError(f"SRG identity mu = k + r*s fails: {out.mu} != {out.k + out.r * out.s}")
-    if (out.lam != out.mu + out.r + out.s or out.f1 + out.f2 != out.v - 1
-            or out.k + out.f1 * out.r + out.f2 * out.s != 0):
-        raise RuntimeError(f"SRG eigenvalue identities fail for {out}")
-    return out
+    if mu != k_h + r_e * s_e:
+        raise ValueError(f"SRG identity mu = k + r*s fails: {mu} != {k_h + r_e * s_e}")
+    return srg_from_spectrum(q**n, k_h, r_e, s_e)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +292,12 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
 
     Exhaustively intersects every hyperplane with the point set and
     checks that exactly the two predicted sizes occur.  ValueError means
-    ``system`` is not a perp system (a predicted size is not an integer,
-    or the measured point set differs); RuntimeError means the double
-    count of point-hyperplane incidences failed, which holds by
+    ``system`` is dual or not a perp system (a predicted size is not an
+    integer, or the measured point set differs); RuntimeError means the
+    double count of point-hyperplane incidences failed, which holds by
     construction.
     """
+    system.require_primal("the two-intersection set")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     reps = []
@@ -357,7 +335,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
 # Dual formulation
 # ---------------------------------------------------------------------------
 
-def perp_dualize(system: PerpSystem | DualPerpSystem) -> DualPerpSystem | PerpSystem:
+def perp_dualize(system: PerpSystem) -> PerpSystem:
     """Orthogonal-complement dual; applying it twice returns the original.
 
     Primal -> dual: k-dimensional members, pairwise trivial meets, every
@@ -368,7 +346,7 @@ def perp_dualize(system: PerpSystem | DualPerpSystem) -> DualPerpSystem | PerpSy
     ctx, n, k, d = system.ctx, system.n, system.k, system.d
     duals = tuple(sorted((orthogonal_complement(m) for m in system.members),
                          key=lambda m: m.basis))
-    if isinstance(system, DualPerpSystem):
+    if system.dual:
         res = perp_verify(ctx, n, k, duals)
         if isinstance(res, PerpViolation):
             raise ValueError(f"dual of a dual system failed verification: {res}")
@@ -386,7 +364,7 @@ def perp_dualize(system: PerpSystem | DualPerpSystem) -> DualPerpSystem | PerpSy
         seen.add(cnt)
     if seen != {0, d}:
         raise ValueError("hyperplane covering must take both values 0 and d")
-    return DualPerpSystem(ctx, n, k, duals, d, system.s)
+    return PerpSystem(ctx, n, k, duals, d, system.s, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +408,6 @@ def perp_search(
     *,
     budget_nodes: int | None = None,
     budget_seconds: float | None = None,
-    seed: int = 0,
     count_all: bool = False,
 ) -> SearchOutcome:
     """Deterministic exact-cover search for a perp system.
@@ -447,8 +424,7 @@ def perp_search(
     covered); sibling i excludes siblings 0..i-1, so ``count_all``
     counts each system once.  A node is pruned when some partially
     covered vector has fewer live candidates than it still needs, or
-    needs more than the members left.  ``seed`` is accepted for
-    interface stability; the search itself is fully deterministic.
+    needs more than the members left.  The search is deterministic.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
     time from entry, set-up included.  Returns status ``found`` with a
@@ -560,7 +536,10 @@ def perp_search(
 # File format
 # ---------------------------------------------------------------------------
 
-def serialize_perp(system: PerpSystem | DualPerpSystem) -> str:
+def serialize_perp(system: PerpSystem) -> str:
+    """The file text of a primal system.  ValueError on a dual one: its
+    file would not pass :func:`perp_verify` when read back."""
+    system.require_primal("the perp file format")
     ctx = system.ctx
     mod = ",".join(str(c) for c in ctx.modulus)
     lines = [f"q={ctx.p}^{ctx.t} modulus={mod} n={system.n} k={system.k}"]

@@ -127,6 +127,10 @@ def test_usage_errors():
     assert main(["no-such-command"]) == 64
     assert main([]) == 64
     assert main(["--threads", "2", "feas", "enumerate", "--max-side", "64"]) == 64
+    # the search is deterministic: no seed option
+    assert main(["construct", "cone", "--q", "2", "--out", "x", "--seed", "1"]) == 64
+    assert main(["perp", "search", "--n", "3", "--k", "1", "--q", "2", "--d", "2",
+                 "--seed", "1"]) == 64
 
 
 @pytest.mark.parametrize("text,message", [
@@ -139,6 +143,9 @@ def test_usage_errors():
     ('{"rows": [{"status": "exists"}]}', "malformed catalog"),
     ('{"table": []}', "malformed catalog"),
     ('{"rows": [7]}', "malformed catalog"),
+    ('{"rows": [{"array": "{6;1,2,10,6 | 16;1,4,5,16}", "status": "exists"}, '
+     '{"array": "{16;1,4,5,16 | 6;1,2,10,6}", "status": "nonexistent"}]}',
+     "malformed catalog: {6;1,2,10,6 | 16;1,4,5,16} listed twice"),
     ("not json", "invalid input"),
 ])
 def test_catalog_bad_file_exits_65(tmp_path, capsys, text, message):

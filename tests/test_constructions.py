@@ -1,6 +1,7 @@
 """Builders against the definition-exact verifier."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -10,6 +11,7 @@ from dbrg.bigraph import (
     girth,
     halved_graphs,
     semiregular_check,
+    serialize_graph,
     srg_check,
 )
 from dbrg.constructions import (
@@ -118,6 +120,17 @@ def test_hyperoval_affine_q4_regular():
         hyperoval_affine_graph(2)
     with pytest.raises(ValueError):
         hyperoval_affine_graph(6)
+
+
+@pytest.mark.parametrize("q,digest", [
+    (4, "4a32aa66e9dcebb234f0e473b5cdb3000912cdf35ffe47888e7b35aae608b2b8"),
+    (8, "e7f8c15b1d8390c86b188d4f11eed8110cde8e09d76ba3538d6410b60cdcbb95"),
+    (16, "39aa8fc7cb5230fcd7eb6ab687ee1e79f9db6dab6cb184370c979f0ce73fd3ec"),
+])
+def test_hyperoval_affine_graph_bytes_pinned(q, digest):
+    # sha256 of the graph file as the direct point-plane builder wrote it
+    text = serialize_graph(hyperoval_affine_graph(q).graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_derived_from_q4_parent():

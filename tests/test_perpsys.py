@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
+from dbrg.constructions import gen_delorme_graph
 from dbrg.gfcore import enumerate_subspaces, field, subspace_make, subspace_meet
 from dbrg.geometry import field_for_order
 from dbrg.geometry import dualize, hyperoval
 from dbrg.perpsys import (
-    DualPerpSystem,
     PerpSystem,
     PerpViolation,
     parse_perp,
@@ -118,7 +118,8 @@ def test_unverified_systems_raise_value_error():
         perp_dualize(twice)
     dual = perp_dualize(good)
     with pytest.raises(ValueError, match="failed verification"):
-        perp_dualize(DualPerpSystem(dual.ctx, dual.n, dual.k, dual.members[:-1], dual.d, dual.s))
+        perp_dualize(PerpSystem(dual.ctx, dual.n, dual.k, dual.members[:-1], dual.d, dual.s,
+                                dual=True))
 
 
 def test_two_intersection_set_q4():
@@ -136,15 +137,24 @@ def test_two_intersection_set_q2():
 def test_dualize_involution_and_dual_properties():
     sys2 = dual_hyperoval_system(2)
     dual = perp_dualize(sys2)
-    assert isinstance(dual, DualPerpSystem)
+    assert dual.dual and not sys2.dual
     assert (dual.d, dual.s) == (2, 4)
     assert all(m.dim == 1 for m in dual.members)
     for i in range(len(dual.members)):
         for j in range(i + 1, len(dual.members)):
             assert subspace_meet(dual.members[i], dual.members[j]).dim == 0
     back = perp_dualize(dual)
-    assert isinstance(back, PerpSystem)
+    assert not back.dual
     assert set(back.members) == set(sys2.members)
+
+
+def test_dual_system_has_no_graph_point_set_or_file():
+    # the primal-only operations refuse the k-dimensional dual members
+    # instead of building a graph or a file that does not verify
+    dual = perp_dualize(dual_hyperoval_system(4))
+    for primal_only in (gen_delorme_graph, two_intersection_set, serialize_perp):
+        with pytest.raises(ValueError, match="primal formulation"):
+            primal_only(dual)
 
 
 def test_search_3_1_2_2_exhaustive():
@@ -211,8 +221,8 @@ def test_search_time_budget_covers_setup():
 
 
 def test_search_determinism():
-    a = perp_search(3, 1, 4, 2, seed=1)
-    b = perp_search(3, 1, 4, 2, seed=99)
+    a = perp_search(3, 1, 4, 2)
+    b = perp_search(3, 1, 4, 2)
     assert a.system.members == b.system.members
 
 

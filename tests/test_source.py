@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import dbrg
@@ -22,3 +23,13 @@ def test_no_assert_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raises AssertionError")
     assert found == []
+
+
+def test_all_names_exist():
+    # a name deleted from a module but left in its __all__ breaks `import *`
+    missing = []
+    for path in SOURCES:
+        module = importlib.import_module("dbrg" if path.stem == "__init__" else f"dbrg.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
