@@ -87,7 +87,8 @@ class BipartiteGraph:
         if bad.any():
             b0, c0 = min(zip(b[bad].tolist(), c[bad].tolist()))
             raise ValueError(f"edge ({b0},{c0}) out of range for B={nB} C={nC}")
-        eb, ec = np.divmod(np.unique(b * nC + c), max(nC, 1))
+        keys = np.sort(b * nC + c)  # de-duplicated by sorting: np.unique imports numpy.ma
+        eb, ec = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(nC, 1))
         self.eb, self.ec = eb.astype(np.int32), ec.astype(np.int32)
         self.nB, self.nC, self.V = nB, nC, nB + nC
         self.degrees = np.bincount(np.concatenate([self.eb, self.ec + nB]), minlength=self.V)

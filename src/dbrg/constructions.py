@@ -25,11 +25,12 @@ from .feasibility import distance3_homogeneity
 from .gfcore import (
     FieldContext,
     Subspace,
-    enumerate_cosets,
-    enumerate_subspaces,
-    qbinom,
-    index_vector,
+    _arith,
+    echelon_bases,
     orthogonal_complement,
+    qbinom,
+    subspace_vector_ids,
+    vector_bitsets,
 )
 from .geometry import cone_spaces, field_for_order, hyperoval
 from .perpsys import PerpSystem
@@ -95,16 +96,17 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     if k < 1 or n < 2 * k + 2:
         raise ValueError(f"need k >= 1 and n >= 2k+2, got n={n}, k={k}")
     ctx = field_for_order(q)
-    small = list(enumerate_subspaces(ctx, n, k))
-    large = list(enumerate_subspaces(ctx, n, k + 1))
-    big_index = {s: i for i, s in enumerate(large)}
-    edges = []
-    for ci, big in enumerate(large):
-        # the k-subspaces of a (k+1)-space, found within the big space
-        for bi, sml in enumerate(small):
-            if all(big.contains(row) for row in sml.basis):
-                edges.append((bi, ci))
-    g = BipartiteGraph(len(small), len(large), edges)
+    small = np.concatenate(list(echelon_bases(ctx, n, k)))
+    large = np.concatenate(list(echelon_bases(ctx, n, k + 1)))
+    rows = small.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)  # vector ids of the basis rows
+    word, bit = rows >> 6, (rows & 63).astype(np.uint64)
+    bits = vector_bitsets(subspace_vector_ids(ctx, large), q**n)
+    # a small space lies in a large one iff each of its basis rows does;
+    # large spaces go in chunks so the table stays a few million entries
+    step = max(1, 2**22 // (len(small) * k))
+    edges = [np.argwhere(((bits[c:c + step, word] >> bit) & 1).all(axis=2))[:, ::-1] + (0, c)
+             for c in range(0, len(large), step)]
+    g = BipartiteGraph(len(small), len(large), np.concatenate(edges))
     cb = tuple(qbinom(v, 1, q) for v in _stair(2 * k + 1))
     cc = tuple(qbinom(v, 1, q) for v in _stair(2 * k + 2))
     arr = IntersectionArray(qbinom(n - k, 1, q), qbinom(k + 1, 1, q), cb, cc)
@@ -113,14 +115,22 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
 
 def _coset_incidence(ctx: FieldContext, n: int, members: tuple[Subspace, ...]) -> BipartiteGraph:
     """B = all vectors of F_q^n by vector index, C = all cosets of all
-    members by inclusion: coset j of member i (in :func:`enumerate_cosets`
-    order, so j = 0 is the member itself) is C vertex i * q^(n-dim) + j."""
-    rep_pos = [{rep: i for i, rep in enumerate(enumerate_cosets(m))} for m in members]
-    coset_count = ctx.q ** (n - members[0].dim)
-    vectors = [index_vector(ctx, vid, n) for vid in range(ctx.q**n)]
-    edges = [(vid, mi * coset_count + pos[m.reduce(v)])
-             for vid, v in enumerate(vectors) for mi, (m, pos) in enumerate(zip(members, rep_pos))]
-    return BipartiteGraph(len(vectors), len(members) * coset_count, edges)
+    members by inclusion: coset j of member i is C vertex i * q^(n-dim) + j.
+    It is rep_j + M, where rep_j (the ``M.reduce`` image of the coset) is
+    zero on the pivots of M and has the base-q digits of j, in order, on
+    the free coordinates; so j = 0 is M itself."""
+    q, s, m = ctx.q, len(members), members[0].dim
+    bases = np.array([mb.basis for mb in members]).reshape(s, m, n)
+    ids = np.pad(subspace_vector_ids(ctx, bases), ((0, 0), (1, 0)))  # the zero vector first
+    free = np.ones((s, n), dtype=bool)
+    free[np.arange(s)[:, None], np.argmax(bases != 0, axis=2)] = False
+    weights = np.broadcast_to(q ** np.arange(n - 1, -1, -1), (s, n))[free].reshape(s, n - m)
+    digits = np.indices((q,) * (n - m)).reshape(n - m, q ** (n - m))
+    reps = weights @ digits  # (s, q^(n-m)): id of rep_j
+    _, add = _arith(ctx)
+    cosets = add(reps[:, :, None], ids[:, None, :], n * ctx.t)
+    c = np.repeat(np.arange(s * q ** (n - m)), q**m)
+    return BipartiteGraph(q**n, s * q ** (n - m), np.column_stack([cosets.ravel(), c]))
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -182,7 +192,7 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
     # cosets, the plane through the origin first
     planes = tuple(orthogonal_complement(p) for p in hyperoval(q).sorted_points())
     full = _coset_incidence(field_for_order(q), 3, planes)
-    exterior = np.setdiff1d(np.arange(full.nB), full.eb[full.ec % q == 0])
+    exterior = np.flatnonzero(np.bincount(full.eb[full.ec % q == 0], minlength=full.nB) == 0)
     g = induced_subgraph(full, exterior.tolist(), np.flatnonzero(np.arange(full.nC) % q).tolist())
     arr = IntersectionArray(
         q + 2, q * (q - 1) // 2,
@@ -210,22 +220,29 @@ def derived_local_graph(
 
     The class containing z plays the role of the second array line; all
     b-numbers are re-derived from the verified parent array.  Hypotheses
-    checked before building: the homogeneity scalar for distance 3
-    vanishes, and the two strict inequalities relating its constant to
-    c_2 and b_3.  Violations raise :class:`DerivedGraphError` naming the
-    condition.
+    checked before building: a caller-supplied array is valid; b_3 > 0
+    on the line of z; the homogeneity scalar for distance 3 vanishes, and
+    the two strict inequalities relating its constant to c_2 and b_3.
+    Violations raise :class:`DerivedGraphError` naming the condition.
     """
     if array is None:
         res = dbrg_check(parent)
         if not res.ok:
             raise ValueError(f"parent graph is not distance-biregular: {res.witness}")
         array = res.array
+    else:
+        try:
+            array.validate()
+        except ValueError as exc:
+            raise DerivedGraphError("array_invalid", str(exc)) from None
     arr = array if z_side == "C" else array.swapped()
     # orient the graph so that z lies in class C
     graph = flip(parent) if z_side == "B" else parent
     z = graph.vertex("C", z_index)
     if arr.dB < 4 or arr.dC < 4:
         raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
+    if arr.bC(3) < 1:  # nothing at distance 4 from z; the distance-3 denominator would be 0
+        raise DerivedGraphError("b3_positive", f"b3 = {arr.bC(3)} on the line of z")
     c2b, c3b, c2c, b3c = arr.cB[1], arr.cB[2], arr.cC[1], arr.bC(3)
     delta3, gamma3 = distance3_homogeneity(arr)
     if delta3 != 0:

@@ -8,26 +8,28 @@ quadric of F_q^6.
 
 Points of PG(n-1, q) are handled as 1-dimensional :class:`Subspace`
 values; a maximal arc is a :class:`PointSet` and its dual a
-:class:`SpaceFamily` of hyperplanes.
+:class:`SpaceFamily` of hyperplanes.  Exhaustive searches and counts run
+on stacked vectors through :func:`dbrg.gfcore.dot` and vector ids.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .gfcore import (
     FieldContext,
     Subspace,
     dot,
-    enumerate_projective_points,
-    enumerate_subspaces,
+    echelon_bases,
     field,
     orthogonal_complement,
+    projective_points,
     subspace_make,
-    subspace_meet,
-    vec_add,
+    subspace_vector_ids,
+    vector_bitsets,
 )
 
 __all__ = [
@@ -138,16 +140,12 @@ def denniston_arc(q: int, r: int) -> PointSet:
         raise ValueError(f"degree r={r} must divide q={q}")
     ctx = field_for_order(q)
     beta = next(b for b in ctx.nonzero() if _trace(ctx, b) == 1)
-    # GF(2^m) elements with encoding < r form an additive subgroup of order r
-    group = set(range(r))
-    pts = []
-    for x in ctx.elements():
-        x2 = ctx.mul(x, x)
-        for y in ctx.elements():
-            val = ctx.add(ctx.add(x2, ctx.mul(x, y)), ctx.mul(beta, ctx.mul(y, y)))
-            if val in group:
-                pts.append(point(ctx, (1, x, y)))
-    arc = PointSet(ctx, 3, frozenset(pts))
+    # the form at every affine point (1, x, y); GF(2^m) elements with
+    # encoding < r form an additive subgroup of order r
+    x, y = np.indices((q, q)).reshape(2, -1)
+    val = dot(ctx, np.stack([x, x, y], 1), np.stack([x, y, dot(ctx, y[:, None], [beta])], 1))
+    arc = PointSet(ctx, 3, frozenset(point(ctx, (1, a, b))
+                                     for a, b in zip(x[val < r].tolist(), y[val < r].tolist())))
     if len(arc) != q * r - q + r:
         raise RuntimeError(f"arc of size {len(arc)}, expected {q * r - q + r}")
     return arc
@@ -172,15 +170,15 @@ class ArcCheckResult:
 def arc_check(arc: PointSet, r: int) -> ArcCheckResult:
     """Does every line of the plane meet the point set in 0 or r points?
 
+    The counts come from one table of dot products, lines by points.
     Violations are reported, not raised: the first offending line (as a
-    normal vector, lex order) comes back with its intersection count.
-    """
-    ctx = arc.ctx
-    reps = [pt.basis[0] for pt in arc.sorted_points()]
-    for w in enumerate_projective_points(ctx, arc.n):
-        cnt = sum(1 for v in reps if dot(ctx, w, v) == 0)
-        if cnt not in (0, r):
-            return ArcCheckResult(False, r, w, cnt)
+    normal vector, lex order) comes back with its intersection count."""
+    lines = projective_points(arc.ctx, arc.n)
+    reps = np.array([pt.basis[0] for pt in arc.points], dtype=np.int64).reshape(-1, arc.n)
+    counts = (dot(arc.ctx, lines[:, None], reps[None]) == 0).sum(axis=1)
+    bad = np.flatnonzero((counts != 0) & (counts != r))
+    if bad.size:
+        return ArcCheckResult(False, r, tuple(lines[bad[0]].tolist()), int(counts[bad[0]]))
     return ArcCheckResult(True, r)
 
 
@@ -206,46 +204,33 @@ def dualize(obj):
     raise TypeError(f"cannot dualize {type(obj).__name__}")
 
 
-def _quadric_value(ctx: FieldContext, v: Sequence[int]) -> int:
-    # X1*X2 - X3*X4 + X5*X6 in 1-based coordinates
-    return ctx.add(
-        ctx.sub(ctx.mul(v[0], v[1]), ctx.mul(v[2], v[3])),
-        ctx.mul(v[4], v[5]),
-    )
-
-
-def _polar_value(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
-    s = _quadric_value(ctx, vec_add(ctx, u, v))
-    return ctx.sub(ctx.sub(s, _quadric_value(ctx, u)), _quadric_value(ctx, v))
-
-
 def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     """Totally singular 3-spaces of the quadric X1X2 - X3X4 + X5X6 on F_q^6.
 
-    Returns (all of them, the ruling through <e1, e3, e5>): sizes
-    2(q+1)(q^2+1) and (q+1)(q^2+1).  The second family is selected by
-    dim(M  meet  M0) being odd, which picks exactly one of the two rulings.
-    RuntimeError if either family has another size (a broken construction).
+    Returns (all of them, the ruling through M0 = <e1, e3, e5>): sizes
+    2(q+1)(q^2+1) and (q+1)(q^2+1), in enumeration order.  The quadric
+    (as X1X2 + X5X6 = X3X4) on each basis row and its polar form on each
+    pair of rows are tested on all echelon bases at once, as dot products.
+    The ruling is the one with dim(M meet M0) odd, read from the number of
+    vector ids M shares with M0.  RuntimeError if either family has
+    another size (a broken construction).
     """
     ctx = field_for_order(q)
     singular = []
-    for s in enumerate_subspaces(ctx, 6, 3):
-        rows = s.basis
-        if any(_quadric_value(ctx, row) != 0 for row in rows):
-            continue
-        if any(
-            _polar_value(ctx, rows[i], rows[j]) != 0
-            for i, j in itertools.combinations(range(3), 2)
-        ):
-            continue
-        singular.append(s)
-    r_star = SpaceFamily(ctx, 6, tuple(singular))
-    m0 = subspace_make(
-        ctx, 6, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)]
-    )
-    s_star = SpaceFamily(
-        ctx, 6, tuple(m for m in singular if subspace_meet(m, m0).dim in (1, 3))
-    )
+    for rows in echelon_bases(ctx, 6, 3):
+        u, v = rows[:, [0, 0, 1]], rows[:, [1, 2, 2]]  # the three pairs of rows
+        ok = ((dot(ctx, rows[..., [0, 4]], rows[..., [1, 5]])
+               == dot(ctx, rows[..., [2]], rows[..., [3]])).all(axis=1)
+              & (dot(ctx, u[..., [0, 1, 4, 5]], v[..., [1, 0, 5, 4]])
+                 == dot(ctx, u[..., [2, 3]], v[..., [3, 2]])).all(axis=1))
+        singular.append(rows[ok])
+    singular = np.concatenate(singular)
+    m0 = vector_bitsets(subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2]), q**6)
+    shared = np.bitwise_count(vector_bitsets(subspace_vector_ids(ctx, singular), q**6) & m0)
+    shared = shared.sum(axis=1).tolist()
+    spaces = [Subspace(ctx, 6, tuple(map(tuple, b))) for b in singular.tolist()]
+    r_star = SpaceFamily(ctx, 6, tuple(spaces))
+    s_star = SpaceFamily(ctx, 6, tuple(m for m, c in zip(spaces, shared) if c in (q - 1, q**3 - 1)))
     if (len(r_star), len(s_star)) != (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1)):
         raise RuntimeError(f"quadric families of sizes {len(r_star)} and {len(s_star)}")
     return r_star, s_star

@@ -17,13 +17,17 @@ without external polynomial tables.
 Subspaces of ``F_q^n`` are kept in reduced row-echelon form, which gives
 each subspace a unique, hashable representation: two subspaces are equal
 iff their echelon bases are identical tuples.
+
+Bulk work runs on stacked arrays: :func:`echelon_bases`,
+:func:`subspace_vector_ids`, :func:`vector_bitsets` and :func:`dot`,
+all through one numpy form of the field arithmetic, ``_arith``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,14 +39,13 @@ __all__ = [
     "qbinom",
     "subspace_make",
     "subspace_meet",
-    "subspace_join",
     "orthogonal_complement",
     "enumerate_subspaces",
     "echelon_bases",
     "subspace_vector_ids",
     "vector_bitsets",
-    "enumerate_cosets",
-    "enumerate_hyperplanes",
+    "dot",
+    "projective_points",
     "enumerate_projective_points",
     "parse_vector",
     "format_vector",
@@ -297,11 +300,36 @@ def vec_scale(ctx: FieldContext, c: int, u: Sequence[int]) -> tuple[int, ...]:
     return tuple(ctx.mul(c, a) for a in u)
 
 
-def dot(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
+@lru_cache(maxsize=None)
+def _arith(ctx: FieldContext):
+    """Numpy field arithmetic of ``ctx``, (mul, add), exact and broadcasting:
+    ``mul`` multiplies elements through the exp/log tables; ``add`` adds
+    integers digit by digit mod p over ``digits`` base-p digits (t for
+    elements, n t for vector ids), which is XOR when p = 2."""
+    p, q = ctx.p, ctx.q
+    exp, log = np.array(ctx._exp, dtype=np.int32), np.array(ctx._log, dtype=np.int32)
+
+    def mul(a, b):
+        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % (q - 1)], 0)
+
+    def add(a, b, digits=ctx.t):
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        for _ in range(digits):
+            out = out + (a // place + b // place) % p * place
+            place *= p
+        return out
+
+    return mul, add
+
+
+def dot(ctx: FieldContext, u, v):
+    """Dot product along the last axis, the other axes broadcast:
+    ``dot(ctx, u[:, None], v[None])`` is the table of all pairs of rows."""
+    mul, add = _arith(ctx)
+    u, v = np.moveaxis(np.asarray(u), -1, 0), np.moveaxis(np.asarray(v), -1, 0)
+    return reduce(add, map(mul, u, v))
 
 
 def vector_index(ctx: FieldContext, v: Sequence[int]) -> int:
@@ -445,12 +473,6 @@ def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
     return Subspace(ctx, n, rref(ctx, inter, n))
 
 
-def subspace_join(u: Subspace, w: Subspace) -> Subspace:
-    if u.ctx != w.ctx or u.n != w.n:
-        raise ValueError("subspaces live in different ambient spaces")
-    return subspace_make(u.ctx, u.n, list(u.basis) + list(w.basis))
-
-
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Perp under the standard dot bilinear form."""
     ctx, n = s.ctx, s.n
@@ -517,30 +539,19 @@ def subspace_vector_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
     multiples come from the exp/log tables; all work is exact integers.
     """
     count, m, n = bases.shape
-    q, p = ctx.q, ctx.p
+    q = ctx.q
+    mul, add = _arith(ctx)
     dtype = np.int32 if q**n < 2**31 else np.int64
     weights = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-    exp, log = np.array(ctx._exp, dtype=dtype), np.array(ctx._log, dtype=dtype)
     rows = bases.astype(dtype)
     # ids of c * row for every scalar c, shape (q, count, m)
     scaled = np.zeros((q, count, m), dtype=dtype)
     for c in range(1, q):
-        prod = np.where(rows != 0, exp[(log[c] + log[rows]) % (q - 1)], 0)
-        scaled[c] = prod @ weights
+        scaled[c] = mul(c, rows) @ weights
     # all combinations, the coefficient of the first row varying slowest
     ids = np.zeros((count, 1), dtype=dtype)
     for i in range(m):
-        a, b = ids[:, :, None], scaled[:, :, i].T[:, None, :]
-        if p == 2:
-            ids = a ^ b
-        else:
-            total = np.zeros((count, a.shape[1], q), dtype=dtype)
-            place = 1
-            for _ in range(n * ctx.t):
-                total += (a // place + b // place) % p * place
-                place *= p
-            ids = total
-        ids = ids.reshape(count, -1)
+        ids = add(ids[:, :, None], scaled[:, :, i].T[:, None, :], n * ctx.t).reshape(count, -1)
     return np.sort(ids[:, 1:], axis=1)
 
 
@@ -557,31 +568,12 @@ def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
     return bits
 
 
-def enumerate_cosets(m: Subspace) -> Iterator[tuple[int, ...]]:
-    """Canonical coset representatives of a subspace, deterministic order.
-
-    Representatives are exactly the vectors vanishing on the pivot columns;
-    there are q^(n-dim) of them and ``m.reduce`` maps every vector onto its
-    representative.
-    """
-    ctx, n = m.ctx, m.n
-    free = [j for j in range(n) if j not in set(m.pivots)]
-    for values in itertools.product(ctx.elements(), repeat=len(free)):
-        v = [0] * n
-        for j, val in zip(free, values):
-            v[j] = val
-        yield tuple(v)
+def projective_points(ctx: FieldContext, n: int) -> np.ndarray:
+    """Normalized representatives (first nonzero coordinate 1) of the points
+    of PG(n-1, q), one per row in lex order: the 1-dim echelon bases."""
+    return np.concatenate(list(echelon_bases(ctx, n, 1)))[:, 0]
 
 
 def enumerate_projective_points(ctx: FieldContext, n: int) -> Iterator[tuple[int, ...]]:
-    """Normalized representatives (first nonzero coordinate 1), lex order."""
-    for lead in range(n):
-        prefix = (0,) * lead + (1,)
-        for rest in itertools.product(ctx.elements(), repeat=n - lead - 1):
-            yield prefix + rest
-
-
-def enumerate_hyperplanes(ctx: FieldContext, n: int) -> Iterator[Subspace]:
-    """All hyperplanes of F_q^n as perps of projective points, lex order."""
-    for w in enumerate_projective_points(ctx, n):
-        yield orthogonal_complement(subspace_make(ctx, n, [w]))
+    """The rows of :func:`projective_points` as tuples."""
+    return map(tuple, projective_points(ctx, n).tolist())

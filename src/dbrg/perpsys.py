@@ -49,11 +49,11 @@ from .gfcore import (
     Subspace,
     dot,
     echelon_bases,
-    enumerate_projective_points,
     format_vector,
     index_vector,
     orthogonal_complement,
     parse_vector,
+    projective_points,
     qbinom,
     subspace_make,
     subspace_meet,
@@ -117,6 +117,15 @@ def _meet_sizes(bits: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits & row).sum(axis=1)
 
 
+def _first_meeting_pair(bits: np.ndarray, want: int) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in lex order, of bitsets not sharing ``want`` ids."""
+    for i in range(len(bits) - 1):
+        wrong = np.flatnonzero(_meet_sizes(bits[i + 1:], bits[i]) != want)
+        if wrong.size:
+            return i, i + 1 + int(wrong[0])
+    return None
+
+
 def perp_verify(
     ctx: FieldContext, n: int, k: int, members: Sequence[Subspace]
 ) -> PerpSystem | PerpViolation:
@@ -147,31 +156,26 @@ def perp_verify(
     covered = mults[mults > 0]
     if covered.size == 0:
         return PerpViolation("none_covered", detail="no nonzero vector lies in any member")
-    uniq = np.unique(covered)
-    if uniq.size > 1:
-        ref = int(uniq[-1])
+    d, ref = int(covered.min()), int(covered.max())
+    if d != ref:
         bad = int(np.flatnonzero((mults > 0) & (mults != ref))[0]) + 1
         return PerpViolation(
             "mixed_multiplicity",
             vector=index_vector(ctx, bad, n),
             detail=f"vector covered {int(mults[bad - 1])} times, elsewhere {ref}",
         )
-    d = int(uniq[0])
     if d < 2:
         return PerpViolation("d_too_small", detail="covered vectors have multiplicity 1, need d >= 2")
     if (mults == 0).sum() == 0:
         return PerpViolation("all_covered", detail="no vector with multiplicity 0")
-    want = q ** (n - 2 * k) - 1
-    bits = vector_bitsets(ids, q**n)
-    for i in range(len(members) - 1):
-        wrong = np.flatnonzero(_meet_sizes(bits[i + 1:], bits[i]) != want)
-        if wrong.size:
-            j = i + 1 + int(wrong[0])
-            got = subspace_meet(members[i], members[j]).dim
-            return PerpViolation(
-                "pair_meet", pair=(i, j),
-                detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
-            )
+    pair = _first_meeting_pair(vector_bitsets(ids, q**n), q ** (n - 2 * k) - 1)
+    if pair is not None:
+        i, j = pair
+        got = subspace_meet(members[i], members[j]).dim
+        return PerpViolation(
+            "pair_meet", pair=pair,
+            detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
+        )
     return PerpSystem(ctx, n, k, members, d, len(members))
 
 
@@ -291,7 +295,8 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     """The d-times-covered points, with the hyperplane sizes verified.
 
     Exhaustively intersects every hyperplane with the point set and
-    checks that exactly the two predicted sizes occur.  ValueError means
+    checks that exactly the two predicted sizes occur, by one table of
+    dot products, hyperplanes by points.  ValueError means
     ``system`` is dual or not a perp system (a predicted size is not an
     integer, or the measured point set differs); RuntimeError means the
     double count of point-hyperplane incidences failed, which holds by
@@ -300,11 +305,10 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     system.require_primal("the two-intersection set")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
-    reps = []
-    for w in enumerate_projective_points(ctx, n):
-        mult = sum(1 for m in system.members if m.contains(w))
-        if mult == d:
-            reps.append(w)
+    points = projective_points(ctx, n)
+    ids = subspace_vector_ids(ctx, np.array([m.basis for m in system.members]))
+    mults = np.bincount(ids.ravel(), minlength=q**n)
+    reps = points[mults[points.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)] == d]
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
     h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
     h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
@@ -314,20 +318,18 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     big_n, h1, h2 = int(big_n), int(h1), int(h2)
     if len(reps) != big_n:
         raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
-    n1 = n2 = 0
-    for w in enumerate_projective_points(ctx, n):
-        cnt = sum(1 for y in reps if dot(ctx, w, y) == 0)
-        if cnt == h1:
-            n1 += 1
-        elif cnt == h2:
-            n2 += 1
-        else:
-            raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
+    counts = (dot(ctx, points[:, None], reps[None]) == 0).sum(axis=1)
+    bad = np.flatnonzero((counts != h1) & (counts != h2))
+    if bad.size:
+        w, cnt = tuple(points[bad[0]].tolist()), int(counts[bad[0]])
+        raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
+    n1 = int((counts == h1).sum())
+    n2 = len(counts) - n1
     if h1 != h2 and (n1 == 0 or n2 == 0):
         raise ValueError("one of the two hyperplane sizes does not occur")
     if big_n * qbinom(n - 1, 1, q) != n1 * h1 + n2 * h2:
         raise RuntimeError("point-hyperplane incidences do not double count")
-    pts = PointSet(ctx, n, frozenset(subspace_make(ctx, n, [w]) for w in reps))
+    pts = PointSet(ctx, n, frozenset(Subspace(ctx, n, (w,)) for w in map(tuple, reps.tolist())))
     return TwoIntersectionSet(pts, big_n, n, h1, h2, n1, n2)
 
 
@@ -351,18 +353,18 @@ def perp_dualize(system: PerpSystem) -> PerpSystem:
         if isinstance(res, PerpViolation):
             raise ValueError(f"dual of a dual system failed verification: {res}")
         return res
-    for i in range(len(duals)):
-        for j in range(i + 1, len(duals)):
-            if subspace_meet(duals[i], duals[j]).dim != 0:
-                raise ValueError(f"dual members {i},{j} do not meet trivially")
-    seen = set()
-    for w in enumerate_projective_points(ctx, n):
-        hyp = orthogonal_complement(subspace_make(ctx, n, [w]))
-        cnt = sum(1 for m in duals if all(hyp.contains(row) for row in m.basis))
-        if cnt not in (0, d):
-            raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
-        seen.add(cnt)
-    if seen != {0, d}:
+    bases = np.array([m.basis for m in duals])
+    pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, bases), ctx.q**n), 0)
+    if pair is not None:
+        raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
+    # w-perp holds a member iff w is orthogonal to each of its basis rows
+    points = projective_points(ctx, n)
+    counts = (dot(ctx, points[:, None, None], bases[None]) == 0).all(axis=2).sum(axis=1)
+    bad = np.flatnonzero((counts != 0) & (counts != d))
+    if bad.size:
+        w, cnt = tuple(points[bad[0]].tolist()), int(counts[bad[0]])
+        raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
+    if not ((counts == 0).any() and (counts == d).any()):
         raise ValueError("hyperplane covering must take both values 0 and d")
     return PerpSystem(ctx, n, k, duals, d, system.s, dual=True)
 

@@ -1,9 +1,14 @@
 """CLI subcommands, exit codes, artifacts, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dbrg
 from dbrg.cli import main
 
 
@@ -164,3 +169,25 @@ def test_determinism(tmp_path):
     jb = json.loads(open(b + ".json").read())
     ja["graph_file"] = jb["graph_file"] = ""
     assert ja == jb
+
+
+def test_perp_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique and np.setdiff1d import numpy.ma (~13 ms); the perp
+    # commands de-duplicate by sorting instead.  A fresh interpreter
+    # shows which modules the commands themselves import.
+    from dbrg.geometry import dualize, hyperoval
+    from dbrg.perpsys import perp_verify, serialize_perp
+
+    fam = dualize(hyperoval(8))
+    (tmp_path / "dh8.perp").write_text(serialize_perp(perp_verify(fam.ctx, 3, 1, fam.members)))
+    code = ("import contextlib, io, sys\n"
+            "from dbrg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['perp', 'verify', 'dh8.perp']),\n"
+            "             main(['construct', 'gen-delorme', '--perp', 'dh8.perp', '--out', 'gd'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(dbrg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[0, 0] False"

@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dbrg.bigraph import (
+    IntersectionArray,
     arrays_equal_up_to_swap,
     dbrg_check,
     girth,
@@ -16,6 +18,7 @@ from dbrg.bigraph import (
 )
 from dbrg.constructions import (
     DerivedGraphError,
+    _coset_incidence,
     bi_grassmann,
     bi_johnson,
     complete_bipartite,
@@ -24,7 +27,8 @@ from dbrg.constructions import (
     gen_delorme_graph,
     hyperoval_affine_graph,
 )
-from dbrg.geometry import dualize, hyperoval
+from dbrg.geometry import denniston_arc, dualize, hyperoval
+from dbrg.gfcore import field, index_vector, subspace_make
 from dbrg.perpsys import perp_verify
 
 
@@ -133,6 +137,33 @@ def test_hyperoval_affine_graph_bytes_pinned(q, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def dual_denniston_system(q, r):
+    fam = dualize(denniston_arc(q, r))
+    return perp_verify(fam.ctx, 3, 1, fam.members)
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: cone_graph(2), "11f9443dbb00baeb4d610d5dfdff24714d2dfbefbd719c53d2eed53c6dace468"),
+    (lambda: cone_graph(3), "2e99629c1efad4570c1ce70402b981752fd86445f70e8c2752ec3882ebc85abb"),
+    (lambda: cone_graph(4), "bd9002bdbeb6d16aa3cd7518344dd1dfd103d739e76da0c052756aa3c30aebdb"),
+    (lambda: bi_grassmann(4, 1, 2),
+     "e4385c3ec0bdfa99640d46a22e2bb44ddf3d13c724fdf9becce7069ceff0fd98"),
+    (lambda: bi_grassmann(4, 1, 3),
+     "e87b22384476759344beb210c355862b0c1215e82e34f42ea32cec8109e3eeed"),
+    (lambda: gen_delorme_graph(dual_hyperoval_system(4)),
+     "64321102284e2c59b91a1173d5916dc1d74342b3219359f3d2ad817a1f64ce31"),
+    (lambda: gen_delorme_graph(dual_hyperoval_system(8)),
+     "192131bbeb9034c0d369675164ffe5201030cba3743a9c1b88f34deb84c9b910"),
+    (lambda: gen_delorme_graph(dual_denniston_system(8, 4)),
+     "4f5b09f4e0ad3747f2d594f1a0bb90471424af34e38a2bab344cb07d89c7e075"),
+], ids=["cone2", "cone3", "cone4", "grassmann4_1_2", "grassmann4_1_3",
+        "delorme_hyperoval4", "delorme_hyperoval8", "delorme_denniston8_4"])
+def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
+    # sha256 of the graph file as the per-vector builders wrote it
+    text = serialize_graph(build().graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_derived_from_q4_parent():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
     pres = dbrg_check(parent.graph)
@@ -154,9 +185,64 @@ def test_derived_rejects_bi_johnson_parent():
     assert err.value.condition == "delta3_nonzero"
 
 
+def test_derived_rejects_supplied_array_without_distance_4():
+    # c3C = k and c2C = l - 1: b3 = 0 on the C line, and the distance-3
+    # homogeneity denominator would be zero
+    parent = complete_bipartite(3, 4).graph
+    arr = IntersectionArray(3, 4, (1, 2, 2, 3), (1, 3, 3, 4))
+    with pytest.raises(DerivedGraphError) as err:
+        derived_local_graph(parent, "C", 0, array=arr)
+    assert err.value.condition == "b3_positive"
+    with pytest.raises(DerivedGraphError) as err:
+        derived_local_graph(parent, "C", 0, array=IntersectionArray(3, 4, (1, 0, 2, 3), arr.cC))
+    assert err.value.condition == "array_invalid"
+
+
 def test_derived_vertex_choice_is_irrelevant():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
     arr = dbrg_check(parent.graph).array
     a = derived_local_graph(parent.graph, "B", 0, array=arr)
     b = derived_local_graph(parent.graph, "B", 17, array=arr)
     assert dbrg_check(a.graph).array == dbrg_check(b.graph).array
+
+
+@st.composite
+def member_families(draw):
+    """A field of order 2, 3, 4 or 9, n <= 5 with q^n <= 1024, and a few
+    random distinct subspaces of one dimension in F_q^n."""
+    p, t = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    gf = field(p, t)
+    n = draw(st.integers(1, max(k for k in range(1, 6) if gf.q**k <= 1024)))
+    m = draw(st.integers(0, n))
+    count = draw(st.integers(1, 3))
+    spaces = []
+    for _ in range(count):
+        rows = draw(st.lists(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        space = subspace_make(gf, n, rows)
+        if space.dim == m and space not in spaces:
+            spaces.append(space)
+    assume(spaces)
+    return gf, n, tuple(spaces)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(member_families())
+def test_coset_positions_match_reduce(case):
+    # coset j of a member is the one whose reduced representative has the
+    # free coordinates with base-q rank j
+    gf, n, members = case
+    q, m = gf.q, members[0].dim
+    want = []
+    for vid in range(q**n):
+        v = index_vector(gf, vid, n)
+        for i, mb in enumerate(members):
+            rep = mb.reduce(v)
+            rank = 0
+            for j in range(n):
+                if j not in mb.pivots:
+                    rank = rank * q + rep[j]
+            want.append((vid, i * q ** (n - m) + rank))
+    g = _coset_incidence(gf, n, members)
+    assert (g.nB, g.nC) == (q**n, len(members) * q ** (n - m))
+    assert g.edges == tuple(sorted(want))

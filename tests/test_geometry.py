@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import dot, enumerate_projective_points, subspace_make, subspace_meet
+from dbrg.gfcore import (enumerate_projective_points, enumerate_subspaces, subspace_make,
+                         subspace_meet)
 from dbrg.geometry import (
+    ArcCheckResult,
     PointSet,
     arc_check,
     cone_spaces,
@@ -128,13 +131,32 @@ def test_cone_spaces_q2_counts_and_membership():
     assert m0 in s_star.members
 
 
-def test_cone_members_are_totally_singular_q2():
-    from dbrg.geometry import _quadric_value
+def quadric(ctx, v):
+    """X1X2 - X3X4 + X5X6, one field operation at a time."""
+    return ctx.add(ctx.sub(ctx.mul(v[0], v[1]), ctx.mul(v[2], v[3])), ctx.mul(v[4], v[5]))
 
+
+def test_cone_members_are_totally_singular_q2():
     r_star, _ = cone_spaces(2)
     for m in r_star.members:
         for v in m.vectors():
-            assert _quadric_value(r_star.ctx, v) == 0
+            assert quadric(r_star.ctx, v) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cone_spaces_match_brute_force(q):
+    # every 3-space on which the quadric vanishes at every vector (the rows
+    # first, as a cheap necessary test), in enumeration order; the ruling
+    # is the one meeting <e1, e3, e5> in odd dimension
+    ctx = field_for_order(q)
+    singular = [m for m in enumerate_subspaces(ctx, 6, 3)
+                if all(quadric(ctx, row) == 0 for row in m.basis)
+                and all(quadric(ctx, v) == 0 for v in m.vectors())]
+    ruling = [m for m in singular
+              if sum(1 for v in m.vectors() if v[1] == v[3] == v[5] == 0) in (q, q**3)]
+    r_star, s_star = cone_spaces(q)
+    assert r_star.members == tuple(singular)
+    assert s_star.members == tuple(ruling)
 
 
 def test_cone_meet_dimension_distribution_q2():
@@ -146,3 +168,46 @@ def test_cone_meet_dimension_distribution_q2():
     # same ruling: generators meet in odd dimension
     assert set(dist) == {1}
     assert dist[1] == 15 * 14 // 2
+
+
+def scalar_dot(ctx, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def lex_points(ctx, n):
+    """Normalized point representatives of PG(n-1, q), lex order."""
+    for lead in range(n):
+        for rest in itertools.product(range(ctx.q), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
+def arc_check_reference(arc, r):
+    """One line and one point at a time, by scalar dot products."""
+    for w in lex_points(arc.ctx, arc.n):
+        cnt = sum(1 for pt in arc.points if scalar_dot(arc.ctx, w, pt.basis[0]) == 0)
+        if cnt not in (0, r):
+            return ArcCheckResult(False, r, w, cnt)
+    return ArcCheckResult(True, r)
+
+
+@st.composite
+def plane_point_sets(draw):
+    """A random point set of PG(2, q) and a degree r, or a known arc."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    ctx = field_for_order(q)
+    pts = list(lex_points(ctx, 3))
+    if q in (4, 8) and draw(st.booleans()):
+        r = draw(st.sampled_from([rr for rr in (2, 4) if rr < q]))
+        return denniston_arc(q, r), r
+    chosen = draw(st.sets(st.sampled_from(pts), max_size=len(pts)))
+    return PointSet(ctx, 3, frozenset(point(ctx, v) for v in chosen)), draw(st.integers(0, q + 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(plane_point_sets())
+def test_arc_check_matches_scalar_reference(case):
+    arc, r = case
+    assert arc_check(arc, r) == arc_check_reference(arc, r)

@@ -16,12 +16,10 @@ from dbrg.gfcore import (
     qbinom,
     subspace_make,
     subspace_meet,
-    subspace_join,
     orthogonal_complement,
     enumerate_subspaces,
-    enumerate_cosets,
-    enumerate_hyperplanes,
     enumerate_projective_points,
+    index_vector,
     parse_vector,
     format_vector,
 )
@@ -142,7 +140,7 @@ def test_meet_join_dimension_formula():
     gf3 = field(3)
     sample = list(itertools.islice(enumerate_subspaces(gf3, 4, 2), 25))
     for u, w in itertools.combinations(sample, 2):
-        m, j = subspace_meet(u, w), subspace_join(u, w)
+        m, j = subspace_meet(u, w), subspace_make(gf3, 4, u.basis + w.basis)
         assert m.dim + j.dim == u.dim + w.dim
         for row in m.basis:
             assert u.contains(row) and w.contains(row)
@@ -153,7 +151,7 @@ def test_join_of_complementary_spaces():
     u = subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     w = subspace_make(gf2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
     assert subspace_meet(u, w).dim == 0
-    assert subspace_join(u, w).dim == 4
+    assert subspace_make(gf2, 4, u.basis + w.basis).dim == 4
 
 
 def test_enumeration_counts_match_qbinom():
@@ -175,11 +173,12 @@ def test_coset_and_hyperplane_streams():
     gf3 = field(3)
     m = subspace_make(gf3, 6, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
                                (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-    reps = list(enumerate_cosets(m))
+    reps = {m.reduce(index_vector(gf3, i, 6)) for i in range(3**6)}
     assert len(reps) == 9  # q^(n-dim) = 3^2
-    assert len(set(m.reduce(r) for r in reps)) == 9
-    hyps = list(enumerate_hyperplanes(gf3, 6))
-    assert len(hyps) == 364  # [6]_3
+    assert all(r[:4] == (0, 0, 0, 0) and m.reduce(r) == r for r in reps)
+    hyps = [orthogonal_complement(subspace_make(gf3, 6, [w]))
+            for w in enumerate_projective_points(gf3, 6)]
+    assert len(set(hyps)) == 364  # [6]_3
     assert all(h.dim == 5 for h in hyps)
     pts = list(enumerate_projective_points(gf3, 3))
     assert len(pts) == 13
@@ -188,7 +187,9 @@ def test_coset_and_hyperplane_streams():
 def test_reduce_is_constant_on_cosets():
     gf2 = field(2)
     m = subspace_make(gf2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    for rep in enumerate_cosets(m):
+    reps = {m.reduce(index_vector(gf2, i, 4)) for i in range(2**4)}
+    assert len(reps) == 4
+    for rep in reps:
         for v in m.vectors():
             shifted = tuple(gf2.add(a, b) for a, b in zip(rep, v))
             assert m.reduce(shifted) == m.reduce(rep)

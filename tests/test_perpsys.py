@@ -1,16 +1,20 @@
 """Perp-system verification, parameters, duals, search, and file format."""
 
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dbrg.constructions import gen_delorme_graph
-from dbrg.gfcore import enumerate_subspaces, field, subspace_make, subspace_meet
-from dbrg.geometry import field_for_order
-from dbrg.geometry import dualize, hyperoval
+from dbrg.gfcore import (enumerate_subspaces, field, orthogonal_complement, qbinom,
+                         subspace_make, subspace_meet)
+from dbrg.geometry import PointSet, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg.perpsys import (
     PerpSystem,
     PerpViolation,
+    TwoIntersectionSet,
     parse_perp,
     perp_dualize,
     perp_params,
@@ -252,3 +256,164 @@ def test_perp_file_q4_coordinates():
     # extension-field coordinates are base-p digit strings
     ctx, n, k, members = parse_perp(text)
     assert set(members) == set(sys4.members)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the vectorized point and hyperplane counts
+# ---------------------------------------------------------------------------
+
+def scalar_dot(ctx, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def lex_points(ctx, n):
+    for lead in range(n):
+        for rest in itertools.product(range(ctx.q), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
+def two_intersection_reference(system):
+    """Point by point: multiplicities by ``contains``, hyperplane sizes by
+    scalar dot products; the same checks in the same order."""
+    system.require_primal("the two-intersection set")
+    ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
+    q = ctx.q
+    reps = [w for w in lex_points(ctx, n) if sum(m.contains(w) for m in system.members) == d]
+    big_n = Fraction(s, d) * qbinom(n - k, 1, q)
+    h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
+    h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
+    if big_n.denominator != 1 or h1.denominator != 1 or h2.denominator != 1:
+        raise ValueError(f"non-integral point count or hyperplane size: N={big_n}, "
+                         f"h1={h1}, h2={h2}")
+    if len(reps) != big_n:
+        raise ValueError(f"covered-point count {len(reps)} != predicted {int(big_n)}")
+    n1 = n2 = 0
+    for w in lex_points(ctx, n):
+        cnt = sum(1 for y in reps if scalar_dot(ctx, w, y) == 0)
+        if cnt == h1:
+            n1 += 1
+        elif cnt == h2:
+            n2 += 1
+        else:
+            raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
+    if h1 != h2 and (n1 == 0 or n2 == 0):
+        raise ValueError("one of the two hyperplane sizes does not occur")
+    pts = PointSet(ctx, n, frozenset(subspace_make(ctx, n, [w]) for w in reps))
+    return TwoIntersectionSet(pts, int(big_n), n, int(h1), int(h2), n1, n2)
+
+
+def dualize_reference(system):
+    """Pair by pair by ``subspace_meet``, hyperplane by hyperplane by scalar
+    dot products with the basis rows."""
+    ctx, n, k, d = system.ctx, system.n, system.k, system.d
+    duals = tuple(sorted((orthogonal_complement(m) for m in system.members),
+                         key=lambda m: m.basis))
+    if system.dual:
+        res = perp_verify(ctx, n, k, duals)
+        if isinstance(res, PerpViolation):
+            raise ValueError(f"dual of a dual system failed verification: {res}")
+        return res
+    for i, j in itertools.combinations(range(len(duals)), 2):
+        if subspace_meet(duals[i], duals[j]).dim != 0:
+            raise ValueError(f"dual members {i},{j} do not meet trivially")
+    seen = set()
+    for w in lex_points(ctx, n):
+        cnt = sum(1 for m in duals if all(scalar_dot(ctx, w, row) == 0 for row in m.basis))
+        if cnt not in (0, d):
+            raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
+        seen.add(cnt)
+    if seen != {0, d}:
+        raise ValueError("hyperplane covering must take both values 0 and d")
+    return PerpSystem(ctx, n, k, duals, d, system.s, dual=True)
+
+
+def outcome(fn, system):
+    try:
+        return "ok", fn(system)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def known_systems():
+    out = [dual_hyperoval_system(q) for q in (2, 4, 8)]
+    fam = dualize(denniston_arc(8, 4))
+    out.append(perp_verify(fam.ctx, 3, 1, fam.members))
+    out += [perp_search(*params).system for params in ((3, 1, 3, 3), (4, 1, 2, 4))]
+    return out
+
+
+KNOWN = known_systems()
+
+
+@st.composite
+def perp_like_systems(draw):
+    """A verified system, its dual, or a broken one: members dropped,
+    replaced or added, d or s changed, or a random family of hyperplanes
+    whose s, where possible, makes the covered-point count come out right
+    (so the hyperplane sizes are what is tested)."""
+    kind = draw(st.sampled_from(["known", "dual", "mutated", "random"]))
+    if kind == "random":
+        q = draw(st.sampled_from([2, 3, 4]))
+        ctx = field_for_order(q)
+        n = draw(st.integers(3, 4))
+        cands = list(enumerate_subspaces(ctx, n, n - 1))
+        members = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=8, unique=True))
+        d = draw(st.integers(1, 4))
+        covered = sum(1 for w in lex_points(ctx, n)
+                      if sum(m.contains(w) for m in members) == d)
+        s, rem = divmod(covered * d, qbinom(n - 1, 1, q))
+        return PerpSystem(ctx, n, 1, tuple(members), d, s if s and not rem else len(members))
+    base = draw(st.sampled_from(KNOWN))
+    if kind == "known":
+        return base
+    if kind == "dual":
+        dual = perp_dualize(base)
+        if draw(st.booleans()):
+            return dual
+        return dataclasses.replace(dual, members=dual.members[1:])
+    members = list(base.members)
+    others = [m for m in enumerate_subspaces(base.ctx, base.n, base.n - base.k)
+              if m not in members]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "replace", "add", "d", "s"]))
+        if op == "drop" and len(members) > 1:
+            members.pop(draw(st.integers(0, len(members) - 1)))
+        elif op == "replace":
+            members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(others))
+        elif op == "add":
+            members.append(draw(st.sampled_from(others)))
+        elif op == "d":
+            base = dataclasses.replace(base, d=draw(st.integers(1, 2 * base.d)))
+        else:
+            base = dataclasses.replace(base, s=draw(st.integers(2, 2 * base.s)))
+    return dataclasses.replace(base, members=tuple(members))
+
+
+# three lines of PG(2,2) with the right covered-point count for d = s = 2,
+# but a hyperplane meeting the point set in neither predicted size
+HYPERPLANE_MISS = PerpSystem(
+    field(2), 3, 1,
+    tuple(subspace_make(field(2), 3, rows) for rows in (
+        [(1, 0, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 0)])),
+    2, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(perp_like_systems())
+@example(HYPERPLANE_MISS)
+def test_two_intersection_set_matches_scalar_reference(system):
+    got = outcome(two_intersection_set, system)
+    assert got == outcome(two_intersection_reference, system)
+    if system is HYPERPLANE_MISS:
+        assert got == ("ValueError", "hyperplane (1, 1, 0) meets the point set in 0, "
+                                     "expected 2 or 1")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(perp_like_systems())
+@example(HYPERPLANE_MISS)
+def test_perp_dualize_matches_scalar_reference(system):
+    assert outcome(perp_dualize, system) == outcome(dualize_reference, system)
