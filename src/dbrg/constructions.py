@@ -25,14 +25,15 @@ from .feasibility import distance3_homogeneity
 from .gfcore import (
     FieldContext,
     Subspace,
-    _arith,
+    bitset_contains,
+    coset_ids,
     echelon_bases,
-    orthogonal_complement,
     qbinom,
     subspace_vector_ids,
     vector_bitsets,
+    vector_ids,
 )
-from .geometry import cone_spaces, field_for_order, hyperoval
+from .geometry import cone_spaces, dualize, field_for_order, hyperoval
 from .perpsys import PerpSystem
 
 __all__ = [
@@ -98,13 +99,12 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     ctx = field_for_order(q)
     small = np.concatenate(list(echelon_bases(ctx, n, k)))
     large = np.concatenate(list(echelon_bases(ctx, n, k + 1)))
-    rows = small.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)  # vector ids of the basis rows
-    word, bit = rows >> 6, (rows & 63).astype(np.uint64)
+    rows = vector_ids(ctx, small)
     bits = vector_bitsets(subspace_vector_ids(ctx, large), q**n)
     # a small space lies in a large one iff each of its basis rows does;
     # large spaces go in chunks so the table stays a few million entries
     step = max(1, 2**22 // (len(small) * k))
-    edges = [np.argwhere(((bits[c:c + step, word] >> bit) & 1).all(axis=2))[:, ::-1] + (0, c)
+    edges = [np.argwhere(bitset_contains(bits[c:c + step], rows).all(axis=2))[:, ::-1] + (0, c)
              for c in range(0, len(large), step)]
     g = BipartiteGraph(len(small), len(large), np.concatenate(edges))
     cb = tuple(qbinom(v, 1, q) for v in _stair(2 * k + 1))
@@ -115,22 +115,13 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
 
 def _coset_incidence(ctx: FieldContext, n: int, members: tuple[Subspace, ...]) -> BipartiteGraph:
     """B = all vectors of F_q^n by vector index, C = all cosets of all
-    members by inclusion: coset j of member i is C vertex i * q^(n-dim) + j.
-    It is rep_j + M, where rep_j (the ``M.reduce`` image of the coset) is
-    zero on the pivots of M and has the base-q digits of j, in order, on
-    the free coordinates; so j = 0 is M itself."""
-    q, s, m = ctx.q, len(members), members[0].dim
-    bases = np.array([mb.basis for mb in members]).reshape(s, m, n)
-    ids = np.pad(subspace_vector_ids(ctx, bases), ((0, 0), (1, 0)))  # the zero vector first
-    free = np.ones((s, n), dtype=bool)
-    free[np.arange(s)[:, None], np.argmax(bases != 0, axis=2)] = False
-    weights = np.broadcast_to(q ** np.arange(n - 1, -1, -1), (s, n))[free].reshape(s, n - m)
-    digits = np.indices((q,) * (n - m)).reshape(n - m, q ** (n - m))
-    reps = weights @ digits  # (s, q^(n-m)): id of rep_j
-    _, add = _arith(ctx)
-    cosets = add(reps[:, :, None], ids[:, None, :], n * ctx.t)
-    c = np.repeat(np.arange(s * q ** (n - m)), q**m)
-    return BipartiteGraph(q**n, s * q ** (n - m), np.column_stack([cosets.ravel(), c]))
+    members in :func:`dbrg.gfcore.coset_ids` order: coset j of member i is
+    C vertex i * q^(n-dim) + j, and j = 0 is the member itself."""
+    bases = np.array([mb.basis for mb in members], dtype=np.int64)
+    cosets = coset_ids(ctx, bases.reshape(len(members), members[0].dim, n))
+    s, per, size = cosets.shape
+    c = np.repeat(np.arange(s * per), size)
+    return BipartiteGraph(ctx.q**n, s * per, np.column_stack([cosets.ravel(), c]))
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -190,8 +181,8 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
         raise ValueError("need q = 2^m with m >= 2")
     # planes of the dual hyperoval: perps of the oval points; each has q
     # cosets, the plane through the origin first
-    planes = tuple(orthogonal_complement(p) for p in hyperoval(q).sorted_points())
-    full = _coset_incidence(field_for_order(q), 3, planes)
+    dual = dualize(hyperoval(q))
+    full = _coset_incidence(dual.ctx, 3, dual.members)
     exterior = np.flatnonzero(np.bincount(full.eb[full.ec % q == 0], minlength=full.nB) == 0)
     g = induced_subgraph(full, exterior.tolist(), np.flatnonzero(np.arange(full.nC) % q).tolist())
     arr = IntersectionArray(
@@ -225,6 +216,7 @@ def derived_local_graph(
     the two strict inequalities relating its constant to c_2 and b_3.
     Violations raise :class:`DerivedGraphError` naming the condition.
     """
+    parent.vertex(z_side, z_index)  # ValueError for a side or index the parent lacks
     if array is None:
         res = dbrg_check(parent)
         if not res.ok:

@@ -1,15 +1,16 @@
 """Projective and affine geometry objects over GF(q).
 
-Provides the point sets and subspace families that feed the graph
-builders: hyperovals (conic plus nucleus), Denniston maximal arcs via a
-pencil of conics, point/hyperplane duality under the standard dot form,
-and the two rulings of totally singular 3-spaces on the hyperbolic
-quadric of F_q^6.
+Provides the subspace families that feed the graph builders: hyperovals
+(conic plus nucleus), Denniston maximal arcs via a pencil of conics,
+point/hyperplane duality under the standard dot form, and the two
+rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6.
 
-Points of PG(n-1, q) are handled as 1-dimensional :class:`Subspace`
-values; a maximal arc is a :class:`PointSet` and its dual a
-:class:`SpaceFamily` of hyperplanes.  Exhaustive searches and counts run
-on stacked vectors through :func:`dbrg.gfcore.dot` and vector ids.
+Every family is a :class:`SpaceFamily`.  Points of PG(n-1, q) are
+1-dimensional :class:`Subspace` members, and a point set (an arc, a
+hyperoval, a two-intersection set) lists them in lex order of their
+normalized vectors; its dual is the family of hyperplanes in the same
+order.  Exhaustive searches and counts run on stacked vectors through
+the kernels of :mod:`dbrg.gfcore`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .gfcore import (
     dot,
     echelon_bases,
     field,
+    hyperplane_counts,
     orthogonal_complement,
     projective_points,
     subspace_make,
@@ -33,13 +35,13 @@ from .gfcore import (
 )
 
 __all__ = [
-    "PointSet",
     "SpaceFamily",
     "ArcCheckResult",
     "hyperoval",
     "denniston_arc",
     "arc_check",
     "dualize",
+    "point_family",
     "cone_spaces",
     "field_for_order",
 ]
@@ -62,26 +64,6 @@ def field_for_order(q: int) -> FieldContext:
         rest //= p
         t += 1
     return field(p, t)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """A set of projective points (1-dim subspaces) in a common space."""
-
-    ctx: FieldContext
-    n: int
-    points: frozenset[Subspace]
-
-    def __post_init__(self):
-        for pt in self.points:
-            if pt.n != self.n or pt.dim != 1:
-                raise ValueError("PointSet members must be 1-dim subspaces of the ambient space")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def sorted_points(self) -> list[Subspace]:
-        return sorted(self.points, key=lambda s: s.basis)
 
 
 @dataclass(frozen=True)
@@ -108,7 +90,13 @@ def point(ctx: FieldContext, v: Sequence[int]) -> Subspace:
     return subspace_make(ctx, len(v), [tuple(v)])
 
 
-def hyperoval(q: int) -> PointSet:
+def point_family(ctx: FieldContext, n: int, vectors) -> SpaceFamily:
+    """The points spanned by ``vectors`` as 1-dim members in lex order."""
+    return SpaceFamily(ctx, n, tuple(sorted((point(ctx, v) for v in vectors),
+                                            key=lambda s: s.basis)))
+
+
+def hyperoval(q: int) -> SpaceFamily:
     """The q+2 points of a regular hyperoval in PG(2, q), q even.
 
     Conic {(1, t, t^2)} with its point at infinity (0, 0, 1) and the
@@ -118,13 +106,11 @@ def hyperoval(q: int) -> PointSet:
     ctx = field_for_order(q)
     if ctx.p != 2:
         raise ValueError(f"no hyperoval exists for odd q={q}")
-    pts = [point(ctx, (1, t, ctx.mul(t, t))) for t in ctx.elements()]
-    pts.append(point(ctx, (0, 0, 1)))
-    pts.append(point(ctx, (0, 1, 0)))
-    return PointSet(ctx, 3, frozenset(pts))
+    conic = [(1, t, ctx.mul(t, t)) for t in ctx.elements()]
+    return point_family(ctx, 3, conic + [(0, 0, 1), (0, 1, 0)])
 
 
-def denniston_arc(q: int, r: int) -> PointSet:
+def denniston_arc(q: int, r: int) -> SpaceFamily:
     """Degree-r maximal arc in PG(2, q) from a pencil of conics.
 
     Requires q and r powers of two with 1 < r <= q and r | q.  Uses the
@@ -144,8 +130,7 @@ def denniston_arc(q: int, r: int) -> PointSet:
     # encoding < r form an additive subgroup of order r
     x, y = np.indices((q, q)).reshape(2, -1)
     val = dot(ctx, np.stack([x, x, y], 1), np.stack([x, y, dot(ctx, y[:, None], [beta])], 1))
-    arc = PointSet(ctx, 3, frozenset(point(ctx, (1, a, b))
-                                     for a, b in zip(x[val < r].tolist(), y[val < r].tolist())))
+    arc = point_family(ctx, 3, np.stack([np.ones_like(x), x, y], 1)[val < r].tolist())
     if len(arc) != q * r - q + r:
         raise RuntimeError(f"arc of size {len(arc)}, expected {q * r - q + r}")
     return arc
@@ -167,40 +152,35 @@ class ArcCheckResult:
     count: int | None = None
 
 
-def arc_check(arc: PointSet, r: int) -> ArcCheckResult:
+def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     """Does every line of the plane meet the point set in 0 or r points?
 
-    The counts come from one table of dot products, lines by points.
+    The counts come from :func:`dbrg.gfcore.hyperplane_counts`.
     Violations are reported, not raised: the first offending line (as a
-    normal vector, lex order) comes back with its intersection count."""
-    lines = projective_points(arc.ctx, arc.n)
-    reps = np.array([pt.basis[0] for pt in arc.points], dtype=np.int64).reshape(-1, arc.n)
-    counts = (dot(arc.ctx, lines[:, None], reps[None]) == 0).sum(axis=1)
+    normal vector, lex order) comes back with its intersection count.
+    ValueError if a member is not a point."""
+    if any(pt.dim != 1 for pt in arc.members):
+        raise ValueError("arc_check takes a family of points (1-dim members)")
+    reps = np.array([pt.basis for pt in arc.members], dtype=np.int64).reshape(-1, 1, arc.n)
+    counts = hyperplane_counts(arc.ctx, reps)
     bad = np.flatnonzero((counts != 0) & (counts != r))
     if bad.size:
-        return ArcCheckResult(False, r, tuple(lines[bad[0]].tolist()), int(counts[bad[0]]))
+        line = projective_points(arc.ctx, arc.n)[bad[0]]
+        return ArcCheckResult(False, r, tuple(line.tolist()), int(counts[bad[0]]))
     return ArcCheckResult(True, r)
 
 
 def dualize(obj):
     """Duality under the standard dot form; applying it twice is identity.
 
-    Subspace -> orthogonal complement; PointSet -> SpaceFamily of the
-    point-perp hyperplanes; SpaceFamily -> family of complements (a
-    PointSet again when the complements are 1-dimensional).
+    Subspace -> orthogonal complement; SpaceFamily -> the family of the
+    members' complements, in the members' order (so a point set in lex
+    order gives its hyperplanes in that order, and back).
     """
     if isinstance(obj, Subspace):
         return orthogonal_complement(obj)
-    if isinstance(obj, PointSet):
-        members = tuple(
-            orthogonal_complement(pt) for pt in obj.sorted_points()
-        )
-        return SpaceFamily(obj.ctx, obj.n, members)
     if isinstance(obj, SpaceFamily):
-        duals = [orthogonal_complement(m) for m in obj.members]
-        if duals and duals[0].dim == 1:
-            return PointSet(obj.ctx, obj.n, frozenset(duals))
-        return SpaceFamily(obj.ctx, obj.n, tuple(duals))
+        return SpaceFamily(obj.ctx, obj.n, tuple(map(orthogonal_complement, obj.members)))
     raise TypeError(f"cannot dualize {type(obj).__name__}")
 
 

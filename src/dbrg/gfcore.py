@@ -18,9 +18,15 @@ Subspaces of ``F_q^n`` are kept in reduced row-echelon form, which gives
 each subspace a unique, hashable representation: two subspaces are equal
 iff their echelon bases are identical tuples.
 
-Bulk work runs on stacked arrays: :func:`echelon_bases`,
-:func:`subspace_vector_ids`, :func:`vector_bitsets` and :func:`dot`,
-all through one numpy form of the field arithmetic, ``_arith``.
+The arithmetic methods of :class:`FieldContext` take ints or integer
+arrays alike, through one pair of exp/log tables and one digit-wise
+addition, so the scalar paths (``Subspace.reduce``, ``rref``) and the
+stacked kernels share them.  This module is the only one that knows the
+vector-id encoding (:func:`vector_ids`: coordinates as one base-q
+number, added digit by digit) and the bitset layout; callers work
+through :func:`subspace_vector_ids`, :func:`coset_ids`,
+:func:`vector_bitsets`, :func:`bitset_contains`, :func:`dot` and
+:func:`hyperplane_counts`.
 """
 
 from __future__ import annotations
@@ -42,9 +48,13 @@ __all__ = [
     "orthogonal_complement",
     "enumerate_subspaces",
     "echelon_bases",
+    "vector_ids",
     "subspace_vector_ids",
+    "coset_ids",
     "vector_bitsets",
+    "bitset_contains",
     "dot",
+    "hyperplane_counts",
     "projective_points",
     "enumerate_projective_points",
     "parse_vector",
@@ -169,10 +179,9 @@ class FieldContext:
         return _poly_to_int(_poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p), self.p)
 
     def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        # negation / addition work digitwise mod p
-        self._neg = [self._digitwise(a, 0, lambda x, y: (-x) % p) for a in range(q)]
-        # discrete-log tables over a multiplicative generator
+        # discrete-log tables over a multiplicative generator; exp is
+        # stored twice over so a product needs no reduction mod q - 1
+        q = self.q
         exp = [1] * max(q - 1, 1)
         log = [0] * q
         candidates = range(2, q) if q > 2 else range(1, 2)
@@ -191,48 +200,38 @@ class FieldContext:
                     val = self._raw_mul(val, g)
                 self.generator = g
                 break
-        self._exp = exp
-        self._log = log
-        if q <= 256:
-            self._add_table = [
-                [self._digitwise(a, b, lambda x, y: (x + y) % p) for b in range(q)]
-                for a in range(q)
-            ]
-        else:
-            self._add_table = None
+        self._exp = np.array(exp * 2, dtype=np.int32)
+        self._log = np.array(log, dtype=np.int32)
 
-    def _digitwise(self, a: int, b: int, op) -> int:
+    # -- arithmetic: on ints, or elementwise on integer arrays that broadcast
+
+    def add(self, a, b, digits: int | None = None):
+        """a + b, digit by digit mod p over ``digits`` base-p digits: t for
+        field elements (the default), n t for vector ids.  XOR when p = 2."""
         p = self.p
-        out, mult = 0, 1
-        for _ in range(self.t):
-            out += op(a % p, b % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        for _ in range(self.t if digits is None else digits):
+            out = out + (a // place + b // place) % p * place
+            place *= p
         return out
 
-    # -- arithmetic ---------------------------------------------------------
+    def neg(self, a):
+        return self.mul(self.p - 1, a)
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+    def mul(self, a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np.where((a != 0) & (b != 0), self._exp[self._log[a] + self._log[b]], 0)
+        return self._exp.item(self._log.item(a) + self._log.item(b)) if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -241,7 +240,7 @@ class FieldContext:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self._exp.item(self._log.item(a) * e % (self.q - 1))
 
     def elements(self) -> range:
         return range(self.q)
@@ -292,44 +291,11 @@ def qbinom(n: int, m: int, q: int) -> int:
 # Vectors: tuples of field elements.
 # ---------------------------------------------------------------------------
 
-def vec_add(ctx: FieldContext, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(ctx.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(ctx: FieldContext, c: int, u: Sequence[int]) -> tuple[int, ...]:
-    return tuple(ctx.mul(c, a) for a in u)
-
-
-@lru_cache(maxsize=None)
-def _arith(ctx: FieldContext):
-    """Numpy field arithmetic of ``ctx``, (mul, add), exact and broadcasting:
-    ``mul`` multiplies elements through the exp/log tables; ``add`` adds
-    integers digit by digit mod p over ``digits`` base-p digits (t for
-    elements, n t for vector ids), which is XOR when p = 2."""
-    p, q = ctx.p, ctx.q
-    exp, log = np.array(ctx._exp, dtype=np.int32), np.array(ctx._log, dtype=np.int32)
-
-    def mul(a, b):
-        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % (q - 1)], 0)
-
-    def add(a, b, digits=ctx.t):
-        if p == 2:
-            return a ^ b
-        out, place = 0, 1
-        for _ in range(digits):
-            out = out + (a // place + b // place) % p * place
-            place *= p
-        return out
-
-    return mul, add
-
-
 def dot(ctx: FieldContext, u, v):
     """Dot product along the last axis, the other axes broadcast:
     ``dot(ctx, u[:, None], v[None])`` is the table of all pairs of rows."""
-    mul, add = _arith(ctx)
     u, v = np.moveaxis(np.asarray(u), -1, 0), np.moveaxis(np.asarray(v), -1, 0)
-    return reduce(add, map(mul, u, v))
+    return reduce(ctx.add, map(ctx.mul, u, v))
 
 
 def vector_index(ctx: FieldContext, v: Sequence[int]) -> int:
@@ -400,8 +366,8 @@ def rref(ctx: FieldContext, rows: Sequence[Sequence[int]], n: int) -> tuple[tupl
         work[rank] = [ctx.mul(inv, x) for x in work[rank]]
         for i in range(len(work)):
             if i != rank and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(work[i], work[rank])]
+                c = ctx.neg(work[i][col])
+                work[i] = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(work[i], work[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(work):
@@ -431,12 +397,12 @@ class Subspace:
 
     def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative of v modulo this subspace."""
-        w = list(v)
+        ctx, w = self.ctx, list(v)
         for row, piv in zip(self.basis, self.pivots):
-            c = w[piv]
-            if c:
+            if w[piv]:
+                c = ctx.neg(w[piv])
                 for j in range(piv, self.n):
-                    w[j] = self.ctx.sub(w[j], self.ctx.mul(c, row[j]))
+                    w[j] = ctx.add(w[j], ctx.mul(c, row[j]))
         return tuple(w)
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -449,7 +415,7 @@ class Subspace:
             v = (0,) * self.n
             for c, row in zip(coeffs, self.basis):
                 if c:
-                    v = vec_add(ctx, v, vec_scale(ctx, c, row))
+                    v = tuple(ctx.add(a, ctx.mul(c, b)) for a, b in zip(v, row))
             yield v
 
     def __repr__(self) -> str:
@@ -527,32 +493,56 @@ def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:
         yield block
 
 
+def vector_ids(ctx: FieldContext, vectors) -> np.ndarray:
+    """:func:`vector_index` of each vector along the last axis, stacked.
+
+    The id reads the coordinates as one base-q number, and the base-p
+    digits of a coordinate are its polynomial coefficients, so the base-p
+    digits of an id are the vector's coordinates over GF(p): vectors add
+    as ``ctx.add(id1, id2, n * ctx.t)``.  int32 while q^n fits, else int64.
+    """
+    vectors = np.asarray(vectors)
+    n = vectors.shape[-1]
+    dtype = np.int32 if ctx.q**n < 2**31 else np.int64
+    return vectors.astype(dtype) @ ctx.q ** np.arange(n - 1, -1, -1, dtype=dtype)
+
+
 def subspace_vector_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
-    """Sorted :func:`vector_index` ids of the nonzero vectors of each subspace.
+    """Sorted :func:`vector_ids` of the nonzero vectors of each subspace.
 
     ``bases`` has shape (K, m, n) and holds linearly independent rows;
-    the result has shape (K, q^m - 1).  The id of a vector reads its
-    coordinates as one base-q number, and the base-p digits of a
-    coordinate are its polynomial coefficients, so the base-p digits of
-    an id are the vector's coordinates over GF(p): adding two vectors is
-    adding their ids digit by digit mod p (XOR when p = 2).  Scalar
-    multiples come from the exp/log tables; all work is exact integers.
+    the result has shape (K, q^m - 1).  Scalar multiples of the rows
+    come from the exp/log tables and their sums from ``ctx.add`` on ids;
+    all work is exact integers.
     """
     count, m, n = bases.shape
     q = ctx.q
-    mul, add = _arith(ctx)
-    dtype = np.int32 if q**n < 2**31 else np.int64
-    weights = q ** np.arange(n - 1, -1, -1, dtype=dtype)
-    rows = bases.astype(dtype)
     # ids of c * row for every scalar c, shape (q, count, m)
-    scaled = np.zeros((q, count, m), dtype=dtype)
-    for c in range(1, q):
-        scaled[c] = mul(c, rows) @ weights
+    scaled = np.stack([vector_ids(ctx, ctx.mul(c, bases)) for c in range(q)])
     # all combinations, the coefficient of the first row varying slowest
-    ids = np.zeros((count, 1), dtype=dtype)
+    ids = np.zeros((count, 1), dtype=scaled.dtype)
     for i in range(m):
-        ids = add(ids[:, :, None], scaled[:, :, i].T[:, None, :], n * ctx.t).reshape(count, -1)
+        ids = ctx.add(ids[:, :, None], scaled[:, :, i].T[:, None, :], n * ctx.t).reshape(count, -1)
     return np.sort(ids[:, 1:], axis=1)
+
+
+def coset_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
+    """Vector ids of every coset of each subspace, shape (K, q^(n-m), q^m).
+
+    Coset j of subspace M is rep_j + M, where rep_j (the ``M.reduce``
+    image of the coset) is zero on the pivots of M and has the base-q
+    digits of j, in order, on the free coordinates; so j = 0 is M itself.
+    Each coset lists rep_j first, then rep_j plus the sorted
+    :func:`subspace_vector_ids` of M.
+    """
+    count, m, n = bases.shape
+    q = ctx.q
+    ids = np.pad(subspace_vector_ids(ctx, bases), ((0, 0), (1, 0)))  # the zero vector first
+    free = np.ones((count, n), dtype=bool)
+    free[np.arange(count)[:, None], np.argmax(bases != 0, axis=2)] = False
+    reps = np.zeros((count, n, q ** (n - m)), dtype=ids.dtype)
+    reps[free] = np.tile(np.indices((q,) * (n - m)).reshape(n - m, q ** (n - m)), (count, 1))
+    return ctx.add(vector_ids(ctx, reps.transpose(0, 2, 1))[:, :, None], ids[:, None, :], n * ctx.t)
 
 
 def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
@@ -566,6 +556,19 @@ def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
     flat = ids.ravel()
     np.bitwise_or.at(bits, (rows, flat >> 6), np.uint64(1) << (flat & 63).astype(np.uint64))
     return bits
+
+
+def bitset_contains(bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Whether each row of ``bits`` holds each id, shape (len(bits),) + ids.shape."""
+    return ((bits[:, ids >> 6] >> (ids & 63).astype(np.uint64)) & 1).astype(bool)
+
+
+def hyperplane_counts(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
+    """For each point w of :func:`projective_points`, in its order, how many
+    of the subspaces (echelon bases, shape (K, m, n)) lie in the hyperplane
+    w-perp, that is, have every basis row orthogonal to w."""
+    points = projective_points(ctx, bases.shape[-1])
+    return (dot(ctx, points[:, None, None], bases[None]) == 0).all(axis=2).sum(axis=1)
 
 
 def projective_points(ctx: FieldContext, n: int) -> np.ndarray:

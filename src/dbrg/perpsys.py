@@ -47,9 +47,9 @@ from .bigraph import SrgParams, srg_from_spectrum
 from .gfcore import (
     FieldContext,
     Subspace,
-    dot,
     echelon_bases,
     format_vector,
+    hyperplane_counts,
     index_vector,
     orthogonal_complement,
     parse_vector,
@@ -59,8 +59,9 @@ from .gfcore import (
     subspace_meet,
     subspace_vector_ids,
     vector_bitsets,
+    vector_ids,
 )
-from .geometry import PointSet, field_for_order
+from .geometry import SpaceFamily, field_for_order, point_family
 
 __all__ = [
     "PerpSystem",
@@ -106,7 +107,7 @@ class PerpSystem:
 
 @dataclass(frozen=True)
 class PerpViolation:
-    kind: str  # mixed_multiplicity | d_too_small | none_covered | all_covered | pair_meet
+    kind: str  # mixed_multiplicity | d_too_small | all_covered | pair_meet
     vector: tuple[int, ...] | None = None
     pair: tuple[int, int] | None = None
     detail: str = ""
@@ -153,9 +154,7 @@ def perp_verify(
     q = ctx.q
     ids = subspace_vector_ids(ctx, np.array([m.basis for m in members]))
     mults = np.bincount(ids.ravel(), minlength=q**n)[1:]
-    covered = mults[mults > 0]
-    if covered.size == 0:
-        return PerpViolation("none_covered", detail="no nonzero vector lies in any member")
+    covered = mults[mults > 0]  # not empty: every member has dimension n - k >= 1
     d, ref = int(covered.min()), int(covered.max())
     if d != ref:
         bad = int(np.flatnonzero((mults > 0) & (mults != ref))[0]) + 1
@@ -282,7 +281,7 @@ def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> SrgParams:
 
 @dataclass(frozen=True)
 class TwoIntersectionSet:
-    points: PointSet
+    points: SpaceFamily
     N: int
     K: int
     h1: int
@@ -295,8 +294,8 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     """The d-times-covered points, with the hyperplane sizes verified.
 
     Exhaustively intersects every hyperplane with the point set and
-    checks that exactly the two predicted sizes occur, by one table of
-    dot products, hyperplanes by points.  ValueError means
+    checks that exactly the two predicted sizes occur, by
+    :func:`dbrg.gfcore.hyperplane_counts`.  ValueError means
     ``system`` is dual or not a perp system (a predicted size is not an
     integer, or the measured point set differs); RuntimeError means the
     double count of point-hyperplane incidences failed, which holds by
@@ -308,7 +307,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     points = projective_points(ctx, n)
     ids = subspace_vector_ids(ctx, np.array([m.basis for m in system.members]))
     mults = np.bincount(ids.ravel(), minlength=q**n)
-    reps = points[mults[points.astype(np.int64) @ q ** np.arange(n - 1, -1, -1)] == d]
+    reps = points[mults[vector_ids(ctx, points)] == d]
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
     h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
     h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
@@ -318,7 +317,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     big_n, h1, h2 = int(big_n), int(h1), int(h2)
     if len(reps) != big_n:
         raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
-    counts = (dot(ctx, points[:, None], reps[None]) == 0).sum(axis=1)
+    counts = hyperplane_counts(ctx, reps[:, None])
     bad = np.flatnonzero((counts != h1) & (counts != h2))
     if bad.size:
         w, cnt = tuple(points[bad[0]].tolist()), int(counts[bad[0]])
@@ -329,8 +328,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
         raise ValueError("one of the two hyperplane sizes does not occur")
     if big_n * qbinom(n - 1, 1, q) != n1 * h1 + n2 * h2:
         raise RuntimeError("point-hyperplane incidences do not double count")
-    pts = PointSet(ctx, n, frozenset(Subspace(ctx, n, (w,)) for w in map(tuple, reps.tolist())))
-    return TwoIntersectionSet(pts, big_n, n, h1, h2, n1, n2)
+    return TwoIntersectionSet(point_family(ctx, n, reps.tolist()), big_n, n, h1, h2, n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +355,10 @@ def perp_dualize(system: PerpSystem) -> PerpSystem:
     pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, bases), ctx.q**n), 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
-    # w-perp holds a member iff w is orthogonal to each of its basis rows
-    points = projective_points(ctx, n)
-    counts = (dot(ctx, points[:, None, None], bases[None]) == 0).all(axis=2).sum(axis=1)
+    counts = hyperplane_counts(ctx, bases)
     bad = np.flatnonzero((counts != 0) & (counts != d))
     if bad.size:
-        w, cnt = tuple(points[bad[0]].tolist()), int(counts[bad[0]])
+        w, cnt = tuple(projective_points(ctx, n)[bad[0]].tolist()), int(counts[bad[0]])
         raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
     if not ((counts == 0).any() and (counts == d).any()):
         raise ValueError("hyperplane covering must take both values 0 and d")
@@ -422,11 +418,13 @@ def perp_search(
     inclusion the candidates that meet the new member in the wrong size
     or contain a vector now covered d times are killed.  The search
     branches on the partially covered vector with the fewest live
-    candidates (on all live candidates when no vector is partially
-    covered); sibling i excludes siblings 0..i-1, so ``count_all``
-    counts each system once.  A node is pruned when some partially
-    covered vector has fewer live candidates than it still needs, or
-    needs more than the members left.  The search is deterministic.
+    candidates; sibling i excludes siblings 0..i-1, so ``count_all``
+    counts each system once.  A node with no partially covered vector
+    has no live candidate: as n > 2k, every candidate shares a vector
+    with member 0, and that vector is then covered d times.  A node is
+    pruned when some partially covered vector has fewer live candidates
+    than it still needs, or needs more than the members left.  The
+    search is deterministic.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
     time from entry, set-up included.  Returns status ``found`` with a
@@ -502,12 +500,10 @@ def perp_search(
                     raise _Found
             return
         part = np.flatnonzero((node.cover > 0) & (node.cover < d))
-        if part.size:
-            row = through[part[np.argmin(node.avail[part])] - 1]
-            branch = row[node.live[row]]
-        else:
-            branch = np.flatnonzero(node.live)
-        for c in branch.tolist():
+        if not part.size:  # no live candidate is left (see the docstring)
+            return
+        row = through[part[np.argmin(node.avail[part])] - 1]
+        for c in row[node.live[row]].tolist():
             nodes += 1
             if (budget_nodes is not None and nodes >= budget_nodes) or out_of_time():
                 raise _Budget

@@ -191,3 +191,42 @@ def test_perp_commands_leave_numpy_ma_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[0, 0] False"
+
+
+MIXED_PERP = "q=2^1 modulus=0,1 n=3 k=1\n0,1,0;0,0,1\n1,0,0;0,0,1\n"  # two planes of F_2^3
+
+
+def test_roundtrip_of_searched_perp_file(tmp_path, capsys):
+    perp = str(tmp_path / "sys.perp")
+    assert main(["perp", "search", "--n", "3", "--k", "1", "--q", "4", "--d", "2",
+                 "--out", perp]) == 0
+    capsys.readouterr()
+    assert main(["roundtrip", perp]) == 0
+    assert last_json(capsys) == {"command": "roundtrip", "file": perp, "identical": True}
+
+
+def test_mixed_multiplicity_file_is_a_verdict(tmp_path, capsys):
+    # the shared vector (0,0,1) is covered twice, the others once
+    perp = tmp_path / "mixed.perp"
+    perp.write_text(MIXED_PERP)
+    detail = "vector covered 1 times, elsewhere 2"
+    assert main(["roundtrip", str(perp)]) == 2
+    assert last_json(capsys) == {"command": "roundtrip", "detail": detail, "ok": False}
+    assert main(["perp", "verify", str(perp)]) == 2
+    assert last_json(capsys) == {"command": "perp-verify", "detail": detail,
+                                 "kind": "mixed_multiplicity", "ok": False}
+    assert main(["construct", "gen-delorme", "--perp", str(perp),
+                 "--out", str(tmp_path / "gd")]) == 2
+    assert last_json(capsys) == {
+        "command": "construct", "ok": False,
+        "detail": f"perp file does not verify: mixed_multiplicity: {detail}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed.perp"]
+
+
+def test_feas_enumerate_json_bytes(tmp_path, capsys):
+    from dbrg.feasibility import enumerate_feasible, rows_to_json
+
+    path = tmp_path / "rows.json"
+    assert main(["feas", "enumerate", "--max-side", "200", "--json", str(path)]) == 0
+    assert last_json(capsys)["rows"] == len(enumerate_feasible(200))
+    assert path.read_text() == rows_to_json(enumerate_feasible(200))

@@ -198,6 +198,20 @@ def test_derived_rejects_supplied_array_without_distance_4():
     assert err.value.condition == "array_invalid"
 
 
+@pytest.mark.parametrize("side,index,message", [
+    ("X", 0, "side must be 'B' or 'C', got 'X'"),
+    ("b", 0, "side must be 'B' or 'C', got 'b'"),
+    ("B", 10**6, "B index 1000000 out of range"),
+    ("C", 24, "C index 24 out of range"),
+])
+def test_derived_rejects_vertex_outside_parent(side, index, message):
+    parent = gen_delorme_graph(dual_hyperoval_system(4))
+    arr = dbrg_check(parent.graph).array
+    with pytest.raises(ValueError, match=message) as err:
+        derived_local_graph(parent.graph, side, index, array=arr)
+    assert not isinstance(err.value, DerivedGraphError)
+
+
 def test_derived_vertex_choice_is_irrelevant():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
     arr = dbrg_check(parent.graph).array

@@ -114,6 +114,13 @@ def test_plane_implication():
     assert plane_implication_check(ROW1).detail.startswith("matches")  # n=4 exists
 
 
+@pytest.mark.parametrize("n", [14, 21, 22])
+def test_plane_implication_bruck_ryser(n):
+    # n = 1 or 2 mod 4 and not a sum of two squares
+    res = plane_implication_check(CandidateArray(n + 2, n * n, 2, n * (n + 1) // 2, n, n + 1))
+    assert not res.ok and "Bruck-Ryser" in res.detail
+
+
 def test_evaluate_statuses():
     assert evaluate(MATHON).status in ("feasible", "flagged")
     gam = evaluate(CandidateArray(12, 45, 3, 33, 9, 11))

@@ -9,7 +9,7 @@ from dbrg.gfcore import (enumerate_projective_points, enumerate_subspaces, subsp
                          subspace_meet)
 from dbrg.geometry import (
     ArcCheckResult,
-    PointSet,
+    SpaceFamily,
     arc_check,
     cone_spaces,
     denniston_arc,
@@ -48,7 +48,7 @@ def test_conic_without_nucleus_has_a_tangent():
     h = hyperoval(4)
     ctx = h.ctx
     nucleus = point(ctx, (0, 1, 0))
-    conic = PointSet(ctx, 3, h.points - {nucleus})
+    conic = SpaceFamily(ctx, 3, tuple(p for p in h.members if p != nucleus))
     res = arc_check(conic, 2)
     assert not res.ok
     assert res.count == 1  # a tangent line
@@ -56,8 +56,8 @@ def test_conic_without_nucleus_has_a_tangent():
 
 def test_all_points_fail_arc_check():
     ctx = field_for_order(2)
-    everything = PointSet(
-        ctx, 3, frozenset(point(ctx, v) for v in enumerate_projective_points(ctx, 3))
+    everything = SpaceFamily(
+        ctx, 3, tuple(point(ctx, v) for v in enumerate_projective_points(ctx, 3))
     )
     res = arc_check(everything, 2)
     assert not res.ok and res.count == 3
@@ -109,7 +109,7 @@ def test_dualize_preserves_incidence_counts():
         pt = point(ctx, w)
         on_lines = sum(1 for m in fam.members if subspace_meet(m, pt).dim == 1)
         hyp = dualize(pt)
-        through = sum(1 for p in h.points if subspace_meet(hyp, p).dim == 1)
+        through = sum(1 for p in h.members if subspace_meet(hyp, p).dim == 1)
         assert on_lines == through
 
 
@@ -187,7 +187,7 @@ def lex_points(ctx, n):
 def arc_check_reference(arc, r):
     """One line and one point at a time, by scalar dot products."""
     for w in lex_points(arc.ctx, arc.n):
-        cnt = sum(1 for pt in arc.points if scalar_dot(arc.ctx, w, pt.basis[0]) == 0)
+        cnt = sum(1 for pt in arc.members if scalar_dot(arc.ctx, w, pt.basis[0]) == 0)
         if cnt not in (0, r):
             return ArcCheckResult(False, r, w, cnt)
     return ArcCheckResult(True, r)
@@ -203,7 +203,8 @@ def plane_point_sets(draw):
         r = draw(st.sampled_from([rr for rr in (2, 4) if rr < q]))
         return denniston_arc(q, r), r
     chosen = draw(st.sets(st.sampled_from(pts), max_size=len(pts)))
-    return PointSet(ctx, 3, frozenset(point(ctx, v) for v in chosen)), draw(st.integers(0, q + 1))
+    arc = SpaceFamily(ctx, 3, tuple(point(ctx, v) for v in sorted(chosen)))
+    return arc, draw(st.integers(0, q + 1))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

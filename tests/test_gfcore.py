@@ -92,6 +92,61 @@ def test_field_arith_dispatch():
         gf.inv(0)
 
 
+def digitwise_sum(p, a, b, digits):
+    """Reference addition: base-p digit by digit, mod p, one digit at a time."""
+    out, place = 0, 1
+    for _ in range(digits):
+        out += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+# every field of order <= 81 that the tests use
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5),
+                (2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize("p,t", SMALL_FIELDS)
+def test_add_matches_digitwise_reference_on_every_pair(p, t):
+    gf = field(p, t)
+    a, b = np.indices((gf.q, gf.q)).reshape(2, -1)
+    want = [digitwise_sum(p, x, y, t) for x, y in zip(a.tolist(), b.tolist())]
+    assert gf.add(a, b).tolist() == want
+    assert [gf.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+
+
+@pytest.mark.parametrize("p,t", [(2, 9), (3, 6)])
+def test_add_matches_digitwise_reference_on_a_sample(p, t):
+    gf = field(p, t)
+    rng = np.random.default_rng(20260418)
+    a, b = rng.integers(0, gf.q, size=(2, 4000))
+    want = [digitwise_sum(p, x, y, t) for x, y in zip(a.tolist(), b.tolist())]
+    assert gf.add(a, b).tolist() == want
+    assert [gf.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+    # vector ids: n t digits, here n = 2
+    u, v = rng.integers(0, gf.q**2, size=(2, 4000))
+    want = [digitwise_sum(p, x, y, 2 * t) for x, y in zip(u.tolist(), v.tolist())]
+    assert gf.add(u, v, 2 * t).tolist() == want
+    assert [gf.add(x, y, 2 * t) for x, y in zip(u.tolist(), v.tolist())] == want
+
+
+@pytest.mark.parametrize("p,t", [(2, 9), (3, 6)])
+def test_field_axioms_on_a_sample_of_a_large_field(p, t):
+    gf = field(p, t)
+    rng = np.random.default_rng(7)
+    a, b, c = rng.integers(0, gf.q, size=(3, 3000))
+    assert (gf.add(a, gf.add(b, c)) == gf.add(gf.add(a, b), c)).all()
+    assert (gf.mul(a, gf.mul(b, c)) == gf.mul(gf.mul(a, b), c)).all()
+    assert (gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))).all()
+    assert (gf.add(a, b) == gf.add(b, a)).all() and (gf.mul(a, b) == gf.mul(b, a)).all()
+    assert (gf.add(a, gf.neg(a)) == 0).all() and (gf.sub(a, a) == 0).all()
+    assert (gf.mul(a, 1) == a).all() and (gf.add(a, 0) == a).all()
+    for x, y in zip(a.tolist()[:300], b.tolist()[:300]):
+        assert gf.mul(x, y) == int(gf.mul(np.array(x), np.array(y)))
+        if x:
+            assert gf.mul(x, gf.inv(x)) == 1 and gf.pow(x, gf.q - 1) == 1
+
+
 def test_qbinom_small_values():
     assert qbinom(4, 1, 2) == 15
     assert qbinom(4, 2, 2) == 35
@@ -122,6 +177,14 @@ def test_subspace_make_edge_cases():
     assert full.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         subspace_make(gf2, 3, [(1, 0)])
+
+
+def test_subspace_make_takes_numpy_rows():
+    # numpy integer scalars take the scalar path: the basis stays hashable
+    gf3 = field(3)
+    s = subspace_make(gf3, 3, np.array([[2, 1, 0], [1, 1, 1]]))
+    assert s == subspace_make(gf3, 3, [(2, 1, 0), (1, 1, 1)]) and hash(s) == hash(s)
+    assert gf3.mul(np.int64(2), 2) == 1 and isinstance(gf3.mul(np.int64(2), 2), int)
 
 
 def test_subspace_make_idempotent():

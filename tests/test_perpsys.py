@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dbrg.constructions import gen_delorme_graph
 from dbrg.gfcore import (enumerate_subspaces, field, orthogonal_complement, qbinom,
                          subspace_make, subspace_meet)
-from dbrg.geometry import PointSet, denniston_arc, dualize, field_for_order, hyperoval
+from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg.perpsys import (
     PerpSystem,
     PerpViolation,
@@ -59,6 +59,13 @@ def test_verify_rejects_mixed_multiplicity():
     extra = next(s for s in enumerate_subspaces(gf2, 3, 2) if s not in planes)
     res = perp_verify(gf2, 3, 1, tuple(planes[:3]) + (extra,))
     assert isinstance(res, PerpViolation)
+
+
+def test_verify_reports_all_covered():
+    # every nonzero vector of F_2^3 lies on 3 of its 7 planes: none has multiplicity 0
+    gf2 = field(2)
+    res = perp_verify(gf2, 3, 1, tuple(enumerate_subspaces(gf2, 3, 2)))
+    assert isinstance(res, PerpViolation) and res.kind == "all_covered"
 
 
 def test_verify_reports_pair_meet():
@@ -224,6 +231,12 @@ def test_search_time_budget_covers_setup():
     assert abs(out.elapsed - 0.5) < 1.0
 
 
+def test_search_zero_time_budget_stops_in_setup():
+    out = perp_search(7, 3, 2, 2, budget_seconds=0)
+    assert (out.status, out.nodes, out.system, out.complete) == ("budget", 0, None, False)
+    assert out.setup_seconds == out.elapsed
+
+
 def test_search_determinism():
     a = perp_search(3, 1, 4, 2)
     b = perp_search(3, 1, 4, 2)
@@ -301,7 +314,7 @@ def two_intersection_reference(system):
             raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
     if h1 != h2 and (n1 == 0 or n2 == 0):
         raise ValueError("one of the two hyperplane sizes does not occur")
-    pts = PointSet(ctx, n, frozenset(subspace_make(ctx, n, [w]) for w in reps))
+    pts = SpaceFamily(ctx, n, tuple(subspace_make(ctx, n, [w]) for w in sorted(reps)))
     return TwoIntersectionSet(pts, int(big_n), n, int(h1), int(h2), n1, n2)
 
 

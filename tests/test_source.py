@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import dbrg
@@ -33,3 +34,25 @@ def test_all_names_exist():
         missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_gfcore_alone_knows_ids_and_bitsets():
+    # no module imports another module's private name; outside gfcore no
+    # module spells the vector-id weights, adds ids digit-wise (an ``add``
+    # with a digit count) or reads bitset words and bits
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                found += [f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            if path.stem == "gfcore" or not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "add" and (len(node.args) > 2 or node.keywords):
+                found.append(f"{path.name}:{node.lineno}: digit-wise add")
+        if path.stem != "gfcore":
+            for pattern in (r"\*\*\s*np\.arange", r">>\s*6\b", r"&\s*63\b"):
+                found += [f"{path.name}: {m.group()}" for m in re.finditer(pattern, text)]
+    assert found == []
