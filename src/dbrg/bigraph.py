@@ -71,6 +71,13 @@ __all__ = [
 ]
 
 
+def _check_class_sizes(nB: int, nC: int) -> None:
+    if nB < 0 or nC < 0:
+        raise ValueError(f"negative class size, B={nB} C={nC}")
+    if nB + nC > 2**31:
+        raise ValueError(f"B={nB} C={nC}: {nB + nC} vertices do not fit int32 vertex ids")
+
+
 class BipartiteGraph:
     """Immutable bipartite graph on two indexed vertex classes.
 
@@ -79,8 +86,7 @@ class BipartiteGraph:
     """
 
     def __init__(self, nB: int, nC: int, edges: Iterable[tuple[int, int]] | np.ndarray):
-        if nB < 0 or nC < 0:
-            raise ValueError(f"class sizes must be non-negative, got B={nB} C={nC}")
+        _check_class_sizes(nB, nC)
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         b, c = pairs.reshape(-1, 2).T
         bad = (b < 0) | (b >= nB) | (c < 0) | (c >= nC)
@@ -647,8 +653,10 @@ def parse_graph(text: str) -> BipartiteGraph:
         nc = int(header[1].removeprefix("C="))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"line 1: bad header {head!r}") from exc
-    if nb < 0 or nc < 0:
-        raise ValueError(f"line 1: negative class size in {head!r}")
+    try:
+        _check_class_sizes(nb, nc)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
     eb, ec, nos = (np.empty(text.count("\n") + text.count("\r") + 1, np.int64) for _ in range(3))
     m = 0
     for no, line in enumerate(lines, start=2):

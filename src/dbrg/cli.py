@@ -58,8 +58,7 @@ def _array_payload(arr: bigraph.IntersectionArray | None):
 # ---------------------------------------------------------------------------
 
 def _gen_delorme(args) -> constructions.ConstructionResult:
-    ctx, n, k, members = perpsys.parse_perp(Path(args.perp).read_text())
-    res = perpsys.perp_verify(ctx, n, k, members)
+    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perp).read_text()))
     if isinstance(res, perpsys.PerpViolation):
         raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
     return constructions.gen_delorme_graph(res)
@@ -80,6 +79,26 @@ class _Verdict(Exception):
     """Negative mathematical result (exit code 2)."""
 
 
+def _emit(built: constructions.ConstructionResult, out: str, keys: dict) -> int:
+    """Check a built graph, write ``out``.graph and ``out``.json, print the
+    summary: ``keys`` plus the sizes and the predicted and measured arrays.
+    Exit 0 if the graph verifies with the predicted array, else 2."""
+    res = bigraph.dbrg_check(built.graph)
+    _write(out + ".graph", bigraph.serialize_graph(built.graph))
+    payload = {
+        **keys,
+        "nB": built.graph.nB,
+        "nC": built.graph.nC,
+        "predicted": _array_payload(built.predicted),
+        "measured": _array_payload(res.array),
+        "verified": bool(res.ok and res.array == built.predicted),
+        "graph_file": out + ".graph",
+    }
+    _write(out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _summary(payload)
+    return EXIT_OK if payload["verified"] else EXIT_VERDICT
+
+
 def cmd_construct(args) -> int:
     required, build = _FAMILIES[args.family]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
@@ -88,23 +107,8 @@ def cmd_construct(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     built = build(args)
-    res = bigraph.dbrg_check(built.graph)
-    _write(args.out + ".graph", bigraph.serialize_graph(built.graph))
-    payload = {
-        "command": "construct",
-        "family": args.family,
-        "params": built.params,
-        "provenance": built.provenance,
-        "nB": built.graph.nB,
-        "nC": built.graph.nC,
-        "predicted": _array_payload(built.predicted),
-        "measured": _array_payload(res.array),
-        "verified": bool(res.ok and res.array == built.predicted),
-        "graph_file": args.out + ".graph",
-    }
-    _write(args.out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _summary(payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERDICT
+    return _emit(built, args.out, {"command": "construct", "family": args.family,
+                                   "params": built.params, "provenance": built.provenance})
 
 
 def cmd_verify(args) -> int:
@@ -135,22 +139,8 @@ def cmd_derive(args) -> int:
         _summary({"command": "derive", "ok": False, "condition": exc.condition,
                   "detail": str(exc)})
         return EXIT_VERDICT
-    res = bigraph.dbrg_check(built.graph)
-    _write(args.out + ".graph", bigraph.serialize_graph(built.graph))
-    payload = {
-        "command": "derive",
-        "vertex": args.vertex,
-        "gamma3": built.params["gamma3"],
-        "nB": built.graph.nB,
-        "nC": built.graph.nC,
-        "predicted": _array_payload(built.predicted),
-        "measured": _array_payload(res.array),
-        "verified": bool(res.ok and res.array == built.predicted),
-        "graph_file": args.out + ".graph",
-    }
-    _write(args.out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _summary(payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERDICT
+    return _emit(built, args.out, {"command": "derive", "vertex": args.vertex,
+                                   "gamma3": built.params["gamma3"]})
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +148,13 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_perp_verify(args) -> int:
-    ctx, n, k, members = perpsys.parse_perp(Path(args.perpfile).read_text())
-    res = perpsys.perp_verify(ctx, n, k, members)
+    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perpfile).read_text()))
     if isinstance(res, perpsys.PerpViolation):
         _summary({"command": "perp-verify", "ok": False, "kind": res.kind,
                   "detail": res.detail})
         return EXIT_VERDICT
-    payload = {"command": "perp-verify", "ok": True, "n": n, "k": k,
-               "q": ctx.q, "d": res.d, "s": res.s}
+    payload = {"command": "perp-verify", "ok": True, "n": res.n, "k": res.k,
+               "q": res.ctx.q, "d": res.d, "s": res.s}
     _summary(payload)
     return EXIT_OK
 
@@ -255,8 +244,7 @@ def cmd_roundtrip(args) -> int:
     if head.startswith("B="):
         again = bigraph.serialize_graph(bigraph.parse_graph(text))
     elif head.startswith("q="):
-        ctx, n, k, members = perpsys.parse_perp(text)
-        res = perpsys.perp_verify(ctx, n, k, members)
+        res = perpsys.perp_verify(*perpsys.parse_perp(text))
         if isinstance(res, perpsys.PerpViolation):
             _summary({"command": "roundtrip", "ok": False, "detail": res.detail})
             return EXIT_VERDICT

@@ -23,8 +23,6 @@ from .bigraph import (BipartiteGraph, IntersectionArray, dbrg_check, distance_pa
                       flip, induced_subgraph)
 from .feasibility import distance3_homogeneity
 from .gfcore import (
-    FieldContext,
-    Subspace,
     bitset_contains,
     coset_ids,
     echelon_bases,
@@ -33,7 +31,7 @@ from .gfcore import (
     vector_bitsets,
     vector_ids,
 )
-from .geometry import cone_spaces, dualize, field_for_order, hyperoval
+from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
 from .perpsys import PerpSystem
 
 __all__ = [
@@ -113,15 +111,14 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     return ConstructionResult(g, arr, "subspace-inclusion", {"n": n, "k": k, "q": q})
 
 
-def _coset_incidence(ctx: FieldContext, n: int, members: tuple[Subspace, ...]) -> BipartiteGraph:
+def _coset_incidence(family: SpaceFamily) -> BipartiteGraph:
     """B = all vectors of F_q^n by vector index, C = all cosets of all
     members in :func:`dbrg.gfcore.coset_ids` order: coset j of member i is
     C vertex i * q^(n-dim) + j, and j = 0 is the member itself."""
-    bases = np.array([mb.basis for mb in members], dtype=np.int64)
-    cosets = coset_ids(ctx, bases.reshape(len(members), members[0].dim, n))
+    cosets = coset_ids(family.ctx, family.bases)
     s, per, size = cosets.shape
     c = np.repeat(np.arange(s * per), size)
-    return BipartiteGraph(ctx.q**n, s * per, np.column_stack([cosets.ravel(), c]))
+    return BipartiteGraph(family.ctx.q**family.n, s * per, np.column_stack([cosets.ravel(), c]))
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -138,7 +135,7 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
     c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)
     if rem:
         raise ValueError(f"c3B = q^(n-2k)(s-1)/d = {q ** (n - 2 * k) * (s - 1)}/{d} is not an integer")
-    g = _coset_incidence(ctx, n, system.members)
+    g = _coset_incidence(system)
     arr = IntersectionArray(
         s, q ** (n - k),
         (1, d, c3b, s),
@@ -158,7 +155,7 @@ def cone_graph(q: int) -> ConstructionResult:
     if q > 4:
         raise ValueError("cone_graph is desk-scale: q <= 4")
     _, s_star = cone_spaces(q)
-    g = _coset_incidence(s_star.ctx, 6, s_star.members)
+    g = _coset_incidence(s_star)
     n4 = qbinom(4, 1, q)
     arr = IntersectionArray(
         n4, q**3,
@@ -181,8 +178,7 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
         raise ValueError("need q = 2^m with m >= 2")
     # planes of the dual hyperoval: perps of the oval points; each has q
     # cosets, the plane through the origin first
-    dual = dualize(hyperoval(q))
-    full = _coset_incidence(dual.ctx, 3, dual.members)
+    full = _coset_incidence(dualize(hyperoval(q)))
     exterior = np.flatnonzero(np.bincount(full.eb[full.ec % q == 0], minlength=full.nB) == 0)
     g = induced_subgraph(full, exterior.tolist(), np.flatnonzero(np.arange(full.nC) % q).tolist())
     arr = IntersectionArray(

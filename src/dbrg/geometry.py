@@ -5,12 +5,12 @@ Provides the subspace families that feed the graph builders: hyperovals
 point/hyperplane duality under the standard dot form, and the two
 rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6.
 
-Every family is a :class:`SpaceFamily`.  Points of PG(n-1, q) are
-1-dimensional :class:`Subspace` members, and a point set (an arc, a
-hyperoval, a two-intersection set) lists them in lex order of their
-normalized vectors; its dual is the family of hyperplanes in the same
-order.  Exhaustive searches and counts run on stacked vectors through
-the kernels of :mod:`dbrg.gfcore`.
+Every family is a :class:`SpaceFamily`; so is a perp system of
+:mod:`dbrg.perpsys`.  Points of PG(n-1, q) are 1-dim members, and a
+point set (an arc, a hyperoval, a two-intersection set) lists them in
+lex order of their normalized vectors; its dual is the family of
+hyperplanes in the same order.  Families reach the :mod:`dbrg.gfcore`
+kernels as ``SpaceFamily.bases`` and come back through ``subspaces``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .gfcore import (
     projective_points,
     subspace_make,
     subspace_vector_ids,
+    subspaces,
     vector_bitsets,
 )
 
@@ -68,7 +69,7 @@ def field_for_order(q: int) -> FieldContext:
 
 @dataclass(frozen=True)
 class SpaceFamily:
-    """A duplicate-free family of equal-dimensional subspaces."""
+    """A duplicate-free family of equal-dimensional subspaces of one F_q^n."""
 
     ctx: FieldContext
     n: int
@@ -77,13 +78,19 @@ class SpaceFamily:
     def __post_init__(self):
         if self.members:
             d = self.members[0].dim
-            if any(m.dim != d or m.n != self.n for m in self.members):
-                raise ValueError("SpaceFamily members must share dimension and ambient space")
+            if any(m.dim != d or m.n != self.n or m.ctx != self.ctx for m in self.members):
+                raise ValueError("SpaceFamily members must share field, space and dimension")
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members in SpaceFamily")
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def bases(self) -> np.ndarray:
+        """The members' echelon bases for the kernels: int64, shape (K, m, n), also if m = 0."""
+        m = self.members[0].dim if self.members else 0
+        return np.array([mb.basis for mb in self.members], np.int64).reshape(len(self), m, self.n)
 
 
 def point(ctx: FieldContext, v: Sequence[int]) -> Subspace:
@@ -161,8 +168,7 @@ def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     ValueError if a member is not a point."""
     if any(pt.dim != 1 for pt in arc.members):
         raise ValueError("arc_check takes a family of points (1-dim members)")
-    reps = np.array([pt.basis for pt in arc.members], dtype=np.int64).reshape(-1, 1, arc.n)
-    counts = hyperplane_counts(arc.ctx, reps)
+    counts = hyperplane_counts(arc.ctx, arc.bases)
     bad = np.flatnonzero((counts != 0) & (counts != r))
     if bad.size:
         line = projective_points(arc.ctx, arc.n)[bad[0]]
@@ -207,10 +213,9 @@ def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     singular = np.concatenate(singular)
     m0 = vector_bitsets(subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2]), q**6)
     shared = np.bitwise_count(vector_bitsets(subspace_vector_ids(ctx, singular), q**6) & m0)
-    shared = shared.sum(axis=1).tolist()
-    spaces = [Subspace(ctx, 6, tuple(map(tuple, b))) for b in singular.tolist()]
-    r_star = SpaceFamily(ctx, 6, tuple(spaces))
-    s_star = SpaceFamily(ctx, 6, tuple(m for m, c in zip(spaces, shared) if c in (q - 1, q**3 - 1)))
+    odd = np.isin(shared.sum(axis=1), (q - 1, q**3 - 1))
+    r_star = SpaceFamily(ctx, 6, tuple(subspaces(ctx, singular)))
+    s_star = SpaceFamily(ctx, 6, tuple(subspaces(ctx, singular[odd])))
     if (len(r_star), len(s_star)) != (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1)):
         raise RuntimeError(f"quadric families of sizes {len(r_star)} and {len(s_star)}")
     return r_star, s_star

@@ -16,7 +16,8 @@ without external polynomial tables.
 
 Subspaces of ``F_q^n`` are kept in reduced row-echelon form, which gives
 each subspace a unique, hashable representation: two subspaces are equal
-iff their echelon bases are identical tuples.
+iff their echelon bases are identical tuples.  Stacked bases (arrays of
+shape (K, m, n)) become :class:`Subspace` values only in :func:`subspaces`.
 
 The arithmetic methods of :class:`FieldContext` take ints or integer
 arrays alike, through one pair of exp/log tables and one digit-wise
@@ -47,6 +48,7 @@ __all__ = [
     "subspace_meet",
     "orthogonal_complement",
     "enumerate_subspaces",
+    "subspaces",
     "echelon_bases",
     "vector_ids",
     "subspace_vector_ids",
@@ -465,8 +467,14 @@ def enumerate_subspaces(ctx: FieldContext, n: int, m: int) -> Iterator[Subspace]
     restarted at will and always yields qbinom(n, m, q) subspaces.
     """
     for block in echelon_bases(ctx, n, m):
-        for rows in block:  # one row at a time: a block can hold q^(m(n-m)) bases
-            yield Subspace(ctx, n, tuple(map(tuple, rows.tolist())))
+        yield from subspaces(ctx, block)
+
+
+def subspaces(ctx: FieldContext, bases: np.ndarray) -> Iterator[Subspace]:
+    """Canonical echelon bases, shape (K, m, n), as :class:`Subspace` values,
+    one at a time (a block can hold q^(m(n-m)) bases); no row is reduced."""
+    for rows in bases:
+        yield Subspace(ctx, bases.shape[-1], tuple(map(tuple, rows.tolist())))
 
 
 def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:

@@ -18,12 +18,13 @@ search with multiplicities (Knuth's Algorithm M): it branches on the
 partially covered vector with the fewest candidates left.  Both work on
 the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`.
 
-One :class:`PerpSystem` type holds both formulations.  ``perp_dualize``
-maps a system to its orthogonal-complement dual (k-dimensional members
-meeting trivially, every hyperplane holding 0 or d of them), flagged
-``dual=True``, and back.  The coset graph, the two-intersection set and
-the file format are defined for the primal formulation only; they raise
-ValueError on a dual system.
+A :class:`PerpSystem` is a :class:`dbrg.geometry.SpaceFamily` plus k, d,
+s and a ``dual`` flag for both formulations: ``perp_dualize`` maps a
+system to its :func:`dbrg.geometry.dualize` (k-dimensional members
+meeting trivially, every hyperplane holding 0 or d of them), and back.
+The coset graph, the two-intersection set and the file format are
+defined for the primal formulation only; they raise ValueError on a
+dual system.
 
 File format (one system per file)::
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,17 +52,17 @@ from .gfcore import (
     format_vector,
     hyperplane_counts,
     index_vector,
-    orthogonal_complement,
     parse_vector,
     projective_points,
     qbinom,
     subspace_make,
     subspace_meet,
     subspace_vector_ids,
+    subspaces,
     vector_bitsets,
     vector_ids,
 )
-from .geometry import SpaceFamily, field_for_order, point_family
+from .geometry import SpaceFamily, dualize, field_for_order, point_family
 
 __all__ = [
     "PerpSystem",
@@ -81,19 +82,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PerpSystem:
-    """A verified perp system (construct through :func:`perp_verify`).
+@dataclass(frozen=True, kw_only=True)
+class PerpSystem(SpaceFamily):
+    """A verified perp system (construct through :func:`perp_verify`): a
+    :class:`SpaceFamily` plus k, d and s, keyword-only so an order slip fails.
 
     With ``dual`` set it is the dual formulation (from :func:`perp_dualize`):
     k-dimensional members, pairwise trivial meets, every hyperplane
     containing 0 or d members.
     """
 
-    ctx: FieldContext
-    n: int
     k: int
-    members: tuple[Subspace, ...]
     d: int
     s: int
     dual: bool = False
@@ -128,31 +127,28 @@ def _first_meeting_pair(bits: np.ndarray, want: int) -> tuple[int, int] | None:
 
 
 def perp_verify(
-    ctx: FieldContext, n: int, k: int, members: Sequence[Subspace]
+    ctx: FieldContext, n: int, k: int, members: Iterable[Subspace]
 ) -> PerpSystem | PerpViolation:
     """Exhaustive check of the two covering conditions.
 
-    Preconditions (wrong member dimension, duplicates, empty family,
-    k > n/2) raise ValueError; failures of the covering or meet
+    Preconditions raise ValueError: members that do not form a
+    :class:`dbrg.geometry.SpaceFamily` in F_q^n, an empty family, k > n/2,
+    or members not of dimension n - k.  Failures of the covering or meet
     conditions come back as :class:`PerpViolation` values.
     """
-    members = tuple(members)
+    family = SpaceFamily(ctx, n, tuple(members))
+    members = family.members
     if not members:
         raise ValueError("empty family")
     if 2 * k > n or k < 1:
         raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-    for m in members:
-        if m.n != n or m.ctx != ctx:
-            raise ValueError("member in wrong ambient space")
-        if m.dim != n - k:
-            raise ValueError(f"member of dimension {m.dim}, expected {n - k}")
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate members")
+    if members[0].dim != n - k:
+        raise ValueError(f"member of dimension {members[0].dim}, expected {n - k}")
     if len(members) < 2:
         return PerpViolation("d_too_small", detail="family has a single member (s >= 2 required)")
 
     q = ctx.q
-    ids = subspace_vector_ids(ctx, np.array([m.basis for m in members]))
+    ids = subspace_vector_ids(ctx, family.bases)
     mults = np.bincount(ids.ravel(), minlength=q**n)[1:]
     covered = mults[mults > 0]  # not empty: every member has dimension n - k >= 1
     d, ref = int(covered.min()), int(covered.max())
@@ -175,7 +171,7 @@ def perp_verify(
             "pair_meet", pair=pair,
             detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
         )
-    return PerpSystem(ctx, n, k, members, d, len(members))
+    return PerpSystem(ctx, n, members, k=k, d=d, s=len(members))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     points = projective_points(ctx, n)
-    ids = subspace_vector_ids(ctx, np.array([m.basis for m in system.members]))
+    ids = subspace_vector_ids(ctx, system.bases)
     mults = np.bincount(ids.ravel(), minlength=q**n)
     reps = points[mults[vector_ids(ctx, points)] == d]
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
@@ -344,25 +340,24 @@ def perp_dualize(system: PerpSystem) -> PerpSystem:
     ValueError means ``system`` fails one of these checks.
     """
     ctx, n, k, d = system.ctx, system.n, system.k, system.d
-    duals = tuple(sorted((orthogonal_complement(m) for m in system.members),
-                         key=lambda m: m.basis))
+    duals = tuple(sorted(dualize(system).members, key=lambda m: m.basis))
     if system.dual:
         res = perp_verify(ctx, n, k, duals)
         if isinstance(res, PerpViolation):
             raise ValueError(f"dual of a dual system failed verification: {res}")
         return res
-    bases = np.array([m.basis for m in duals])
-    pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, bases), ctx.q**n), 0)
+    dual = PerpSystem(ctx, n, duals, k=k, d=d, s=system.s, dual=True)
+    pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, dual.bases), ctx.q**n), 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
-    counts = hyperplane_counts(ctx, bases)
+    counts = hyperplane_counts(ctx, dual.bases)
     bad = np.flatnonzero((counts != 0) & (counts != d))
     if bad.size:
         w, cnt = tuple(projective_points(ctx, n)[bad[0]].tolist()), int(counts[bad[0]])
         raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
     if not ((counts == 0).any() and (counts == d).any()):
         raise ValueError("hyperplane covering must take both values 0 and d")
-    return PerpSystem(ctx, n, k, duals, d, system.s, dual=True)
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +483,7 @@ def perp_search(
         if len(node.members) == s_target:
             # feasible, so every vector is covered 0 or d times
             if (node.cover[1:] == 0).any():
-                members = tuple(Subspace(ctx, n, tuple(map(tuple, bases[c].tolist())))
-                                for c in node.members)
-                res = perp_verify(ctx, n, k, members)
+                res = perp_verify(ctx, n, k, subspaces(ctx, bases[list(node.members)]))
                 if not isinstance(res, PerpSystem):
                     raise RuntimeError(f"search produced a family that fails perp_verify: {res}")
                 solutions += 1

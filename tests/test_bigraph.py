@@ -228,6 +228,11 @@ def test_graph_file_round_trip():
         parse_graph("")
     with pytest.raises(ValueError, match="line 1: negative"):
         parse_graph("B=-1 C=2")
+    # vertex ids are int32: 10^11 + 1 vertices is a header error, not an OverflowError
+    with pytest.raises(ValueError, match="line 1: .* do not fit int32 vertex ids"):
+        parse_graph("B=100000000000 C=1\n")
+    with pytest.raises(ValueError, match="int32"):
+        BipartiteGraph(10**11, 1, [])
     with pytest.raises(ValueError, match="line 5: duplicate edge '0 1'"):
         parse_graph("B=2 C=2\n0 1\n\n1 0\n0 1\n")
     with pytest.raises(ValueError, match="line 3: edge \\(2,0\\) out of range"):

@@ -108,6 +108,8 @@ def test_roundtrip_and_parse_errors(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 65
     bad.write_text("B=-1 C=2\n")
     assert main(["verify", str(bad)]) == 65
+    bad.write_text("B=100000000000 C=1\n")
+    assert main(["verify", str(bad)]) == 65
     bad.write_text("B=2 C=2\n0 1\n0 1\n")
     assert main(["verify", str(bad)]) == 65
     assert main(["verify", str(tmp_path / "missing.graph")]) == 66

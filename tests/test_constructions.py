@@ -27,7 +27,7 @@ from dbrg.constructions import (
     gen_delorme_graph,
     hyperoval_affine_graph,
 )
-from dbrg.geometry import denniston_arc, dualize, hyperoval
+from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
 from dbrg.gfcore import field, index_vector, subspace_make
 from dbrg.perpsys import perp_verify
 
@@ -257,6 +257,6 @@ def test_coset_positions_match_reduce(case):
                 if j not in mb.pivots:
                     rank = rank * q + rep[j]
             want.append((vid, i * q ** (n - m) + rank))
-    g = _coset_incidence(gf, n, members)
+    g = _coset_incidence(SpaceFamily(gf, n, members))
     assert (g.nB, g.nC) == (q**n, len(members) * q ** (n - m))
     assert g.edges == tuple(sorted(want))

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,6 +112,22 @@ def test_dualize_preserves_incidence_counts():
         hyp = dualize(pt)
         through = sum(1 for p in h.members if subspace_meet(hyp, p).dim == 1)
         assert on_lines == through
+
+
+def test_space_family_rejects_a_member_over_another_field():
+    # a point of GF(4)^3 in a family over GF(2)
+    pt = point(field_for_order(4), (1, 2, 3))
+    with pytest.raises(ValueError, match="field"):
+        SpaceFamily(field_for_order(2), 3, (pt,))
+
+
+def test_bases_are_stacked_int64_also_for_zero_dim_members():
+    gf2 = field_for_order(2)
+    fam = SpaceFamily(gf2, 4, (subspace_make(gf2, 4, []),))
+    assert fam.bases.dtype == np.int64 and fam.bases.shape == (1, 0, 4)
+    arc = hyperoval(4)
+    assert arc.bases.dtype == np.int64 and arc.bases.shape == (6, 1, 3)
+    assert arc.bases[:, 0].tolist() == [list(pt.basis[0]) for pt in arc.members]
 
 
 def test_dualize_subspace_dimension():

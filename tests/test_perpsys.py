@@ -119,18 +119,33 @@ def test_srg_params_values_and_identities():
 
 def test_unverified_systems_raise_value_error():
     good = dual_hyperoval_system(4)
-    short = PerpSystem(good.ctx, good.n, good.k, good.members[:-1], good.d, good.s)
+    short = PerpSystem(good.ctx, good.n, good.members[:-1], k=good.k, d=good.d, s=good.s)
     with pytest.raises(ValueError, match="covered-point count"):
         two_intersection_set(short)
     with pytest.raises(ValueError, match="non-integral"):
-        two_intersection_set(PerpSystem(good.ctx, good.n, good.k, good.members, good.d, 5))
-    twice = PerpSystem(good.ctx, good.n, good.k, good.members + good.members[:1], good.d, good.s)
-    with pytest.raises(ValueError, match="do not meet trivially"):
-        perp_dualize(twice)
+        two_intersection_set(PerpSystem(good.ctx, good.n, good.members, k=good.k, d=good.d, s=5))
+    with pytest.raises(ValueError, match="duplicate members"):
+        PerpSystem(good.ctx, good.n, good.members + good.members[:1], k=good.k, d=good.d,
+                   s=good.s)
+    # two planes of F_2^4 meeting in a line: so do their perps
+    gf2 = field(2)
+    planes = (subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+              subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]))
+    with pytest.raises(ValueError, match="dual members 0,1 do not meet trivially"):
+        perp_dualize(PerpSystem(gf2, 4, planes, k=2, d=2, s=2))
     dual = perp_dualize(good)
     with pytest.raises(ValueError, match="failed verification"):
-        perp_dualize(PerpSystem(dual.ctx, dual.n, dual.k, dual.members[:-1], dual.d, dual.s,
-                                dual=True))
+        perp_dualize(PerpSystem(dual.ctx, dual.n, dual.members[:-1], k=dual.k, d=dual.d,
+                                s=dual.s, dual=True))
+
+
+def test_perp_system_is_a_space_family_with_keyword_fields():
+    good = dual_hyperoval_system(4)
+    assert isinstance(good, SpaceFamily)
+    assert [f.name for f in dataclasses.fields(PerpSystem)] == [
+        "ctx", "n", "members", "k", "d", "s", "dual"]
+    with pytest.raises(TypeError):
+        PerpSystem(good.ctx, good.n, good.members, good.k, good.d, good.s)
 
 
 def test_two_intersection_set_q4():
@@ -340,7 +355,7 @@ def dualize_reference(system):
         seen.add(cnt)
     if seen != {0, d}:
         raise ValueError("hyperplane covering must take both values 0 and d")
-    return PerpSystem(ctx, n, k, duals, d, system.s, dual=True)
+    return PerpSystem(ctx, n, duals, k=k, d=d, s=system.s, dual=True)
 
 
 def outcome(fn, system):
@@ -378,7 +393,8 @@ def perp_like_systems(draw):
         covered = sum(1 for w in lex_points(ctx, n)
                       if sum(m.contains(w) for m in members) == d)
         s, rem = divmod(covered * d, qbinom(n - 1, 1, q))
-        return PerpSystem(ctx, n, 1, tuple(members), d, s if s and not rem else len(members))
+        return PerpSystem(ctx, n, tuple(members), k=1, d=d,
+                          s=s if s and not rem else len(members))
     base = draw(st.sampled_from(KNOWN))
     if kind == "known":
         return base
@@ -390,14 +406,20 @@ def perp_like_systems(draw):
     members = list(base.members)
     others = [m for m in enumerate_subspaces(base.ctx, base.n, base.n - base.k)
               if m not in members]
+
+    def fresh():  # a member not in the family and not drawn before
+        m = draw(st.sampled_from(others))
+        others.remove(m)
+        return m
+
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["drop", "replace", "add", "d", "s"]))
         if op == "drop" and len(members) > 1:
             members.pop(draw(st.integers(0, len(members) - 1)))
         elif op == "replace":
-            members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(others))
+            members[draw(st.integers(0, len(members) - 1))] = fresh()
         elif op == "add":
-            members.append(draw(st.sampled_from(others)))
+            members.append(fresh())
         elif op == "d":
             base = dataclasses.replace(base, d=draw(st.integers(1, 2 * base.d)))
         else:
@@ -408,10 +430,10 @@ def perp_like_systems(draw):
 # three lines of PG(2,2) with the right covered-point count for d = s = 2,
 # but a hyperplane meeting the point set in neither predicted size
 HYPERPLANE_MISS = PerpSystem(
-    field(2), 3, 1,
+    field(2), 3,
     tuple(subspace_make(field(2), 3, rows) for rows in (
         [(1, 0, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 0)])),
-    2, 2)
+    k=1, d=2, s=2)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -56,3 +56,28 @@ def test_gfcore_alone_knows_ids_and_bitsets():
             for pattern in (r"\*\*\s*np\.arange", r">>\s*6\b", r"&\s*63\b"):
                 found += [f"{path.name}: {m.group()}" for m in re.finditer(pattern, text)]
     assert found == []
+
+
+def test_family_bases_cross_to_the_kernels_in_one_place():
+    # member bases are stacked only by ``SpaceFamily.bases``; stacked rows
+    # become Subspace values only in gfcore (``subspaces``), since the
+    # Subspace constructor trusts its rows to be a canonical echelon basis
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.stem == "geometry":
+            allowed = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "bases"
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("array", "asarray", "stack") and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "basis"
+                    for arg in node.args for sub in ast.walk(arg)):
+                found.append(f"{path.name}:{node.lineno}: stacks member bases")
+            if name == "Subspace" and path.stem != "gfcore":
+                found.append(f"{path.name}:{node.lineno}: builds a Subspace")
+    assert found == []
