@@ -2,13 +2,17 @@
 
 Submodules:
 
+* :mod:`dbrg.params` -- intersection arrays and strongly regular parameters
+  (no numpy).
 * :mod:`dbrg.gfcore` -- finite fields GF(p^t) and exact linear algebra.
 * :mod:`dbrg.geometry` -- hyperovals, maximal arcs, dualities, quadric cones.
 * :mod:`dbrg.perpsys` -- perp systems: verification, parameters, search.
 * :mod:`dbrg.bigraph` -- bipartite graph engine and biregularity checks.
 * :mod:`dbrg.constructions` -- graph builders with predicted arrays.
-* :mod:`dbrg.feasibility` -- intersection-array feasibility and enumeration.
-* :mod:`dbrg.cli` -- command-line front end.
+* :mod:`dbrg.feasibility` -- intersection-array feasibility and enumeration
+  (integer work on :mod:`dbrg.params`, no numpy).
+* :mod:`dbrg.cli` -- command-line front end; each command imports only the
+  layers it calls.
 """
 
 __version__ = "0.1.0"

@@ -20,39 +20,37 @@ Memory: edges are two sorted int32 arrays; the engine holds N densely
 
 A simple :class:`Graph` (a halved graph, or subdivision input) is held as
 a dense read-only boolean adjacency matrix: every consumer works densely,
-so its edge list is derived from the matrix, not stored.  A strongly
-regular graph's parameters come from one derivation,
-:func:`srg_from_spectrum`, which both the feasibility conditions and the
-perp-system parameters use.
+so its edge list is derived from the matrix, not stored.  The parameter
+records, :class:`dbrg.params.IntersectionArray` and the strongly regular
+:class:`dbrg.params.SrgParams` with its one derivation
+:func:`dbrg.params.srg_from_spectrum`, live in :mod:`dbrg.params`, which
+imports no numpy, so the feasibility layer can use them without this one.
 
 Vertices are addressed by a single index: the B class occupies
 ``0..nB-1`` and the C class ``nB..nB+nC-1``.
 
 Graph text format: header ``B=<nB> C=<nC>``, then one edge ``<b> <c>``
-per line with 0-based class-local indices, sorted.  Intersection arrays
-print as ``{k;c1,...,cdB | l;c1,...,cdC}``.
+per line with 0-based class-local indices, sorted.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .params import IntersectionArray
+
 __all__ = [
     "BipartiteGraph",
     "Graph",
-    "IntersectionArray",
     "DistancePartition",
     "LocalCheck",
     "DbrgResult",
     "SemiregularResult",
     "SrgResult",
-    "SrgParams",
-    "srg_from_spectrum",
     "ShortcutResult",
     "distance_partition",
     "local_dr_check",
@@ -67,7 +65,6 @@ __all__ = [
     "c3_shortcut_check",
     "parse_graph",
     "serialize_graph",
-    "arrays_equal_up_to_swap",
 ]
 
 
@@ -176,99 +173,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={int(self._adj.sum()) // 2})"
-
-
-# ---------------------------------------------------------------------------
-# Intersection arrays
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntersectionArray:
-    """The two c-lines of a distance-biregular graph.
-
-    ``k`` and ``cB`` describe vertices in B (valency k, c_1..c_dB), and
-    ``l``, ``cC`` the C side.  The b-numbers are derived: at even
-    distance from a base vertex the counts sum to the base side's
-    valency, at odd distance to the other valency.
-    """
-
-    k: int
-    l: int
-    cB: tuple[int, ...]
-    cC: tuple[int, ...]
-
-    @property
-    def dB(self) -> int:
-        return len(self.cB)
-
-    @property
-    def dC(self) -> int:
-        return len(self.cC)
-
-    def bB(self, i: int) -> int:
-        if i == 0:
-            return self.k
-        return (self.k if i % 2 == 0 else self.l) - self.cB[i - 1]
-
-    def bC(self, i: int) -> int:
-        if i == 0:
-            return self.l
-        return (self.l if i % 2 == 0 else self.k) - self.cC[i - 1]
-
-    def validate(self) -> None:
-        """Raise ValueError if a necessary condition on the array fails."""
-        for name, k, cs in (("B", self.k, self.cB), ("C", self.l, self.cC)):
-            other = self.l if name == "B" else self.k
-            if not cs or cs[0] != 1:
-                raise ValueError(f"{name}-line must start with c_1 = 1")
-            for i, c in enumerate(cs, start=1):
-                cap = k if i % 2 == 0 else other
-                if not 1 <= c <= cap:
-                    raise ValueError(f"c_{i}^{name} = {c} exceeds valency bound {cap}")
-            d = len(cs)
-            final_cap = k if d % 2 == 0 else other
-            if cs[-1] != final_cap:
-                raise ValueError(f"final c of {name}-line must equal {final_cap}")
-        if abs(self.dB - self.dC) > 1:  # adjacent eccentricities differ by at most one
-            raise ValueError(f"covering radii {self.dB} and {self.dC} differ by more than one")
-        if max(self.dB, self.dC) % 2 and self.k != self.l:
-            raise ValueError("odd diameter forces a regular graph (k = l)")
-
-    @property
-    def regular(self) -> bool:
-        return self.k == self.l
-
-    def swapped(self) -> "IntersectionArray":
-        return IntersectionArray(self.l, self.k, self.cC, self.cB)
-
-    def __str__(self) -> str:
-        top = ",".join(map(str, self.cB))
-        bot = ",".join(map(str, self.cC))
-        return f"{{{self.k};{top} | {self.l};{bot}}}"
-
-    @classmethod
-    def parse(cls, text: str) -> "IntersectionArray":
-        """Read ``{k;c_1,...,c_dB | l;c_1,...,c_dC}`` ('/' may replace '|');
-        ValueError quoting ``text`` if it has another form."""
-        body = text.strip().strip("{}")
-        sep = "|" if "|" in body else "/"
-        parts = body.split(sep)
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse intersection array {text!r}: expected two lines")
-        lines = []
-        for part in parts:
-            head, _, rest = part.partition(";")
-            try:
-                lines.append((int(head), tuple(int(x) for x in rest.split(","))))
-            except ValueError as exc:
-                raise ValueError(f"cannot parse intersection array {text!r}: each line must be "
-                                 "'<valency>;<c_1>,...,<c_d>' with integer entries") from exc
-        (k, cb), (l, cc) = lines
-        return cls(k, l, cb, cc)
-
-
-def arrays_equal_up_to_swap(a: IntersectionArray, b: IntersectionArray) -> bool:
-    return a == b or a.swapped() == b
 
 
 # ---------------------------------------------------------------------------
@@ -500,60 +404,6 @@ def srg_check(h: Graph) -> SrgResult:
         i, j = next(zip(*np.nonzero(non & (common != mu))))
         return SrgResult(False, witness=("mu", int(i), int(j)))
     return SrgResult(True, params=(v, k, lam, mu))
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """Strongly regular parameters with the eigenvalues r >= 0 > s of the
-    adjacency matrix and their multiplicities f1, f2."""
-
-    v: int
-    k: int
-    lam: int
-    mu: int
-    r: int
-    s: int
-    f1: int
-    f2: int
-
-    def tuple4(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
-
-
-def srg_from_spectrum(v: int, k: int | Fraction, r: int | Fraction,
-                      s: int | Fraction) -> SrgParams:
-    """The strongly regular graph on v vertices with eigenvalues k, r, s.
-
-    mu = k + r*s and lambda = mu + r + s; f1 and f2 solve f1 + f2 = v - 1
-    and k + f1*r + f2*s = 0.  ValueError names the first failing
-    condition (Brouwer-Cohen-Neumaier, *Distance-Regular Graphs*, 1.3 and
-    2.3): integral eigenvalues with r >= 0 > s, integral non-negative
-    multiplicities, lambda >= 0, 1 <= mu <= k, the counting identity
-    k(k - lambda - 1) = (v - k - 1) mu, and both Krein inequalities.
-    """
-    if k.denominator != 1 or r.denominator != 1 or s.denominator != 1:
-        raise ValueError("non-integral halved eigenvalue")
-    k, r, s = int(k), int(r), int(s)
-    mu = k + r * s
-    lam = mu + r + s
-    if not r >= 0 > s:
-        raise ValueError(f"eigenvalues out of order: r={r}, s={s}")
-    f1, rem = divmod(-k - (v - 1) * s, r - s)
-    if rem:
-        raise ValueError(f"non-integral multiplicity f1 = {Fraction(-k - (v - 1) * s, r - s)}")
-    f2 = v - 1 - f1
-    if f1 < 0 or f2 < 0:
-        raise ValueError(f"negative multiplicity (f1={f1}, f2={f2})")
-    if lam < 0:
-        raise ValueError(f"negative lambda = {lam}")
-    if mu < 1 or mu > k:
-        raise ValueError(f"mu = {mu} outside [1, k]")
-    if k * (k - lam - 1) != (v - k - 1) * mu:
-        raise ValueError("SRG counting identity fails")
-    if ((r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) ** 2
-            or (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2):
-        raise ValueError(f"Krein condition fails for ({v},{k},{lam},{mu})")
-    return SrgParams(v, k, lam, mu, r, s, f1, f2)
 
 
 def subdivision(h: Graph) -> BipartiteGraph:

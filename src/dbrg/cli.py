@@ -2,9 +2,11 @@
 
 Every subcommand is a thin composition of library calls: builders from
 :mod:`dbrg.constructions`, checks from :mod:`dbrg.bigraph` and
-:mod:`dbrg.perpsys`, and the feasibility enumeration.  Identical
-invocations produce byte-identical artifacts; the last stdout line of
-each command is a compact JSON summary.
+:mod:`dbrg.perpsys`, and the feasibility enumeration.  Each command
+imports only the layers it calls, so importing this module loads none of
+them, and ``feas enumerate`` and ``catalog`` run without numpy.
+Identical invocations produce byte-identical artifacts; the last stdout
+line of each command is a compact JSON summary.
 
 Exit codes separate mathematical verdicts from operational failures:
 
@@ -24,8 +26,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from . import bigraph, constructions, feasibility, perpsys
 
 EXIT_OK = 0
 EXIT_VERDICT = 2
@@ -49,7 +49,7 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
-def _array_payload(arr: bigraph.IntersectionArray | None):
+def _array_payload(arr) -> str | None:
     return None if arr is None else str(arr)
 
 
@@ -57,21 +57,23 @@ def _array_payload(arr: bigraph.IntersectionArray | None):
 # construct
 # ---------------------------------------------------------------------------
 
-def _gen_delorme(args) -> constructions.ConstructionResult:
+def _gen_delorme(c, args):
+    from . import perpsys
+
     res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perp).read_text()))
     if isinstance(res, perpsys.PerpViolation):
         raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
-    return constructions.gen_delorme_graph(res)
+    return c.gen_delorme_graph(res)
 
 
-# family -> (required options, builder)
+# family -> (required options, builder of (dbrg.constructions, args))
 _FAMILIES = {
-    "complete-bipartite": (("k", "l"), lambda a: constructions.complete_bipartite(a.k, a.l)),
-    "bi-johnson": (("n", "k"), lambda a: constructions.bi_johnson(a.n, a.k)),
-    "bi-grassmann": (("n", "k", "q"), lambda a: constructions.bi_grassmann(a.n, a.k, a.q)),
+    "complete-bipartite": (("k", "l"), lambda c, a: c.complete_bipartite(a.k, a.l)),
+    "bi-johnson": (("n", "k"), lambda c, a: c.bi_johnson(a.n, a.k)),
+    "bi-grassmann": (("n", "k", "q"), lambda c, a: c.bi_grassmann(a.n, a.k, a.q)),
     "gen-delorme": (("perp",), _gen_delorme),
-    "cone": (("q",), lambda a: constructions.cone_graph(a.q)),
-    "hyperoval-affine": (("q",), lambda a: constructions.hyperoval_affine_graph(a.q)),
+    "cone": (("q",), lambda c, a: c.cone_graph(a.q)),
+    "hyperoval-affine": (("q",), lambda c, a: c.hyperoval_affine_graph(a.q)),
 }
 
 
@@ -79,10 +81,13 @@ class _Verdict(Exception):
     """Negative mathematical result (exit code 2)."""
 
 
-def _emit(built: constructions.ConstructionResult, out: str, keys: dict) -> int:
-    """Check a built graph, write ``out``.graph and ``out``.json, print the
-    summary: ``keys`` plus the sizes and the predicted and measured arrays.
-    Exit 0 if the graph verifies with the predicted array, else 2."""
+def _emit(built, out: str, keys: dict) -> int:
+    """Check a built :class:`dbrg.constructions.ConstructionResult`, write
+    ``out``.graph and ``out``.json, print the summary: ``keys`` plus the
+    sizes and the predicted and measured arrays.  Exit 0 if the graph
+    verifies with the predicted array, else 2."""
+    from . import bigraph
+
     res = bigraph.dbrg_check(built.graph)
     _write(out + ".graph", bigraph.serialize_graph(built.graph))
     payload = {
@@ -100,18 +105,22 @@ def _emit(built: constructions.ConstructionResult, out: str, keys: dict) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+
     required, build = _FAMILIES[args.family]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         print(f"usage error: construct {args.family} requires {' '.join(missing)}",
               file=sys.stderr)
         return EXIT_USAGE
-    built = build(args)
+    built = build(constructions, args)
     return _emit(built, args.out, {"command": "construct", "family": args.family,
                                    "params": built.params, "provenance": built.provenance})
 
 
 def cmd_verify(args) -> int:
+    from . import bigraph
+
     g = bigraph.parse_graph(Path(args.graphfile).read_text())
     res = bigraph.dbrg_check(g)
     payload = {
@@ -129,6 +138,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from . import bigraph, constructions
+
     g = bigraph.parse_graph(Path(args.graphfile).read_text())
     side, _, idx = args.vertex.partition(":")
     if side not in ("B", "C") or not idx.isdigit():
@@ -148,6 +159,8 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_perp_verify(args) -> int:
+    from . import perpsys
+
     res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perpfile).read_text()))
     if isinstance(res, perpsys.PerpViolation):
         _summary({"command": "perp-verify", "ok": False, "kind": res.kind,
@@ -160,6 +173,8 @@ def cmd_perp_verify(args) -> int:
 
 
 def cmd_perp_search(args) -> int:
+    from . import perpsys
+
     out = perpsys.perp_search(
         args.n, args.k, args.q, args.d,
         budget_nodes=args.budget_nodes,
@@ -189,6 +204,8 @@ def cmd_perp_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_feas_enumerate(args) -> int:
+    from . import feasibility
+
     rows = feasibility.enumerate_feasible(args.max_side)
     if args.out:
         _write(args.out, feasibility.rows_to_csv(rows))
@@ -209,6 +226,8 @@ def cmd_feas_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import feasibility
+
     rows = feasibility.enumerate_feasible(args.max_side)
     ref = feasibility.reference_table(args.catalog)
     try:
@@ -242,8 +261,12 @@ def cmd_roundtrip(args) -> int:
     text = Path(args.file).read_text()
     head = text.splitlines()[0] if text else ""
     if head.startswith("B="):
+        from . import bigraph
+
         again = bigraph.serialize_graph(bigraph.parse_graph(text))
     elif head.startswith("q="):
+        from . import perpsys
+
         res = perpsys.perp_verify(*perpsys.parse_perp(text))
         if isinstance(res, perpsys.PerpViolation):
             _summary({"command": "roundtrip", "ok": False, "detail": res.detail})

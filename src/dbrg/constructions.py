@@ -19,8 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bigraph import (BipartiteGraph, IntersectionArray, dbrg_check, distance_partition,
-                      flip, induced_subgraph)
+from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
 from .feasibility import distance3_homogeneity
 from .gfcore import (
     bitset_contains,
@@ -32,6 +31,7 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
+from .params import IntersectionArray
 from .perpsys import PerpSystem
 
 __all__ = [

@@ -18,14 +18,15 @@ The implemented necessary conditions:
   a projective plane of the corresponding order (order 6 and 10 are
   impossible, and Bruck-Ryser applies).
 
-Everything is exact integer/Fraction arithmetic.  ``enumerate_feasible``
-reproduces the known table of admissible arrays up to 1300 vertices per
-side.  It starts c2B at k^2/(max_side-2) and skips a c3B that leaves k3
-non-integral before building anything; both drop only tuples that the
-cell recursion rejects (see its docstring).  Arrays that only the
-homogeneity or plane conditions reject stay listed with status
-``infeasible`` (they are part of the table), while anything failing a
-structural condition is not listed at all.
+Everything is exact integer/Fraction arithmetic, and the module imports
+no numpy.  ``enumerate_feasible`` reproduces the known table of
+admissible arrays up to 1300 vertices per side.  It starts c2B at
+k^2/(max_side-2), visits only the c2B that leave some l in range, and
+skips a c3B that leaves k3 non-integral before building anything; all
+three drop only tuples that the cell recursion rejects (see its
+docstring).  Arrays that only the homogeneity or plane conditions reject
+stay listed with status ``infeasible`` (they are part of the table),
+while anything failing a structural condition is not listed at all.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
-import numpy as np
-
-from .bigraph import IntersectionArray, SrgParams, srg_from_spectrum
+from .params import IntersectionArray, SrgParams, srg_from_spectrum
 
 __all__ = [
     "CandidateArray",
@@ -355,6 +355,55 @@ def _report(a: CandidateArray, counts: Counts, srg: SrgDerivation) -> Feasibilit
                              status, tuple(reasons))
 
 
+def _c2b_strides(span: int):
+    """Yield ``(k, c2B, step, first, last)`` in order of k, then c2B: for
+    every k >= 3 and lo = max(2, ceil(k^2/span)) <= c2B < k with
+
+        step = lcm((k-1)/gcd(k-c2B, k-1), c2B/gcd(k, c2B)),
+        first = the least multiple of step above k - 1,
+        last = floor(span*c2B/k),
+
+    exactly the c2B with first <= last, i.e. with some l - 1 in range.
+
+    Only c2B that can pass are visited.  Write c2B = h*t with
+    h = gcd(k, c2B) < k, g = gcd(c2B - 1, k - 1) and A = (k - 1)/g, so
+    step = lcm(A, t).  Then step <= last forces A/gcd(A, t) <= span*h/k:
+    D = g*gcd(A, t) divides k - 1 and is at least k(k-1)/(span*h).  The
+    factors of D = g*e are coprime (g divides h*t - 1, e divides t), and
+    every such c2B has t = 0 mod e and h*t = 1 mod g, one residue of t
+    modulo D.  So for each h | k, each large enough D | k - 1 and each
+    coprime split D = g*e, one progression of difference h*D covers the
+    candidates; where the range of t is shorter than that list of
+    splits, every t in it is a candidate instead.  Each candidate then
+    takes the exact test.  Divisor lists come from one sieve up to span.
+    """
+    divisors: list[list[int]] = [[] for _ in range(span + 1)]
+    for d in range(1, span + 1):
+        for m in range(d, span + 1, d):
+            divisors[m].append(d)
+    for k in range(3, span):
+        lo = max(2, -(-k * k // span))
+        if lo >= k:
+            return
+        splits = sorted((g * e, g, e) for g in divisors[k - 1]
+                        for e in divisors[(k - 1) // g] if gcd(g, e) == 1)
+        c2bs = set()
+        for h in divisors[k][:-1]:
+            first_split = bisect_left(splits, (-(-k * (k - 1) // (span * h)),))
+            t_lo = -(-lo // h)
+            if (k - 1) // h - t_lo < len(splits) - first_split:
+                c2bs.update(range(h * t_lo, k, h))
+                continue
+            for D, g, e in splits[first_split:]:
+                t0 = e * pow(h * e, -1, g) if g > 1 else 0  # t0 = 0 mod e, h*t0 = 1 mod g
+                c2bs.update(range(lo + (h * t0 - lo) % (h * D), k, h * D))
+        for c2b in sorted(c2bs):
+            step = lcm((k - 1) // gcd(k - c2b, k - 1), c2b // gcd(k, c2b))
+            first, last = ((k - 1) // step + 1) * step, span * c2b // k
+            if first <= last:
+                yield k, c2b, step, first, last
+
+
 def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
     """All canonical (k < l) arrays with both classes at most max_side.
 
@@ -365,41 +414,32 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
 
     Each bound and stride drops only tuples the cell recursion rejects:
     k4 >= 1 gives k2 = k(l-1)/c2B <= max_side - 2, and l - 1 >= k, so
-    c2B starts at k^2/(max_side-2); l - 1 steps by the lcm (numpy, all
-    c2B of one k at once) of the strides making k2 and c2C integral; c3B
-    steps so that c3C is integral and at most k - 1; and a c3B that does
-    not divide k2*b2B (k3 not integral) is skipped before any object is
-    built.  The products hold by construction; full reports are built
+    c2B starts at k^2/(max_side-2); l - 1 steps by the lcm of the strides
+    making k2 and c2C integral, and only the c2B leaving some l - 1 in
+    range are visited (:func:`_c2b_strides`, integer divisor arithmetic);
+    c3B steps so that c3C is integral and at most k - 1; and a c3B that
+    does not divide k2*b2B (k3 not integral) is skipped before any object
+    is built.  The products hold by construction; full reports are built
     only for rows passing the counts and halved-SRG checks.
     """
     if max_side < 2:
         raise ValueError("max_side must be at least 2")
     span = max_side - 2
     rows: list[FeasibilityReport] = []
-    for k in range(3, span):
-        lo = max(2, -(-k * k // span))
-        if lo >= k:
-            break
-        c2bs = np.arange(lo, k, dtype=np.int64)
-        steps = np.lcm((k - 1) // np.gcd(k - c2bs, k - 1), c2bs // np.gcd(k, c2bs))
-        firsts = ((k - 1) // steps + 1) * steps  # smallest multiple of step with l > k
-        lasts = span * c2bs // k
-        keep = firsts <= lasts
-        pairs = zip(*(x[keep].tolist() for x in (c2bs, steps, firsts, lasts)))
-        for c2b, step, first, last in pairs:
-            for l_minus1 in range(first, last + 1, step):
-                l, k2b2 = l_minus1 + 1, k * l_minus1 // c2b * (k - c2b)
-                c2c = l - (l_minus1 * (k - c2b)) // (k - 1)
-                step3 = c2c // gcd(c2b, c2c)
-                for c3b in range(step3, min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
-                    if k2b2 % c3b:  # k3 = k2*b2B/c3B is not an integer
-                        continue
-                    cand = CandidateArray(k, l, c2b, c3b, c2c, c2b * c3b // c2c)
-                    counts = vertex_counts(cand)
-                    if counts.ok and counts.nB <= max_side and counts.nC <= max_side:
-                        srg = halved_srg_derive(cand, counts)
-                        if srg.ok:
-                            rows.append(_report(cand, counts, srg))
+    for k, c2b, step, first, last in _c2b_strides(span):
+        for l_minus1 in range(first, last + 1, step):
+            l, k2b2 = l_minus1 + 1, k * l_minus1 // c2b * (k - c2b)
+            c2c = l - (l_minus1 * (k - c2b)) // (k - 1)
+            step3 = c2c // gcd(c2b, c2c)
+            for c3b in range(step3, min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
+                if k2b2 % c3b:  # k3 = k2*b2B/c3B is not an integer
+                    continue
+                cand = CandidateArray(k, l, c2b, c3b, c2c, c2b * c3b // c2c)
+                counts = vertex_counts(cand)
+                if counts.ok and counts.nB <= max_side and counts.nC <= max_side:
+                    srg = halved_srg_derive(cand, counts)
+                    if srg.ok:
+                        rows.append(_report(cand, counts, srg))
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
                              r.array.c2B, r.array.c3B))
     return rows
@@ -430,7 +470,7 @@ def reference_table(path: str | None = None) -> list[dict]:
             if key in seen:
                 raise ValueError(f"malformed catalog: {key} listed twice")
             seen.add(key)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
     return rows
 

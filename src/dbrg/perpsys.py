@@ -37,6 +37,7 @@ serialization round-trips byte-identically.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .bigraph import SrgParams, srg_from_spectrum
 from .gfcore import (
     FieldContext,
     Subspace,
@@ -63,6 +63,7 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, dualize, field_for_order, point_family
+from .params import SrgParams, srg_from_spectrum
 
 __all__ = [
     "PerpSystem",
@@ -260,7 +261,7 @@ def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> SrgParams:
     Its eigenvalues are s(q^(n-k) - 1)/d, (q^(n-k) - s)/d and -s/d, and
     mu = q^(n-2k) s (s-1) / d^2.  ValueError if mu != k + r*s (s
     inconsistent with n, k, q, d), checked first, or if
-    :func:`dbrg.bigraph.srg_from_spectrum` rejects the spectrum (the
+    :func:`dbrg.params.srg_from_spectrum` rejects the spectrum (the
     parameter set is inadmissible).
     """
     k_h = Fraction(s * (q ** (n - k) - 1), d)
@@ -425,9 +426,14 @@ def perp_search(
     time from entry, set-up included.  Returns status ``found`` with a
     system checked by :func:`perp_verify`, ``exhausted`` when the whole
     space was explored (with ``solutions`` counted if ``count_all``), or
-    ``budget`` when a cap was hit first.
+    ``budget`` when a cap was hit first.  ValueError if ``budget_nodes``
+    is negative or ``budget_seconds`` is negative, infinite or NaN.
     """
     t0 = time.monotonic()
+    if budget_nodes is not None and budget_nodes < 0:
+        raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
+    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
+        raise ValueError(f"budget_seconds must be finite and non-negative, got {budget_seconds}")
     report = perp_params(n, k, q, d)
     if not report.admissible:
         reasons = "; ".join(c.detail for c in report.checks if not c.ok)

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from dbrg.bigraph import (
-    IntersectionArray,
-    arrays_equal_up_to_swap,
     dbrg_check,
     distance_partition,
     girth,
@@ -39,6 +37,7 @@ from dbrg.feasibility import (
 )
 from dbrg.gfcore import enumerate_subspaces, field, qbinom
 from dbrg.geometry import dualize, hyperoval
+from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
 from dbrg.perpsys import (
     PerpSystem,
     parse_perp,

@@ -8,8 +8,6 @@ from dbrg import bigraph
 from dbrg.bigraph import (
     BipartiteGraph,
     Graph,
-    IntersectionArray,
-    arrays_equal_up_to_swap,
     c3_shortcut_check,
     dbrg_check,
     distance_partition,
@@ -24,6 +22,7 @@ from dbrg.bigraph import (
     srg_check,
     subdivision,
 )
+from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
 
 
 def complete_bip(nb, nc):

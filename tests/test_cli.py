@@ -83,6 +83,20 @@ def test_perp_search_budget_exit_code(capsys):
     assert last_json(capsys)["status"] == "budget"
 
 
+@pytest.mark.parametrize("option,value,name", [
+    ("--budget-seconds", "nan", "budget_seconds"),
+    ("--budget-seconds", "inf", "budget_seconds"),
+    ("--budget-seconds", "-1", "budget_seconds"),
+    ("--budget-nodes", "-5", "budget_nodes"),
+])
+def test_perp_search_unbounded_budget_exits_65(capsys, option, value, name):
+    # a NaN or infinite time budget never ran out, and a negative one
+    # reported an exhausted budget instead of an invalid argument
+    rc = main(["perp", "search", "--n", "6", "--k", "2", "--q", "3", "--d", "3", option, value])
+    assert rc == 65
+    assert f"invalid input: {name} must be" in capsys.readouterr().err
+
+
 def test_feas_enumerate_and_catalog(tmp_path, capsys):
     csv_path = str(tmp_path / "table.csv")
     rc = main(["feas", "enumerate", "--max-side", "64", "--out", csv_path])
@@ -153,13 +167,20 @@ def test_usage_errors():
     ('{"rows": [{"array": "{6;1,2,10,6 | 16;1,4,5,16}", "status": "exists"}, '
      '{"array": "{16;1,4,5,16 | 6;1,2,10,6}", "status": "nonexistent"}]}',
      "malformed catalog: {6;1,2,10,6 | 16;1,4,5,16} listed twice"),
-    ("not json", "invalid input"),
+    ("not json", "invalid input: malformed catalog: JSONDecodeError"),
 ])
 def test_catalog_bad_file_exits_65(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["catalog", "--max-side", "64", "--catalog", str(path)]) == 65
     assert message in capsys.readouterr().err
+
+
+def test_catalog_nested_too_deep_exits_65(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["catalog", "--max-side", "64", "--catalog", str(path)]) == 65
+    assert "invalid input: malformed catalog: RecursionError" in capsys.readouterr().err
 
 
 def test_determinism(tmp_path):
@@ -193,6 +214,36 @@ def test_perp_commands_leave_numpy_ma_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[0, 0] False"
+
+
+def _fresh_interpreter(code: str, cwd: Path) -> str:
+    """Stripped stdout of ``code`` run by a new interpreter in ``cwd``."""
+    src = str(Path(dbrg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_importing_the_cli_loads_no_layer(tmp_path):
+    # each command imports the layers it calls, when it runs
+    code = ("import sys\n"
+            "import dbrg.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('dbrg')),\n"
+            "      'numpy' in sys.modules)\n")
+    assert _fresh_interpreter(code, tmp_path) == "['dbrg', 'dbrg.cli'] False"
+
+
+def test_feasibility_commands_leave_numpy_unimported(tmp_path):
+    # the feasibility layer is integer and Fraction work: starting numpy
+    # would add a fifth of a second to every run
+    code = ("import contextlib, io, sys\n"
+            "from dbrg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['feas', 'enumerate', '--max-side', '300', '--out', 'rows.csv',\n"
+            "                   '--json', 'rows.json']),\n"
+            "             main(['catalog', '--max-side', '300', '--out', 'catalog.json'])]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    assert _fresh_interpreter(code, tmp_path) == "[0, 0] False"
 
 
 MIXED_PERP = "q=2^1 modulus=0,1 n=3 k=1\n0,1,0;0,0,1\n1,0,0;0,0,1\n"  # two planes of F_2^3

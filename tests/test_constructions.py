@@ -7,8 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dbrg.bigraph import (
-    IntersectionArray,
-    arrays_equal_up_to_swap,
     dbrg_check,
     girth,
     halved_graphs,
@@ -29,6 +27,7 @@ from dbrg.constructions import (
 )
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
 from dbrg.gfcore import field, index_vector, subspace_make
+from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
 from dbrg.perpsys import perp_verify
 
 

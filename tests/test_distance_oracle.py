@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from dbrg.bigraph import (
     BipartiteGraph,
     Graph,
-    IntersectionArray,
     dbrg_check,
     distance_partition,
     girth,
     local_dr_check,
     subdivision,
 )
+from dbrg.params import IntersectionArray
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

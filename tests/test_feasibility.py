@@ -2,11 +2,13 @@
 
 import hashlib
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from dbrg.feasibility import (
     CandidateArray,
+    _c2b_strides,
     catalog_annotate,
     compare_with_reference,
     delorme_relations_check,
@@ -182,6 +184,35 @@ def _brute_force_rows(max_side):
 @pytest.mark.parametrize("max_side", [64, 150, 300, 400])
 def test_enumeration_matches_brute_force(max_side):
     assert rows_to_json(enumerate_feasible(max_side)) == rows_to_json(_brute_force_rows(max_side))
+
+
+def _strides_by_definition(span, k):
+    """(k, c2B, step, first, last) for every c2B in [lo, k) with some l - 1
+    in range, from the stride formula itself."""
+    out = []
+    for c2b in range(max(2, -(-k * k // span)), k):
+        step = lcm((k - 1) // gcd(k - c2b, k - 1), c2b // gcd(k, c2b))
+        first, last = ((k - 1) // step + 1) * step, span * c2b // k
+        if first <= last:
+            out.append((k, c2b, step, first, last))
+    return out
+
+
+@pytest.mark.parametrize("max_side", [300, 1300, 2000, 3000])
+def test_c2b_strides_match_definition(max_side):
+    span = max_side - 2
+    got = list(_c2b_strides(span))
+    want = [row for k in range(3, span) for row in _strides_by_definition(span, k)]
+    assert got == want
+
+
+def test_c2b_strides_match_definition_sampled_at_10000():
+    span = 9998
+    by_k = {}
+    for row in _c2b_strides(span):
+        by_k.setdefault(row[0], []).append(row)
+    for k in [*range(3, 200), *range(200, span, 37), 9240, 9241, 9972, 9973]:
+        assert by_k.get(k, []) == _strides_by_definition(span, k), k
 
 
 def test_enumeration_pinned_at_2000():

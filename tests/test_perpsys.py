@@ -252,6 +252,19 @@ def test_search_zero_time_budget_stops_in_setup():
     assert out.setup_seconds == out.elapsed
 
 
+@pytest.mark.parametrize("budget,name", [
+    ({"budget_seconds": float("nan")}, "budget_seconds"),
+    ({"budget_seconds": float("inf")}, "budget_seconds"),
+    ({"budget_seconds": -1.0}, "budget_seconds"),
+    ({"budget_nodes": -5}, "budget_nodes"),
+])
+def test_search_rejects_budgets_that_do_not_bound_it(budget, name):
+    # a NaN or infinite time budget never runs out; a negative budget is
+    # not a budget.  Both are refused before any set-up work.
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        perp_search(6, 2, 3, 3, **budget)
+
+
 def test_search_determinism():
     a = perp_search(3, 1, 4, 2)
     b = perp_search(3, 1, 4, 2)

@@ -81,3 +81,46 @@ def test_family_bases_cross_to_the_kernels_in_one_place():
             if name == "Subspace" and path.stem != "gfcore":
                 found.append(f"{path.name}:{node.lineno}: builds a Subspace")
     assert found == []
+
+
+def _imports(path):
+    """(package modules, other top-level modules) imported anywhere in a file."""
+    local, other = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            other |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            local |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.split(".")[0])
+    return local, other
+
+
+def test_integer_layer_imports_no_numpy():
+    # params and feasibility, and every package module they import, are
+    # integer and Fraction work; the feasibility commands never start numpy
+    package = Path(dbrg.__file__).parent
+    todo, seen, found = ["params", "feasibility"], set(), []
+    while todo:
+        stem = todo.pop()
+        if stem in seen:
+            continue
+        seen.add(stem)
+        local, other = _imports(package / f"{stem}.py")
+        todo += local
+        found += [f"{stem}.py imports numpy"] if "numpy" in other else []
+    assert found == []
+
+
+def test_cli_imports_no_layer_at_module_level():
+    # each command imports the layers it calls, so `import dbrg.cli` is cheap
+    path = Path(dbrg.__file__).parent / "cli.py"
+    found = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else ["dbrg"]
+        else:
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        found += [f"cli.py:{node.lineno}: imports {name} at module level"
+                  for name in names if name.split(".")[0] == "dbrg"]
+    assert found == []
