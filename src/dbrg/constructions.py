@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
-from .feasibility import distance3_homogeneity
+from .feasibility import homogeneity
 from .gfcore import (
     bitset_contains,
     coset_ids,
@@ -207,10 +207,11 @@ def derived_local_graph(
 
     The class containing z plays the role of the second array line; all
     b-numbers are re-derived from the verified parent array.  Hypotheses
-    checked before building: a caller-supplied array is valid; b_3 > 0
-    on the line of z; the homogeneity scalar for distance 3 vanishes, and
-    the two strict inequalities relating its constant to c_2 and b_3.
-    Violations raise :class:`DerivedGraphError` naming the condition.
+    checked before building: a caller-supplied array is valid (so b_3 > 0
+    on the line of z); the homogeneity scalar for distance 3 vanishes, its
+    constant is defined, and the two strict inequalities relating it to
+    c_2 and b_3 hold.  Violations raise :class:`DerivedGraphError` naming
+    the condition.
     """
     parent.vertex(z_side, z_index)  # ValueError for a side or index the parent lacks
     if array is None:
@@ -229,10 +230,11 @@ def derived_local_graph(
     z = graph.vertex("C", z_index)
     if arr.dB < 4 or arr.dC < 4:
         raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
-    if arr.bC(3) < 1:  # nothing at distance 4 from z; the distance-3 denominator would be 0
-        raise DerivedGraphError("b3_positive", f"b3 = {arr.bC(3)} on the line of z")
     c2b, c3b, c2c, b3c = arr.cB[1], arr.cB[2], arr.cC[1], arr.bC(3)
-    delta3, gamma3 = distance3_homogeneity(arr)
+    try:
+        delta3, gamma3 = homogeneity(arr, 3)
+    except ValueError as exc:
+        raise DerivedGraphError("gamma3_undefined", str(exc)) from None
     if delta3 != 0:
         raise DerivedGraphError("delta3_nonzero", f"distance-3 homogeneity scalar is {delta3}")
     if not (c2b > gamma3):

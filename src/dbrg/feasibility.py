@@ -1,16 +1,19 @@
 """Feasibility engine for diameter-4, girth-4, non-regular intersection arrays.
 
-A candidate array is the data (k, l, c2B, c3B, c2C, c3C) with c4 equal
-to the valency on each line and 2 <= c2 on both sides (girth four).
-The implemented necessary conditions:
+A candidate is a :class:`dbrg.params.IntersectionArray`
+``{k; 1,c2B,c3B,k | l; 1,c2C,c3C,l}``: valid, covering radius 4 on both
+sides and 2 <= c2 on both lines (girth four).  Every condition reads its
+c-lines and derived b-numbers; the two orientations are ``swapped`` and
+``canonical`` of the array, and each check's verdict is a
+:class:`dbrg.params.Condition`.  The implemented necessary conditions:
 
 * integral distance-cell sizes on both sides, consistent across sides
   and with the edge count;
 * the product relations tying the two lines together
   (c2B*c3B = c2C*c3C and b1B*b2B = b1C*b2C);
 * homogeneity: for i in {2, 3} and both line orientations, whenever the
-  scalar Delta_i vanishes the associated triple-intersection constant
-  gamma_i must be a non-negative integer;
+  scalar Delta_i of :func:`homogeneity` vanishes the associated
+  triple-intersection constant gamma_i must be a non-negative integer;
 * both halved graphs must carry consistent strongly-regular parameters
   with integral eigenvalues and multiplicities, non-negative lambda,
   mu <= k, the SRG counting identity, and the two Krein inequalities;
@@ -41,18 +44,16 @@ from importlib import resources
 from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from .params import IntersectionArray, SrgParams, srg_from_spectrum
+from .params import Condition, IntersectionArray, SrgParams, srg_from_spectrum
 
 __all__ = [
-    "CandidateArray",
     "FeasibilityReport",
-    "Condition",
     "DeltaGammaEntry",
     "SrgDerivation",
     "vertex_counts",
     "delorme_relations_check",
     "delta_gamma_check",
-    "distance3_homogeneity",
+    "homogeneity",
     "halved_srg_derive",
     "plane_implication_check",
     "evaluate",
@@ -66,59 +67,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CandidateArray:
-    """Diameter-4 array data; the two c4 entries are the valencies."""
-
-    k: int
-    l: int
-    c2B: int
-    c3B: int
-    c2C: int
-    c3C: int
-
-    def validate(self) -> None:
-        if self.k < 3 or self.l < 3:
-            raise ValueError("valencies below 3 cannot carry a girth-4 diameter-4 array")
-        if not 2 <= self.c2B <= self.k - 1:
-            raise ValueError(f"need 2 <= c2B <= k-1, got c2B={self.c2B}, k={self.k}")
-        if not 2 <= self.c2C <= self.l - 1:
-            raise ValueError(f"need 2 <= c2C <= l-1, got c2C={self.c2C}, l={self.l}")
-        if not 1 <= self.c3B <= self.l - 1:
-            raise ValueError(f"need 1 <= c3B <= l-1, got c3B={self.c3B}")
-        if not 1 <= self.c3C <= self.k - 1:
-            raise ValueError(f"need 1 <= c3C <= k-1, got c3C={self.c3C}")
-
-    def swapped(self) -> "CandidateArray":
-        return CandidateArray(self.l, self.k, self.c2C, self.c3C, self.c2B, self.c3B)
-
-    def canonical(self) -> "CandidateArray":
-        return self if self.k <= self.l else self.swapped()
-
-    def to_intersection_array(self) -> IntersectionArray:
-        return IntersectionArray(
-            self.k, self.l,
-            (1, self.c2B, self.c3B, self.k),
-            (1, self.c2C, self.c3C, self.l),
-        )
-
-    @classmethod
-    def from_intersection_array(cls, arr: IntersectionArray) -> "CandidateArray":
-        if arr.dB != 4 or arr.dC != 4:
-            raise ValueError("candidate arrays have covering radius 4 on both sides")
-        return cls(arr.k, arr.l, arr.cB[1], arr.cB[2], arr.cC[1], arr.cC[2])
-
-    def __str__(self) -> str:
-        return str(self.to_intersection_array())
-
-
-@dataclass(frozen=True)
-class Condition:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class Counts:
     ok: bool
     nB: int | None = None
@@ -128,26 +76,34 @@ class Counts:
     detail: str = ""
 
 
-def _side_cells(k: int, l: int, c2: int, c3: int) -> tuple[int, ...] | str:
-    """Distance-cell sizes 1, k1..k4 from a base vertex of valency k."""
-    cells = [1, k]
-    bs = [k, l - 1, k - c2, l - c3, 0]
-    cs = [1, c2, c3, k]
-    for i in (1, 2, 3):
-        num = cells[-1] * bs[i]
-        den = cs[i]
+def _diameter4(a: IntersectionArray) -> IntersectionArray:
+    """``a`` itself if it is a valid diameter-4, girth-4 array, else ValueError."""
+    a.validate()
+    if a.dB != 4 or a.dC != 4:
+        raise ValueError(f"{a}: feasibility arrays have covering radius 4 on both sides")
+    if a.cB[1] < 2 or a.cC[1] < 2:
+        raise ValueError(f"{a}: girth four needs c2 >= 2 on both lines")
+    return a
+
+
+def _side_cells(b, c: tuple[int, ...]) -> tuple[int, ...] | str:
+    """Distance-cell sizes 1, k1..k4 from a base vertex with b-numbers
+    ``b(i)`` and c-line ``c``."""
+    cells = [1]
+    for i in range(4):
+        num, den = cells[i] * b(i), c[i]
         if num % den:
             return f"k_{i + 1} = {num}/{den} is not an integer"
         cells.append(num // den)
     return tuple(cells)
 
 
-def vertex_counts(a: CandidateArray) -> Counts:
+def vertex_counts(a: IntersectionArray) -> Counts:
     """Exact class sizes from the distance-cell recursion, both sides."""
-    cb = _side_cells(a.k, a.l, a.c2B, a.c3B)
+    cb = _side_cells(a.bB, a.cB)
     if isinstance(cb, str):
         return Counts(False, detail=f"B side: {cb}")
-    cc = _side_cells(a.l, a.k, a.c2C, a.c3C)
+    cc = _side_cells(a.bC, a.cC)
     if isinstance(cc, str):
         return Counts(False, detail=f"C side: {cc}")
     nB = 1 + cb[2] + cb[4]
@@ -163,10 +119,10 @@ def vertex_counts(a: CandidateArray) -> Counts:
     return Counts(True, nB, nC, cb, cc)
 
 
-def delorme_relations_check(a: CandidateArray) -> Condition:
+def delorme_relations_check(a: IntersectionArray) -> Condition:
     """The two product identities linking the array lines."""
-    lhs1, rhs1 = a.c2B * a.c3B, a.c2C * a.c3C
-    lhs2, rhs2 = (a.l - 1) * (a.k - a.c2B), (a.k - 1) * (a.l - a.c2C)
+    lhs1, rhs1 = a.cB[1] * a.cB[2], a.cC[1] * a.cC[2]
+    lhs2, rhs2 = a.bB(1) * a.bB(2), a.bC(1) * a.bC(2)
     if lhs1 != rhs1:
         return Condition("products", False, f"c2*c3 differ: {lhs1} != {rhs1}")
     if lhs2 != rhs2:
@@ -183,38 +139,44 @@ class DeltaGammaEntry:
     ok: bool
 
 
-def distance3_homogeneity(arr: IntersectionArray) -> tuple[Fraction, Fraction | None]:
-    """(Delta_3, gamma_3) seen from the C line of a diameter-4 array.
+def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | None]:
+    """(Delta_i, gamma_i) of an array with covering radii at least 4.
 
-    Delta_3 is the distance-3 homogeneity scalar; gamma_3, the forced
-    triple-intersection constant, is given only when Delta_3 vanishes
-    (otherwise None).  c_4 is read from the C line, where it equals l.
+    Delta_i is the distance-i homogeneity scalar and gamma_i the forced
+    triple-intersection constant, given only when Delta_i vanishes
+    (otherwise None).  For i = 2 the b- and c-numbers are read from the
+    B line, for i = 3 from the C line; the cross factor is always
+    (c2C - 1)/c2B:
+
+        den     = b_i (c_{i+1} - 1) + c_i (b_{i-1} - 1)
+        Delta_i = (b_{i-1} - 1)(c_{i+1} - 1) - den (c2C - 1)/c2B
+        gamma_i = c2B c_i (b_{i-1} - 1)/den
+
+    ValueError if den = 0 (then Delta_i = 0 and gamma_i is undefined).
     """
-    c2B, c2C, c3C, c4C = arr.cB[1], arr.cC[1], arr.cC[2], arr.cC[3]
-    b2C, b3C = arr.bC(2), arr.bC(3)
-    den3 = b3C * (c4C - 1) + c3C * (b2C - 1)
-    delta3 = Fraction((b2C - 1) * (c4C - 1)) - Fraction(den3 * (c2C - 1), c2B)
-    return delta3, Fraction(c2B * c3C * (b2C - 1), den3) if delta3 == 0 else None
+    b, c = (arr.bB, arr.cB) if i == 2 else (arr.bC, arr.cC)
+    c2B, c2C = arr.cB[1], arr.cC[1]
+    den = b(i) * (c[i] - 1) + c[i - 1] * (b(i - 1) - 1)
+    delta = Fraction((b(i - 1) - 1) * (c[i] - 1)) - Fraction(den * (c2C - 1), c2B)
+    if delta:
+        return delta, None
+    if den == 0:
+        raise ValueError(f"gamma_{i} is undefined: its denominator "
+                         f"b_{i}(c_{i + 1} - 1) + c_{i}(b_{i - 1} - 1) is 0")
+    return delta, Fraction(c2B * c[i - 1] * (b(i - 1) - 1), den)
 
 
-def _delta_gamma(a: CandidateArray) -> list[DeltaGammaEntry]:
+def _delta_gamma(a: IntersectionArray) -> list[DeltaGammaEntry]:
     out = []
-    for orientation in ("as-given", "swapped"):
-        arr = a if orientation == "as-given" else a.swapped()
-        b1B, b2B = arr.l - 1, arr.k - arr.c2B
-        # distance 2: own-line quantities with the cross factor (c2C - 1)
-        den2 = b2B * (arr.c3B - 1) + arr.c2B * (b1B - 1)
-        delta2 = Fraction((b1B - 1) * (arr.c3B - 1)) - Fraction(den2 * (arr.c2C - 1), arr.c2B)
-        gamma2 = Fraction(arr.c2B * arr.c2B * (b1B - 1), den2) if delta2 == 0 else None
-        # distance 3: other-line quantities
-        delta3, gamma3 = distance3_homogeneity(arr.to_intersection_array())
-        for i, delta, gamma in ((2, delta2, gamma2), (3, delta3, gamma3)):
+    for orientation, arr in (("as-given", a), ("swapped", a.swapped())):
+        for i in (2, 3):
+            delta, gamma = homogeneity(arr, i)
             ok = gamma is None or (gamma.denominator == 1 and gamma >= 0)
             out.append(DeltaGammaEntry(i, orientation, delta, gamma, ok))
     return out
 
 
-def delta_gamma_check(a: CandidateArray) -> tuple[Condition, list[DeltaGammaEntry]]:
+def delta_gamma_check(a: IntersectionArray) -> tuple[Condition, list[DeltaGammaEntry]]:
     """Homogeneity test at distances 2 and 3, in both line orientations.
 
     Wherever the scalar Delta vanishes, the triple-intersection constant
@@ -243,27 +205,28 @@ class SrgDerivation:
     detail: str = ""
 
 
-def halved_srg_derive(a: CandidateArray, counts: Counts | None = None) -> SrgDerivation:
+def halved_srg_derive(a: IntersectionArray, counts: Counts | None = None) -> SrgDerivation:
     """Strongly-regular parameters of both halved graphs, or a rejection.
 
     The middle eigenvalue theta of the walk matrix is forced by the
-    array (the trace of the squared side-quotient); each halved graph
-    then has eigenvalues k_H, (theta-val)/c2, -val/c2.  ``counts``, when
-    given, must be ``vertex_counts(a)``.
+    array (the trace of the squared side-quotient, sum_i b_i c_{i+1} - kl
+    on either line); each halved graph then has eigenvalues k_H,
+    (theta-val)/c2, -val/c2.  ``counts``, when given, must be
+    ``vertex_counts(a)``.
     """
     counts = vertex_counts(a) if counts is None else counts
     if not counts.ok:
         return SrgDerivation(False, detail=f"cell counts: {counts.detail}")
     k, l = a.k, a.l
     kl = k * l
-    theta = k + (l - 1) * a.c2B + (k - a.c2B) * a.c3B + (l - a.c3B) * k - kl
-    theta_c = l + (k - 1) * a.c2C + (l - a.c2C) * a.c3C + (k - a.c3C) * l - kl
+    theta = sum(a.bB(i) * a.cB[i] for i in range(4)) - kl
+    theta_c = sum(a.bC(i) * a.cC[i] for i in range(4)) - kl
     if theta != theta_c:
         return SrgDerivation(False, detail=f"walk traces disagree: {theta} vs {theta_c}")
     if theta <= 0 or theta >= kl:
         return SrgDerivation(False, detail=f"middle eigenvalue {theta} outside (0, kl)")
     sides = []
-    for name, v, val, c2 in (("B", counts.nB, k, a.c2B), ("C", counts.nC, l, a.c2C)):
+    for name, v, val, c2 in (("B", counts.nB, k, a.cB[1]), ("C", counts.nC, l, a.cC[1])):
         try:  # the halved valency counts the vertices at distance two
             sides.append(srg_from_spectrum(v, Fraction(val * (kl // val - 1), c2),
                                            Fraction(theta - val, c2), Fraction(-val, c2)))
@@ -281,7 +244,7 @@ def _sum_of_two_squares(n: int) -> bool:
     return False
 
 
-def plane_implication_check(a: CandidateArray) -> Condition:
+def plane_implication_check(a: IntersectionArray) -> Condition:
     """Arrays of the degree-2 maximal-arc shape force a projective plane.
 
     Pattern (canonical orientation): {n+2; 1, 2, n(n+1)/2, n+2 | n^2; 1,
@@ -289,13 +252,13 @@ def plane_implication_check(a: CandidateArray) -> Condition:
     mod 4 must be a sum of two squares (Bruck-Ryser).
     """
     c = a.canonical()
-    n = c.c2C
+    n = c.cC[1]
     if (
-        c.c2B == 2
+        c.cB[1] == 2
         and c.k == n + 2
         and c.l == n * n
-        and c.c3C == n + 1
-        and 2 * c.c3B == n * (n + 1)
+        and c.cC[2] == n + 1
+        and 2 * c.cB[2] == n * (n + 1)
     ):
         if n in (6, 10):
             return Condition("plane", False, f"requires a projective plane of order {n}")
@@ -310,7 +273,7 @@ def plane_implication_check(a: CandidateArray) -> Condition:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    array: CandidateArray
+    array: IntersectionArray
     counts: Counts
     conditions: tuple[Condition, ...]
     delta_gamma: tuple[DeltaGammaEntry, ...]
@@ -326,14 +289,14 @@ class FeasibilityReport:
         )
 
 
-def evaluate(a: CandidateArray) -> FeasibilityReport:
-    """Run every implemented condition on one candidate array."""
-    a.validate()
-    counts = vertex_counts(a)
+def evaluate(a: IntersectionArray) -> FeasibilityReport:
+    """Run every implemented condition on one diameter-4, girth-4 array;
+    ValueError if ``a`` is not one."""
+    counts = vertex_counts(_diameter4(a))
     return _report(a, counts, halved_srg_derive(a, counts))
 
 
-def _report(a: CandidateArray, counts: Counts, srg: SrgDerivation) -> FeasibilityReport:
+def _report(a: IntersectionArray, counts: Counts, srg: SrgDerivation) -> FeasibilityReport:
     """The full report, given ``vertex_counts(a)`` and ``halved_srg_derive(a)``."""
     hom, entries = delta_gamma_check(a)
     plane = plane_implication_check(a)
@@ -434,14 +397,14 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
             for c3b in range(step3, min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
                 if k2b2 % c3b:  # k3 = k2*b2B/c3B is not an integer
                     continue
-                cand = CandidateArray(k, l, c2b, c3b, c2c, c2b * c3b // c2c)
+                cand = IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c2b * c3b // c2c, l))
                 counts = vertex_counts(cand)
                 if counts.ok and counts.nB <= max_side and counts.nC <= max_side:
                     srg = halved_srg_derive(cand, counts)
                     if srg.ok:
                         rows.append(_report(cand, counts, srg))
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
-                             r.array.c2B, r.array.c3B))
+                             r.array.cB[1], r.array.cB[2]))
     return rows
 
 
@@ -476,15 +439,14 @@ def reference_table(path: str | None = None) -> list[dict]:
 
 
 def _canon_key(arr: IntersectionArray) -> str:
-    a = CandidateArray.from_intersection_array(arr).canonical()
-    return str(a)
+    return str(_diameter4(arr).canonical())
 
 
 def compare_with_reference(
     rows: list[FeasibilityReport], reference: list[dict]
 ) -> tuple[list[str], list[FeasibilityReport], list[str]]:
     """Split into (matched keys, extra rows, missing keys) vs the catalog."""
-    have = {_canon_key(r.array.to_intersection_array()): r for r in rows}
+    have = {_canon_key(r.array): r for r in rows}
     ref_keys = {_canon_key(IntersectionArray.parse(row["array"])) for row in reference}
     matched = sorted(k for k in have if k in ref_keys)
     extras = [have[k] for k in sorted(have) if k not in ref_keys]
@@ -501,7 +463,7 @@ def catalog_annotate(rows: list[FeasibilityReport], catalog: list[dict]) -> list
     by_key = {_canon_key(IntersectionArray.parse(row["array"])): row for row in catalog}
     out = []
     for rep in rows:
-        key = _canon_key(rep.array.to_intersection_array())
+        key = _canon_key(rep.array)
         cat = by_key.get(key)
         status = cat["status"] if cat else "extra"
         if cat and rep.status == "infeasible" and cat["status"] == "exists":
@@ -539,7 +501,7 @@ def rows_to_csv(rows: Iterable[FeasibilityReport]) -> str:
         a = r.array
         writer.writerow(
             [
-                a.k, a.c2B, a.c3B, a.l, a.c2C, a.c3C,
+                a.k, a.cB[1], a.cB[2], a.l, a.cC[1], a.cC[2],
                 r.counts.nB, r.counts.nC,
                 "(%d,%d,%d,%d)" % r.srg.B.tuple4(),
                 "(%d,%d,%d,%d)" % r.srg.C.tuple4(),
@@ -558,7 +520,7 @@ def rows_to_json(rows: Iterable[FeasibilityReport]) -> str:
             {
                 "array": str(a),
                 "k": a.k, "l": a.l,
-                "c2B": a.c2B, "c3B": a.c3B, "c2C": a.c2C, "c3C": a.c3C,
+                "c2B": a.cB[1], "c3B": a.cB[2], "c2C": a.cC[1], "c3C": a.cC[2],
                 "nB": r.counts.nB, "nC": r.counts.nC,
                 "cells_B": list(r.counts.cells_B),
                 "cells_C": list(r.counts.cells_C),

@@ -1,10 +1,15 @@
 """Parameter records shared by the graph, feasibility and perp layers.
 
-:class:`IntersectionArray` holds the two c-lines of a distance-biregular
-graph and reads and prints them as ``{k;c1,...,cdB | l;c1,...,cdC}``.
-:class:`SrgParams` holds the parameters of a strongly regular graph,
-which come from one derivation, :func:`srg_from_spectrum`, used by both
-the feasibility conditions and the perp-system parameters.
+:class:`IntersectionArray` is the one array type: it holds the two
+c-lines of a distance-biregular graph, derives the b-numbers, reads and
+prints them as ``{k;c1,...,cdB | l;c1,...,cdC}`` and orients them
+(``swapped``, ``canonical``).  The graph checks, the constructions and
+the feasibility conditions all read it.  :class:`SrgParams` holds the
+parameters of a strongly regular graph, which come from one derivation,
+:func:`srg_from_spectrum`, used by both the feasibility conditions and
+the perp-system parameters.  :class:`Condition` is the one record of a
+named check with its verdict, for array conditions and perp-system
+parameter rules alike.
 
 The module is plain integer and Fraction arithmetic and imports no
 numpy, so the feasibility layer runs without it.
@@ -16,11 +21,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "Condition",
     "IntersectionArray",
     "arrays_equal_up_to_swap",
     "SrgParams",
     "srg_from_spectrum",
 ]
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One named necessary condition and whether it holds."""
+
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -62,14 +77,13 @@ class IntersectionArray:
             other = self.l if name == "B" else self.k
             if not cs or cs[0] != 1:
                 raise ValueError(f"{name}-line must start with c_1 = 1")
+            d = len(cs)
             for i, c in enumerate(cs, start=1):
                 cap = k if i % 2 == 0 else other
-                if not 1 <= c <= cap:
-                    raise ValueError(f"c_{i}^{name} = {c} exceeds valency bound {cap}")
-            d = len(cs)
-            final_cap = k if d % 2 == 0 else other
-            if cs[-1] != final_cap:
-                raise ValueError(f"final c of {name}-line must equal {final_cap}")
+                if i == d and c != cap:
+                    raise ValueError(f"final c of {name}-line must equal {cap}")
+                if i < d and not 1 <= c < cap:  # b_i > 0: a vertex lies at distance i + 1
+                    raise ValueError(f"c_{i}^{name} = {c} outside [1, {cap}) before the last cell")
         if abs(self.dB - self.dC) > 1:  # adjacent eccentricities differ by at most one
             raise ValueError(f"covering radii {self.dB} and {self.dC} differ by more than one")
         if max(self.dB, self.dC) % 2 and self.k != self.l:
@@ -81,6 +95,10 @@ class IntersectionArray:
 
     def swapped(self) -> "IntersectionArray":
         return IntersectionArray(self.l, self.k, self.cC, self.cB)
+
+    def canonical(self) -> "IntersectionArray":
+        """The orientation with the smaller valency first (k <= l)."""
+        return self if self.k <= self.l else self.swapped()
 
     def __str__(self) -> str:
         top = ",".join(map(str, self.cB))

@@ -63,12 +63,11 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, dualize, field_for_order, point_family
-from .params import SrgParams, srg_from_spectrum
+from .params import Condition, SrgParams, srg_from_spectrum
 
 __all__ = [
     "PerpSystem",
     "PerpViolation",
-    "ParamCheck",
     "ParamReport",
     "TwoIntersectionSet",
     "SearchOutcome",
@@ -180,20 +179,13 @@ def perp_verify(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ParamCheck:
-    rule: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ParamReport:
     n: int
     k: int
     q: int
     d: int
     s: int | None
-    checks: tuple[ParamCheck, ...]
+    checks: tuple[Condition, ...]
 
     @property
     def admissible(self) -> bool:
@@ -204,30 +196,31 @@ def perp_params(n: int, k: int, q: int, d: int) -> ParamReport:
     """Forced member count s plus the admissibility rules for (n,k,q,d)."""
     ctx = field_for_order(q)
     p = ctx.p
-    checks: list[ParamCheck] = []
+    checks: list[Condition] = []
     s: int | None = None
 
     if k < 1 or 2 * k > n:
-        checks.append(ParamCheck("range", False, f"need 1 <= k <= n/2, got k={k}, n={n}"))
+        checks.append(Condition("range", False, f"need 1 <= k <= n/2, got k={k}, n={n}"))
     elif d < 2:
-        checks.append(ParamCheck("range", False, f"need d >= 2, got d={d}"))
+        checks.append(Condition("range", False, f"need d >= 2, got d={d}"))
     elif n == 2 * k:
         checks.append(
-            ParamCheck(
+            Condition(
                 "range", False,
                 "n = 2k is inadmissible for d >= 2: the member-count formula degenerates "
                 "and d would have to be a non-positive power of p",
             )
         )
     else:
-        checks.append(ParamCheck("range", True, ""))
+        checks.append(Condition("range", True))
         num = (d - 1) * (q ** (n - k) - 1)
         den = q ** (n - 2 * k) - 1
         if num % den:
-            checks.append(ParamCheck("count", False, f"member count (d-1)(q^(n-k)-1)/(q^(n-2k)-1)+1 is not an integer"))
+            checks.append(Condition("count", False,
+                                    "member count (d-1)(q^(n-k)-1)/(q^(n-2k)-1)+1 is not an integer"))
         else:
             s = num // den + 1
-            checks.append(ParamCheck("count", True, f"s = {s}"))
+            checks.append(Condition("count", True, f"s = {s}"))
         # d = q^(n-2k) / p^i for a nonnegative integer i
         dd, is_p_power = d, True
         while dd % p == 0:
@@ -236,18 +229,18 @@ def perp_params(n: int, k: int, q: int, d: int) -> ParamReport:
             is_p_power = False
         if not is_p_power or d > q ** (n - 2 * k):
             checks.append(
-                ParamCheck(
+                Condition(
                     "multiplicity", False,
                     f"d={d} must be a power of {p} dividing q^(n-2k)={q ** (n - 2 * k)}",
                 )
             )
         else:
-            checks.append(ParamCheck("multiplicity", True, ""))
+            checks.append(Condition("multiplicity", True))
         if d >= q ** max(n - 3 * k, 0) or n <= 4 * k - 1:
-            checks.append(ParamCheck("dimension", True, ""))
+            checks.append(Condition("dimension", True))
         else:
             checks.append(
-                ParamCheck(
+                Condition(
                     "dimension", False,
                     f"need d >= q^(n-3k) = {q ** (n - 3 * k)} or n <= 4k-1 = {4 * k - 1}",
                 )

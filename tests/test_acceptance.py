@@ -29,7 +29,6 @@ from dbrg.constructions import (
     hyperoval_affine_graph,
 )
 from dbrg.feasibility import (
-    CandidateArray,
     compare_with_reference,
     enumerate_feasible,
     evaluate,

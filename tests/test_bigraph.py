@@ -252,6 +252,9 @@ def test_intersection_array_parse_and_validate():
         IntersectionArray(6, 16, (2, 2, 10, 6), (1, 4, 5, 16)).validate()
     with pytest.raises(ValueError):
         IntersectionArray(6, 16, (1, 2, 10, 5), (1, 4, 5, 16)).validate()
+    # b2 = 4 - c2 = 0 leaves nothing at distance 3, yet c3 = 3 follows
+    with pytest.raises(ValueError, match="c_2\\^B = 4 outside \\[1, 4\\) before the last cell"):
+        IntersectionArray(4, 4, (1, 4, 3, 4), (1, 4, 3, 4)).validate()
 
 
 @pytest.mark.parametrize("text", [

@@ -160,6 +160,13 @@ def test_usage_errors():
     ('{"rows": [{"array": "{6 | 16;1,4,5,16}", "status": "exists"}]}',
      "cannot parse intersection array"),
     ('{"rows": [{"array": "{2;1,2 | 3;1,3}", "status": "exists"}]}', "covering radius 4"),
+    # c1 != 1, c4 != k and c2 > k: each array must be valid as a whole
+    ('{"rows": [{"array": "{6;2,2,10,6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "B-line must start with c_1 = 1"),
+    ('{"rows": [{"array": "{6;1,2,10,5 | 16;1,4,5,16}", "status": "exists"}]}',
+     "final c of B-line must equal 6"),
+    ('{"rows": [{"array": "{6;1,7,10,6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "c_2^B = 7 outside [1, 6)"),
     ('{"rows": [{"array": "{6;1,2,10,6 | 16;1,4,5,16}", "status": "maybe"}]}', "'maybe' invalid"),
     ('{"rows": [{"status": "exists"}]}', "malformed catalog"),
     ('{"table": []}', "malformed catalog"),

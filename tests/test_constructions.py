@@ -185,16 +185,28 @@ def test_derived_rejects_bi_johnson_parent():
 
 
 def test_derived_rejects_supplied_array_without_distance_4():
-    # c3C = k and c2C = l - 1: b3 = 0 on the C line, and the distance-3
-    # homogeneity denominator would be zero
+    # c3C = k and c2C = l - 1: b3 = 0 on the C line before its last cell,
+    # which the array check rejects
     parent = complete_bipartite(3, 4).graph
     arr = IntersectionArray(3, 4, (1, 2, 2, 3), (1, 3, 3, 4))
     with pytest.raises(DerivedGraphError) as err:
         derived_local_graph(parent, "C", 0, array=arr)
-    assert err.value.condition == "b3_positive"
+    assert err.value.condition == "array_invalid"
     with pytest.raises(DerivedGraphError) as err:
         derived_local_graph(parent, "C", 0, array=IntersectionArray(3, 4, (1, 0, 2, 3), arr.cC))
     assert err.value.condition == "array_invalid"
+
+
+def test_derived_rejects_undefined_gamma3():
+    # a valid array whose distance-3 homogeneity denominator
+    # b3(c4 - 1) + c3(b2 - 1) is 0 (c4 = 1, b2 = 1), so Delta3 = 0 and
+    # gamma3 is 0/0
+    parent = complete_bipartite(3, 3).graph
+    arr = IntersectionArray(3, 3, (1, 2, 1, 1, 1, 3), (1, 2, 1, 1, 1, 3))
+    arr.validate()
+    with pytest.raises(DerivedGraphError) as err:
+        derived_local_graph(parent, "C", 0, array=arr)
+    assert err.value.condition == "gamma3_undefined"
 
 
 @pytest.mark.parametrize("side,index,message", [

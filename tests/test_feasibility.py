@@ -7,7 +7,6 @@ from math import gcd, lcm
 import pytest
 
 from dbrg.feasibility import (
-    CandidateArray,
     _c2b_strides,
     catalog_annotate,
     compare_with_reference,
@@ -22,9 +21,16 @@ from dbrg.feasibility import (
     rows_to_json,
     vertex_counts,
 )
+from dbrg.params import IntersectionArray
 
-ROW1 = CandidateArray(6, 16, 2, 10, 4, 5)
-MATHON = CandidateArray(21, 81, 3, 60, 9, 20)
+
+def array4(k, l, c2b, c3b, c2c, c3c):
+    """The diameter-4 array {k; 1,c2b,c3b,k | l; 1,c2c,c3c,l}."""
+    return IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c3c, l))
+
+
+ROW1 = array4(6, 16, 2, 10, 4, 5)
+MATHON = array4(21, 81, 3, 60, 9, 20)
 
 
 def test_vertex_counts_row1():
@@ -39,24 +45,24 @@ def test_vertex_counts_mathon():
 
 
 def test_vertex_counts_non_integral():
-    c = vertex_counts(CandidateArray(6, 16, 4, 5, 2, 10))
+    c = vertex_counts(array4(6, 16, 4, 5, 2, 10))
     assert not c.ok and "not an integer" in c.detail
 
 
 def test_delorme_relations():
     assert delorme_relations_check(ROW1).ok      # 2*10 = 4*5 and 15*4 = 5*12
     assert delorme_relations_check(MATHON).ok    # 3*60 = 9*20
-    bad = CandidateArray(6, 16, 2, 9, 4, 5)
+    bad = array4(6, 16, 2, 9, 4, 5)
     assert not delorme_relations_check(bad).ok
 
 
 @pytest.mark.parametrize(
     "cand,gamma",
     [
-        (CandidateArray(12, 45, 3, 33, 9, 11), Fraction(9, 5)),
-        (CandidateArray(20, 96, 4, 76, 16, 19), Fraction(8, 3)),
-        (CandidateArray(18, 120, 3, 85, 15, 17), Fraction(15, 8)),
-        (CandidateArray(30, 175, 5, 145, 25, 29), Fraction(25, 7)),
+        (array4(12, 45, 3, 33, 9, 11), Fraction(9, 5)),
+        (array4(20, 96, 4, 76, 16, 19), Fraction(8, 3)),
+        (array4(18, 120, 3, 85, 15, 17), Fraction(15, 8)),
+        (array4(30, 175, 5, 145, 25, 29), Fraction(25, 7)),
     ],
 )
 def test_delta_gamma_flagged_rows(cand, gamma):
@@ -81,7 +87,7 @@ def test_delta_gamma_row1_not_rejected():
 
 def test_delta_gamma_orientation_complete():
     # swapping the lines permutes the orientations but not the verdict
-    for cand in [ROW1, MATHON, CandidateArray(12, 45, 3, 33, 9, 11)]:
+    for cand in [ROW1, MATHON, array4(12, 45, 3, 33, 9, 11)]:
         v1, _ = delta_gamma_check(cand)
         v2, _ = delta_gamma_check(cand.swapped())
         assert v1.ok == v2.ok
@@ -100,17 +106,17 @@ def test_halved_srg_mathon_and_row1():
 
 def test_halved_srg_regular_boundary_case():
     # the 4-cube array: k = l is fine for derivation even if not enumerated
-    cube = CandidateArray(4, 4, 2, 3, 2, 3)
+    cube = array4(4, 4, 2, 3, 2, 3)
     d = halved_srg_derive(cube)
     assert d.ok and d.B.tuple4() == (8, 6, 4, 6)
 
 
 def test_plane_implication():
-    n6 = CandidateArray(8, 36, 2, 21, 6, 7)
+    n6 = array4(8, 36, 2, 21, 6, 7)
     assert not plane_implication_check(n6).ok
-    n10 = CandidateArray(12, 100, 2, 55, 10, 11)
+    n10 = array4(12, 100, 2, 55, 10, 11)
     assert not plane_implication_check(n10).ok
-    n8 = CandidateArray(10, 64, 2, 36, 8, 9)
+    n8 = array4(10, 64, 2, 36, 8, 9)
     res = plane_implication_check(n8)
     assert res.ok and "order 8" in res.detail
     assert plane_implication_check(ROW1).detail.startswith("matches")  # n=4 exists
@@ -119,26 +125,28 @@ def test_plane_implication():
 @pytest.mark.parametrize("n", [14, 21, 22])
 def test_plane_implication_bruck_ryser(n):
     # n = 1 or 2 mod 4 and not a sum of two squares
-    res = plane_implication_check(CandidateArray(n + 2, n * n, 2, n * (n + 1) // 2, n, n + 1))
+    res = plane_implication_check(array4(n + 2, n * n, 2, n * (n + 1) // 2, n, n + 1))
     assert not res.ok and "Bruck-Ryser" in res.detail
 
 
 def test_evaluate_statuses():
     assert evaluate(MATHON).status in ("feasible", "flagged")
-    gam = evaluate(CandidateArray(12, 45, 3, 33, 9, 11))
+    gam = evaluate(array4(12, 45, 3, 33, 9, 11))
     assert gam.status == "infeasible"
     assert any("9/5" in r for r in gam.reasons)
-    plane = evaluate(CandidateArray(8, 36, 2, 21, 6, 7))
+    plane = evaluate(array4(8, 36, 2, 21, 6, 7))
     assert plane.status == "infeasible"
     assert any("order 6" in r for r in plane.reasons)
 
 
 def test_candidate_validation():
-    with pytest.raises(ValueError):
-        CandidateArray(6, 16, 1, 10, 4, 5).validate()  # girth four needs c2 >= 2
-    with pytest.raises(ValueError):
-        CandidateArray(6, 16, 6, 10, 4, 5).validate()
-    assert CandidateArray(16, 6, 4, 5, 2, 10).canonical() == ROW1
+    with pytest.raises(ValueError, match="girth four"):
+        evaluate(array4(6, 16, 1, 10, 4, 5))
+    with pytest.raises(ValueError, match="before the last cell"):
+        evaluate(array4(6, 16, 6, 10, 4, 5))  # b2 = 0
+    with pytest.raises(ValueError, match="covering radius 4"):
+        evaluate(IntersectionArray(2, 3, (1, 2), (1, 3)))
+    assert array4(16, 6, 4, 5, 2, 10).canonical() == ROW1
 
 
 def test_enumeration_small_bounds():
@@ -173,11 +181,11 @@ def _brute_force_rows(max_side):
                     c3c, r = divmod(c2b * c3b, c2c)  # c2B*c3B = c2C*c3C
                     if r or not 1 <= c3c <= k - 1:
                         continue
-                    rep = evaluate(CandidateArray(k, l, c2b, c3b, c2c, c3c))
+                    rep = evaluate(array4(k, l, c2b, c3b, c2c, c3c))
                     if rep.structurally_sound and max(rep.counts.nB, rep.counts.nC) <= max_side:
                         rows.append(rep)
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
-                             r.array.c2B, r.array.c3B))
+                             r.array.cB[1], r.array.cB[2]))
     return rows
 
 
@@ -244,7 +252,7 @@ def test_gamma_constants_match_brute_force_on_hypercube():
     ei = {v: i for i, v in enumerate(evens)}
     oi = {v: i for i, v in enumerate(odds)}
     g = BipartiteGraph(8, 8, [(ei[v], oi[v ^ (1 << b)]) for v in evens for b in range(4)])
-    cube = CandidateArray(4, 4, 2, 3, 2, 3)
+    cube = array4(4, 4, 2, 3, 2, 3)
     _, entries = delta_gamma_check(cube)
     e2 = next(e for e in entries if e.i == 2 and e.orientation == "as-given")
     assert e2.delta == 0 and e2.gamma == 1
@@ -268,7 +276,7 @@ def test_catalog_annotate_and_conflict():
     annotated = catalog_annotate(rows, ref)
     assert any(a["catalog_status"] == "exists" for a in annotated)
     # inject a conflict: mark an infeasible gamma row as existing
-    gam = evaluate(CandidateArray(12, 45, 3, 33, 9, 11))
+    gam = evaluate(array4(12, 45, 3, 33, 9, 11))
     fake = [{"array": str(gam.array), "status": "exists", "note": ""}]
     with pytest.raises(ValueError):
         catalog_annotate([gam], fake)

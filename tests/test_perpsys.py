@@ -97,7 +97,7 @@ def test_perp_params_examples():
     assert rep.admissible and rep.s == 6
     rep = perp_params(6, 2, 3, 2)  # 2 is not a power of 3
     assert not rep.admissible
-    assert any(c.rule == "multiplicity" and not c.ok for c in rep.checks)
+    assert any(c.name == "multiplicity" and not c.ok for c in rep.checks)
     rep = perp_params(6, 3, 3, 4)  # n = 2k degenerates
     assert not rep.admissible
 
