@@ -232,13 +232,25 @@ class DistancePartition:
         return tuple(len(c) for c in self.cells)
 
 
+class _Disconnected(ValueError):
+    """Raised by the distance engine when a BFS misses a vertex."""
+
+    def __init__(self):
+        super().__init__("graph is disconnected")
+
+
+def _cells(g: BipartiteGraph, v: int) -> tuple[tuple[int, ...], ...]:
+    """The vertices at distance 0, 1, 2, ... from v, in its component."""
+    (_, levels), = _sweeps(g, [v])
+    return ((v,),) + tuple(tuple((np.flatnonzero(new[0]) + cls * g.nB).tolist())
+                           for _, cls, new, _ in levels)
+
+
 def distance_partition(g: BipartiteGraph, v: int) -> DistancePartition:
     """BFS-exact distance partition from v; raises if g is disconnected."""
-    (_, levels), = _sweeps(g, [v])
-    cells = ((v,),) + tuple(tuple((np.flatnonzero(new[0]) + cls * g.nB).tolist())
-                            for _, cls, new, _ in levels)
+    cells = _cells(g, v)
     if sum(map(len, cells)) < g.V:
-        raise ValueError("graph is disconnected")
+        raise _Disconnected()
     return DistancePartition(v, cells)
 
 
@@ -272,7 +284,7 @@ def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
                 profiles[r].append((int(cu[r]), int(du[r]) - int(cu[r])))
             reached += new.sum(axis=1)
         if reached.min() < g.V:
-            raise ValueError("graph is disconnected")
+            raise _Disconnected()
         for r, profile in enumerate(profiles):
             c, b = zip(*profile)
             yield LocalCheck(False, witness=fail[r]) if r in fail else LocalCheck(True, c=c, b=b)
@@ -293,30 +305,36 @@ class DbrgResult:
     array: IntersectionArray | None = None
     regular: bool = False
     witness: tuple | None = None
-    # witness forms: ("local", vertex, level, u, w) for an inequitable
-    # partition, ("side", side, u, w) for two same-side vertices with
-    # different profiles.
+    # witness forms: ("disconnected", 0, w) for a disconnected graph, w the
+    # least vertex that vertex 0 does not reach; ("local", vertex, level,
+    # u, w) for an inequitable partition; ("side", side, u, w) for two
+    # same-side vertices with different profiles.
 
 
 def dbrg_check(g: BipartiteGraph) -> DbrgResult:
     """Definition-exact distance-biregularity check.
 
-    Accepts iff every distance partition is equitable and the (c, b)
-    profile is constant on each class.  Regular graphs (k = l) are
-    accepted and flagged via ``regular``.  The witness names the first
-    failing vertex, an inequitable partition before a profile mismatch.
-    Raises ValueError if a class is empty or the graph is disconnected.
+    Accepts iff the graph is connected, every distance partition is
+    equitable and the (c, b) profile is constant on each class.  Regular
+    graphs (k = l) are accepted and flagged via ``regular``.  The witness
+    names a disconnected graph first, then the first failing vertex, an
+    inequitable partition before a profile mismatch.  Raises ValueError
+    if a class is empty.
     """
     if g.nB == 0 or g.nC == 0:
         raise ValueError(f"both classes must be non-empty, got B={g.nB} C={g.nC}")
     first: dict[str, tuple] = {}  # side -> (vertex, c, b) of its first vertex
-    for v, res in enumerate(_local_checks(g, range(g.V))):
-        if not res.ok:
-            return DbrgResult(False, witness=("local", v, *res.witness))
-        side = g.side_of(v)
-        rep, c, b = first.setdefault(side, (v, res.c, res.b))
-        if (c, b) != (res.c, res.b):
-            return DbrgResult(False, witness=("side", side, rep, v))
+    try:
+        for v, res in enumerate(_local_checks(g, range(g.V))):
+            if not res.ok:
+                return DbrgResult(False, witness=("local", v, *res.witness))
+            side = g.side_of(v)
+            rep, c, b = first.setdefault(side, (v, res.c, res.b))
+            if (c, b) != (res.c, res.b):
+                return DbrgResult(False, witness=("side", side, rep, v))
+    except _Disconnected:  # raised by the first batch, before any verdict
+        apart = min(set(range(g.V)).difference(*_cells(g, 0)))
+        return DbrgResult(False, witness=("disconnected", 0, apart))
     (_, cB, bB), (_, cC, bC) = first["B"], first["C"]
     array = IntersectionArray(k=bB[0], l=bC[0], cB=cB[1:], cC=cC[1:])
     array.validate()

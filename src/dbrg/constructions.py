@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
-from .feasibility import homogeneity
 from .gfcore import (
     bitset_contains,
     coset_ids,
@@ -31,8 +31,10 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
-from .params import IntersectionArray
-from .perpsys import PerpSystem
+from .params import IntersectionArray, homogeneity
+
+if TYPE_CHECKING:
+    from .perpsys import PerpSystem
 
 __all__ = [
     "ConstructionResult",

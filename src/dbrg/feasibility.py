@@ -12,7 +12,7 @@ c-lines and derived b-numbers; the two orientations are ``swapped`` and
 * the product relations tying the two lines together
   (c2B*c3B = c2C*c3C and b1B*b2B = b1C*b2C);
 * homogeneity: for i in {2, 3} and both line orientations, whenever the
-  scalar Delta_i of :func:`homogeneity` vanishes the associated
+  scalar Delta_i of :func:`dbrg.params.homogeneity` vanishes the associated
   triple-intersection constant gamma_i must be a non-negative integer;
 * both halved graphs must carry consistent strongly-regular parameters
   with integral eigenvalues and multiplicities, non-negative lambda,
@@ -23,13 +23,17 @@ c-lines and derived b-numbers; the two orientations are ``swapped`` and
 
 Everything is exact integer/Fraction arithmetic, and the module imports
 no numpy.  ``enumerate_feasible`` reproduces the known table of
-admissible arrays up to 1300 vertices per side.  It starts c2B at
-k^2/(max_side-2), visits only the c2B that leave some l in range, and
-skips a c3B that leaves k3 non-integral before building anything; all
-three drop only tuples that the cell recursion rejects (see its
-docstring).  Arrays that only the homogeneity or plane conditions reject
-stay listed with status ``infeasible`` (they are part of the table),
-while anything failing a structural condition is not listed at all.
+admissible arrays up to 1300 vertices per side.  It works in integers
+first.  With g = gcd(c2B - 1, k - 1), both c2B and c2C divide
+delta = (k - c2B)/g whenever the halved graphs' least eigenvalues -k/c2B
+and -l/c2C are integers, so the (k, c2B, l) come from pairs of divisors
+of delta (:func:`_c2b_strides`).  Both cell recursions then run on
+integers over c3B, and only the tuples that pass become arrays and
+reports.  Each of these tests drops only tuples that the cell recursion
+or the halved-SRG derivation rejects (see ``enumerate_feasible``).
+Arrays that only the homogeneity or plane conditions reject stay listed
+with status ``infeasible`` (they are part of the table), while anything
+failing a structural condition is not listed at all.
 """
 
 from __future__ import annotations
@@ -37,14 +41,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt, lcm
 from typing import Iterable
 
-from .params import Condition, IntersectionArray, SrgParams, srg_from_spectrum
+from .params import Condition, IntersectionArray, SrgParams, homogeneity, srg_from_spectrum
 
 __all__ = [
     "FeasibilityReport",
@@ -53,7 +56,6 @@ __all__ = [
     "vertex_counts",
     "delorme_relations_check",
     "delta_gamma_check",
-    "homogeneity",
     "halved_srg_derive",
     "plane_implication_check",
     "evaluate",
@@ -137,33 +139,6 @@ class DeltaGammaEntry:
     delta: Fraction
     gamma: Fraction | None  # set when delta == 0
     ok: bool
-
-
-def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | None]:
-    """(Delta_i, gamma_i) of an array with covering radii at least 4.
-
-    Delta_i is the distance-i homogeneity scalar and gamma_i the forced
-    triple-intersection constant, given only when Delta_i vanishes
-    (otherwise None).  For i = 2 the b- and c-numbers are read from the
-    B line, for i = 3 from the C line; the cross factor is always
-    (c2C - 1)/c2B:
-
-        den     = b_i (c_{i+1} - 1) + c_i (b_{i-1} - 1)
-        Delta_i = (b_{i-1} - 1)(c_{i+1} - 1) - den (c2C - 1)/c2B
-        gamma_i = c2B c_i (b_{i-1} - 1)/den
-
-    ValueError if den = 0 (then Delta_i = 0 and gamma_i is undefined).
-    """
-    b, c = (arr.bB, arr.cB) if i == 2 else (arr.bC, arr.cC)
-    c2B, c2C = arr.cB[1], arr.cC[1]
-    den = b(i) * (c[i] - 1) + c[i - 1] * (b(i - 1) - 1)
-    delta = Fraction((b(i - 1) - 1) * (c[i] - 1)) - Fraction(den * (c2C - 1), c2B)
-    if delta:
-        return delta, None
-    if den == 0:
-        raise ValueError(f"gamma_{i} is undefined: its denominator "
-                         f"b_{i}(c_{i + 1} - 1) + c_{i}(b_{i - 1} - 1) is 0")
-    return delta, Fraction(c2B * c[i - 1] * (b(i - 1) - 1), den)
 
 
 def _delta_gamma(a: IntersectionArray) -> list[DeltaGammaEntry]:
@@ -318,53 +293,59 @@ def _report(a: IntersectionArray, counts: Counts, srg: SrgDerivation) -> Feasibi
                              status, tuple(reasons))
 
 
-def _c2b_strides(span: int):
-    """Yield ``(k, c2B, step, first, last)`` in order of k, then c2B: for
-    every k >= 3 and lo = max(2, ceil(k^2/span)) <= c2B < k with
+def _c2b_strides(span: int) -> list[tuple[int, int, int, int]]:
+    """Every ``(k, c2B, l, c2C)``, sorted, with
 
-        step = lcm((k-1)/gcd(k-c2B, k-1), c2B/gcd(k, c2B)),
-        first = the least multiple of step above k - 1,
-        last = floor(span*c2B/k),
+        2 <= c2B < k < l and k(l-1) <= span*c2B (k2 at most span),
+        c2C = l - (l-1)(k-c2B)/(k-1) an integer (b1B*b2B = b1C*b2C),
+        c2B | k and c2C | l.
 
-    exactly the c2B with first <= last, i.e. with some l - 1 in range.
+    The last two are the integrality of the least eigenvalues -k/c2B and
+    -l/c2C of the halved graphs, which :func:`halved_srg_derive`
+    requires; they also make both second cells, k2 = (k/c2B)(l-1) and
+    kC2 = (l/c2C)(k-1), integers.
 
-    Only c2B that can pass are visited.  Write c2B = h*t with
-    h = gcd(k, c2B) < k, g = gcd(c2B - 1, k - 1) and A = (k - 1)/g, so
-    step = lcm(A, t).  Then step <= last forces A/gcd(A, t) <= span*h/k:
-    D = g*gcd(A, t) divides k - 1 and is at least k(k-1)/(span*h).  The
-    factors of D = g*e are coprime (g divides h*t - 1, e divides t), and
-    every such c2B has t = 0 mod e and h*t = 1 mod g, one residue of t
-    modulo D.  So for each h | k, each large enough D | k - 1 and each
-    coprime split D = g*e, one progression of difference h*D covers the
-    candidates; where the range of t is shorter than that list of
-    splits, every t in it is a candidate instead.  Each candidate then
-    takes the exact test.  Divisor lists come from one sieve up to span.
+    Write g = gcd(c2B - 1, k - 1), a = (c2B - 1)/g and b = (k - 1)/g, so
+    k = 1 + g*b and c2B = 1 + g*a with a < b coprime.  c2C is an integer
+    iff b | l - 1; then l = 1 + t*b and c2C = 1 + t*a, and l > k is
+    t > g.  With delta = b - a, k = c2B + g*delta and l = c2C + t*delta,
+    and c2B is prime to g and c2C to t, so the conditions read alike
+    under g <-> t:
+
+        c2B | k   <=>  c2B | delta,       c2C | l   <=>  c2C | delta,
+        k2 integral   <=>  c2B | t*b*delta,
+        kC2 integral  <=>  c2C | g*b*delta = (k - c2B)(k - 1)/g.
+
+    So the tuples are the (a, g, t, delta) with 1 <= g < t, delta a
+    multiple of lcm(c2B, c2C) and gcd(a, delta) = 1.  k2 =
+    (1 + g*b)*t*b/(1 + g*a) grows with g, t and delta, and delta >=
+    c2C = 1 + t*a, so each loop ends at the first value for which even
+    the smallest later choices (g = 1, t = g + 1, delta = 1 + t*a) give
+    k2 > span; that smallest k2 grows with the loop variable.
     """
-    divisors: list[list[int]] = [[] for _ in range(span + 1)]
-    for d in range(1, span + 1):
-        for m in range(d, span + 1, d):
-            divisors[m].append(d)
-    for k in range(3, span):
-        lo = max(2, -(-k * k // span))
-        if lo >= k:
-            return
-        splits = sorted((g * e, g, e) for g in divisors[k - 1]
-                        for e in divisors[(k - 1) // g] if gcd(g, e) == 1)
-        c2bs = set()
-        for h in divisors[k][:-1]:
-            first_split = bisect_left(splits, (-(-k * (k - 1) // (span * h)),))
-            t_lo = -(-lo // h)
-            if (k - 1) // h - t_lo < len(splits) - first_split:
-                c2bs.update(range(h * t_lo, k, h))
-                continue
-            for D, g, e in splits[first_split:]:
-                t0 = e * pow(h * e, -1, g) if g > 1 else 0  # t0 = 0 mod e, h*t0 = 1 mod g
-                c2bs.update(range(lo + (h * t0 - lo) % (h * D), k, h * D))
-        for c2b in sorted(c2bs):
-            step = lcm((k - 1) // gcd(k - c2b, k - 1), c2b // gcd(k, c2b))
-            first, last = ((k - 1) // step + 1) * step, span * c2b // k
-            if first <= last:
-                yield k, c2b, step, first, last
+    def over(a: int, g: int, t: int, delta: int) -> bool:
+        b = a + delta
+        return (1 + g * b) * t * b > span * (1 + g * a)
+
+    out = []
+    a = 1
+    while not over(a, 1, 2, 1 + 2 * a):
+        g = 1
+        while not over(a, g, g + 1, 1 + (g + 1) * a):
+            c2b, t = 1 + g * a, g + 1
+            while not over(a, g, t, 1 + t * a):
+                c2c = 1 + t * a
+                step = lcm(c2b, c2c)
+                delta = step
+                while not over(a, g, t, delta):
+                    if gcd(a, delta) == 1:
+                        b = a + delta
+                        out.append((1 + g * b, c2b, 1 + t * b, c2c))
+                    delta += step
+                t += 1
+            g += 1
+        a += 1
+    return sorted(out)
 
 
 def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
@@ -375,34 +356,45 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
     on listed rows.  Output is a pure function of max_side, sorted by
     (nB, nC, k, l, c2B, c3B).
 
-    Each bound and stride drops only tuples the cell recursion rejects:
-    k4 >= 1 gives k2 = k(l-1)/c2B <= max_side - 2, and l - 1 >= k, so
-    c2B starts at k^2/(max_side-2); l - 1 steps by the lcm of the strides
-    making k2 and c2C integral, and only the c2B leaving some l - 1 in
-    range are visited (:func:`_c2b_strides`, integer divisor arithmetic);
-    c3B steps so that c3C is integral and at most k - 1; and a c3B that
-    does not divide k2*b2B (k3 not integral) is skipped before any object
-    is built.  The products hold by construction; full reports are built
-    only for rows passing the counts and halved-SRG checks.
+    Each bound and test drops only tuples that the cell recursion or the
+    halved-SRG derivation rejects, and all of them are integer arithmetic
+    on the array's entries.  k4 >= 1 gives k2 = k(l-1)/c2B <= max_side - 2.
+    The halved graphs' least eigenvalues -k/c2B and -l/c2C must be
+    integers, and :func:`_c2b_strides` lists the (k, c2B, l) with c2B | k,
+    c2C | l and k2 in range; both second cells are then integers.  c3B
+    steps so that c3C is integral and at most k - 1, and starts at
+    k2*b2B/(max_side - k), because nC = k + k3.  Both recursions then run
+    on integers: k3, k4, kC3 and kC4 integral, the two sides' class sizes
+    equal and at most max_side.  Only the tuples passing all of that
+    become :class:`IntersectionArray` values and take
+    :func:`vertex_counts`, the halved-SRG derivation and the full report;
+    the products hold by construction.
     """
     if max_side < 2:
         raise ValueError("max_side must be at least 2")
     span = max_side - 2
     rows: list[FeasibilityReport] = []
-    for k, c2b, step, first, last in _c2b_strides(span):
-        for l_minus1 in range(first, last + 1, step):
-            l, k2b2 = l_minus1 + 1, k * l_minus1 // c2b * (k - c2b)
-            c2c = l - (l_minus1 * (k - c2b)) // (k - 1)
-            step3 = c2c // gcd(c2b, c2c)
-            for c3b in range(step3, min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
-                if k2b2 % c3b:  # k3 = k2*b2B/c3B is not an integer
-                    continue
-                cand = IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c2b * c3b // c2c, l))
-                counts = vertex_counts(cand)
-                if counts.ok and counts.nB <= max_side and counts.nC <= max_side:
-                    srg = halved_srg_derive(cand, counts)
-                    if srg.ok:
-                        rows.append(_report(cand, counts, srg))
+    for k, c2b, l, c2c in _c2b_strides(span):
+        k2, kc2 = k // c2b * (l - 1), l // c2c * (k - 1)
+        k2b2, b2c = k2 * (k - c2b), l - c2c
+        step3 = c2c // gcd(c2b, c2c)
+        lo3 = -(-k2b2 // (max_side - k))  # nC = k + k3 <= max_side
+        for c3b in range(-(-lo3 // step3) * step3,
+                         min(l - 1, (k - 1) * c2c // c2b) + 1, step3):
+            c3c = c2b * c3b // c2c
+            k3, r3 = divmod(k2b2, c3b)
+            k4, r4 = divmod(k3 * (l - c3b), k)
+            kc3, s3 = divmod(kc2 * b2c, c3c)
+            kc4, s4 = divmod(kc3 * (k - c3c), l)
+            nB = 1 + k2 + k4
+            if (r3 or r4 or s3 or s4 or nB > max_side
+                    or (nB, k + k3) != (l + kc3, 1 + kc2 + kc4)):
+                continue
+            cand = IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c3c, l))
+            counts = vertex_counts(cand)
+            srg = halved_srg_derive(cand, counts)
+            if srg.ok:
+                rows.append(_report(cand, counts, srg))
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
                              r.array.cB[1], r.array.cB[2]))
     return rows

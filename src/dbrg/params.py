@@ -4,8 +4,10 @@
 c-lines of a distance-biregular graph, derives the b-numbers, reads and
 prints them as ``{k;c1,...,cdB | l;c1,...,cdC}`` and orients them
 (``swapped``, ``canonical``).  The graph checks, the constructions and
-the feasibility conditions all read it.  :class:`SrgParams` holds the
-parameters of a strongly regular graph, which come from one derivation,
+the feasibility conditions all read it.  :func:`homogeneity` is the one
+Delta/gamma formula, shared by the feasibility conditions and the
+derived-graph construction.  :class:`SrgParams` holds the parameters of
+a strongly regular graph, which come from one derivation,
 :func:`srg_from_spectrum`, used by both the feasibility conditions and
 the perp-system parameters.  :class:`Condition` is the one record of a
 named check with its verdict, for array conditions and perp-system
@@ -24,6 +26,7 @@ __all__ = [
     "Condition",
     "IntersectionArray",
     "arrays_equal_up_to_swap",
+    "homogeneity",
     "SrgParams",
     "srg_from_spectrum",
 ]
@@ -128,6 +131,33 @@ class IntersectionArray:
 
 def arrays_equal_up_to_swap(a: IntersectionArray, b: IntersectionArray) -> bool:
     return a == b or a.swapped() == b
+
+
+def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | None]:
+    """(Delta_i, gamma_i) of an array with covering radii at least 4.
+
+    Delta_i is the distance-i homogeneity scalar and gamma_i the forced
+    triple-intersection constant, given only when Delta_i vanishes
+    (otherwise None).  For i = 2 the b- and c-numbers are read from the
+    B line, for i = 3 from the C line; the cross factor is always
+    (c2C - 1)/c2B:
+
+        den     = b_i (c_{i+1} - 1) + c_i (b_{i-1} - 1)
+        Delta_i = (b_{i-1} - 1)(c_{i+1} - 1) - den (c2C - 1)/c2B
+        gamma_i = c2B c_i (b_{i-1} - 1)/den
+
+    ValueError if den = 0 (then Delta_i = 0 and gamma_i is undefined).
+    """
+    b, c = (arr.bB, arr.cB) if i == 2 else (arr.bC, arr.cC)
+    c2B, c2C = arr.cB[1], arr.cC[1]
+    den = b(i) * (c[i] - 1) + c[i - 1] * (b(i - 1) - 1)
+    delta = Fraction((b(i - 1) - 1) * (c[i] - 1)) - Fraction(den * (c2C - 1), c2B)
+    if delta:
+        return delta, None
+    if den == 0:
+        raise ValueError(f"gamma_{i} is undefined: its denominator "
+                         f"b_{i}(c_{i + 1} - 1) + c_{i}(b_{i - 1} - 1) is 0")
+    return delta, Fraction(c2B * c[i - 1] * (b(i - 1) - 1), den)
 
 
 @dataclass(frozen=True)

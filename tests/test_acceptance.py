@@ -35,7 +35,7 @@ from dbrg.feasibility import (
     reference_table,
 )
 from dbrg.gfcore import enumerate_subspaces, field, qbinom
-from dbrg.geometry import dualize, hyperoval
+from dbrg.geometry import denniston_arc, dualize, hyperoval
 from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
 from dbrg.perpsys import (
     PerpSystem,
@@ -232,6 +232,44 @@ def test_criterion_6_table_reproduction():
     assert elapsed < 600.0, f"criterion 6 took {elapsed:.1f}s"
     _announce(6, f"all 38 table arrays present, 4 gamma rows and 2 plane rows "
                  f"rejected, {len(extras)} extras listed separately [{elapsed:.1f}s]")
+
+
+def builder_arrays():
+    """(name, predicted array) of every non-regular diameter-4 builder."""
+    def dual_system(fam):
+        return perp_verify(fam.ctx, 3, 1, fam.members)
+
+    for q in (2, 3, 4):
+        yield f"cone q={q}", cone_graph(q).predicted
+    for q in (4, 8):
+        yield f"gen-delorme q={q}", gen_delorme_graph(dual_system(dualize(hyperoval(q)))).predicted
+    for q in (8, 16, 32):
+        yield f"hyperoval-affine q={q}", hyperoval_affine_graph(q).predicted
+    for q, r in ((8, 4), (16, 4), (16, 8), (32, 4)):
+        yield (f"denniston ({q},{r})",
+               gen_delorme_graph(dual_system(dualize(denniston_arc(q, r)))).predicted)
+    # the (6,2,3,3,21) perp system has no fixture yet; its array is the paper's
+    yield "perp (6,2,3,3,21)", IntersectionArray.parse("{21;1,3,60,21 | 81;1,9,20,81}")
+
+
+def test_builder_arrays_are_table_rows():
+    # every builder's array is a listed row of the table at 10000 vertices
+    # a side, or at 40000 for the two larger ones, with the status that
+    # evaluate gives it; gamma_2 = 1 flags only cone q=2 and the two
+    # hyperoval gen-delorme arrays, and nothing rejects any of them
+    tables = {n: {str(r.array): r for r in enumerate_feasible(n)} for n in (10000, 40000)}
+    flagged = {"cone q=2", "gen-delorme q=4", "gen-delorme q=8"}
+    larger = []
+    for name, arr in builder_arrays():
+        rep = evaluate(arr)
+        side = 10000 if max(rep.counts.nB, rep.counts.nC) <= 10000 else 40000
+        larger += [name] if side == 40000 else []
+        row = tables[side][str(arr.canonical())]
+        assert row.status == rep.status == ("flagged" if name in flagged else "feasible"), (
+            name, rep.reasons)
+        if name in flagged:
+            assert "gamma_2 = 1 (swapped)" in row.reasons, (name, row.reasons)
+    assert larger == ["hyperoval-affine q=32", "denniston (32,4)"]
 
 
 def test_criterion_7_small_case_oracles():

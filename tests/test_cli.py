@@ -42,6 +42,16 @@ def test_verify_rejects_broken_graph(tmp_path, capsys):
     assert payload["witness"] == ["local", 0, 1, 3, 6]
 
 
+def test_verify_disconnected_graph_is_a_verdict(tmp_path, capsys):
+    # B1 and C1 are isolated: a well-formed file, not distance-biregular
+    path = tmp_path / "apart.graph"
+    path.write_text("B=2 C=2\n0 0\n")
+    assert main(["verify", str(path)]) == 2
+    payload = last_json(capsys)
+    assert not payload["distance_biregular"]
+    assert payload["witness"] == ["disconnected", 0, 1]
+
+
 def test_gen_delorme_pipeline(tmp_path, capsys):
     perp = str(tmp_path / "sys.perp")
     rc = main(["perp", "search", "--n", "3", "--k", "1", "--q", "4", "--d", "2",
@@ -251,6 +261,18 @@ def test_feasibility_commands_leave_numpy_unimported(tmp_path):
             "             main(['catalog', '--max-side', '300', '--out', 'catalog.json'])]\n"
             "print(codes, 'numpy' in sys.modules)\n")
     assert _fresh_interpreter(code, tmp_path) == "[0, 0] False"
+
+
+def test_construct_and_derive_load_neither_feasibility_nor_perp_search(tmp_path):
+    # the builders and the derived graph need the graph layers and the
+    # shared parameter records, not the enumeration or the perp search
+    code = ("import contextlib, io, sys\n"
+            "from dbrg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['construct', 'cone', '--q', '2', '--out', 'cone']),\n"
+            "             main(['derive', 'cone.graph', '--vertex', 'C:0', '--out', 'd'])]\n"
+            "print(codes, [m for m in ('dbrg.feasibility', 'dbrg.perpsys') if m in sys.modules])\n")
+    assert _fresh_interpreter(code, tmp_path) == "[0, 2] []"
 
 
 MIXED_PERP = "q=2^1 modulus=0,1 n=3 k=1\n0,1,0;0,0,1\n1,0,0;0,0,1\n"  # two planes of F_2^3

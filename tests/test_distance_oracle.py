@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbrg.bigraph import (
     BipartiteGraph,
+    DbrgResult,
     Graph,
     dbrg_check,
     distance_partition,
@@ -103,8 +104,10 @@ class Oracle:
 def test_dbrg_check_matches_oracle(g):
     oracle = Oracle(g)
     if not oracle.connected:
-        with pytest.raises(ValueError, match="disconnected"):
-            dbrg_check(g)
+        # a disconnected graph is a negative verdict: vertex 0 and the least
+        # vertex outside its component
+        apart = min(set(range(g.V)) - nx.node_connected_component(oracle.G, 0))
+        assert dbrg_check(g) == DbrgResult(False, witness=("disconnected", 0, apart))
         return
     array, witness = oracle.dbrg()
     res = dbrg_check(g)

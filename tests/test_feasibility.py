@@ -2,9 +2,10 @@
 
 import hashlib
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbrg.feasibility import (
     _c2b_strides,
@@ -195,15 +196,47 @@ def test_enumeration_matches_brute_force(max_side):
 
 
 def _strides_by_definition(span, k):
-    """(k, c2B, step, first, last) for every c2B in [lo, k) with some l - 1
-    in range, from the stride formula itself."""
+    """(k, c2B, l, c2C) for every c2B in [2, k) and l > k with c2B | k,
+    c2C | l and k(l-1) <= span*c2B, by direct division: l - 1 runs over
+    the multiples of (k-1)/gcd(k-c2B, k-1), which are exactly the l - 1
+    making b2C = (l-1)(k-c2B)/(k-1) and so c2C = l - b2C integral."""
     out = []
-    for c2b in range(max(2, -(-k * k // span)), k):
-        step = lcm((k - 1) // gcd(k - c2b, k - 1), c2b // gcd(k, c2b))
-        first, last = ((k - 1) // step + 1) * step, span * c2b // k
-        if first <= last:
-            out.append((k, c2b, step, first, last))
+    for c2b in range(2, k):
+        if k % c2b:
+            continue
+        b = (k - 1) // gcd(k - c2b, k - 1)
+        for l_minus1 in range(-(-k // b) * b, span * c2b // k + 1, b):
+            l = l_minus1 + 1
+            c2c = l - l_minus1 * (k - c2b) // (k - 1)
+            if l % c2c == 0:
+                out.append((k, c2b, l, c2c))
     return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 5000), st.data())
+def test_second_cell_identities(k, data):
+    # with g = gcd(c2B-1, k-1), a = (c2B-1)/g, b = (k-1)/g: c2C is integral
+    # exactly for l = 1 + t*b, and then both second-cell integralities, and
+    # both halved-graph eigenvalue integralities, are divisibility
+    # conditions of the same shape, with g and t swapped
+    c2b = data.draw(st.integers(2, k - 1))
+    g = gcd(c2b - 1, k - 1)
+    a, b = (c2b - 1) // g, (k - 1) // g
+    l = data.draw(st.one_of(st.integers(k + 1, 40 * k),
+                            st.integers(g + 1, 40 * g + 40).map(lambda t: 1 + t * b)))
+    b2c, r = divmod((l - 1) * (k - c2b), k - 1)
+    assert (r == 0) == ((l - 1) % b == 0)
+    if r:
+        return
+    t, c2c = (l - 1) // b, l - b2c
+    assert c2c == 1 + t * a
+    assert (k * (l - 1) % c2b == 0) == (t * b * (b - a) % c2b == 0)
+    assert (l * (k - 1) % c2c == 0) == (g * b * (b - a) % c2c == 0)
+    assert g * b * (b - a) == (k - c2b) * (k - 1) // g
+    # the halved graphs' least eigenvalues -k/c2B and -l/c2C
+    assert (k % c2b == 0) == ((b - a) % c2b == 0)
+    assert (l % c2c == 0) == ((b - a) % c2c == 0)
 
 
 @pytest.mark.parametrize("max_side", [300, 1300, 2000, 3000])
@@ -230,6 +263,18 @@ def test_enumeration_pinned_at_2000():
             statuses.count("infeasible")) == (91, 80, 5, 6)
     assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == (
         "be06a14218a9d4649dcac188497c4f68da9d5f0c9af0c39ffcaf413bdccd4418")
+
+
+def test_enumeration_pinned_at_40000():
+    # sha256 of the table as the earlier stride-pass enumeration wrote it
+    rows = enumerate_feasible(40000)
+    statuses = [r.status for r in rows]
+    assert (len(rows), statuses.count("feasible"), statuses.count("flagged"),
+            statuses.count("infeasible")) == (1017, 967, 17, 33)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == (
+        "0cd7f3ac31b4e02e4369591d1a806c94b2976bf2d1deba5d7e27bbb95ce68b36")
+    assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == (
+        "4a46ed8a406af90b7a12d3f6513f1605a7fb3df5bb001de31e505ec07dd7154d")
 
 
 def test_reference_table_contained_at_1300():
