@@ -3,7 +3,11 @@
 Verification is definition-first: a BFS from every vertex, with the
 per-cell neighbour counts (c_i, b_i) tested for constancy cell by cell.
 Theorem shortcuts are available as cross-checks but never replace the
-definition.
+definition.  Known automorphisms cut the work without weakening it: an
+automorphism carries the distance partition from v onto the one from its
+image, so :func:`dbrg_check` runs one BFS per orbit of the group that
+given generators span, after checking each generator exactly against the
+edges.  The trivial group (no generators) is the BFS from every vertex.
 
 Every distance comes from one engine, :func:`_levels`: level-synchronous
 BFS from up to ``_BATCH`` sources of one class at once, as products with
@@ -311,7 +315,48 @@ class DbrgResult:
     # same-side vertices with different profiles.
 
 
-def dbrg_check(g: BipartiteGraph) -> DbrgResult:
+def _automorphism(g: BipartiteGraph, perm, edge_keys: np.ndarray) -> np.ndarray:
+    """``perm`` as int64 if it is an automorphism of g that keeps each class,
+    else ValueError: a permutation of 0..V-1 mapping B to B whose image of
+    the edge set, sorted, is the edge set."""
+    perm = np.asarray(perm)
+    if perm.shape != (g.V,) or perm.dtype.kind not in "iu":
+        raise ValueError(f"automorphism must be an integer array of length V={g.V}")
+    perm = perm.astype(np.int64)
+    if perm.min() < 0 or perm.max() >= g.V or (np.bincount(perm, minlength=g.V) != 1).any():
+        raise ValueError("automorphism is not a permutation of the vertices")
+    if (perm[:g.nB] >= g.nB).any():
+        raise ValueError("automorphism does not keep the classes")
+    image = np.sort(perm[g.eb] * g.nC + perm[g.ec + g.nB] - g.nB)
+    if not np.array_equal(image, edge_keys):
+        raise ValueError("automorphism does not preserve the edges")
+    return perm
+
+
+def _orbit_minima(g: BipartiteGraph, automorphisms: Sequence) -> np.ndarray:
+    """The least vertex of each orbit of the group the checked generators
+    span, increasing: union-find over the edges v -- perm[v].  Each pass
+    hooks the larger root of every crossing edge under the smaller, then
+    jumps pointers to the roots; it stops when no edge crosses two trees.
+    Pointers only decrease, so each root is the minimum of its orbit."""
+    keys = g.eb.astype(np.int64) * g.nC + g.ec
+    gens = [_automorphism(g, perm, keys) for perm in automorphisms]
+    root = np.arange(g.V)
+    while True:
+        merged = False
+        for perm in gens:
+            other = root[perm]
+            cross = other != root
+            if cross.any():
+                merged = True
+                np.minimum.at(root, np.maximum(root, other)[cross], np.minimum(root, other)[cross])
+                while (root[root] != root).any():
+                    root = root[root]
+        if not merged:
+            return np.flatnonzero(root == np.arange(g.V))
+
+
+def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
     """Definition-exact distance-biregularity check.
 
     Accepts iff the graph is connected, every distance partition is
@@ -320,12 +365,22 @@ def dbrg_check(g: BipartiteGraph) -> DbrgResult:
     names a disconnected graph first, then the first failing vertex, an
     inequitable partition before a profile mismatch.  Raises ValueError
     if a class is empty.
+
+    ``automorphisms`` are generators of a group of automorphisms, each a
+    vertex permutation of length V.  Each is checked exactly first: it
+    must permute 0..V-1, keep B and C, and map the edge set onto itself;
+    otherwise ValueError, and no verdict.  The BFS then runs only from the
+    least vertex of each orbit.  Vertices of one orbit have the same
+    local check, so the result and its witness are those of the full
+    check: the first failing vertex is the least of its orbit, and so are
+    vertex 0 and the first C vertex, the references of each class.
     """
     if g.nB == 0 or g.nC == 0:
         raise ValueError(f"both classes must be non-empty, got B={g.nB} C={g.nC}")
+    reps = _orbit_minima(g, automorphisms)
     first: dict[str, tuple] = {}  # side -> (vertex, c, b) of its first vertex
     try:
-        for v, res in enumerate(_local_checks(g, range(g.V))):
+        for v, res in zip(reps.tolist(), _local_checks(g, reps)):
             if not res.ok:
                 return DbrgResult(False, witness=("local", v, *res.witness))
             side = g.side_of(v)

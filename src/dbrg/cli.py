@@ -85,10 +85,11 @@ def _emit(built, out: str, keys: dict) -> int:
     """Check a built :class:`dbrg.constructions.ConstructionResult`, write
     ``out``.graph and ``out``.json, print the summary: ``keys`` plus the
     sizes and the predicted and measured arrays.  Exit 0 if the graph
-    verifies with the predicted array, else 2."""
+    verifies with the predicted array, else 2.  The check uses the
+    automorphisms the builder claims, after checking each of them."""
     from . import bigraph
 
-    res = bigraph.dbrg_check(built.graph)
+    res = bigraph.dbrg_check(built.graph, built.automorphisms)
     _write(out + ".graph", bigraph.serialize_graph(built.graph))
     payload = {
         **keys,

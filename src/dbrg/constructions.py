@@ -6,6 +6,13 @@ Builders never verify their own output; the verification pass
 (:func:`dbrg.bigraph.dbrg_check`) is separate, so each predicted array
 doubles as a regression fixture.
 
+Builders that know symmetries of their graph also claim them, as vertex
+permutations in ``ConstructionResult.automorphisms``: the coset graphs
+carry the translations of F_q^n, the affine hyperoval graph the scaling
+by a primitive element.  A claim is not trusted: ``dbrg_check(graph,
+automorphisms)`` checks every generator against the edges exactly and
+raises ValueError for a wrong one, and only then runs one BFS per orbit.
+
 Families: complete bipartite graphs; the two unbounded-diameter
 subset/subspace inclusion families; vector-coset incidence graphs of
 perp systems and of the quadric-cone family; the affine hyperoval
@@ -24,9 +31,12 @@ from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induc
 from .gfcore import (
     bitset_contains,
     coset_ids,
+    coset_permutation,
     echelon_bases,
     qbinom,
+    scaling,
     subspace_vector_ids,
+    translations,
     vector_bitsets,
     vector_ids,
 )
@@ -55,6 +65,9 @@ class ConstructionResult:
     predicted: IntersectionArray
     provenance: str
     params: dict = dc_field(default_factory=dict)
+    # claimed automorphisms, each a vertex permutation of length V;
+    # dbrg_check verifies them before it uses them
+    automorphisms: tuple[np.ndarray, ...] = dc_field(default=(), compare=False)
 
 
 def complete_bipartite(k: int, l: int) -> ConstructionResult:
@@ -113,14 +126,17 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     return ConstructionResult(g, arr, "subspace-inclusion", {"n": n, "k": k, "q": q})
 
 
-def _coset_incidence(family: SpaceFamily) -> BipartiteGraph:
+def _coset_incidence(family: SpaceFamily, maps: np.ndarray) -> tuple[BipartiteGraph, np.ndarray]:
     """B = all vectors of F_q^n by vector index, C = all cosets of all
     members in :func:`dbrg.gfcore.coset_ids` order: coset j of member i is
-    C vertex i * q^(n-dim) + j, and j = 0 is the member itself."""
+    C vertex i * q^(n-dim) + j, and j = 0 is the member itself.  Also
+    returns the vector-id maps ``maps`` (one per row, each sending every
+    coset of a member to a coset of that member) as vertex permutations."""
     cosets = coset_ids(family.ctx, family.bases)
     s, per, size = cosets.shape
     c = np.repeat(np.arange(s * per), size)
-    return BipartiteGraph(family.ctx.q**family.n, s * per, np.column_stack([cosets.ravel(), c]))
+    g = BipartiteGraph(family.ctx.q**family.n, s * per, np.column_stack([cosets.ravel(), c]))
+    return g, np.hstack([maps, g.nB + coset_permutation(cosets, maps)])
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -137,14 +153,15 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
     c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)
     if rem:
         raise ValueError(f"c3B = q^(n-2k)(s-1)/d = {q ** (n - 2 * k) * (s - 1)}/{d} is not an integer")
-    g = _coset_incidence(system)
+    g, shifts = _coset_incidence(system, translations(ctx, n))
     arr = IntersectionArray(
         s, q ** (n - k),
         (1, d, c3b, s),
         (1, q ** (n - 2 * k), s - 1, q ** (n - k)),
     )
     return ConstructionResult(
-        g, arr, "perp-system cosets", {"n": n, "k": k, "q": q, "d": d, "s": s}
+        g, arr, "perp-system cosets", {"n": n, "k": k, "q": q, "d": d, "s": s},
+        automorphisms=tuple(shifts),
     )
 
 
@@ -157,14 +174,15 @@ def cone_graph(q: int) -> ConstructionResult:
     if q > 4:
         raise ValueError("cone_graph is desk-scale: q <= 4")
     _, s_star = cone_spaces(q)
-    g = _coset_incidence(s_star)
+    g, shifts = _coset_incidence(s_star, translations(s_star.ctx, 6))
     n4 = qbinom(4, 1, q)
     arr = IntersectionArray(
         n4, q**3,
         (1, q + 1, q * q, n4),
         (1, q, q * q + q, q**3),
     )
-    return ConstructionResult(g, arr, "quadric-cone cosets", {"q": q})
+    return ConstructionResult(g, arr, "quadric-cone cosets", {"q": q},
+                              automorphisms=tuple(shifts))
 
 
 def hyperoval_affine_graph(q: int) -> ConstructionResult:
@@ -180,15 +198,23 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
         raise ValueError("need q = 2^m with m >= 2")
     # planes of the dual hyperoval: perps of the oval points; each has q
     # cosets, the plane through the origin first
-    full = _coset_incidence(dualize(hyperoval(q)))
+    planes = dualize(hyperoval(q))
+    full, (lam,) = _coset_incidence(planes, scaling(planes.ctx, 3, planes.ctx.generator)[None])
     exterior = np.flatnonzero(np.bincount(full.eb[full.ec % q == 0], minlength=full.nB) == 0)
-    g = induced_subgraph(full, exterior.tolist(), np.flatnonzero(np.arange(full.nC) % q).tolist())
+    affine = np.flatnonzero(np.arange(full.nC) % q)
+    g = induced_subgraph(full, exterior.tolist(), affine.tolist())
+    # x -> lam x fixes the origin, so it keeps both vertex sets; renumber
+    # it as induced_subgraph does
+    keep = np.concatenate([exterior, full.nB + affine])
+    renumber = np.full(full.V, -1)
+    renumber[keep] = np.arange(len(keep))
     arr = IntersectionArray(
         q + 2, q * (q - 1) // 2,
         (1, 2, q * (q + 1) // 4, q + 2),
         (1, q // 2, q + 1, q * (q - 1) // 2),
     )
-    return ConstructionResult(g, arr, "affine hyperoval planes", {"q": q})
+    return ConstructionResult(g, arr, "affine hyperoval planes", {"q": q},
+                              automorphisms=(renumber[lam[keep]],))
 
 
 class DerivedGraphError(ValueError):
@@ -209,7 +235,8 @@ def derived_local_graph(
 
     The class containing z plays the role of the second array line; all
     b-numbers are re-derived from the verified parent array.  Hypotheses
-    checked before building: a caller-supplied array is valid (so b_3 > 0
+    checked before building: without an array the parent is
+    distance-biregular, and a caller-supplied array is valid (so b_3 > 0
     on the line of z); the homogeneity scalar for distance 3 vanishes, its
     constant is defined, and the two strict inequalities relating it to
     c_2 and b_3 hold.  Violations raise :class:`DerivedGraphError` naming
@@ -219,7 +246,7 @@ def derived_local_graph(
     if array is None:
         res = dbrg_check(parent)
         if not res.ok:
-            raise ValueError(f"parent graph is not distance-biregular: {res.witness}")
+            raise DerivedGraphError("parent_not_dbrg", str(res.witness))
         array = res.array
     else:
         try:

@@ -27,7 +27,8 @@ vector-id encoding (:func:`vector_ids`: coordinates as one base-q
 number, added digit by digit) and the bitset layout; callers work
 through :func:`subspace_vector_ids`, :func:`coset_ids`,
 :func:`vector_bitsets`, :func:`bitset_contains`, :func:`dot` and
-:func:`hyperplane_counts`.
+:func:`hyperplane_counts`, and act on ids through the maps
+:func:`translations`, :func:`scaling` and :func:`coset_permutation`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ __all__ = [
     "vector_ids",
     "subspace_vector_ids",
     "coset_ids",
+    "translations",
+    "scaling",
+    "coset_permutation",
     "vector_bitsets",
     "bitset_contains",
     "dot",
@@ -551,6 +555,38 @@ def coset_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
     reps = np.zeros((count, n, q ** (n - m)), dtype=ids.dtype)
     reps[free] = np.tile(np.indices((q,) * (n - m)).reshape(n - m, q ** (n - m)), (count, 1))
     return ctx.add(vector_ids(ctx, reps.transpose(0, 2, 1))[:, :, None], ids[:, None, :], n * ctx.t)
+
+
+def translations(ctx: FieldContext, n: int) -> np.ndarray:
+    """x -> x + e on the vector ids of F_q^n, one row per vector e whose id
+    is p^i, i = 0 .. n t - 1: the unit vectors of F_q^n over GF(p), which
+    generate its translations.  Shape (n t, q^n); row i maps id x to the
+    id of x + e_i."""
+    nt = n * ctx.t
+    return ctx.add(np.arange(ctx.q**n)[None, :], ctx.p ** np.arange(nt)[:, None], nt)
+
+
+def scaling(ctx: FieldContext, n: int, lam: int) -> np.ndarray:
+    """x -> lam x on the vector ids of F_q^n, shape (q^n,): entry x is the
+    id of the vector with id x times the field element lam."""
+    coords = np.arange(ctx.q**n)[:, None] // ctx.q ** np.arange(n - 1, -1, -1) % ctx.q
+    return vector_ids(ctx, ctx.mul(lam, coords))
+
+
+def coset_permutation(cosets: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The map that vector-id maps ``images`` (shape (..., q^n)) induce on
+    the flattened :func:`coset_ids` ``cosets`` (shape (K, q^(n-m), q^m)):
+    coset j of subspace i, at i q^(n-m) + j, goes to the coset of subspace
+    i that holds the image of its first vector.  Shape (..., K q^(n-m)).
+    It is the induced permutation when each map sends every coset of a
+    subspace to a coset of the same subspace, as translations and
+    scalings do; nothing here checks that."""
+    count, per, size = cosets.shape
+    where = np.empty((count, per * size), np.int64)  # where[i, x]: the coset of subspace i holding x
+    rows = np.arange(count)[:, None]
+    where[rows[:, :, None], cosets] = np.arange(per)[:, None]
+    moved = where[rows, np.asarray(images)[..., cosets[:, :, 0]]]
+    return (rows * per + moved).reshape(*moved.shape[:-2], -1)
 
 
 def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:

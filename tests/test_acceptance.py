@@ -109,13 +109,15 @@ def test_criterion_2_cone_graphs():
 
 
 def test_criterion_2_cone_q4():
-    # the largest cone the builder allows, checked from the definition at every vertex
+    # the largest cone the builder allows, checked from the definition at
+    # every vertex, and again with one BFS per orbit of its translations
     t0 = time.monotonic()
     c4 = cone_graph(4)
     res = dbrg_check(c4.graph)
     assert res.ok and str(res.array) == "{85;1,5,16,85 | 64;1,4,20,64}"
     assert res.array == c4.predicted
     assert (c4.graph.nB, c4.graph.nC) == (4096, 5440)
+    assert dbrg_check(c4.graph, c4.automorphisms) == res
     elapsed = time.monotonic() - t0
     _announce(2, f"cone q=4 verified on 4096+5440 [{elapsed:.1f}s]")
 

@@ -86,6 +86,18 @@ def test_derive_hypothesis_failure(tmp_path, capsys):
     assert last_json(capsys)["condition"] == "delta3_nonzero"
 
 
+def test_derive_from_parent_that_is_not_distance_biregular(tmp_path, capsys):
+    # a disconnected parent is a negative verdict, not invalid input
+    path = tmp_path / "apart.graph"
+    path.write_text("B=2 C=2\n0 0\n1 1\n")
+    rc = main(["derive", str(path), "--vertex", "B:0", "--out", str(tmp_path / "nope")])
+    assert rc == 2
+    payload = last_json(capsys)
+    assert (payload["ok"], payload["condition"]) == (False, "parent_not_dbrg")
+    assert payload["detail"] == "parent_not_dbrg: ('disconnected', 0, 1)"
+    assert not (tmp_path / "nope.graph").exists()
+
+
 def test_perp_search_budget_exit_code(capsys):
     rc = main(["perp", "search", "--n", "6", "--k", "2", "--q", "3", "--d", "3",
                "--budget-nodes", "1000"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dbrg.bigraph import (
+    BipartiteGraph,
     dbrg_check,
     girth,
     halved_graphs,
@@ -26,7 +27,7 @@ from dbrg.constructions import (
     hyperoval_affine_graph,
 )
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
-from dbrg.gfcore import field, index_vector, subspace_make
+from dbrg.gfcore import field, index_vector, subspace_make, translations
 from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
 from dbrg.perpsys import perp_verify
 
@@ -163,6 +164,26 @@ def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("build,count", [
+    (lambda: cone_graph(2), 6),
+    (lambda: cone_graph(3), 6),
+    (lambda: gen_delorme_graph(dual_hyperoval_system(4)), 6),
+    (lambda: gen_delorme_graph(dual_hyperoval_system(8)), 9),
+    (lambda: hyperoval_affine_graph(8), 1),
+    (lambda: hyperoval_affine_graph(16), 1),
+], ids=["cone2", "cone3", "delorme_hyperoval4", "delorme_hyperoval8",
+        "hyperoval_affine8", "hyperoval_affine16"])
+def test_claimed_automorphisms_pass_and_keep_the_result(build, count):
+    # coset graphs claim the n t translations by GF(p) unit vectors, the
+    # affine hyperoval graph x -> lam x; dbrg_check raises on a wrong one,
+    # and one BFS per orbit gives the full check's result
+    built = build()
+    assert len(built.automorphisms) == count
+    res = dbrg_check(built.graph, built.automorphisms)
+    assert res == dbrg_check(built.graph)
+    assert res.ok and res.array == built.predicted
+
+
 def test_derived_from_q4_parent():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
     pres = dbrg_check(parent.graph)
@@ -175,6 +196,14 @@ def test_derived_from_q4_parent():
     direct = hyperoval_affine_graph(4)
     assert arrays_equal_up_to_swap(res.array, direct.predicted)
     assert {d.graph.nB, d.graph.nC} == {direct.graph.nB, direct.graph.nC}
+
+
+def test_derived_rejects_parent_that_is_not_distance_biregular():
+    apart = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(DerivedGraphError) as err:
+        derived_local_graph(apart, "B", 0)
+    assert err.value.condition == "parent_not_dbrg"
+    assert str(err.value) == "parent_not_dbrg: ('disconnected', 0, 1)"
 
 
 def test_derived_rejects_bi_johnson_parent():
@@ -255,7 +284,8 @@ def member_families(draw):
 @given(member_families())
 def test_coset_positions_match_reduce(case):
     # coset j of a member is the one whose reduced representative has the
-    # free coordinates with base-q rank j
+    # free coordinates with base-q rank j; a translation x -> x + e lifts to
+    # the map taking the coset of x to the coset of x + e, member by member
     gf, n, members = case
     q, m = gf.q, members[0].dim
     want = []
@@ -268,6 +298,13 @@ def test_coset_positions_match_reduce(case):
                 if j not in mb.pivots:
                     rank = rank * q + rep[j]
             want.append((vid, i * q ** (n - m) + rank))
-    g = _coset_incidence(SpaceFamily(gf, n, members))
+    shifts = translations(gf, n)
+    g, lifted = _coset_incidence(SpaceFamily(gf, n, members), shifts)
     assert (g.nB, g.nC) == (q**n, len(members) * q ** (n - m))
     assert g.edges == tuple(sorted(want))
+    per = q ** (n - m)
+    coset_of = {(vid, c // per): c for vid, c in want}
+    some_vector = {c: vid for vid, c in want}
+    for row, perm in zip(shifts.tolist(), lifted.tolist()):
+        assert perm[:g.nB] == row
+        assert perm[g.nB:] == [g.nB + coset_of[row[some_vector[c]], c // per] for c in range(g.nC)]

@@ -2,10 +2,13 @@
 
 networkx computes every distance; the oracle then applies the definition
 of distance-biregularity one vertex at a time, in index order, the way
-the witness contract states it.
+the witness contract states it.  Random graphs closed under random
+class-preserving permutations check the orbit path of ``dbrg_check``
+against its full path.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,3 +141,67 @@ def test_local_checks_and_partitions_match_oracle(g):
 def test_girth_matches_oracle(g):
     expected = nx.girth(Oracle(g).G)
     assert girth(g) == (0 if expected == float("inf") else expected)
+
+
+@st.composite
+def symmetric_bigraphs(draw):
+    """A graph closed under 1-2 random class-preserving permutations: the
+    orbits of random edges, or of a cycle's edges, under the group they
+    span.  Vertices are global ids, the permutations arrays of length V."""
+    nb, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    gens = [np.concatenate([draw(st.permutations(range(nb))),
+                            nb + np.array(draw(st.permutations(range(nc))), dtype=int)])
+            for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()) and nb == nc:
+        seeds = [(i, i) for i in range(nb)] + [(i, (i + 1) % nb) for i in range(nb)]
+    else:
+        pairs = st.tuples(st.integers(0, nb - 1), st.integers(0, nc - 1))
+        seeds = draw(st.lists(pairs, max_size=nb * nc))
+    edges, todo = set(), [(b, nb + c) for b, c in seeds]
+    while todo:
+        e = todo.pop()
+        if e not in edges:
+            edges.add(e)
+            todo += [(int(perm[e[0]]), int(perm[e[1]])) for perm in gens]
+    g = BipartiteGraph(nb, nc, [(b, c - nb) for b, c in edges])
+    other = np.concatenate([draw(st.permutations(range(nb))),
+                            nb + np.array(draw(st.permutations(range(nc))), dtype=int)])
+    return g, gens, other
+
+
+@SETTINGS
+@given(symmetric_bigraphs())
+def test_orbit_check_matches_full_check(case):
+    # same verdict, array and witness from one BFS per orbit, on connected,
+    # disconnected and non-distance-biregular graphs alike
+    g, gens, other = case
+    full = dbrg_check(g)
+    assert dbrg_check(g, automorphisms=tuple(gens)) == full
+    assert dbrg_check(g, automorphisms=[gens[0]] * 2) == full
+    # a random class-preserving permutation is accepted iff it maps the edges onto themselves
+    edges = set(g.edges)
+    if {(int(other[b]), int(other[g.nB + c]) - g.nB) for b, c in edges} == edges:
+        assert dbrg_check(g, automorphisms=(other,)) == full
+    else:
+        with pytest.raises(ValueError, match="does not preserve the edges"):
+            dbrg_check(g, automorphisms=(other,))
+
+
+@pytest.mark.parametrize("perm,message", [
+    ([0, 0, 2, 3], "not a permutation"),
+    ([0, 1, 2, 4], "not a permutation"),
+    ([-1, 1, 2, 3], "not a permutation"),
+    ([0, 1, 2], "length V=4"),
+    ([[0, 1, 2, 3]], "length V=4"),
+    ([0.0, 1.0, 2.0, 3.0], "integer array"),
+    ([3, 2, 1, 0], "does not keep the classes"),
+    ([1, 0, 2, 3], "does not preserve the edges"),
+])
+def test_bogus_automorphisms_raise(perm, message):
+    # the path C0 - B0 - C1 - B1; swapping B0 and B1 breaks it
+    g = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=message):
+        dbrg_check(g, automorphisms=(np.arange(4), perm))
+    # [3, 2, 1, 0] reverses the path, a graph automorphism that swaps the
+    # classes; the identity, given as a list, is the only one kept
+    assert dbrg_check(g, automorphisms=([0, 1, 2, 3],)) == dbrg_check(g)

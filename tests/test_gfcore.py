@@ -22,6 +22,8 @@ from dbrg.gfcore import (
     index_vector,
     parse_vector,
     format_vector,
+    scaling,
+    translations,
 )
 
 
@@ -334,3 +336,24 @@ def test_echelon_bases_match_loop_reference():
         stacked = np.concatenate(list(echelon_bases(gf, n, m)))
         assert [tuple(map(tuple, b)) for b in stacked.tolist()] == want
         assert [s.basis for s in enumerate_subspaces(gf, n, m)] == want
+
+
+@pytest.mark.parametrize("p,t,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (2, 3, 2)])
+def test_id_maps_match_scalar_oracle(p, t, n):
+    # translation row i adds the vector whose id is p^i; scaling multiplies
+    # every coordinate; both are permutations of the q^n ids
+    gf = field(p, t)
+    vecs = [index_vector(gf, x, n) for x in range(gf.q**n)]
+    shifts = translations(gf, n)
+    assert shifts.shape == (n * t, gf.q**n)
+    units = [index_vector(gf, p**i, n) for i in range(n * t)]
+    # the unit vectors over GF(p): one coordinate x^d, the others 0
+    assert sorted(units) == sorted(tuple(p**d if j == c else 0 for j in range(n))
+                                   for c in range(n) for d in range(t))
+    for row, e in zip(shifts.tolist(), units):
+        assert row == [vector_index(gf, [gf.add(a, b) for a, b in zip(v, e)]) for v in vecs]
+    for lam in gf.elements():
+        row = scaling(gf, n, lam).tolist()
+        assert row == [vector_index(gf, [gf.mul(lam, a) for a in v]) for v in vecs]
+        if lam:
+            assert sorted(row) == list(range(gf.q**n))
