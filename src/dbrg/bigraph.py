@@ -16,11 +16,14 @@ reaches C, one on C times N^T reaches B; each product counts, per vertex,
 its neighbours in the frontier.  The graph is bipartite, so no edge joins
 two vertices at the same distance: for a vertex first reached at level i
 the product is exactly c_i, and b_i = deg - c_i.  One pass gives the
-distances and the (c, b) profile of every source in the batch.  Float32
-products are exact: the terms are 0/1, so every partial sum is an integer
-at most the maximum degree, and degrees of 2**24 or more are refused.
-Memory: edges are two sorted int32 arrays; the engine holds N densely
-(4 nB nC bytes) plus, per level, a few ``_BATCH`` x class-size arrays.
+distances and the (c, b) profile of every source in the batch.  The level
+after one that completes its class is the rest of the other class, with
+c the degree: no product, so eccentricity e >= 2 costs e - 2 products.
+Float32 products are exact: the terms are 0/1, so every partial sum is
+an integer at most the maximum degree, and degrees of 2**24 or more are
+refused.  Memory: edges are two sorted int32 arrays; the engine holds N
+densely (4 nB nC bytes) plus, per level, a few ``_BATCH`` x class-size
+arrays; the file reader holds ``_CHUNK`` lines at a time.
 
 A simple :class:`Graph` (a halved graph, or subdivision input) is held as
 a dense read-only boolean adjacency matrix: every consumer works densely,
@@ -40,6 +43,7 @@ per line with 0-based class-local indices, sorted.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,7 +92,7 @@ class BipartiteGraph:
 
     def __init__(self, nB: int, nC: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         _check_class_sizes(nB, nC)
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         b, c = pairs.reshape(-1, 2).T
         bad = (b < 0) | (b >= nB) | (c < 0) | (c >= nC)
         if bad.any():
@@ -185,14 +189,18 @@ class Graph:
 
 _BATCH = 64  # sources per BFS pass: per-level arrays stay at _BATCH x class size
 _EXACT_DEGREE = 1 << 24  # float32 counts every integer up to 2**24 exactly
+_CHUNK = 1024  # graph-file lines converted per step: the word lists stay small
 
 
 def _levels(g: BipartiteGraph, n: np.ndarray, side: int, sources: np.ndarray):
     """BFS from class-local ``sources`` of class ``side`` (0 = B, 1 = C), with
     ``n`` the float32 biadjacency.  Yields ``(level, cls, new, counts)`` for
     level 1, 2, ...: ``new`` marks, one row per source, the class-``cls``
-    vertices first reached there; ``counts`` under ``new`` are their c_level."""
+    vertices first reached there; ``counts`` under ``new`` are their c_level.
+    Once a level completes its class, the unseen vertices of positive degree
+    have all their neighbours there: the last level, c = degree."""
     steps = (n, n.T)
+    deg = (g.degrees[:g.nB], g.degrees[g.nB:])
     seen = [np.zeros((len(sources), g.nB), bool), np.zeros((len(sources), g.nC), bool)]
     seen[side][np.arange(len(sources)), sources] = True
     counts, level = steps[side][sources], 1  # level 1: the sources' own rows
@@ -203,7 +211,10 @@ def _levels(g: BipartiteGraph, n: np.ndarray, side: int, sources: np.ndarray):
             return
         seen[side] |= new
         yield level, side, new, counts
-        if seen[0].all() and seen[1].all():
+        if seen[side].all():
+            new = ~seen[1 - side] & (deg[1 - side] > 0)
+            if new.any():
+                yield level + 1, 1 - side, new, np.broadcast_to(deg[1 - side], new.shape)
             return
         counts, level = new.astype(np.float32) @ steps[side], level + 1
 
@@ -273,6 +284,7 @@ def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
     Raises ValueError if g is disconnected.
     """
     deg = (g.degrees[:g.nB], g.degrees[g.nB:])
+    uneven = [d.size > 0 and d.min() < d.max() for d in deg]  # else deg != du never holds
     for batch, levels in _sweeps(g, vertices):
         rows = np.arange(len(batch))
         profiles = [[(0, d)] for d in g.degrees[batch].tolist()]
@@ -280,13 +292,16 @@ def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
         for level, cls, new, counts in levels:
             u = new.argmax(axis=1)
             cu, du = counts[rows, u], deg[cls][u]
-            bad = new & ((counts != cu[:, None]) | (deg[cls] != du[:, None]))
+            bad = new & (counts != cu[:, None])
+            if uneven[cls]:
+                bad |= new & (deg[cls] != du[:, None])
             off = cls * g.nB
             for r in np.flatnonzero(bad.any(axis=1)).tolist():
                 fail.setdefault(r, (level, int(u[r]) + off, int(bad[r].argmax()) + off))
-            for r in np.flatnonzero(new.any(axis=1)).tolist():
+            sizes = new.sum(axis=1)
+            for r in np.flatnonzero(sizes).tolist():
                 profiles[r].append((int(cu[r]), int(du[r]) - int(cu[r])))
-            reached += new.sum(axis=1)
+            reached += sizes
         if reached.min() < g.V:
             raise _Disconnected()
         for r, profile in enumerate(profiles):
@@ -327,8 +342,9 @@ def _automorphism(g: BipartiteGraph, perm, edge_keys: np.ndarray) -> np.ndarray:
         raise ValueError("automorphism is not a permutation of the vertices")
     if (perm[:g.nB] >= g.nB).any():
         raise ValueError("automorphism does not keep the classes")
-    image = np.sort(perm[g.eb] * g.nC + perm[g.ec + g.nB] - g.nB)
-    if not np.array_equal(image, edge_keys):
+    pb, pc = perm[:g.nB].astype(edge_keys.dtype), (perm[g.nB:] - g.nB).astype(edge_keys.dtype)
+    image = np.repeat(pb * g.nC, g.degrees[:g.nB]) + pc[g.ec]  # eb runs through each row in turn
+    if not np.array_equal(np.sort(image, kind="stable"), edge_keys):  # timsort merges sorted runs
         raise ValueError("automorphism does not preserve the edges")
     return perm
 
@@ -339,7 +355,7 @@ def _orbit_minima(g: BipartiteGraph, automorphisms: Sequence) -> np.ndarray:
     hooks the larger root of every crossing edge under the smaller, then
     jumps pointers to the roots; it stops when no edge crosses two trees.
     Pointers only decrease, so each root is the minimum of its orbit."""
-    keys = g.eb.astype(np.int64) * g.nC + g.ec
+    keys = g.eb.astype(np.int32 if g.nB * g.nC < 2**31 else np.int64) * g.nC + g.ec
     gens = [_automorphism(g, perm, keys) for perm in automorphisms]
     root = np.arange(g.V)
     while True:
@@ -565,10 +581,10 @@ def serialize_graph(g: BipartiteGraph) -> str:
 
 
 def parse_graph(text: str) -> BipartiteGraph:
-    """Parse the graph text format; ValueError names the offending line."""
+    """Parse the graph text format; ValueError names the first faulty line."""
     if not text:
         raise ValueError("empty graph file")
-    lines = io.StringIO(text, newline=None)  # one line alive at a time: low peak memory
+    lines = io.StringIO(text, newline=None)  # _CHUNK lines alive at a time: low peak memory
     head = lines.readline().rstrip("\n")
     header = head.split()
     try:
@@ -580,24 +596,39 @@ def parse_graph(text: str) -> BipartiteGraph:
         _check_class_sizes(nb, nc)
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
-    eb, ec, nos = (np.empty(text.count("\n") + text.count("\r") + 1, np.int64) for _ in range(3))
-    m = 0
-    for no, line in enumerate(lines, start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
+    size = text.count("\n") + text.count("\r") + 1
+    edges, nos, m = np.empty((size, 2), np.int64), np.empty(size, np.int64), 0
+    chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])
+    for first, chunk in zip(itertools.count(2, _CHUNK), chunks):
+        # "b c ; b c ; ...": ";" is no integer, so if 3k - 1 words hold integers in
+        # every b and c place, the k - 1 separators fill the rest: two words a line
+        k, words = len(chunk), " ; ".join(chunk).split()
+        b, c = edges[m:m + k].T
         try:
-            b, c = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
-        if not (0 <= b < nb and 0 <= c < nc):
-            raise ValueError(f"line {no}: edge ({b},{c}) out of range for B={nb} C={nc}")
-        eb[m], ec[m], nos[m] = b, c, no
-        m += 1
-    g = BipartiteGraph(nb, nc, np.column_stack([eb[:m], ec[:m]]))
+            b[:], c[:] = (np.fromiter(map(int, words[i::3]), np.int64, k) for i in (0, 1))
+            fast = len(words) == 3 * k - 1 and min(b.min(), c.min()) >= 0
+        except (ValueError, OverflowError):
+            fast = False
+        if fast and b.max() < nb and c.max() < nc:
+            nos[m:m + k] = np.arange(first, first + k)
+            m += k
+            continue
+        for no, line in enumerate(chunk, start=first):  # a blank or faulty line
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
+            try:
+                b, c = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
+            if not (0 <= b < nb and 0 <= c < nc):
+                raise ValueError(f"line {no}: edge ({b},{c}) out of range for B={nb} C={nc}")
+            edges[m], nos[m] = (b, c), no
+            m += 1
+    g = BipartiteGraph(nb, nc, edges[:m])
     if len(g.eb) < m:  # name the first line that repeats an earlier edge
-        i = np.setdiff1d(np.arange(m), np.unique(eb[:m] * nc + ec[:m], return_index=True)[1])[0]
-        raise ValueError(f"line {nos[i]}: duplicate edge '{eb[i]} {ec[i]}'")
+        i = np.setdiff1d(np.arange(m), np.unique(edges[:m] @ [nc, 1], return_index=True)[1])[0]
+        raise ValueError(f"line {nos[i]}: duplicate edge '{edges[i, 0]} {edges[i, 1]}'")
     return g

@@ -185,8 +185,9 @@ class FieldContext:
         return _poly_to_int(_poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p), self.p)
 
     def _build_tables(self) -> None:
-        # discrete-log tables over a multiplicative generator; exp is
-        # stored twice over so a product needs no reduction mod q - 1
+        # discrete-log tables over a multiplicative generator; exp is stored
+        # twice over, then zeros, and log 0 = 2(q - 1): a product is
+        # exp[log a + log b], with no reduction mod q - 1 and no test for 0
         q = self.q
         exp = [1] * max(q - 1, 1)
         log = [0] * q
@@ -206,7 +207,8 @@ class FieldContext:
                     val = self._raw_mul(val, g)
                 self.generator = g
                 break
-        self._exp = np.array(exp * 2, dtype=np.int32)
+        log[0] = 2 * (q - 1)
+        self._exp = np.array(exp * 2 + [0] * (2 * (q - 1) + 1), dtype=np.int32)
         self._log = np.array(log, dtype=np.int32)
 
     # -- arithmetic: on ints, or elementwise on integer arrays that broadcast
@@ -231,8 +233,8 @@ class FieldContext:
 
     def mul(self, a, b):
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np.where((a != 0) & (b != 0), self._exp[self._log[a] + self._log[b]], 0)
-        return self._exp.item(self._log.item(a) + self._log.item(b)) if a and b else 0
+            return self._exp[self._log[a] + self._log[b]]
+        return self._exp.item(self._log.item(a) + self._log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:

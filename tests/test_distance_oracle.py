@@ -4,7 +4,8 @@ networkx computes every distance; the oracle then applies the definition
 of distance-biregularity one vertex at a time, in index order, the way
 the witness contract states it.  Random graphs closed under random
 class-preserving permutations check the orbit path of ``dbrg_check``
-against its full path.
+against its full path.  Named graphs check the last BFS level, which the
+engine finds without a product, and count the products it runs.
 """
 
 import networkx as nx
@@ -16,12 +17,15 @@ from dbrg.bigraph import (
     BipartiteGraph,
     DbrgResult,
     Graph,
+    _levels,
     dbrg_check,
     distance_partition,
+    flip,
     girth,
     local_dr_check,
     subdivision,
 )
+from dbrg.constructions import cone_graph
 from dbrg.params import IntersectionArray
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -102,9 +106,7 @@ class Oracle:
         return IntersectionArray(bB[0], bC[0], cB[1:], cC[1:]), None
 
 
-@SETTINGS
-@given(bigraphs())
-def test_dbrg_check_matches_oracle(g):
+def assert_dbrg_check_matches_oracle(g):
     oracle = Oracle(g)
     if not oracle.connected:
         # a disconnected graph is a negative verdict: vertex 0 and the least
@@ -117,9 +119,7 @@ def test_dbrg_check_matches_oracle(g):
     assert (res.ok, res.array, res.witness) == (array is not None, array, witness)
 
 
-@SETTINGS
-@given(bigraphs())
-def test_local_checks_and_partitions_match_oracle(g):
+def assert_local_checks_and_partitions_match_oracle(g):
     oracle = Oracle(g)
     for v in range(g.V):
         if not oracle.connected:
@@ -136,11 +136,89 @@ def test_local_checks_and_partitions_match_oracle(g):
         assert distance_partition(g, v).cells == tuple(tuple(c) for c in cells)
 
 
+def assert_girth_matches_oracle(g):
+    expected = nx.girth(Oracle(g).G)
+    assert girth(g) == (0 if expected == float("inf") else expected)
+
+
+@SETTINGS
+@given(bigraphs())
+def test_dbrg_check_matches_oracle(g):
+    assert_dbrg_check_matches_oracle(g)
+
+
+@SETTINGS
+@given(bigraphs())
+def test_local_checks_and_partitions_match_oracle(g):
+    assert_local_checks_and_partitions_match_oracle(g)
+
+
 @SETTINGS
 @given(bigraphs())
 def test_girth_matches_oracle(g):
-    expected = nx.girth(Oracle(g).G)
-    assert girth(g) == (0 if expected == float("inf") else expected)
+    assert_girth_matches_oracle(g)
+
+
+def complete(k, l):
+    return BipartiteGraph(k, l, [(b, c) for b in range(k) for c in range(l)])
+
+
+# Graphs whose BFS ends on the level found without a product: once a level
+# reaches all of its class, the rest of the other class is the last level.
+# Each is also checked with its classes exchanged.
+LAST_LEVEL_CASES = {
+    "K_1,1": complete(1, 1),
+    "K_3,4": complete(3, 4),
+    "K_5,2": complete(5, 2),
+    # from B0 level 1 is all of C; the last level {B1, B2} has degrees 2 and 1
+    "last_level_uneven_degrees": BipartiteGraph(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
+                                                       (2, 2)]),
+    # K_2,3 and an isolated B vertex, which the last level from B0 must not take
+    "isolated_vertex": BipartiteGraph(3, 3, [(b, c) for b in range(2) for c in range(3)]),
+    # the 6-cycle with a chord B0 - C2: degrees 3, 2, 2 on each side
+    "not_biregular": BipartiteGraph(3, 3, [(i, i) for i in range(3)]
+                                    + [(i, (i + 1) % 3) for i in range(3)] + [(0, 2)]),
+    # a path B0 - C0 - B1 - C1 - B2: ends of degree 1, a middle of degree 2
+    "path": BipartiteGraph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("g", LAST_LEVEL_CASES.values(), ids=LAST_LEVEL_CASES)
+def test_last_level_matches_oracle(g):
+    for h in (g, flip(g)):
+        assert_dbrg_check_matches_oracle(h)
+        assert_local_checks_and_partitions_match_oracle(h)
+        assert_girth_matches_oracle(h)
+
+
+def products(g, side):
+    """The biadjacency products of one BFS pass from all of class ``side``."""
+    calls = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            calls.append(other)
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            calls.append(other)
+            return np.asarray(other) @ np.asarray(self)
+
+    n = g.biadjacency(np.float32).view(Counted)
+    levels = list(_levels(g, n, side, np.arange((g.nB, g.nC)[side])))
+    return len(calls), len(levels)
+
+
+@pytest.mark.parametrize("g,expected", [
+    (complete(3, 4), (0, 2)),
+    (BipartiteGraph(3, 3, [(i, i) for i in range(3)] + [(i, (i + 1) % 3) for i in range(3)]),
+     (1, 3)),
+    (cone_graph(2).graph, (2, 4)),
+], ids=["K_3,4", "6-cycle", "cone_q2"])
+def test_last_level_costs_no_product(g, expected):
+    # level 1 is the sources' rows and the last level is free: a BFS of
+    # eccentricity e from every source of a class runs e - 2 products
+    assert products(g, 0) == products(g, 1) == expected
 
 
 @st.composite

@@ -117,6 +117,17 @@ def test_add_matches_digitwise_reference_on_every_pair(p, t):
     assert [gf.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
 
 
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3),
+                                 (2, 5)])
+def test_mul_matches_polynomial_reference_on_every_pair(p, t):
+    # zero has a log past every product of units, where the exp table is zero
+    gf = field(p, t)
+    a, b = np.indices((gf.q, gf.q)).reshape(2, -1)
+    want = [gf._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert gf.mul(a, b).tolist() == want
+    assert [gf.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+
+
 @pytest.mark.parametrize("p,t", [(2, 9), (3, 6)])
 def test_add_matches_digitwise_reference_on_a_sample(p, t):
     gf = field(p, t)
