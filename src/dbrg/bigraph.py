@@ -45,7 +45,7 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -580,12 +580,16 @@ def serialize_graph(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> BipartiteGraph:
-    """Parse the graph text format; ValueError names the first faulty line."""
-    if not text:
+def parse_graph(source: str | TextIO) -> BipartiteGraph:
+    """Parse the graph text format from a string or from a text file opened
+    in universal-newline mode (``open``'s default), which is read
+    ``_CHUNK`` lines at a time and never held whole; ValueError names the
+    first faulty line."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    head = lines.readline()
+    if not head:
         raise ValueError("empty graph file")
-    lines = io.StringIO(text, newline=None)  # _CHUNK lines alive at a time: low peak memory
-    head = lines.readline().rstrip("\n")
+    head = head.rstrip("\n")
     header = head.split()
     try:
         nb = int(header[0].removeprefix("B="))
@@ -596,10 +600,11 @@ def parse_graph(text: str) -> BipartiteGraph:
         _check_class_sizes(nb, nc)
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
-    size = text.count("\n") + text.count("\r") + 1
-    edges, nos, m = np.empty((size, 2), np.int64), np.empty(size, np.int64), 0
+    edges, nos, m = np.empty((_CHUNK, 2), np.int64), np.empty(_CHUNK, np.int64), 0
     chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])
     for first, chunk in zip(itertools.count(2, _CHUNK), chunks):
+        if m + _CHUNK > len(nos):  # room for this chunk: double the edge arrays
+            edges, nos = (np.concatenate([a, np.empty_like(a)]) for a in (edges, nos))
         # "b c ; b c ; ...": ";" is no integer, so if 3k - 1 words hold integers in
         # every b and c place, the k - 1 separators fill the rest: two words a line
         k, words = len(chunk), " ; ".join(chunk).split()

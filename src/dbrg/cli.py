@@ -122,7 +122,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     from . import bigraph
 
-    g = bigraph.parse_graph(Path(args.graphfile).read_text())
+    with open(args.graphfile) as lines:
+        g = bigraph.parse_graph(lines)
     res = bigraph.dbrg_check(g)
     payload = {
         "command": "verify",
@@ -141,7 +142,8 @@ def cmd_verify(args) -> int:
 def cmd_derive(args) -> int:
     from . import bigraph, constructions
 
-    g = bigraph.parse_graph(Path(args.graphfile).read_text())
+    with open(args.graphfile) as lines:
+        g = bigraph.parse_graph(lines)
     side, _, idx = args.vertex.partition(":")
     if side not in ("B", "C") or not idx.isdigit():
         raise ValueError(f"--vertex must look like B:3 or C:17, got {args.vertex!r}")

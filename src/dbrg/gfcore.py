@@ -592,16 +592,18 @@ def coset_permutation(cosets: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
-    """Rows of ``ids`` as uint64 bitsets over ``size`` vector ids.
+    """Rows of ``ids`` (shape (K, m)) as uint64 bitsets over ``size`` vector ids.
 
     Word ``w`` of row ``r`` has bit ``b`` set iff ``64 w + b`` is in
-    ``ids[r]``; the ids in a row must be distinct.
+    ``ids[r]``; the ids in a row must be distinct.  Memory: besides the
+    result, about 5 bytes per id for int32 ``ids`` (a one-byte bit mask,
+    then the byte index in the dtype of ``ids``); bits are set byte by
+    byte, with no row-number array and no int64 or uint64 copy of ``ids``.
     """
-    bits = np.zeros((len(ids), -(-size // 64)), dtype=np.uint64)
-    rows = np.repeat(np.arange(len(ids)), ids.shape[1])
-    flat = ids.ravel()
-    np.bitwise_or.at(bits, (rows, flat >> 6), np.uint64(1) << (flat & 63).astype(np.uint64))
-    return bits
+    out = np.zeros((len(ids), -(-size // 64) * 8), dtype=np.uint8)
+    mask = np.uint8(1) << (ids & 7).astype(np.uint8)
+    np.bitwise_or.at(out, (np.arange(len(ids), dtype=np.int32)[:, None], ids >> 3), mask)
+    return out.view("<u8").astype(np.uint64, copy=False)  # byte j of a row: ids 8j .. 8j + 7
 
 
 def bitset_contains(bits: np.ndarray, ids: np.ndarray) -> np.ndarray:

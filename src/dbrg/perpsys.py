@@ -41,7 +41,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .gfcore import (
     projective_points,
     qbinom,
     subspace_make,
-    subspace_meet,
     subspace_vector_ids,
     subspaces,
     vector_bitsets,
@@ -163,10 +162,12 @@ def perp_verify(
         return PerpViolation("d_too_small", detail="covered vectors have multiplicity 1, need d >= 2")
     if (mults == 0).sum() == 0:
         return PerpViolation("all_covered", detail="no vector with multiplicity 0")
-    pair = _first_meeting_pair(vector_bitsets(ids, q**n), q ** (n - 2 * k) - 1)
+    bits = vector_bitsets(ids, q**n)
+    pair = _first_meeting_pair(bits, q ** (n - 2 * k) - 1)
     if pair is not None:
         i, j = pair
-        got = subspace_meet(members[i], members[j]).dim
+        # the meet is a subspace: the members share q^dim - 1 nonzero vectors
+        got = round(math.log(int(_meet_sizes(bits[j:j + 1], bits[i])[0]) + 1, q))
         return PerpViolation(
             "pair_meet", pair=pair,
             detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
@@ -366,7 +367,9 @@ class SearchOutcome:
     elapsed: float  # wall seconds from entry, set-up included
     solutions: int = 0  # populated by count_all runs
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
-    setup_seconds: float = 0.0  # candidates, their vector ids and bitsets
+    # wall seconds to tabulate the candidates: int8 bases, int32 vector ids,
+    # uint64 bitsets and the int32 vector -> candidate index
+    setup_seconds: float = 0.0
 
 
 @dataclass
@@ -385,6 +388,78 @@ class _Budget(Exception):
 
 class _Found(Exception):
     pass
+
+
+def _index_block(through: np.ndarray, fill: np.ndarray, block_ids: np.ndarray,
+                 start: int) -> None:
+    """Enter candidates ``start``, ``start + 1``, ... (the rows of
+    ``block_ids``) in the rows of ``through`` of the vectors they hold,
+    after the ``fill[v]`` entries that vector v has so far, and count them
+    in ``fill``.
+
+    Each (vector, candidate) pair becomes one key, vector * rows + row;
+    sorted, the keys keep candidate order within each vector.  The two
+    temporaries are the size of the block, int32 unless a key or a slot
+    of ``through`` needs int64.  RuntimeError if a vector would get more
+    entries than a row of ``through`` holds.
+    """
+    rows, width = len(block_ids), through.shape[1]
+    wide = max(len(fill) * rows, through.size) >= 2**31
+    key = block_ids.astype(np.int64 if wide else np.int32)
+    key *= rows
+    key += np.arange(rows, dtype=key.dtype)[:, None]
+    key = key.ravel()
+    key.sort()
+    bounds = np.searchsorted(key, np.arange(len(fill) + 1, dtype=key.dtype) * rows)
+    counts = np.diff(bounds)
+    fill += counts
+    if (fill > width).any():
+        over = int(np.argmax(fill > width))
+        raise RuntimeError(f"vector {over} lies in more than {width} candidates")
+    key %= rows
+    key += start  # the candidate of each key
+    # the slot in through of each key: consecutive within a vector, then a
+    # jump from the last slot of one vector to the first slot of the next
+    run = np.flatnonzero(counts)
+    first = (run - 1) * width + fill[run] - counts[run]
+    last = first + counts[run] - 1
+    slot = np.ones_like(key)
+    slot[bounds[run]] = first - np.concatenate(([0], last[:-1]))
+    np.cumsum(slot, dtype=slot.dtype, out=slot)
+    through.reshape(-1)[slot] = key
+
+
+def _candidate_tables(ctx: FieldContext, n: int, k: int,
+                      out_of_time: Callable[[], bool]) -> tuple[np.ndarray, ...]:
+    """The tables of :func:`perp_search` over the codimension-k subspaces:
+    (bases, ids, bits, through).  Raises _Budget when ``out_of_time()``
+    holds before a block; RuntimeError if the candidates are not
+    [n, n-k]_q, or some nonzero vector does not lie in exactly
+    [n-1, n-k-1]_q of them (GL(n, q) is transitive on nonzero vectors)."""
+    q, size = ctx.q, ctx.q**n
+    count, per_vector = qbinom(n, n - k, q), qbinom(n - 1, n - k - 1, q)
+    bases = ids = bits = None
+    through = np.empty((size - 1, per_vector), np.int32)
+    fill = np.zeros(size, np.int64)  # entries in each row of through so far
+    start = 0
+    for block in echelon_bases(ctx, n, n - k):
+        if out_of_time():
+            raise _Budget
+        block_ids = subspace_vector_ids(ctx, block)
+        _index_block(through, fill, block_ids, start)
+        if bases is None:  # in the dtypes of the block: int8 bases, int32 ids
+            bases = np.empty((count,) + block.shape[1:], block.dtype)
+            ids = np.empty((count, block_ids.shape[1]), block_ids.dtype)
+            bits = np.empty((count, -(-size // 64)), np.uint64)
+        stop = start + len(block)
+        bases[start:stop], ids[start:stop] = block, block_ids
+        del block_ids
+        bits[start:stop] = vector_bitsets(ids[start:stop], size)
+        start = stop
+    if start != count or (fill[1:] != per_vector).any():
+        raise RuntimeError(f"{start} candidates, each vector in {fill[1:].min()} to "
+                           f"{fill[1:].max()} of them; expected {count} and {per_vector}")
+    return bases, ids, bits, through
 
 
 def perp_search(
@@ -415,12 +490,24 @@ def perp_search(
     than it still needs, or needs more than the members left.  The
     search is deterministic.
 
+    Set-up tabulates the K = [n, n-k]_q candidates in four tables: echelon
+    bases (int8 while q < 128), their sorted nonzero vector ids (int32
+    while q^n < 2^31), their uint64 bitsets, and ``through``, int32 of
+    shape (q^n - 1, R), whose row v - 1 lists the R = [n-1, n-k-1]_q
+    candidates that hold vector v, in index order.  The tables are
+    allocated once and filled one block of :func:`dbrg.gfcore.echelon_bases`
+    at a time, so no step holds a temporary larger than a few arrays the
+    size of one block; RuntimeError if some vector does not lie in exactly
+    R candidates.  The search counts killed candidates out of the live
+    counts R at a time, so its temporaries stay as small.
+
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
-    time from entry, set-up included.  Returns status ``found`` with a
-    system checked by :func:`perp_verify`, ``exhausted`` when the whole
-    space was explored (with ``solutions`` counted if ``count_all``), or
-    ``budget`` when a cap was hit first.  ValueError if ``budget_nodes``
-    is negative or ``budget_seconds`` is negative, infinite or NaN.
+    time from entry, set-up included (it is checked before each block).
+    Returns status ``found`` with a system checked by :func:`perp_verify`,
+    ``exhausted`` when the whole space was explored (with ``solutions``
+    counted if ``count_all``), or ``budget`` when a cap was hit first.
+    ValueError if ``budget_nodes`` is negative or ``budget_seconds`` is
+    negative, infinite or NaN.
     """
     t0 = time.monotonic()
     if budget_nodes is not None and budget_nodes < 0:
@@ -439,23 +526,18 @@ def perp_search(
     def out_of_time() -> bool:
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
-    blocks, id_blocks = [], []
-    for block in echelon_bases(ctx, n, n - k):
-        if out_of_time():
-            spent = time.monotonic() - t0
-            return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
-        blocks.append(block)
-        id_blocks.append(subspace_vector_ids(ctx, block))
-    bases, ids = np.concatenate(blocks), np.concatenate(id_blocks)
-    del blocks, id_blocks
-    bits = vector_bitsets(ids, size)
-    # row v - 1: the candidates containing vector v, in index order
-    through = (np.argsort(ids.ravel(), kind="stable") // ids.shape[1]).reshape(size - 1, -1)
+    try:
+        bases, ids, bits, through = _candidate_tables(ctx, n, k, out_of_time)
+    except _Budget:
+        spent = time.monotonic() - t0
+        return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
+    per_vector = through.shape[1]
     setup_seconds = time.monotonic() - t0
 
     def drop(node: _Node, dead) -> None:
         node.live[dead] = False
-        node.avail -= np.bincount(ids[dead].ravel(), minlength=size)
+        for i in range(0, len(dead), per_vector):  # a row of through's worth at a time
+            node.avail -= np.bincount(ids[dead[i:i + per_vector]].ravel(), minlength=size)
 
     def join(node: _Node, c: int) -> _Node:
         cover = node.cover.copy()
@@ -506,8 +588,9 @@ def perp_search(
             if not feasible(node):
                 return
 
-    root = _Node((), np.zeros(size, dtype=np.int64), np.ones(len(ids), dtype=bool),
-                 np.bincount(ids.ravel(), minlength=size))
+    avail = np.full(size, per_vector)
+    avail[0] = 0  # the zero vector is in no candidate's id list
+    root = _Node((), np.zeros(size, dtype=np.int64), np.ones(len(ids), dtype=bool), avail)
     start = join(root, 0)
     status, complete = "exhausted", True
     try:

@@ -313,6 +313,15 @@ def subspace_stacks(draw):
     return gf, n, m, spaces
 
 
+def bitset_reference(row):
+    """The bitset of one row of ids as one Python integer."""
+    return sum(1 << v for v in row)
+
+
+def as_integers(bits):
+    return [sum(w << (64 * i) for i, w in enumerate(words)) for words in bits.tolist()]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(subspace_stacks())
 def test_kernel_ids_match_subspace_vectors(case):
@@ -322,8 +331,21 @@ def test_kernel_ids_match_subspace_vectors(case):
     for row, s in zip(ids.tolist(), spaces):
         assert row == sorted(vector_index(gf, v) for v in s.vectors() if any(v))
     bits = vector_bitsets(ids, gf.q**n)
-    for row, words in zip(ids.tolist(), bits.tolist()):
-        assert sum(w << (64 * i) for i, w in enumerate(words)) == sum(1 << v for v in row)
+    assert as_integers(bits) == [bitset_reference(r) for r in ids.tolist()]
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 128, 729, 4096])
+def test_vector_bitsets_at_word_edges(size):
+    # rows of distinct ids, each holding the ids on both sides of every word
+    # edge below size and 40 random others, in random order
+    rng = np.random.default_rng(size)
+    edges = sorted({v for w in range(64, size, 64) for v in (w - 1, w)} | {0, size - 1})
+    others = np.setdiff1d(np.arange(size), edges)
+    ids = np.array([rng.permutation(np.concatenate([edges, rng.choice(others, 40, replace=False)]))
+                    for _ in range(200)], dtype=np.int32)
+    bits = vector_bitsets(ids, size)
+    assert bits.shape == (len(ids), -(-size // 64)) and bits.dtype == np.uint64
+    assert as_integers(bits) == [bitset_reference(r) for r in ids.tolist()]
 
 
 def echelon_loop(gf, n, m):

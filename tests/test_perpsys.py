@@ -1,16 +1,21 @@
 """Perp-system verification, parameters, duals, search, and file format."""
 
 import dataclasses
+import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dbrg.constructions import gen_delorme_graph
-from dbrg.gfcore import (enumerate_subspaces, field, orthogonal_complement, qbinom,
-                         subspace_make, subspace_meet)
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, field, orthogonal_complement,
+                         qbinom, subspace_make, subspace_meet, subspace_vector_ids,
+                         vector_bitsets)
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
+from dbrg import perpsys
 from dbrg.perpsys import (
     PerpSystem,
     PerpViolation,
@@ -69,14 +74,22 @@ def test_verify_reports_all_covered():
 
 
 def test_verify_reports_pair_meet():
-    # the 7 lines of a plane of PG(3,2) cover its points 3 times each, but any two meet
+    # the 7 lines of a plane of PG(3,2) cover its points 3 times each, and the
+    # 15 planes of a solid of PG(4,2) its points 7 times each, but any two
+    # lines meet in a point and any two planes in a line; the dimension comes
+    # from the shared bit count, and the scalar Zassenhaus meet agrees
     gf2 = field(2)
     plane = subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
-    lines = [s for s in enumerate_subspaces(gf2, 4, 2) if all(plane.contains(r) for r in s.basis)]
-    res = perp_verify(gf2, 4, 2, lines)
-    assert isinstance(res, PerpViolation)
-    assert (res.kind, res.pair) == ("pair_meet", (0, 1))
-    assert "dimension 1, expected 0" in res.detail
+    solid = subspace_make(gf2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                                   (0, 0, 0, 1, 1)])
+    for space, dim, detail in [(plane, 2, "members 0,1 meet in dimension 1, expected 0"),
+                               (solid, 3, "members 0,1 meet in dimension 2, expected 1")]:
+        members = [s for s in enumerate_subspaces(gf2, space.n, dim)
+                   if all(space.contains(r) for r in s.basis)]
+        res = perp_verify(gf2, space.n, 2, members)
+        assert isinstance(res, PerpViolation)
+        assert (res.kind, res.pair, res.detail) == ("pair_meet", (0, 1), detail)
+        assert f"dimension {subspace_meet(members[0], members[1]).dim}," in res.detail
 
 
 def test_verify_precondition_errors():
@@ -237,6 +250,66 @@ def test_search_count_matches_brute_force(n, k, q, d):
         brute += isinstance(res, PerpSystem) and res.d == d
     out = perp_search(n, k, q, d, count_all=True)
     assert out.complete and out.solutions == brute
+
+
+def candidate_tables(n, k, q):
+    return perpsys._candidate_tables(field_for_order(q), n, k, lambda: False)
+
+
+@pytest.mark.parametrize("n,k,q", [(7, 3, 2), (3, 1, 4), (6, 2, 3)])
+def test_candidate_tables_match_brute_force(n, k, q):
+    ctx, size = field_for_order(q), q**n
+    bases, ids, bits, through = candidate_tables(n, k, q)
+    assert (bases.dtype, ids.dtype, bits.dtype, through.dtype) == (
+        np.int8, np.int32, np.uint64, np.int32)
+    assert np.array_equal(bases, np.concatenate(list(echelon_bases(ctx, n, n - k))))
+    assert np.array_equal(ids, subspace_vector_ids(ctx, bases))
+    assert np.array_equal(bits, vector_bitsets(ids, size))
+    # membership table: candidate c holds vector v; bit v of row c is set iff so
+    holds = np.zeros((len(ids), size), dtype=bool)
+    holds[np.arange(len(ids))[:, None], ids] = True
+    assert np.array_equal(np.unpackbits(bits.astype("<u8").view(np.uint8), axis=1,
+                                        bitorder="little")[:, :size], holds)
+    per_vector = qbinom(n - 1, n - k - 1, q)
+    # every nonzero vector lies in R candidates, the root availability
+    assert (holds[:, 0].sum(), set(holds[:, 1:].sum(axis=0).tolist())) == (0, {per_vector})
+    assert through.shape == (size - 1, per_vector)
+    # row v - 1 lists exactly those candidates, in increasing order
+    assert np.array_equal(through, np.nonzero(holds[:, 1:].T)[1].reshape(size - 1, -1))
+    assert np.array_equal(through, np.argsort(ids.ravel(), kind="stable").reshape(size - 1, -1)
+                          // ids.shape[1])
+
+
+def test_search_7_3_2_2_first_system_pinned():
+    # the first join kills 4131 candidates, more than R = 1395 at a time,
+    # so the live counts fall in several runs of R; any miscount changes
+    # the branching, the node count and the system found
+    out = perp_search(7, 3, 2, 2)
+    assert (out.status, out.nodes, out.system.d, out.system.s) == ("found", 92, 2, 16)
+    assert hashlib.sha256(serialize_perp(out.system).encode()).hexdigest() == (
+        "0d0876fd4fd0896e3b800269f9b561926d8b175e73d3cae6daeb1a87b13d2b24")
+
+
+def test_index_block_refuses_a_vector_beyond_its_row():
+    through, fill = np.empty((3, 1), np.int32), np.zeros(4, np.int64)
+    with pytest.raises(RuntimeError, match="^vector 2 lies in more than 1 candidates"):
+        perpsys._index_block(through, fill, np.array([[1, 2], [2, 3]], np.int32), 0)
+
+
+def test_search_setup_peak_memory_is_bounded_by_its_tables():
+    # the set-up fills its tables one echelon block at a time and peaks near
+    # 2.6 MB of traced memory (Python 3.11, numpy 2.4); concatenating the
+    # blocks and sorting every id at once peaked at 6.9 MB, 3.6 x the tables
+    table_bytes = sum(a.nbytes for a in candidate_tables(7, 3, 2))
+    perp_search(7, 3, 2, 2, budget_nodes=1)
+    tracemalloc.start()
+    try:
+        out = perp_search(7, 3, 2, 2, budget_nodes=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.nodes) == ("budget", 1)
+    assert peak < 1.5 * table_bytes
 
 
 def test_search_time_budget_covers_setup():
