@@ -16,7 +16,8 @@ Exit codes separate mathematical verdicts from operational failures:
       conflict)
 * 3   search budget exhausted before completion
 * 64  usage error (unknown command, malformed invocation)
-* 65  invalid parameters or file contents
+* 65  invalid parameters or file contents, including inputs whose
+      arrays do not fit in memory (``invalid input: too large: ...``)
 * 66  file I/O failure
 """
 
@@ -363,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"invalid input: too large: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -52,6 +52,8 @@ def field_for_order(q: int) -> FieldContext:
     """Context for GF(q), factoring q as a prime power."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
+    if q > 2**16:  # before the trial division
+        raise ValueError(f"field order q={q} exceeds supported bound 2^16")
     p = 2
     while q % p:
         p += 1

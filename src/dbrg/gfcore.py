@@ -150,10 +150,12 @@ class FieldContext:
     """
 
     def __init__(self, p: int, t: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if t < 1:
             raise ValueError(f"extension degree t={t} must be >= 1")
+        if p > 2**16 or t > 16:  # before the trial division and p**t
+            raise ValueError(f"field order q={p}^{t} exceeds supported bound 2^16")
+        if not _is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         q = p**t
         if q > 2**16:
             raise ValueError(f"field order q={q} exceeds supported bound 2^16")

@@ -16,7 +16,8 @@ associated graph is strongly regular.
 vector or member pair.  ``perp_search`` is a deterministic exact-cover
 search with multiplicities (Knuth's Algorithm M): it branches on the
 partially covered vector with the fewest candidates left.  Both work on
-the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`.
+the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`; the
+search finds the candidates holding a vector by testing its bit.
 
 A :class:`PerpSystem` is a :class:`dbrg.geometry.SpaceFamily` plus k, d,
 s and a ``dual`` flag for both formulations: ``perp_dualize`` maps a
@@ -48,6 +49,7 @@ import numpy as np
 from .gfcore import (
     FieldContext,
     Subspace,
+    bitset_contains,
     echelon_bases,
     format_vector,
     hyperplane_counts,
@@ -367,8 +369,8 @@ class SearchOutcome:
     elapsed: float  # wall seconds from entry, set-up included
     solutions: int = 0  # populated by count_all runs
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
-    # wall seconds to tabulate the candidates: int8 bases, int32 vector ids,
-    # uint64 bitsets and the int32 vector -> candidate index
+    # wall seconds to tabulate the candidates: int8 bases, int32 vector ids
+    # and uint64 bitsets
     setup_seconds: float = 0.0
 
 
@@ -390,76 +392,40 @@ class _Found(Exception):
     pass
 
 
-def _index_block(through: np.ndarray, fill: np.ndarray, block_ids: np.ndarray,
-                 start: int) -> None:
-    """Enter candidates ``start``, ``start + 1``, ... (the rows of
-    ``block_ids``) in the rows of ``through`` of the vectors they hold,
-    after the ``fill[v]`` entries that vector v has so far, and count them
-    in ``fill``.
-
-    Each (vector, candidate) pair becomes one key, vector * rows + row;
-    sorted, the keys keep candidate order within each vector.  The two
-    temporaries are the size of the block, int32 unless a key or a slot
-    of ``through`` needs int64.  RuntimeError if a vector would get more
-    entries than a row of ``through`` holds.
-    """
-    rows, width = len(block_ids), through.shape[1]
-    wide = max(len(fill) * rows, through.size) >= 2**31
-    key = block_ids.astype(np.int64 if wide else np.int32)
-    key *= rows
-    key += np.arange(rows, dtype=key.dtype)[:, None]
-    key = key.ravel()
-    key.sort()
-    bounds = np.searchsorted(key, np.arange(len(fill) + 1, dtype=key.dtype) * rows)
-    counts = np.diff(bounds)
-    fill += counts
-    if (fill > width).any():
-        over = int(np.argmax(fill > width))
-        raise RuntimeError(f"vector {over} lies in more than {width} candidates")
-    key %= rows
-    key += start  # the candidate of each key
-    # the slot in through of each key: consecutive within a vector, then a
-    # jump from the last slot of one vector to the first slot of the next
-    run = np.flatnonzero(counts)
-    first = (run - 1) * width + fill[run] - counts[run]
-    last = first + counts[run] - 1
-    slot = np.ones_like(key)
-    slot[bounds[run]] = first - np.concatenate(([0], last[:-1]))
-    np.cumsum(slot, dtype=slot.dtype, out=slot)
-    through.reshape(-1)[slot] = key
+_CHUNK = 512  # candidates tabulated, or dropped, per step: the id temporaries stay small
 
 
 def _candidate_tables(ctx: FieldContext, n: int, k: int,
                       out_of_time: Callable[[], bool]) -> tuple[np.ndarray, ...]:
     """The tables of :func:`perp_search` over the codimension-k subspaces:
-    (bases, ids, bits, through).  Raises _Budget when ``out_of_time()``
-    holds before a block; RuntimeError if the candidates are not
-    [n, n-k]_q, or some nonzero vector does not lie in exactly
-    [n-1, n-k-1]_q of them (GL(n, q) is transitive on nonzero vectors)."""
+    (bases, ids, bits), filled ``_CHUNK`` candidates at a time.  Raises
+    _Budget when ``out_of_time()`` holds before a part; RuntimeError if
+    the candidates are not [n, n-k]_q, or some nonzero vector does not lie
+    in exactly [n-1, n-k-1]_q of them (GL(n, q) is transitive on nonzero
+    vectors)."""
     q, size = ctx.q, ctx.q**n
     count, per_vector = qbinom(n, n - k, q), qbinom(n - 1, n - k - 1, q)
     bases = ids = bits = None
-    through = np.empty((size - 1, per_vector), np.int32)
-    fill = np.zeros(size, np.int64)  # entries in each row of through so far
+    fill = np.zeros(size, np.int64)  # candidates holding each vector so far
     start = 0
     for block in echelon_bases(ctx, n, n - k):
-        if out_of_time():
-            raise _Budget
-        block_ids = subspace_vector_ids(ctx, block)
-        _index_block(through, fill, block_ids, start)
-        if bases is None:  # in the dtypes of the block: int8 bases, int32 ids
-            bases = np.empty((count,) + block.shape[1:], block.dtype)
-            ids = np.empty((count, block_ids.shape[1]), block_ids.dtype)
-            bits = np.empty((count, -(-size // 64)), np.uint64)
-        stop = start + len(block)
-        bases[start:stop], ids[start:stop] = block, block_ids
-        del block_ids
-        bits[start:stop] = vector_bitsets(ids[start:stop], size)
-        start = stop
+        for part in np.split(block, range(_CHUNK, len(block), _CHUNK)):
+            if out_of_time():
+                raise _Budget
+            part_ids = subspace_vector_ids(ctx, part)
+            if bases is None:  # in the dtypes of the parts: int8 bases, int32 ids
+                bases = np.empty((count,) + part.shape[1:], part.dtype)
+                ids = np.empty((count, part_ids.shape[1]), part_ids.dtype)
+                bits = np.empty((count, -(-size // 64)), np.uint64)
+            stop = start + len(part)
+            bases[start:stop], ids[start:stop] = part, part_ids
+            bits[start:stop] = vector_bitsets(part_ids, size)
+            fill += np.bincount(part_ids.ravel(), minlength=size)
+            start = stop
     if start != count or (fill[1:] != per_vector).any():
         raise RuntimeError(f"{start} candidates, each vector in {fill[1:].min()} to "
                            f"{fill[1:].max()} of them; expected {count} and {per_vector}")
-    return bases, ids, bits, through
+    return bases, ids, bits
 
 
 def perp_search(
@@ -490,19 +456,19 @@ def perp_search(
     than it still needs, or needs more than the members left.  The
     search is deterministic.
 
-    Set-up tabulates the K = [n, n-k]_q candidates in four tables: echelon
-    bases (int8 while q < 128), their sorted nonzero vector ids (int32
-    while q^n < 2^31), their uint64 bitsets, and ``through``, int32 of
-    shape (q^n - 1, R), whose row v - 1 lists the R = [n-1, n-k-1]_q
-    candidates that hold vector v, in index order.  The tables are
-    allocated once and filled one block of :func:`dbrg.gfcore.echelon_bases`
-    at a time, so no step holds a temporary larger than a few arrays the
-    size of one block; RuntimeError if some vector does not lie in exactly
-    R candidates.  The search counts killed candidates out of the live
-    counts R at a time, so its temporaries stay as small.
+    Set-up tabulates the K = [n, n-k]_q candidates in three tables:
+    echelon bases (int8 while q < 128), their sorted nonzero vector ids
+    (int32 while q^n < 2^31) and their uint64 bitsets.  The tables are
+    allocated once and filled ``_CHUNK`` candidates at a time, so no step
+    holds a temporary larger than a few arrays the size of one part;
+    RuntimeError if some vector does not lie in exactly R = [n-1, n-k-1]_q
+    candidates.  The search reads the candidates holding a vector, and
+    those holding a vector now covered d times, from the bitsets, in
+    increasing order; it counts killed candidates out of the live counts
+    ``_CHUNK`` at a time, so the counting temporaries stay as small.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
-    time from entry, set-up included (it is checked before each block).
+    time from entry, set-up included (it is checked before each part).
     Returns status ``found`` with a system checked by :func:`perp_verify`,
     ``exhausted`` when the whole space was explored (with ``solutions``
     counted if ``count_all``), or ``budget`` when a cap was hit first.
@@ -527,27 +493,28 @@ def perp_search(
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
     try:
-        bases, ids, bits, through = _candidate_tables(ctx, n, k, out_of_time)
+        bases, ids, bits = _candidate_tables(ctx, n, k, out_of_time)
     except _Budget:
         spent = time.monotonic() - t0
         return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
-    per_vector = through.shape[1]
     setup_seconds = time.monotonic() - t0
 
     def drop(node: _Node, dead) -> None:
         node.live[dead] = False
-        for i in range(0, len(dead), per_vector):  # a row of through's worth at a time
-            node.avail -= np.bincount(ids[dead[i:i + per_vector]].ravel(), minlength=size)
+        for i in range(0, len(dead), _CHUNK):
+            node.avail -= np.bincount(ids[dead[i:i + _CHUNK]].ravel(), minlength=size)
 
     def join(node: _Node, c: int) -> _Node:
         cover = node.cover.copy()
         cover[ids[c]] += 1
-        cand = np.flatnonzero(node.live)
-        dead = np.zeros(len(ids), dtype=bool)
-        dead[cand[_meet_sizes(bits[cand], bits[c]) != want]] = True  # c itself included
-        dead[through[ids[c][cover[ids[c]] == d] - 1]] = True  # vectors now covered d times
+        held = bits[node.live]
+        full = ids[c][cover[ids[c]] == d]  # vectors now covered d times
+        dead = bitset_contains(held, full).any(axis=1)
+        held &= bits[c]  # in place: the meets with c, c itself included
+        dead |= np.bitwise_count(held).sum(axis=1) != want
+        del held  # freed before drop counts
         child = _Node(node.members + (c,), cover, node.live.copy(), node.avail.copy())
-        drop(child, np.flatnonzero(dead & node.live))
+        drop(child, np.flatnonzero(node.live)[dead])
         return child
 
     def feasible(node: _Node) -> bool:
@@ -576,8 +543,8 @@ def perp_search(
         part = np.flatnonzero((node.cover > 0) & (node.cover < d))
         if not part.size:  # no live candidate is left (see the docstring)
             return
-        row = through[part[np.argmin(node.avail[part])] - 1]
-        for c in row[node.live[row]].tolist():
+        v = part[np.argmin(node.avail[part])]
+        for c in np.flatnonzero(node.live & bitset_contains(bits, v)).tolist():
             nodes += 1
             if (budget_nodes is not None and nodes >= budget_nodes) or out_of_time():
                 raise _Budget
@@ -588,7 +555,7 @@ def perp_search(
             if not feasible(node):
                 return
 
-    avail = np.full(size, per_vector)
+    avail = np.full(size, qbinom(n - 1, n - k - 1, q))
     avail[0] = 0  # the zero vector is in no candidate's id list
     root = _Node((), np.zeros(size, dtype=np.int64), np.ones(len(ids), dtype=bool), avail)
     start = join(root, 0)

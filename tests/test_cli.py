@@ -245,12 +245,61 @@ def test_perp_commands_leave_numpy_ma_unimported(tmp_path):
     assert out.strip() == "[0, 0] False"
 
 
-def _fresh_interpreter(code: str, cwd: Path) -> str:
+def _fresh_interpreter(code: str, cwd: Path, timeout: float | None = None) -> str:
     """Stripped stdout of ``code`` run by a new interpreter in ``cwd``."""
     src = str(Path(dbrg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, timeout=timeout,
                           capture_output=True, text=True, check=True).stdout.strip()
+
+
+BIG_Q = "1000000000000000003"  # a prime far beyond the 2^16 bound on field orders
+
+
+def test_huge_field_order_exits_65_quickly(tmp_path):
+    # the 2^16 bound on field orders is checked before any trial division
+    # of q or power p**t, so each command fails at once
+    for name, q in (("prime.perp", f"{BIG_Q}^1"), ("power.perp", "2^1000000000000")):
+        (tmp_path / name).write_text(f"q={q} modulus=0,1 n=3 k=1\n0,1,0;0,0,1\n")
+    code = ("import contextlib, io, json, time\n"
+            "from dbrg.cli import main\n"
+            "for argv in (['perp', 'search', '--n', '3', '--k', '1', '--q', '%s', '--d', '2'],\n"
+            "             ['construct', 'bi-grassmann', '--n', '4', '--k', '1', '--q', '%s',\n"
+            "              '--out', 'x'],\n"
+            "             ['perp', 'verify', 'prime.perp'], ['perp', 'verify', 'power.perp']):\n"
+            "    err, t0 = io.StringIO(), time.monotonic()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        rc = main(argv)\n"
+            "    print(json.dumps([rc, time.monotonic() - t0, err.getvalue()]))\n") % (BIG_Q, BIG_Q)
+    runs = [json.loads(line) for line in _fresh_interpreter(code, tmp_path, 60).splitlines()]
+    assert len(runs) == 4
+    for rc, seconds, err in runs:
+        assert rc == 65 and seconds < 5
+        assert err.startswith("invalid input: field order q=") and "exceeds supported bound" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["power.perp", "prime.perp"]
+
+
+@pytest.mark.parametrize("layer,call,argv", [
+    ("bigraph", "dbrg_check", ["verify", "{graph}"]),
+    ("perpsys", "perp_search", ["perp", "search", "--n", "3", "--k", "1", "--q", "2",
+                                "--d", "2"]),
+    ("perpsys", "perp_verify", ["perp", "verify", "{perp}"]),
+])
+def test_memory_error_exits_65(tmp_path, capsys, monkeypatch, layer, call, argv):
+    # a file or parameters whose arrays cannot be allocated (a dense N of
+    # 74.5 GiB, a search table of terabytes) is invalid input; the layer
+    # call raises here as numpy would, with no real allocation
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    graph, perp = tmp_path / "k22.graph", tmp_path / "mixed.perp"
+    graph.write_text("B=2 C=2\n0 0\n0 1\n1 0\n1 1\n")
+    perp.write_text(MIXED_PERP)
+    monkeypatch.setattr(f"dbrg.{layer}.{call}", too_large)
+    assert main([a.format(graph=graph, perp=perp) for a in argv]) == 65
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: too large: Unable to allocate 74.5 GiB for an array\n"
+    assert captured.out == ""
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):

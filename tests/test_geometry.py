@@ -28,6 +28,8 @@ def test_field_for_order():
         field_for_order(12)
     with pytest.raises(ValueError):
         field_for_order(1)
+    with pytest.raises(ValueError, match="q=1000000000000000003 exceeds supported bound"):
+        field_for_order(10**18 + 3)  # a prime: trial division would take hours
 
 
 @pytest.mark.parametrize("q,lines", [(2, 7), (4, 21)])

@@ -47,6 +47,10 @@ def test_field_make_rejects_bad_input():
         field(2, 0)
     with pytest.raises(ValueError):
         FieldContext(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
+    # refused before any trial division of p or power p**t
+    for p, t in ((10**18 + 3, 1), (2, 10**12), (65537, 1), (2, 17)):
+        with pytest.raises(ValueError, match="exceeds supported bound 2"):
+            FieldContext(p, t)
 
 
 def field_axioms_hold(gf):

@@ -259,9 +259,8 @@ def candidate_tables(n, k, q):
 @pytest.mark.parametrize("n,k,q", [(7, 3, 2), (3, 1, 4), (6, 2, 3)])
 def test_candidate_tables_match_brute_force(n, k, q):
     ctx, size = field_for_order(q), q**n
-    bases, ids, bits, through = candidate_tables(n, k, q)
-    assert (bases.dtype, ids.dtype, bits.dtype, through.dtype) == (
-        np.int8, np.int32, np.uint64, np.int32)
+    bases, ids, bits = candidate_tables(n, k, q)
+    assert (bases.dtype, ids.dtype, bits.dtype) == (np.int8, np.int32, np.uint64)
     assert np.array_equal(bases, np.concatenate(list(echelon_bases(ctx, n, n - k))))
     assert np.array_equal(ids, subspace_vector_ids(ctx, bases))
     assert np.array_equal(bits, vector_bitsets(ids, size))
@@ -273,16 +272,11 @@ def test_candidate_tables_match_brute_force(n, k, q):
     per_vector = qbinom(n - 1, n - k - 1, q)
     # every nonzero vector lies in R candidates, the root availability
     assert (holds[:, 0].sum(), set(holds[:, 1:].sum(axis=0).tolist())) == (0, {per_vector})
-    assert through.shape == (size - 1, per_vector)
-    # row v - 1 lists exactly those candidates, in increasing order
-    assert np.array_equal(through, np.nonzero(holds[:, 1:].T)[1].reshape(size - 1, -1))
-    assert np.array_equal(through, np.argsort(ids.ravel(), kind="stable").reshape(size - 1, -1)
-                          // ids.shape[1])
 
 
 def test_search_7_3_2_2_first_system_pinned():
-    # the first join kills 4131 candidates, more than R = 1395 at a time,
-    # so the live counts fall in several runs of R; any miscount changes
+    # the first join kills 4131 candidates, more than the 512 counted at a
+    # time, so the live counts fall in several runs; any miscount changes
     # the branching, the node count and the system found
     out = perp_search(7, 3, 2, 2)
     assert (out.status, out.nodes, out.system.d, out.system.s) == ("found", 92, 2, 16)
@@ -290,16 +284,23 @@ def test_search_7_3_2_2_first_system_pinned():
         "0d0876fd4fd0896e3b800269f9b561926d8b175e73d3cae6daeb1a87b13d2b24")
 
 
-def test_index_block_refuses_a_vector_beyond_its_row():
-    through, fill = np.empty((3, 1), np.int32), np.zeros(4, np.int64)
-    with pytest.raises(RuntimeError, match="^vector 2 lies in more than 1 candidates"):
-        perpsys._index_block(through, fill, np.array([[1, 2], [2, 3]], np.int32), 0)
+def test_candidate_tables_refuse_a_missing_block(monkeypatch):
+    # without its first pivot block of 4096 subspaces, (7,3,2) has 7715
+    # candidates, and some vectors lie in fewer than R = 1395 of them
+    blocks = echelon_bases(field_for_order(2), 7, 4)
+    next(blocks)
+    monkeypatch.setattr(perpsys, "echelon_bases", lambda ctx, n, m: blocks)
+    with pytest.raises(RuntimeError, match="^7715 candidates, each vector in 883 to 1395 of them; "
+                                           "expected 11811 and 1395$"):
+        candidate_tables(7, 3, 2)
 
 
 def test_search_setup_peak_memory_is_bounded_by_its_tables():
-    # the set-up fills its tables one echelon block at a time and peaks near
-    # 2.6 MB of traced memory (Python 3.11, numpy 2.4); concatenating the
-    # blocks and sorting every id at once peaked at 6.9 MB, 3.6 x the tables
+    # the set-up fills its 1.23 MB of tables 512 candidates at a time and
+    # peaks near 1.62 MB of traced memory, the first node near 1.63 MB
+    # (Python 3.11, numpy 2.4); whole echelon blocks and a fourth,
+    # vector -> candidate table peaked at 2.63 MB, and concatenating the
+    # blocks and sorting every id at once at 6.9 MB
     table_bytes = sum(a.nbytes for a in candidate_tables(7, 3, 2))
     perp_search(7, 3, 2, 2, budget_nodes=1)
     tracemalloc.start()
