@@ -2,11 +2,11 @@
 
 Submodules:
 
-* :mod:`dbrg.params` -- intersection arrays and strongly regular parameters
-  (no numpy).
+* :mod:`dbrg.params` -- intersection arrays, strongly regular parameters,
+  field orders and the perp-system parameter rules (no numpy).
 * :mod:`dbrg.gfcore` -- finite fields GF(p^t) and exact linear algebra.
 * :mod:`dbrg.geometry` -- hyperovals, maximal arcs, dualities, quadric cones.
-* :mod:`dbrg.perpsys` -- perp systems: verification, parameters, search.
+* :mod:`dbrg.perpsys` -- perp systems: verification, duals, search, files.
 * :mod:`dbrg.bigraph` -- bipartite graph engine and biregularity checks.
 * :mod:`dbrg.constructions` -- graph builders with predicted arrays.
 * :mod:`dbrg.feasibility` -- intersection-array feasibility and enumeration

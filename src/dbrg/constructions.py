@@ -144,10 +144,8 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
 
     B is all q^n vectors, C the s*q^k affine cosets of the members; the
     predicted diameter-4 array is determined by (n, k, q, d, s).  Raises
-    ValueError on a dual system, and when d does not divide
-    q^(n-2k)(s-1), the numerator of c3B.
+    ValueError when d does not divide q^(n-2k)(s-1), the numerator of c3B.
     """
-    system.require_primal("the coset graph")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)

@@ -34,6 +34,7 @@ from .gfcore import (
     subspaces,
     vector_bitsets,
 )
+from .params import prime_power
 
 __all__ = [
     "SpaceFamily",
@@ -49,24 +50,9 @@ __all__ = [
 
 
 def field_for_order(q: int) -> FieldContext:
-    """Context for GF(q), factoring q as a prime power."""
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
-    if q > 2**16:  # before the trial division
-        raise ValueError(f"field order q={q} exceeds supported bound 2^16")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    t, rest = 0, q
-    while rest > 1:
-        if rest % p:
-            raise ValueError(f"q={q} is not a prime power")
-        rest //= p
-        t += 1
-    return field(p, t)
+    """Context for GF(q), with q factored by :func:`dbrg.params.prime_power`
+    (ValueError if q is not a prime power or exceeds 2^16)."""
+    return field(*prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -178,18 +164,14 @@ def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     return ArcCheckResult(True, r)
 
 
-def dualize(obj):
+def dualize(family: SpaceFamily) -> SpaceFamily:
     """Duality under the standard dot form; applying it twice is identity.
 
-    Subspace -> orthogonal complement; SpaceFamily -> the family of the
-    members' complements, in the members' order (so a point set in lex
-    order gives its hyperplanes in that order, and back).
+    The family of the members' orthogonal complements, in the members'
+    order (so a point set in lex order gives its hyperplanes in that
+    order, and back).
     """
-    if isinstance(obj, Subspace):
-        return orthogonal_complement(obj)
-    if isinstance(obj, SpaceFamily):
-        return SpaceFamily(obj.ctx, obj.n, tuple(map(orthogonal_complement, obj.members)))
-    raise TypeError(f"cannot dualize {type(obj).__name__}")
+    return SpaceFamily(family.ctx, family.n, tuple(map(orthogonal_complement, family.members)))
 
 
 def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:

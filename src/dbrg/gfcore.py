@@ -40,6 +40,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .params import prime_power
+
 __all__ = [
     "FieldContext",
     "Subspace",
@@ -62,21 +64,9 @@ __all__ = [
     "dot",
     "hyperplane_counts",
     "projective_points",
-    "enumerate_projective_points",
     "parse_vector",
     "format_vector",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +144,7 @@ class FieldContext:
             raise ValueError(f"extension degree t={t} must be >= 1")
         if p > 2**16 or t > 16:  # before the trial division and p**t
             raise ValueError(f"field order q={p}^{t} exceeds supported bound 2^16")
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"p={p} is not prime")
         q = p**t
         if q > 2**16:
@@ -229,9 +219,6 @@ class FieldContext:
 
     def neg(self, a):
         return self.mul(self.p - 1, a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -625,8 +612,3 @@ def projective_points(ctx: FieldContext, n: int) -> np.ndarray:
     """Normalized representatives (first nonzero coordinate 1) of the points
     of PG(n-1, q), one per row in lex order: the 1-dim echelon bases."""
     return np.concatenate(list(echelon_bases(ctx, n, 1)))[:, 0]
-
-
-def enumerate_projective_points(ctx: FieldContext, n: int) -> Iterator[tuple[int, ...]]:
-    """The rows of :func:`projective_points` as tuples."""
-    return map(tuple, projective_points(ctx, n).tolist())

@@ -9,26 +9,33 @@ Delta/gamma formula, shared by the feasibility conditions and the
 derived-graph construction.  :class:`SrgParams` holds the parameters of
 a strongly regular graph, which come from one derivation,
 :func:`srg_from_spectrum`, used by both the feasibility conditions and
-the perp-system parameters.  :class:`Condition` is the one record of a
-named check with its verdict, for array conditions and perp-system
-parameter rules alike.
+:func:`perp_srg_params`.  :class:`Condition` is the one record of a
+named check with its verdict, for array conditions and the perp-system
+rules of :func:`perp_params` alike.  :func:`prime_power` is the one
+factorisation of a field order q = p^t, and the one place that bounds
+it by 2^16.
 
 The module is plain integer and Fraction arithmetic and imports no
-numpy, so the feasibility layer runs without it.
+numpy, so the feasibility layer and the perp-system parameters run
+without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "Condition",
     "IntersectionArray",
-    "arrays_equal_up_to_swap",
     "homogeneity",
     "SrgParams",
     "srg_from_spectrum",
+    "prime_power",
+    "ParamReport",
+    "perp_params",
+    "perp_srg_params",
 ]
 
 
@@ -129,10 +136,6 @@ class IntersectionArray:
         return cls(k, l, cb, cc)
 
 
-def arrays_equal_up_to_swap(a: IntersectionArray, b: IntersectionArray) -> bool:
-    return a == b or a.swapped() == b
-
-
 def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | None]:
     """(Delta_i, gamma_i) of an array with covering radii at least 4.
 
@@ -212,3 +215,116 @@ def srg_from_spectrum(v: int, k: int | Fraction, r: int | Fraction,
             or (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2):
         raise ValueError(f"Krein condition fails for ({v},{k},{lam},{mu})")
     return SrgParams(v, k, lam, mu, r, s, f1, f2)
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, t) with q = p^t and p prime: the order of a field GF(q).
+
+    ValueError if q is not a prime power, or if q exceeds 2^16, the bound
+    on field orders, which is checked before any trial division.
+    """
+    if q < 2:
+        raise ValueError(f"q={q} is not a prime power")
+    if q > 2**16:
+        raise ValueError(f"field order q={q} exceeds supported bound 2^16")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    t, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        t += 1
+    if rest != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    return p, t
+
+
+@dataclass(frozen=True)
+class ParamReport:
+    """The admissibility rules for a perp system with parameters (n, k, q, d),
+    and its member count s when that is an integer (else None)."""
+
+    n: int
+    k: int
+    q: int
+    d: int
+    s: int | None
+    checks: tuple[Condition, ...]
+
+    @property
+    def admissible(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def forced_s(self) -> int:
+        """The member count; ValueError naming the failed rules if inadmissible."""
+        if not self.admissible:
+            reasons = "; ".join(c.detail for c in self.checks if not c.ok)
+            raise ValueError(f"inadmissible parameters: {reasons}")
+        return self.s
+
+
+def perp_params(n: int, k: int, q: int, d: int) -> ParamReport:
+    """Forced member count s plus the admissibility rules for (n,k,q,d).
+
+    ValueError if q is not a field order (:func:`prime_power`)."""
+    p, _ = prime_power(q)
+    checks: list[Condition] = []
+    s: int | None = None
+
+    if k < 1 or 2 * k > n:
+        checks.append(Condition("range", False, f"need 1 <= k <= n/2, got k={k}, n={n}"))
+    elif d < 2:
+        checks.append(Condition("range", False, f"need d >= 2, got d={d}"))
+    elif n == 2 * k:
+        checks.append(
+            Condition(
+                "range", False,
+                "n = 2k is inadmissible for d >= 2: the member-count formula degenerates "
+                "and d would have to be a non-positive power of p",
+            )
+        )
+    else:
+        checks.append(Condition("range", True))
+        num = (d - 1) * (q ** (n - k) - 1)
+        den = q ** (n - 2 * k) - 1
+        if num % den:
+            checks.append(Condition(
+                "count", False, "member count (d-1)(q^(n-k)-1)/(q^(n-2k)-1)+1 is not an integer"))
+        else:
+            s = num // den + 1
+            checks.append(Condition("count", True, f"s = {s}"))
+        # d = q^(n-2k) / p^i for a nonnegative integer i
+        dd = d
+        while dd % p == 0:
+            dd //= p
+        if dd != 1 or d > q ** (n - 2 * k):
+            checks.append(
+                Condition(
+                    "multiplicity", False,
+                    f"d={d} must be a power of {p} dividing q^(n-2k)={q ** (n - 2 * k)}",
+                )
+            )
+        else:
+            checks.append(Condition("multiplicity", True))
+        if d >= q ** max(n - 3 * k, 0) or n <= 4 * k - 1:
+            checks.append(Condition("dimension", True))
+        else:
+            checks.append(
+                Condition(
+                    "dimension", False,
+                    f"need d >= q^(n-3k) = {q ** (n - 3 * k)} or n <= 4k-1 = {4 * k - 1}",
+                )
+            )
+    return ParamReport(n, k, q, d, s, tuple(checks))
+
+
+def perp_srg_params(n: int, k: int, q: int, d: int) -> SrgParams:
+    """Strongly regular parameters of the distance-two graph on the vectors
+    of F_q^n of a perp system with parameters (n, k, q, d).
+
+    With the member count s forced by :func:`perp_params`, its eigenvalues
+    are s(q^(n-k) - 1)/d, (q^(n-k) - s)/d and -s/d, and
+    mu = q^(n-2k) s (s-1) / d^2.  ValueError if (n, k, q, d) is
+    inadmissible, or if :func:`srg_from_spectrum` rejects the spectrum.
+    """
+    s = perp_params(n, k, q, d).forced_s()
+    return srg_from_spectrum(q**n, Fraction(s * (q ** (n - k) - 1), d),
+                             Fraction(q ** (n - k) - s, d), Fraction(-s, d))

@@ -19,21 +19,23 @@ partially covered vector with the fewest candidates left.  Both work on
 the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`; the
 search finds the candidates holding a vector by testing its bit.
 
-A :class:`PerpSystem` is a :class:`dbrg.geometry.SpaceFamily` plus k, d,
-s and a ``dual`` flag for both formulations: ``perp_dualize`` maps a
-system to its :func:`dbrg.geometry.dualize` (k-dimensional members
-meeting trivially, every hyperplane holding 0 or d of them), and back.
-The coset graph, the two-intersection set and the file format are
-defined for the primal formulation only; they raise ValueError on a
-dual system.
+A :class:`PerpSystem` is a :class:`dbrg.geometry.SpaceFamily` plus k, d
+and s, always in the primal formulation that :func:`perp_verify`
+checked; the coset graph, the two-intersection set and the file format
+read it.  ``perp_dualize`` checks the dual formulation (k-dimensional
+members meeting trivially, every hyperplane holding 0 or d of them) and
+returns it as a plain :class:`dbrg.geometry.SpaceFamily`; the way back
+is ``perp_verify(ctx, n, k, dualize(family).members)``.  The member
+count and the admissibility rules are :func:`dbrg.params.perp_params`.
 
 File format (one system per file)::
 
     q=<p>^<t> modulus=<c0,...,ct> n=<n> k=<k>
     <vector>;<vector>;...       one member per line, coords comma-separated
 
-Members and basis rows are written in canonical echelon order, so
-serialization round-trips byte-identically.
+The header gives each of its four keys once, and no other key.  Members
+and basis rows are written in canonical echelon order, so serialization
+round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -64,17 +66,14 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, dualize, field_for_order, point_family
-from .params import Condition, SrgParams, srg_from_spectrum
+from .params import perp_params
 
 __all__ = [
     "PerpSystem",
     "PerpViolation",
-    "ParamReport",
     "TwoIntersectionSet",
     "SearchOutcome",
     "perp_verify",
-    "perp_params",
-    "perp_srg_params",
     "two_intersection_set",
     "perp_dualize",
     "perp_search",
@@ -86,23 +85,11 @@ __all__ = [
 @dataclass(frozen=True, kw_only=True)
 class PerpSystem(SpaceFamily):
     """A verified perp system (construct through :func:`perp_verify`): a
-    :class:`SpaceFamily` plus k, d and s, keyword-only so an order slip fails.
-
-    With ``dual`` set it is the dual formulation (from :func:`perp_dualize`):
-    k-dimensional members, pairwise trivial meets, every hyperplane
-    containing 0 or d members.
-    """
+    :class:`SpaceFamily` plus k, d and s, keyword-only so an order slip fails."""
 
     k: int
     d: int
     s: int
-    dual: bool = False
-
-    def require_primal(self, what: str) -> None:
-        """ValueError if this is a dual system, for which ``what`` is undefined."""
-        if self.dual:
-            raise ValueError(f"{what} is defined for the primal formulation only; "
-                             "dualize the system back first")
 
 
 @dataclass(frozen=True)
@@ -178,97 +165,6 @@ def perp_verify(
 
 
 # ---------------------------------------------------------------------------
-# Parameter admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamReport:
-    n: int
-    k: int
-    q: int
-    d: int
-    s: int | None
-    checks: tuple[Condition, ...]
-
-    @property
-    def admissible(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def perp_params(n: int, k: int, q: int, d: int) -> ParamReport:
-    """Forced member count s plus the admissibility rules for (n,k,q,d)."""
-    ctx = field_for_order(q)
-    p = ctx.p
-    checks: list[Condition] = []
-    s: int | None = None
-
-    if k < 1 or 2 * k > n:
-        checks.append(Condition("range", False, f"need 1 <= k <= n/2, got k={k}, n={n}"))
-    elif d < 2:
-        checks.append(Condition("range", False, f"need d >= 2, got d={d}"))
-    elif n == 2 * k:
-        checks.append(
-            Condition(
-                "range", False,
-                "n = 2k is inadmissible for d >= 2: the member-count formula degenerates "
-                "and d would have to be a non-positive power of p",
-            )
-        )
-    else:
-        checks.append(Condition("range", True))
-        num = (d - 1) * (q ** (n - k) - 1)
-        den = q ** (n - 2 * k) - 1
-        if num % den:
-            checks.append(Condition("count", False,
-                                    "member count (d-1)(q^(n-k)-1)/(q^(n-2k)-1)+1 is not an integer"))
-        else:
-            s = num // den + 1
-            checks.append(Condition("count", True, f"s = {s}"))
-        # d = q^(n-2k) / p^i for a nonnegative integer i
-        dd, is_p_power = d, True
-        while dd % p == 0:
-            dd //= p
-        if dd != 1:
-            is_p_power = False
-        if not is_p_power or d > q ** (n - 2 * k):
-            checks.append(
-                Condition(
-                    "multiplicity", False,
-                    f"d={d} must be a power of {p} dividing q^(n-2k)={q ** (n - 2 * k)}",
-                )
-            )
-        else:
-            checks.append(Condition("multiplicity", True))
-        if d >= q ** max(n - 3 * k, 0) or n <= 4 * k - 1:
-            checks.append(Condition("dimension", True))
-        else:
-            checks.append(
-                Condition(
-                    "dimension", False,
-                    f"need d >= q^(n-3k) = {q ** (n - 3 * k)} or n <= 4k-1 = {4 * k - 1}",
-                )
-            )
-    return ParamReport(n, k, q, d, s, tuple(checks))
-
-
-def perp_srg_params(n: int, k: int, q: int, d: int, s: int) -> SrgParams:
-    """Strongly regular parameters of the distance-two graph on the vectors.
-
-    Its eigenvalues are s(q^(n-k) - 1)/d, (q^(n-k) - s)/d and -s/d, and
-    mu = q^(n-2k) s (s-1) / d^2.  ValueError if mu != k + r*s (s
-    inconsistent with n, k, q, d), checked first, or if
-    :func:`dbrg.params.srg_from_spectrum` rejects the spectrum (the
-    parameter set is inadmissible).
-    """
-    k_h = Fraction(s * (q ** (n - k) - 1), d)
-    r_e, s_e = Fraction(q ** (n - k) - s, d), Fraction(-s, d)
-    mu = Fraction(q ** (n - 2 * k) * s * (s - 1), d * d)
-    if mu != k_h + r_e * s_e:
-        raise ValueError(f"SRG identity mu = k + r*s fails: {mu} != {k_h + r_e * s_e}")
-    return srg_from_spectrum(q**n, k_h, r_e, s_e)
-
-
-# ---------------------------------------------------------------------------
 # Two-intersection sets
 # ---------------------------------------------------------------------------
 
@@ -289,12 +185,11 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     Exhaustively intersects every hyperplane with the point set and
     checks that exactly the two predicted sizes occur, by
     :func:`dbrg.gfcore.hyperplane_counts`.  ValueError means
-    ``system`` is dual or not a perp system (a predicted size is not an
-    integer, or the measured point set differs); RuntimeError means the
-    double count of point-hyperplane incidences failed, which holds by
+    ``system`` is not a perp system (a predicted size is not an integer,
+    or the measured point set differs); RuntimeError means the double
+    count of point-hyperplane incidences failed, which holds by
     construction.
     """
-    system.require_primal("the two-intersection set")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     points = projective_points(ctx, n)
@@ -328,22 +223,17 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
 # Dual formulation
 # ---------------------------------------------------------------------------
 
-def perp_dualize(system: PerpSystem) -> PerpSystem:
-    """Orthogonal-complement dual; applying it twice returns the original.
+def perp_dualize(system: PerpSystem) -> SpaceFamily:
+    """The dual formulation: the members' orthogonal complements, sorted
+    by basis.
 
-    Primal -> dual: k-dimensional members, pairwise trivial meets, every
-    hyperplane containing 0 or d members (checked exhaustively).
-    Dual -> primal: re-verified through :func:`perp_verify`.
-    ValueError means ``system`` fails one of these checks.
+    They are k-dimensional, meet pairwise trivially, and every hyperplane
+    contains 0 or d of them (checked exhaustively); ValueError means
+    ``system`` fails one of these checks.  The way back is
+    ``perp_verify(ctx, n, k, dualize(family).members)``.
     """
-    ctx, n, k, d = system.ctx, system.n, system.k, system.d
-    duals = tuple(sorted(dualize(system).members, key=lambda m: m.basis))
-    if system.dual:
-        res = perp_verify(ctx, n, k, duals)
-        if isinstance(res, PerpViolation):
-            raise ValueError(f"dual of a dual system failed verification: {res}")
-        return res
-    dual = PerpSystem(ctx, n, duals, k=k, d=d, s=system.s, dual=True)
+    ctx, n, d = system.ctx, system.n, system.d
+    dual = SpaceFamily(ctx, n, tuple(sorted(dualize(system).members, key=lambda m: m.basis)))
     pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, dual.bases), ctx.q**n), 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
@@ -367,7 +257,9 @@ class SearchOutcome:
     system: PerpSystem | None
     nodes: int
     elapsed: float  # wall seconds from entry, set-up included
-    solutions: int = 0  # populated by count_all runs
+    # count_all runs: the systems through candidate 0; all systems number
+    # solutions * K / s (GL(n, q) is transitive on the K candidates)
+    solutions: int = 0
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
     # wall seconds to tabulate the candidates: int8 bases, int32 vector ids
     # and uint64 bitsets
@@ -442,14 +334,16 @@ def perp_search(
 
     Candidates are the codimension-k subspaces in enumeration order, and
     the first member is pinned to candidate 0 (the conditions are
-    GL-invariant, so this loses no solutions).  This is Algorithm X with
+    GL-invariant, so this loses no system up to GL(n, q)).  This is Algorithm X with
     multiplicities (Knuth, *Dancing Links*; TAOCP 7.2.2.1 Algorithm M):
     every nonzero vector must end up in 0 or d members.  After each
     inclusion the candidates that meet the new member in the wrong size
     or contain a vector now covered d times are killed.  The search
     branches on the partially covered vector with the fewest live
     candidates; sibling i excludes siblings 0..i-1, so ``count_all``
-    counts each system once.  A node with no partially covered vector
+    counts each system through candidate 0 once.  GL(n, q) is transitive
+    on the K candidates, so each lies in equally many systems, and the
+    number of all systems is ``solutions * K / s``.  A node with no partially covered vector
     has no live candidate: as n > 2k, every candidate shares a vector
     with member 0, and that vector is then covered d times.  A node is
     pruned when some partially covered vector has fewer live candidates
@@ -480,11 +374,7 @@ def perp_search(
         raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
     if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
         raise ValueError(f"budget_seconds must be finite and non-negative, got {budget_seconds}")
-    report = perp_params(n, k, q, d)
-    if not report.admissible:
-        reasons = "; ".join(c.detail for c in report.checks if not c.ok)
-        raise ValueError(f"inadmissible parameters: {reasons}")
-    s_target = report.s
+    s_target = perp_params(n, k, q, d).forced_s()
     ctx = field_for_order(q)
     size = q**n
     want = q ** (n - 2 * k) - 1
@@ -577,9 +467,7 @@ def perp_search(
 # ---------------------------------------------------------------------------
 
 def serialize_perp(system: PerpSystem) -> str:
-    """The file text of a primal system.  ValueError on a dual one: its
-    file would not pass :func:`perp_verify` when read back."""
-    system.require_primal("the perp file format")
+    """The file text of a system, which :func:`parse_perp` reads back."""
     ctx = system.ctx
     mod = ",".join(str(c) for c in ctx.modulus)
     lines = [f"q={ctx.p}^{ctx.t} modulus={mod} n={system.n} k={system.k}"]
@@ -589,21 +477,24 @@ def serialize_perp(system: PerpSystem) -> str:
 
 
 def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]:
-    """Parse a perp-system file into (ctx, n, k, members), unverified."""
-    lines = [ln for ln in text.splitlines()]
+    """Parse a perp-system file into (ctx, n, k, members), unverified.
+
+    ValueError if the header does not give each of q, modulus, n and k
+    exactly once, and nothing else."""
+    lines = text.splitlines()
     if not lines:
         raise ValueError("empty perp file")
-    fields = {}
-    for tok in lines[0].split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
+    tokens = [tok.partition("=") for tok in lines[0].split()]
+    fields = {key: val for key, _, val in tokens}
     try:
+        if len(fields) != len(tokens) or fields.keys() != {"q", "modulus", "n", "k"}:
+            raise ValueError("a key is repeated, unknown or missing")
         p_s, _, t_s = fields["q"].partition("^")
         p, t = int(p_s), int(t_s) if t_s else 1
         modulus = tuple(int(c) for c in fields["modulus"].split(","))
         n = int(fields["n"])
         k = int(fields["k"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
     ctx = FieldContext(p, t, modulus)
     members = []

@@ -320,8 +320,10 @@ def test_feasibility_commands_leave_numpy_unimported(tmp_path):
             "    codes = [main(['feas', 'enumerate', '--max-side', '300', '--out', 'rows.csv',\n"
             "                   '--json', 'rows.json']),\n"
             "             main(['catalog', '--max-side', '300', '--out', 'catalog.json'])]\n"
-            "print(codes, 'numpy' in sys.modules)\n")
-    assert _fresh_interpreter(code, tmp_path) == "[0, 0] False"
+            "from dbrg.params import perp_params, perp_srg_params\n"
+            "print(codes, perp_params(6, 2, 3, 3).s, perp_srg_params(6, 2, 3, 3).tuple4(),\n"
+            "      'numpy' in sys.modules)\n")
+    assert _fresh_interpreter(code, tmp_path) == "[0, 0] 21 (729, 560, 433, 420) False"
 
 
 def test_construct_and_derive_load_neither_feasibility_nor_perp_search(tmp_path):
@@ -364,6 +366,32 @@ def test_mixed_multiplicity_file_is_a_verdict(tmp_path, capsys):
         "command": "construct", "ok": False,
         "detail": f"perp file does not verify: mixed_multiplicity: {detail}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed.perp"]
+
+
+@pytest.mark.parametrize("header", [
+    "q=2^3 modulus=1,1,0,1 n=3 k=2 k=1",  # a repeated key
+    "q=2^3 modulus=1,1,0,1 n=3 k=1 extra=zz",  # an unknown key
+])
+def test_ambiguous_perp_header_exits_65(tmp_path, capsys, header):
+    # the body is the dual hyperoval system of GF(8), which verifies under
+    # its own header (k=1); neither k value may be picked, and no key
+    # ignored, so every command that reads the file refuses it
+    from dbrg.geometry import dualize, hyperoval
+    from dbrg.perpsys import perp_verify, serialize_perp
+
+    fam = dualize(hyperoval(8))
+    text = serialize_perp(perp_verify(fam.ctx, 3, 1, fam.members))
+    assert text.startswith("q=2^3 modulus=1,1,0,1 n=3 k=1\n")
+    perp = tmp_path / "ambiguous.perp"
+    perp.write_text(header + text[text.index("\n"):])
+    gd = str(tmp_path / "gd")
+    for argv in (["perp", "verify", str(perp)], ["roundtrip", str(perp)],
+                 ["construct", "gen-delorme", "--perp", str(perp), "--out", gd]):
+        assert main(argv) == 65
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid input: line 1: bad header {header!r}\n"
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ambiguous.perp"]
 
 
 def test_feas_enumerate_json_bytes(tmp_path, capsys):

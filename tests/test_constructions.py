@@ -28,7 +28,7 @@ from dbrg.constructions import (
 )
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
 from dbrg.gfcore import field, index_vector, subspace_make, translations
-from dbrg.params import IntersectionArray, arrays_equal_up_to_swap
+from dbrg.params import IntersectionArray
 from dbrg.perpsys import perp_verify
 
 
@@ -194,7 +194,7 @@ def test_derived_from_q4_parent():
     assert res.ok and res.array == d.predicted
     # parameters coincide with the direct affine construction
     direct = hyperoval_affine_graph(4)
-    assert arrays_equal_up_to_swap(res.array, direct.predicted)
+    assert direct.predicted in (res.array, res.array.swapped())
     assert {d.graph.nB, d.graph.nC} == {direct.graph.nB, direct.graph.nC}
 
 

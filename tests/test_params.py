@@ -1,8 +1,12 @@
-"""Intersection-array text: round trip and fuzz of the parser."""
+"""Intersection-array text, field orders, and the perp-system parameters."""
 
+import hashlib
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.params import IntersectionArray
+from dbrg.params import IntersectionArray, perp_params, perp_srg_params, prime_power
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -27,3 +31,76 @@ def test_parse_accepts_or_raises_value_error(text):
     except ValueError:
         return
     assert IntersectionArray.parse(str(a)) == a
+
+
+def _factor(q):
+    try:
+        return prime_power(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_prime_power_matches_brute_force_factorisation():
+    # smallest prime factors by sieve; q = p^t exactly when dividing out p leaves 1
+    top = 2**16
+    spf = list(range(top + 1))
+    for f in range(2, 257):
+        if spf[f] == f:
+            for m in range(f * f, top + 1, f):
+                spf[m] = min(spf[m], f)
+    want = []
+    for q in range(2, top + 1):
+        p, t, rest = spf[q], 0, q
+        while rest % p == 0:
+            rest, t = rest // p, t + 1
+        want.append((p, t) if rest == 1 else f"q={q} is not a prime power")
+    got = [_factor(q) for q in range(2, top + 1)]
+    assert got == want
+    assert sum(isinstance(x, tuple) for x in got) == 6542 + 93  # primes, then p^t with t > 1
+
+
+def test_prime_power_rejects_at_once():
+    # the 2^16 bound comes before any trial division: 10^18 + 3 is a prime
+    t0 = time.perf_counter()
+    for q, message in ((0, "q=0 is not a prime power"), (1, "q=1 is not a prime power"),
+                       (12, "q=12 is not a prime power"),
+                       (2**16 + 1, "field order q=65537 exceeds supported bound 2^16"),
+                       (10**18 + 3, "field order q=1000000000000000003 exceeds supported "
+                                    "bound 2^16")):
+        assert _factor(q) == message
+    assert time.perf_counter() - t0 < 1
+
+
+# every (n, k, q, d) with q a field order up to 16, 2 <= n <= 8, 1 <= k <= n/2
+# and 2 <= d <= 64, in this order
+SWEEP = [(n, k, q, d) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for n in range(2, 9)
+         for k in range(1, n // 2 + 1) for d in range(2, 65)]
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(repr(line) + "\n" for line in lines).encode()).hexdigest()
+
+
+def test_perp_params_sweep_pinned():
+    # each report: member count and every rule with its verdict and detail
+    reports = [perp_params(*x) for x in SWEEP]
+    assert (len(reports), sum(r.admissible for r in reports)) == (10080, 102)
+    assert _digest((r.n, r.k, r.q, r.d, r.s, [(c.name, c.ok, c.detail) for c in r.checks])
+                   for r in reports) == (
+        "32d19f078afe7ffa38e68e2343c01acd7decfeb061aae8dd371c9e7fe3cb27db")
+
+
+def test_perp_srg_params_pinned_on_the_admissible_sweep():
+    # all 102 admissible sets give a strongly regular graph; the rest raise
+    lines = []
+    for x in SWEEP:
+        if perp_params(*x).admissible:
+            p = perp_srg_params(*x)
+            lines.append(x + (perp_params(*x).s, p.v, p.k, p.lam, p.mu, p.r, p.s, p.f1, p.f2))
+        else:
+            with pytest.raises(ValueError, match="^inadmissible parameters: "):
+                perp_srg_params(*x)
+    assert len(lines) == 102
+    assert lines[:2] == [(3, 1, 2, 2, 4, 8, 6, 4, 6, 0, -2, 4, 3),
+                         (4, 1, 2, 4, 8, 16, 14, 12, 14, 0, -2, 8, 7)]
+    assert _digest(lines) == "272eac537f6ffd23135c41d462223cae92037c3caaad2baa670f9ffdfe518786"

@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbrg.constructions import gen_delorme_graph
 from dbrg.gfcore import (echelon_bases, enumerate_subspaces, field, orthogonal_complement,
                          qbinom, subspace_make, subspace_meet, subspace_vector_ids,
                          vector_bitsets)
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg import perpsys
+from dbrg.params import perp_params, perp_srg_params
 from dbrg.perpsys import (
     PerpSystem,
     PerpViolation,
     TwoIntersectionSet,
     parse_perp,
     perp_dualize,
-    perp_params,
     perp_search,
-    perp_srg_params,
     perp_verify,
     serialize_perp,
     two_intersection_set,
@@ -116,18 +114,22 @@ def test_perp_params_examples():
 
 
 def test_srg_params_values_and_identities():
-    p = perp_srg_params(6, 2, 3, 3, 21)
+    # s = 21, 6 and 10 come from perp_params
+    p = perp_srg_params(6, 2, 3, 3)
     assert p.tuple4() == (729, 560, 433, 420)
     assert (p.r, p.s, p.f1, p.f2) == (20, -7, 168, 560)
-    p2 = perp_srg_params(3, 1, 4, 2, 6)
+    p2 = perp_srg_params(3, 1, 4, 2)
     assert p2.tuple4() == (64, 45, 32, 30)
-    for hp in (p, p2):
+    p3 = perp_srg_params(3, 1, 8, 2)
+    assert p3.tuple4() == (512, 315, 202, 180)
+    for hp, (n, k, q, d, s) in ((p, (6, 2, 3, 3, 21)), (p2, (3, 1, 4, 2, 6)),
+                                (p3, (3, 1, 8, 2, 10))):
         assert hp.lam == hp.mu + hp.r + hp.s
-        assert hp.mu == hp.k + hp.r * hp.s
-    with pytest.raises(ValueError):
-        perp_srg_params(6, 2, 3, 2, 21)  # s/d not integral
-    with pytest.raises(ValueError, match="mu = k"):
-        perp_srg_params(3, 1, 8, 2, 4)  # integral, but s = 4 is not the forced s = 10
+        assert hp.mu == hp.k + hp.r * hp.s == q ** (n - 2 * k) * s * (s - 1) // (d * d)
+    with pytest.raises(ValueError, match="^inadmissible parameters: d=2 must be a power of 3"):
+        perp_srg_params(6, 2, 3, 2)
+    with pytest.raises(ValueError, match="^q=6 is not a prime power$"):
+        perp_srg_params(3, 1, 6, 2)
 
 
 def test_unverified_systems_raise_value_error():
@@ -146,17 +148,18 @@ def test_unverified_systems_raise_value_error():
               subspace_make(gf2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]))
     with pytest.raises(ValueError, match="dual members 0,1 do not meet trivially"):
         perp_dualize(PerpSystem(gf2, 4, planes, k=2, d=2, s=2))
+    # the way back from a dual family is perp_verify, which reports a broken one
     dual = perp_dualize(good)
-    with pytest.raises(ValueError, match="failed verification"):
-        perp_dualize(PerpSystem(dual.ctx, dual.n, dual.members[:-1], k=dual.k, d=dual.d,
-                                s=dual.s, dual=True))
+    back = perp_verify(dual.ctx, dual.n, good.k,
+                       dualize(SpaceFamily(dual.ctx, dual.n, dual.members[:-1])).members)
+    assert isinstance(back, PerpViolation) and back.kind == "mixed_multiplicity"
 
 
 def test_perp_system_is_a_space_family_with_keyword_fields():
     good = dual_hyperoval_system(4)
     assert isinstance(good, SpaceFamily)
     assert [f.name for f in dataclasses.fields(PerpSystem)] == [
-        "ctx", "n", "members", "k", "d", "s", "dual"]
+        "ctx", "n", "members", "k", "d", "s"]
     with pytest.raises(TypeError):
         PerpSystem(good.ctx, good.n, good.members, good.k, good.d, good.s)
 
@@ -176,24 +179,15 @@ def test_two_intersection_set_q2():
 def test_dualize_involution_and_dual_properties():
     sys2 = dual_hyperoval_system(2)
     dual = perp_dualize(sys2)
-    assert dual.dual and not sys2.dual
-    assert (dual.d, dual.s) == (2, 4)
+    assert type(dual) is SpaceFamily and len(dual) == sys2.s == 4
     assert all(m.dim == 1 for m in dual.members)
+    assert list(dual.members) == sorted(dual.members, key=lambda m: m.basis)
     for i in range(len(dual.members)):
         for j in range(i + 1, len(dual.members)):
             assert subspace_meet(dual.members[i], dual.members[j]).dim == 0
-    back = perp_dualize(dual)
-    assert not back.dual
-    assert set(back.members) == set(sys2.members)
-
-
-def test_dual_system_has_no_graph_point_set_or_file():
-    # the primal-only operations refuse the k-dimensional dual members
-    # instead of building a graph or a file that does not verify
-    dual = perp_dualize(dual_hyperoval_system(4))
-    for primal_only in (gen_delorme_graph, two_intersection_set, serialize_perp):
-        with pytest.raises(ValueError, match="primal formulation"):
-            primal_only(dual)
+    back = perp_verify(dual.ctx, dual.n, sys2.k, dualize(dual).members)
+    assert isinstance(back, PerpSystem)
+    assert set(back.members) == set(sys2.members) and (back.d, back.s) == (2, 4)
 
 
 def test_search_3_1_2_2_exhaustive():
@@ -238,18 +232,28 @@ def test_search_count_all_pinned(params, systems, nodes):
     assert out.nodes == nodes
 
 
-@pytest.mark.parametrize("n,k,q,d", [(3, 1, 2, 2), (3, 1, 3, 3), (4, 1, 2, 4)])
+# all systems, counted by brute force; (3,1,4,4) is 16 * 21 / 16
+ALL_SYSTEMS = {(3, 1, 2, 2): 7, (3, 1, 3, 3): 13, (4, 1, 2, 4): 15, (3, 1, 4, 4): 21}
+
+
+@pytest.mark.parametrize("n,k,q,d", [(3, 1, 2, 2), (3, 1, 3, 3), (4, 1, 2, 4), (3, 1, 4, 4)])
 def test_search_count_matches_brute_force(n, k, q, d):
-    # every s-subset of the candidates through candidate 0, checked by perp_verify
+    # every s-subset of the K candidates, checked by perp_verify: the search
+    # counts those through candidate 0, and GL(n, q) is transitive on the
+    # candidates, so all systems number solutions * K / s
     ctx = field_for_order(q)
     s = perp_params(n, k, q, d).s
     cands = list(enumerate_subspaces(ctx, n, n - k))
-    brute = 0
-    for rest in itertools.combinations(cands[1:], s - 1):
-        res = perp_verify(ctx, n, k, (cands[0],) + rest)
-        brute += isinstance(res, PerpSystem) and res.d == d
+    through_0 = total = 0
+    for family in itertools.combinations(cands, s):
+        res = perp_verify(ctx, n, k, family)
+        found = isinstance(res, PerpSystem) and res.d == d
+        total += found
+        through_0 += found and family[0] == cands[0]
     out = perp_search(n, k, q, d, count_all=True)
-    assert out.complete and out.solutions == brute
+    assert out.complete and out.solutions == through_0
+    assert total == out.solutions * len(cands) // s == ALL_SYSTEMS[n, k, q, d]
+    assert out.solutions * len(cands) % s == 0
 
 
 def candidate_tables(n, k, q):
@@ -393,7 +397,6 @@ def lex_points(ctx, n):
 def two_intersection_reference(system):
     """Point by point: multiplicities by ``contains``, hyperplane sizes by
     scalar dot products; the same checks in the same order."""
-    system.require_primal("the two-intersection set")
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     reps = [w for w in lex_points(ctx, n) if sum(m.contains(w) for m in system.members) == d]
@@ -423,14 +426,9 @@ def two_intersection_reference(system):
 def dualize_reference(system):
     """Pair by pair by ``subspace_meet``, hyperplane by hyperplane by scalar
     dot products with the basis rows."""
-    ctx, n, k, d = system.ctx, system.n, system.k, system.d
+    ctx, n, d = system.ctx, system.n, system.d
     duals = tuple(sorted((orthogonal_complement(m) for m in system.members),
                          key=lambda m: m.basis))
-    if system.dual:
-        res = perp_verify(ctx, n, k, duals)
-        if isinstance(res, PerpViolation):
-            raise ValueError(f"dual of a dual system failed verification: {res}")
-        return res
     for i, j in itertools.combinations(range(len(duals)), 2):
         if subspace_meet(duals[i], duals[j]).dim != 0:
             raise ValueError(f"dual members {i},{j} do not meet trivially")
@@ -442,7 +440,7 @@ def dualize_reference(system):
         seen.add(cnt)
     if seen != {0, d}:
         raise ValueError("hyperplane covering must take both values 0 and d")
-    return PerpSystem(ctx, n, duals, k=k, d=d, s=system.s, dual=True)
+    return SpaceFamily(ctx, n, duals)
 
 
 def outcome(fn, system):
@@ -465,11 +463,11 @@ KNOWN = known_systems()
 
 @st.composite
 def perp_like_systems(draw):
-    """A verified system, its dual, or a broken one: members dropped,
-    replaced or added, d or s changed, or a random family of hyperplanes
-    whose s, where possible, makes the covered-point count come out right
-    (so the hyperplane sizes are what is tested)."""
-    kind = draw(st.sampled_from(["known", "dual", "mutated", "random"]))
+    """A verified system, or a broken one: members dropped, replaced or
+    added, d or s changed, or a random family of hyperplanes whose s, where
+    possible, makes the covered-point count come out right (so the
+    hyperplane sizes are what is tested)."""
+    kind = draw(st.sampled_from(["known", "mutated", "random"]))
     if kind == "random":
         q = draw(st.sampled_from([2, 3, 4]))
         ctx = field_for_order(q)
@@ -485,11 +483,6 @@ def perp_like_systems(draw):
     base = draw(st.sampled_from(KNOWN))
     if kind == "known":
         return base
-    if kind == "dual":
-        dual = perp_dualize(base)
-        if draw(st.booleans()):
-            return dual
-        return dataclasses.replace(dual, members=dual.members[1:])
     members = list(base.members)
     others = [m for m in enumerate_subspaces(base.ctx, base.n, base.n - base.k)
               if m not in members]
