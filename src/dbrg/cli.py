@@ -4,7 +4,9 @@ Every subcommand is a thin composition of library calls: builders from
 :mod:`dbrg.constructions`, checks from :mod:`dbrg.bigraph` and
 :mod:`dbrg.perpsys`, and the feasibility enumeration.  Each command
 imports only the layers it calls, so importing this module loads none of
-them, and ``feas enumerate`` and ``catalog`` run without numpy.
+them, and ``feas enumerate`` and ``catalog`` run on the integer layer
+alone: they load neither numpy nor :mod:`dataclasses`, whose import
+(with :mod:`inspect`) costs more than the enumeration they run.
 Identical invocations produce byte-identical artifacts; the last stdout
 line of each command is a compact JSON summary.
 

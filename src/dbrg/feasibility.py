@@ -34,6 +34,11 @@ or the halved-SRG derivation rejects (see ``enumerate_feasible``).
 Arrays that only the homogeneity or plane conditions reject stay listed
 with status ``infeasible`` (they are part of the table), while anything
 failing a structural condition is not listed at all.
+
+Its records are NamedTuple classes, as in :mod:`dbrg.params`, and the
+bundled catalog is read as a file next to the module, so a feasibility
+command loads neither :mod:`dataclasses` (and with it :mod:`inspect`)
+nor :mod:`importlib.resources`.
 """
 
 from __future__ import annotations
@@ -41,11 +46,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import gcd, isqrt, lcm
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .params import Condition, IntersectionArray, SrgParams, homogeneity, srg_from_spectrum
 
@@ -68,8 +72,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     ok: bool
     nB: int | None = None
     nC: int | None = None
@@ -132,8 +135,7 @@ def delorme_relations_check(a: IntersectionArray) -> Condition:
     return Condition("products", True)
 
 
-@dataclass(frozen=True)
-class DeltaGammaEntry:
+class DeltaGammaEntry(NamedTuple):
     i: int
     orientation: str  # "as-given" | "swapped"
     delta: Fraction
@@ -171,8 +173,7 @@ def delta_gamma_check(a: IntersectionArray) -> tuple[Condition, list[DeltaGammaE
     return Condition("homogeneity", True), entries
 
 
-@dataclass(frozen=True)
-class SrgDerivation:
+class SrgDerivation(NamedTuple):
     ok: bool
     theta: int | None = None
     B: SrgParams | None = None
@@ -246,8 +247,7 @@ def plane_implication_check(a: IntersectionArray) -> Condition:
     return Condition("plane", True)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     array: IntersectionArray
     counts: Counts
     conditions: tuple[Condition, ...]
@@ -411,7 +411,7 @@ def reference_table(path: str | None = None) -> list[dict]:
     does not parse as a diameter-4 intersection array, or two rows list
     the same array (in either orientation)."""
     if path is None:
-        text = resources.files("dbrg").joinpath("data/catalog.json").read_text()
+        text = (Path(__file__).parent / "data" / "catalog.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()

@@ -17,14 +17,18 @@ it by 2^16.
 
 The module is plain integer and Fraction arithmetic and imports no
 numpy, so the feasibility layer and the perp-system parameters run
-without it.
+without it.  Its records are :class:`typing.NamedTuple` classes, not
+dataclasses: importing :mod:`dataclasses` loads :mod:`inspect` and its
+parsers, which would outweigh the integer work of a feasibility command.
+A record is therefore a tuple: it compares equal to the tuple of its
+fields, and it hashes, iterates and orders as that tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Condition",
@@ -39,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One named necessary condition and whether it holds."""
 
     name: str
@@ -48,8 +51,7 @@ class Condition:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class IntersectionArray(NamedTuple):
     """The two c-lines of a distance-biregular graph.
 
     ``k`` and ``cB`` describe vertices in B (valency k, c_1..c_dB), and
@@ -149,8 +151,14 @@ def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | No
         Delta_i = (b_{i-1} - 1)(c_{i+1} - 1) - den (c2C - 1)/c2B
         gamma_i = c2B c_i (b_{i-1} - 1)/den
 
-    ValueError if den = 0 (then Delta_i = 0 and gamma_i is undefined).
+    ValueError if i is not 2 or 3, if a covering radius is below 4, or if
+    den = 0 (then Delta_i = 0 and gamma_i is undefined).
     """
+    if i not in (2, 3):
+        raise ValueError(f"homogeneity is defined for i = 2 and 3, got i = {i}")
+    if arr.dB < 4 or arr.dC < 4:
+        raise ValueError(f"{arr}: homogeneity needs covering radii at least 4, "
+                         f"got {arr.dB} and {arr.dC}")
     b, c = (arr.bB, arr.cB) if i == 2 else (arr.bC, arr.cC)
     c2B, c2C = arr.cB[1], arr.cC[1]
     den = b(i) * (c[i] - 1) + c[i - 1] * (b(i - 1) - 1)
@@ -163,8 +171,7 @@ def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | No
     return delta, Fraction(c2B * c[i - 1] * (b(i - 1) - 1), den)
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Strongly regular parameters with the eigenvalues r >= 0 > s of the
     adjacency matrix and their multiplicities f1, f2."""
 
@@ -237,8 +244,7 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, t
 
 
-@dataclass(frozen=True)
-class ParamReport:
+class ParamReport(NamedTuple):
     """The admissibility rules for a perp system with parameters (n, k, q, d),
     and its member count s when that is an integer (else None)."""
 

@@ -284,7 +284,7 @@ class _Found(Exception):
     pass
 
 
-_CHUNK = 512  # candidates tabulated, or dropped, per step: the id temporaries stay small
+_CHUNK = 512  # candidates tabulated, tested or dropped per step: the temporaries stay small
 
 
 def _candidate_tables(ctx: FieldContext, n: int, k: int,
@@ -358,8 +358,9 @@ def perp_search(
     RuntimeError if some vector does not lie in exactly R = [n-1, n-k-1]_q
     candidates.  The search reads the candidates holding a vector, and
     those holding a vector now covered d times, from the bitsets, in
-    increasing order; it counts killed candidates out of the live counts
-    ``_CHUNK`` at a time, so the counting temporaries stay as small.
+    increasing order; it tests the live candidates against a new member,
+    and counts killed candidates out of the live counts, ``_CHUNK`` at a
+    time, so the search temporaries stay as small.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
     time from entry, set-up included (it is checked before each part).
@@ -397,14 +398,16 @@ def perp_search(
     def join(node: _Node, c: int) -> _Node:
         cover = node.cover.copy()
         cover[ids[c]] += 1
-        held = bits[node.live]
         full = ids[c][cover[ids[c]] == d]  # vectors now covered d times
-        dead = bitset_contains(held, full).any(axis=1)
-        held &= bits[c]  # in place: the meets with c, c itself included
-        dead |= np.bitwise_count(held).sum(axis=1) != want
-        del held  # freed before drop counts
+        live = np.flatnonzero(node.live)
+        dead = np.empty(len(live), bool)
+        for i in range(0, len(live), _CHUNK):
+            held = bits[live[i:i + _CHUNK]]
+            dead[i:i + _CHUNK] = bitset_contains(held, full).any(axis=1)
+            held &= bits[c]  # in place: the meets with c, c itself included
+            dead[i:i + _CHUNK] |= np.bitwise_count(held).sum(axis=1) != want
         child = _Node(node.members + (c,), cover, node.live.copy(), node.avail.copy())
-        drop(child, np.flatnonzero(node.live)[dead])
+        drop(child, live[dead])
         return child
 
     def feasible(node: _Node) -> bool:

@@ -313,17 +313,23 @@ def test_importing_the_cli_loads_no_layer(tmp_path):
 
 def test_feasibility_commands_leave_numpy_unimported(tmp_path):
     # the feasibility layer is integer and Fraction work: starting numpy
-    # would add a fifth of a second to every run
+    # would add a fifth of a second to every run, and dataclasses (with
+    # inspect) or importlib.resources more than the enumeration itself.
+    # The modules the two commands add are compared, since a site hook
+    # may load importlib.resources before any of them runs
     code = ("import contextlib, io, sys\n"
             "from dbrg.cli import main\n"
+            "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [main(['feas', 'enumerate', '--max-side', '300', '--out', 'rows.csv',\n"
             "                   '--json', 'rows.json']),\n"
             "             main(['catalog', '--max-side', '300', '--out', 'catalog.json'])]\n"
+            "added = set(sys.modules) - before\n"
             "from dbrg.params import perp_params, perp_srg_params\n"
             "print(codes, perp_params(6, 2, 3, 3).s, perp_srg_params(6, 2, 3, 3).tuple4(),\n"
-            "      'numpy' in sys.modules)\n")
-    assert _fresh_interpreter(code, tmp_path) == "[0, 0] 21 (729, 560, 433, 420) False"
+            "      'numpy' in sys.modules, sorted(m for m in added if m.split('.')[0] in\n"
+            "      ('numpy', 'dataclasses', 'inspect') or m.startswith('importlib.resources')))\n")
+    assert _fresh_interpreter(code, tmp_path) == "[0, 0] 21 (729, 560, 433, 420) False []"
 
 
 def test_construct_and_derive_load_neither_feasibility_nor_perp_search(tmp_path):

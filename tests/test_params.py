@@ -2,11 +2,14 @@
 
 import hashlib
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.params import IntersectionArray, perp_params, perp_srg_params, prime_power
+from dbrg.feasibility import enumerate_feasible, evaluate
+from dbrg.params import (IntersectionArray, homogeneity, perp_params, perp_srg_params,
+                         prime_power)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -31,6 +34,53 @@ def test_parse_accepts_or_raises_value_error(text):
     except ValueError:
         return
     assert IntersectionArray.parse(str(a)) == a
+
+
+def test_parsed_array_repr_and_str():
+    a = IntersectionArray.parse("{5;1,2,3,5 / 7;1,2,3,7}")
+    assert repr(a) == "IntersectionArray(k=5, l=7, cB=(1, 2, 3, 5), cC=(1, 2, 3, 7))"
+    assert str(a) == "{5;1,2,3,5 | 7;1,2,3,7}"
+    # a NamedTuple record is the tuple of its fields
+    assert a == (5, 7, (1, 2, 3, 5), (1, 2, 3, 7)) and hash(a) == hash(tuple(a))
+
+
+def test_integer_layer_records_refuse_attribute_assignment():
+    rep = evaluate(IntersectionArray.parse("{6;1,2,10,6 | 16;1,4,5,16}"))
+    records = [rep.array, rep.conditions[0], rep.srg.B, perp_params(6, 2, 3, 3),
+               rep.counts, rep.delta_gamma[0], rep.srg, rep]
+    assert [type(r).__name__ for r in records] == [
+        "IntersectionArray", "Condition", "SrgParams", "ParamReport",
+        "Counts", "DeltaGammaEntry", "SrgDerivation", "FeasibilityReport"]
+    for r in records:
+        with pytest.raises(AttributeError):
+            setattr(r, type(r)._fields[0], None)
+        with pytest.raises(AttributeError):
+            r.note = ""
+
+
+CONE_3 = IntersectionArray.parse("{40;1,4,9,40 | 27;1,3,12,27}")  # cone_graph(3)
+
+
+def test_homogeneity_values_and_errors():
+    assert homogeneity(CONE_3, 2) == (Fraction(6), None)
+    assert homogeneity(CONE_3, 3) == (Fraction(96), None)
+    # i = 0 used to wrap c_{i-1} to the last entry, i = 1 returned (0, 1)
+    # and i = 4 ran off the c-line
+    for i in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"^homogeneity is defined for i = 2 and 3, got i = {i}$"):
+            homogeneity(CONE_3, i)
+    with pytest.raises(ValueError, match=r"^\{3;1,3 \| 3;1,3\}: homogeneity needs covering radii "
+                                         "at least 4, got 2 and 2$"):
+        homogeneity(IntersectionArray.parse("{3;1,3 | 3;1,3}"), 2)
+
+
+def test_homogeneity_pinned_on_the_2000_table():
+    # (Delta_i, gamma_i) for i = 2, 3 in both orientations of each of the 91 rows
+    rows = enumerate_feasible(2000)
+    got = [homogeneity(arr, i) for r in rows for arr in (r.array, r.array.swapped())
+           for i in (2, 3)]
+    assert len(got) == 4 * 91
+    assert _digest(got) == "5d8299574619fbc700c5d3ace26b69c14115eb1d2df7562c7edce6c1f0462272"
 
 
 def _factor(q):
