@@ -128,8 +128,10 @@ class BipartiteGraph:
             return self.ec[self.eb == v].astype(np.int64) + self.nB
         return self.eb[self.ec == v - self.nB].astype(np.int64)
 
-    def biadjacency(self, dtype=np.int64) -> np.ndarray:
-        n = np.zeros((self.nB, self.nC), dtype=dtype)
+    def biadjacency(self) -> np.ndarray:
+        """N, the nB x nC float32 0/1 matrix of every product here.  The products
+        are exact: each count is at most nB or nC, far below 2**24."""
+        n = np.zeros((self.nB, self.nC), dtype=np.float32)
         n[self.eb, self.ec] = 1
         return n
 
@@ -140,33 +142,13 @@ class BipartiteGraph:
 class Graph:
     """Immutable simple graph held as a dense read-only boolean adjacency.
 
-    Edges are (u, v) pairs; loops and out-of-range endpoints raise
-    ValueError, repeated pairs and orientations are merged.
-    """
+    ``adj``, square symmetric boolean with a false diagonal (else
+    ValueError), is taken without a copy and made read-only."""
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        for u, v in pairs.tolist():
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        adj = np.zeros((n, n), dtype=bool)
-        adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
-        self._set(adj)
-
-    @classmethod
-    def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        """The graph of a square symmetric boolean matrix with a false
-        diagonal, taken without a copy; ValueError if it is not one."""
+    def __init__(self, adj: np.ndarray):
         if (adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]
                 or adj.diagonal().any() or (adj != adj.T).any()):
             raise ValueError("need a square symmetric boolean matrix with a false diagonal")
-        g = cls.__new__(cls)
-        g._set(adj)
-        return g
-
-    def _set(self, adj: np.ndarray) -> None:
         adj.flags.writeable = False
         self.n, self._adj = len(adj), adj
 
@@ -198,13 +180,16 @@ def _levels(g: BipartiteGraph, n: np.ndarray, side: int, sources: np.ndarray):
     level 1, 2, ...: ``new`` marks, one row per source, the class-``cls``
     vertices first reached there; ``counts`` under ``new`` are their c_level.
     Once a level completes its class, the unseen vertices of positive degree
-    have all their neighbours there: the last level, c = degree."""
+    have all their neighbours there: the last level, c = degree.  RuntimeError
+    for a count that is not finite: a NaN is never > 0, its vertex unreached."""
     steps = (n, n.T)
     deg = (g.degrees[:g.nB], g.degrees[g.nB:])
     seen = [np.zeros((len(sources), g.nB), bool), np.zeros((len(sources), g.nC), bool)]
     seen[side][np.arange(len(sources)), sources] = True
     counts, level = steps[side][sources], 1  # level 1: the sources' own rows
     while True:
+        if not np.isfinite(counts).all():
+            raise RuntimeError(f"non-finite neighbour count at BFS level {level}")
         side = 1 - side
         new = (counts > 0) & ~seen[side]
         if not new.any():
@@ -227,7 +212,7 @@ def _sweeps(g: BipartiteGraph, vertices: Iterable[int]):
         raise ValueError(f"vertex out of range for V={g.V}")
     if g.V and g.degrees.max() >= _EXACT_DEGREE:
         raise ValueError("maximum degree must be below 2**24 for exact float32 counts")
-    n = g.biadjacency(np.float32)
+    n = g.biadjacency()
     for side, part in ((0, vs[vs < g.nB]), (1, vs[vs >= g.nB] - g.nB)):
         for start in range(0, len(part), _BATCH):
             batch = part[start:start + _BATCH]
@@ -446,13 +431,12 @@ def semiregular_check(g: BipartiteGraph) -> SemiregularResult:
 
 def halved_graphs(g: BipartiteGraph) -> tuple[Graph, Graph]:
     """Distance-two graphs on B and on C (for a connected bipartite g)."""
-    # float32 products are exact: every count is at most nB or nC, far below 2**24
-    n = g.biadjacency(np.float32)
+    n = g.biadjacency()
     halves = []
     for prod in (n @ n.T, n.T @ n):
         adj = prod > 0.5
         np.fill_diagonal(adj, False)
-        halves.append(Graph.from_adjacency(adj))
+        halves.append(Graph(adj))
     return halves[0], halves[1]
 
 
@@ -550,7 +534,7 @@ def c3_shortcut_check(g: BipartiteGraph, c2b: int, c3b: int, c2c: int) -> Shortc
         if res.c[1:] != expected:
             return ShortcutResult("hypothesis_failed",
                                   f"B vertex {v} has c-line {res.c[1:]}, wanted {expected}")
-    n = g.biadjacency(np.float64)
+    n = g.biadjacency()
     cc = (n.T @ n).astype(np.int64)
     off = cc[~np.eye(g.nC, dtype=bool)]
     vals = set(np.unique(off).tolist()) - {0}

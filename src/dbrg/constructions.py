@@ -16,7 +16,8 @@ raises ValueError for a wrong one, and only then runs one BFS per orbit.
 Families: complete bipartite graphs; the two unbounded-diameter
 subset/subspace inclusion families; vector-coset incidence graphs of
 perp systems and of the quadric-cone family; the affine hyperoval
-family; and local derived graphs of diameter-4 graphs.
+family; and local derived graphs of diameter-4 graphs, their hypotheses
+and array from :func:`dbrg.params.derived_array`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
-from .params import IntersectionArray, homogeneity
+from .params import DerivedGraphError, IntersectionArray, derived_array
 
 if TYPE_CHECKING:
     from .perpsys import PerpSystem
@@ -215,77 +216,27 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
                               automorphisms=(renumber[lam[keep]],))
 
 
-class DerivedGraphError(ValueError):
-    """A hypothesis of the local derivation fails; names the condition."""
-
-    def __init__(self, condition: str, detail: str = ""):
-        super().__init__(f"{condition}" + (f": {detail}" if detail else ""))
-        self.condition = condition
-
-
-def derived_local_graph(
-    parent: BipartiteGraph,
-    z_side: str,
-    z_index: int,
-    array: IntersectionArray | None = None,
-) -> ConstructionResult:
+def derived_local_graph(parent: BipartiteGraph, z_side: str, z_index: int) -> ConstructionResult:
     """Induced subgraph on the distance-3 and distance-4 cells from z.
 
-    The class containing z plays the role of the second array line; all
-    b-numbers are re-derived from the verified parent array.  Hypotheses
-    checked before building: without an array the parent is
-    distance-biregular, and a caller-supplied array is valid (so b_3 > 0
-    on the line of z); the homogeneity scalar for distance 3 vanishes, its
-    constant is defined, and the two strict inequalities relating it to
-    c_2 and b_3 hold.  Violations raise :class:`DerivedGraphError` naming
-    the condition.
+    :class:`DerivedGraphError` ``parent_not_dbrg`` with the witness of
+    :func:`dbrg_check` if the parent is not distance-biregular; else its
+    array, oriented so that z lies in class C, goes to
+    :func:`dbrg.params.derived_array` for the hypotheses and the predicted
+    array.  ValueError for a side or index the parent lacks.
     """
-    parent.vertex(z_side, z_index)  # ValueError for a side or index the parent lacks
-    if array is None:
-        res = dbrg_check(parent)
-        if not res.ok:
-            raise DerivedGraphError("parent_not_dbrg", str(res.witness))
-        array = res.array
-    else:
-        try:
-            array.validate()
-        except ValueError as exc:
-            raise DerivedGraphError("array_invalid", str(exc)) from None
-    arr = array if z_side == "C" else array.swapped()
-    # orient the graph so that z lies in class C
+    parent.vertex(z_side, z_index)
+    res = dbrg_check(parent)
+    if not res.ok:
+        raise DerivedGraphError("parent_not_dbrg", str(res.witness))
+    arr, gamma3 = derived_array(res.array if z_side == "C" else res.array.swapped())
+    # orient the graph so that z lies in class C; its covering radius dC >= 4
+    # is z's eccentricity, so cells 3 and 4 exist
     graph = flip(parent) if z_side == "B" else parent
-    z = graph.vertex("C", z_index)
-    if arr.dB < 4 or arr.dC < 4:
-        raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
-    c2b, c3b, c2c, b3c = arr.cB[1], arr.cB[2], arr.cC[1], arr.bC(3)
-    try:
-        delta3, gamma3 = homogeneity(arr, 3)
-    except ValueError as exc:
-        raise DerivedGraphError("gamma3_undefined", str(exc)) from None
-    if delta3 != 0:
-        raise DerivedGraphError("delta3_nonzero", f"distance-3 homogeneity scalar is {delta3}")
-    if not (c2b > gamma3):
-        raise DerivedGraphError("c2_bound", f"need c2 > gamma3 = {gamma3}")
-    if not (b3c > c2b - gamma3):
-        raise DerivedGraphError("b3_bound", f"need b3 > c2 - gamma3 = {c2b - gamma3}")
-    if gamma3.denominator != 1:
-        raise DerivedGraphError("gamma3_integrality", f"gamma3 = {gamma3} is not an integer")
-    gamma3 = int(gamma3)
-
-    part = distance_partition(graph, z)
-    if part.eccentricity < 4:
-        raise DerivedGraphError("diameter", f"z has eccentricity {part.eccentricity} < 4")
+    part = distance_partition(graph, graph.vertex("C", z_index))
     # distance 3 from a C vertex lands in B, distance 4 back in C
     sub = induced_subgraph(graph, part.cells[3], [v - graph.nB for v in part.cells[4]])
-    c2_new = c2b - gamma3
-    if (c2_new * c3b) % c2c:
-        raise DerivedGraphError("array_integrality", "derived c3 is not an integer")
-    arr_new = IntersectionArray(
-        b3c, arr.l,
-        (1, c2_new, c3b, b3c),
-        (1, c2c, c2_new * c3b // c2c, arr.l),
-    )
     return ConstructionResult(
-        sub, arr_new, "local derived graph",
+        sub, arr, "local derived graph",
         {"z_side": z_side, "z_index": z_index, "gamma3": gamma3},
     )

@@ -181,16 +181,15 @@ class SrgDerivation(NamedTuple):
     detail: str = ""
 
 
-def halved_srg_derive(a: IntersectionArray, counts: Counts | None = None) -> SrgDerivation:
+def halved_srg_derive(a: IntersectionArray) -> SrgDerivation:
     """Strongly-regular parameters of both halved graphs, or a rejection.
 
     The middle eigenvalue theta of the walk matrix is forced by the
     array (the trace of the squared side-quotient, sum_i b_i c_{i+1} - kl
     on either line); each halved graph then has eigenvalues k_H,
-    (theta-val)/c2, -val/c2.  ``counts``, when given, must be
-    ``vertex_counts(a)``.
+    (theta-val)/c2, -val/c2, on the class sizes of :func:`vertex_counts`.
     """
-    counts = vertex_counts(a) if counts is None else counts
+    counts = vertex_counts(a)
     if not counts.ok:
         return SrgDerivation(False, detail=f"cell counts: {counts.detail}")
     k, l = a.k, a.l
@@ -267,12 +266,12 @@ class FeasibilityReport(NamedTuple):
 def evaluate(a: IntersectionArray) -> FeasibilityReport:
     """Run every implemented condition on one diameter-4, girth-4 array;
     ValueError if ``a`` is not one."""
-    counts = vertex_counts(_diameter4(a))
-    return _report(a, counts, halved_srg_derive(a, counts))
+    return _report(_diameter4(a), halved_srg_derive(a))
 
 
-def _report(a: IntersectionArray, counts: Counts, srg: SrgDerivation) -> FeasibilityReport:
-    """The full report, given ``vertex_counts(a)`` and ``halved_srg_derive(a)``."""
+def _report(a: IntersectionArray, srg: SrgDerivation) -> FeasibilityReport:
+    """The full report, given ``halved_srg_derive(a)``."""
+    counts = vertex_counts(a)
     hom, entries = delta_gamma_check(a)
     plane = plane_implication_check(a)
     conditions = [Condition("counts", counts.ok, counts.detail), delorme_relations_check(a),
@@ -391,10 +390,9 @@ def enumerate_feasible(max_side: int) -> list[FeasibilityReport]:
                     or (nB, k + k3) != (l + kc3, 1 + kc2 + kc4)):
                 continue
             cand = IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c3c, l))
-            counts = vertex_counts(cand)
-            srg = halved_srg_derive(cand, counts)
+            srg = halved_srg_derive(cand)
             if srg.ok:
-                rows.append(_report(cand, counts, srg))
+                rows.append(_report(cand, srg))
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
                              r.array.cB[1], r.array.cB[2]))
     return rows

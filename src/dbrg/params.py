@@ -5,8 +5,9 @@ c-lines of a distance-biregular graph, derives the b-numbers, reads and
 prints them as ``{k;c1,...,cdB | l;c1,...,cdC}`` and orients them
 (``swapped``, ``canonical``).  The graph checks, the constructions and
 the feasibility conditions all read it.  :func:`homogeneity` is the one
-Delta/gamma formula, shared by the feasibility conditions and the
-derived-graph construction.  :class:`SrgParams` holds the parameters of
+Delta/gamma formula, shared by the feasibility conditions and
+:func:`derived_array`, the hypotheses and predicted array of a local
+derived graph.  :class:`SrgParams` holds the parameters of
 a strongly regular graph, which come from one derivation,
 :func:`srg_from_spectrum`, used by both the feasibility conditions and
 :func:`perp_srg_params`.  :class:`Condition` is the one record of a
@@ -34,6 +35,8 @@ __all__ = [
     "Condition",
     "IntersectionArray",
     "homogeneity",
+    "DerivedGraphError",
+    "derived_array",
     "SrgParams",
     "srg_from_spectrum",
     "prime_power",
@@ -169,6 +172,48 @@ def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | No
         raise ValueError(f"gamma_{i} is undefined: its denominator "
                          f"b_{i}(c_{i + 1} - 1) + c_{i}(b_{i - 1} - 1) is 0")
     return delta, Fraction(c2B * c[i - 1] * (b(i - 1) - 1), den)
+
+
+class DerivedGraphError(ValueError):
+    """A hypothesis of the local derivation fails; names the condition."""
+
+    def __init__(self, condition: str, detail: str = ""):
+        super().__init__(f"{condition}" + (f": {detail}" if detail else ""))
+        self.condition = condition
+
+
+def derived_array(arr: IntersectionArray) -> tuple[IntersectionArray, int]:
+    """(array, gamma3) of the graph induced on the vertices at distance 3
+    (class B) and 4 (class C) from a vertex of class C, for a parent array.
+
+    ValueError if ``arr`` is invalid; else :class:`DerivedGraphError` names
+    the first failing hypothesis: ``diameter`` (covering radii >= 4),
+    ``gamma3_undefined``, ``delta3_nonzero`` (Delta_3 = 0), ``c2_bound``
+    (c2B > gamma3), ``b3_bound`` (b3C > c2B - gamma3), ``gamma3_integrality``
+    and ``array_integrality`` (the derived c3C is an integer).
+    """
+    arr.validate()
+    if arr.dB < 4 or arr.dC < 4:
+        raise DerivedGraphError("diameter", "parent must have covering radii at least 4")
+    c2b, c3b, c2c, b3c = arr.cB[1], arr.cB[2], arr.cC[1], arr.bC(3)
+    try:
+        delta3, gamma3 = homogeneity(arr, 3)
+    except ValueError as exc:
+        raise DerivedGraphError("gamma3_undefined", str(exc)) from None
+    if delta3 != 0:
+        raise DerivedGraphError("delta3_nonzero", f"distance-3 homogeneity scalar is {delta3}")
+    if not (c2b > gamma3):
+        raise DerivedGraphError("c2_bound", f"need c2 > gamma3 = {gamma3}")
+    if not (b3c > c2b - gamma3):
+        raise DerivedGraphError("b3_bound", f"need b3 > c2 - gamma3 = {c2b - gamma3}")
+    if gamma3.denominator != 1:
+        raise DerivedGraphError("gamma3_integrality", f"gamma3 = {gamma3} is not an integer")
+    gamma3 = int(gamma3)
+    c2_new = c2b - gamma3
+    if (c2_new * c3b) % c2c:
+        raise DerivedGraphError("array_integrality", "derived c3 is not an integer")
+    return IntersectionArray(b3c, arr.l, (1, c2_new, c3b, b3c),
+                             (1, c2c, c2_new * c3b // c2c, arr.l)), gamma3
 
 
 class SrgParams(NamedTuple):

@@ -483,7 +483,8 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
     """Parse a perp-system file into (ctx, n, k, members), unverified.
 
     ValueError if the header does not give each of q, modulus, n and k
-    exactly once, and nothing else."""
+    exactly once, and nothing else, or naming the first member line with a
+    bad vector, linearly dependent rows or an earlier line's member."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty perp file")
@@ -500,7 +501,7 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
     except ValueError as exc:
         raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
     ctx = FieldContext(p, t, modulus)
-    members = []
+    members: dict[Subspace, int] = {}  # member -> its line
     for no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -511,5 +512,10 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
             raise ValueError(f"line {no}: {exc}") from exc
         if any(len(r) != n for r in rows):
             raise ValueError(f"line {no}: vector of wrong length")
-        members.append(subspace_make(ctx, n, rows))
+        member = subspace_make(ctx, n, rows)
+        if member.dim < len(rows):
+            raise ValueError(f"line {no}: linearly dependent rows span dimension {member.dim}")
+        if member in members:
+            raise ValueError(f"line {no}: repeats the member on line {members[member]}")
+        members[member] = no
     return ctx, n, k, tuple(members)

@@ -142,7 +142,7 @@ def test_criterion_4_derived_subgraphs():
     parent8 = gen_delorme_graph(dual_hyperoval_system(8))
     res8 = dbrg_check(parent8.graph)
     assert str(res8.array) == "{10;1,2,36,10 | 64;1,8,9,64}"
-    derived = derived_local_graph(parent8.graph, "B", 0, array=res8.array)
+    derived = derived_local_graph(parent8.graph, "B", 0)
     assert derived.params["gamma3"] == 4
     dres = dbrg_check(derived.graph)
     assert dres.ok and dres.array == derived.predicted
@@ -150,8 +150,7 @@ def test_criterion_4_derived_subgraphs():
     assert IntersectionArray.parse("{10;1,2,18,10 | 28;1,4,9,28}") in (dres.array,
                                                                          dres.array.swapped())
     parent4 = gen_delorme_graph(dual_hyperoval_system(4))
-    res4 = dbrg_check(parent4.graph)
-    derived4 = derived_local_graph(parent4.graph, "B", 0, array=res4.array)
+    derived4 = derived_local_graph(parent4.graph, "B", 0)
     dres4 = dbrg_check(derived4.graph)
     assert dres4.ok and str(dres4.array) == "{6;1,2,5,6 | 6;1,2,5,6}"
     assert (derived4.graph.nB, derived4.graph.nC) == (18, 18)

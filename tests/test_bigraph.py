@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from dbrg import bigraph
@@ -24,6 +25,8 @@ from dbrg.bigraph import (
 )
 from dbrg.params import IntersectionArray
 
+from simple_graphs import petersen, simple_graph
+
 
 def complete_bip(nb, nc):
     return BipartiteGraph(nb, nc, [(b, c) for b in range(nb) for c in range(nc)])
@@ -45,13 +48,6 @@ def hypercube4():
         for bit in range(4):
             edges.append((ei[v], oi[v ^ (1 << bit)]))
     return BipartiteGraph(8, 8, edges)
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def test_distance_partition_cycle6():
@@ -149,18 +145,32 @@ def test_srg_check_petersen():
 
 def test_srg_check_witnesses():
     # path on 3 vertices: not regular
-    res = srg_check(Graph(3, [(0, 1), (1, 2)]))
+    res = srg_check(simple_graph(3, [(0, 1), (1, 2)]))
     assert not res.ok and res.witness[0] == "degree"
     # C5 plus a chord: regular fails first on degree; use C4 with one diagonal pair
-    res2 = srg_check(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+    res2 = srg_check(simple_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
     assert res2.ok and res2.params == (5, 2, 0, 1)
     # hexagon: regular but mu is not constant
-    res3 = srg_check(Graph(6, [(i, (i + 1) % 6) for i in range(6)]))
+    res3 = srg_check(simple_graph(6, [(i, (i + 1) % 6) for i in range(6)]))
     assert not res3.ok and res3.witness[0] == "mu"
 
 
+def test_graph_takes_a_simple_adjacency_matrix_only():
+    path = np.zeros((3, 3), bool)
+    path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = True
+    asymmetric = path.copy()
+    asymmetric[1, 0] = False
+    for adj in (np.zeros((2, 3), bool), np.zeros(3, bool), path.astype(np.int64),
+                path | np.eye(3, dtype=bool), asymmetric):
+        with pytest.raises(ValueError, match="square symmetric boolean matrix with a false diagonal"):
+            Graph(adj)
+    g = Graph(path)
+    assert g.adjacency() is path and not path.flags.writeable
+    assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
+
+
 def test_subdivision_c4_is_c8():
-    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    c4 = simple_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     s = subdivision(c4)
     assert (s.nB, s.nC) == (4, 4)
     assert girth(s) == 8
@@ -178,7 +188,7 @@ def test_subdivision_petersen_array():
 
 
 def test_subdivision_path_rejected():
-    p3 = Graph(3, [(0, 1), (1, 2)])
+    p3 = simple_graph(3, [(0, 1), (1, 2)])
     res = dbrg_check(subdivision(p3))
     assert not res.ok and res.witness == ("side", "B", 0, 1)
 
@@ -193,7 +203,7 @@ def test_c3_shortcut_applies_on_hypercube():
 def test_c3_shortcut_equality_inconclusive():
     # edge-vertex incidence of K4, oriented with the edges as class B:
     # k*c2C = 2 = c2B*c3B, exactly the boundary case
-    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    k4 = simple_graph(4, list(itertools.combinations(range(4), 2)))
     g = flip(subdivision(k4))
     res = c3_shortcut_check(g, c2b=1, c3b=2, c2c=1)
     assert res.verdict == "inconclusive"
@@ -272,8 +282,6 @@ def test_intersection_array_parse_errors_quote_text(text):
 
 def test_biadjacency_identity_on_hypercube():
     # N N^T = k I + c2 A(H_B) for the 4-cube
-    import numpy as np
-
     g = hypercube4()
     n = g.biadjacency()
     hb, _ = halved_graphs(g)

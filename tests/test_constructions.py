@@ -14,9 +14,9 @@ from dbrg.bigraph import (
     semiregular_check,
     serialize_graph,
     srg_check,
+    subdivision,
 )
 from dbrg.constructions import (
-    DerivedGraphError,
     _coset_incidence,
     bi_grassmann,
     bi_johnson,
@@ -28,8 +28,10 @@ from dbrg.constructions import (
 )
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
 from dbrg.gfcore import field, index_vector, subspace_make, translations
-from dbrg.params import IntersectionArray
+from dbrg.params import DerivedGraphError, IntersectionArray, derived_array
 from dbrg.perpsys import perp_verify
+
+from simple_graphs import petersen
 
 
 def verified(result):
@@ -186,8 +188,7 @@ def test_claimed_automorphisms_pass_and_keep_the_result(build, count):
 
 def test_derived_from_q4_parent():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
-    pres = dbrg_check(parent.graph)
-    d = derived_local_graph(parent.graph, "B", 0, array=pres.array)
+    d = derived_local_graph(parent.graph, "B", 0)
     assert d.params["gamma3"] == 2
     assert (d.graph.nB, d.graph.nC) == (18, 18)
     res = dbrg_check(d.graph)
@@ -214,28 +215,39 @@ def test_derived_rejects_bi_johnson_parent():
 
 
 def test_derived_rejects_supplied_array_without_distance_4():
-    # c3C = k and c2C = l - 1: b3 = 0 on the C line before its last cell,
-    # which the array check rejects
-    parent = complete_bipartite(3, 4).graph
+    # derived_array validates its input: c3C = k and c2C = l - 1 give b3 = 0
+    # on the C line before its last cell, and c2B = 0 is no c-number; an
+    # invalid array is a ValueError, not a failed hypothesis
     arr = IntersectionArray(3, 4, (1, 2, 2, 3), (1, 3, 3, 4))
-    with pytest.raises(DerivedGraphError) as err:
-        derived_local_graph(parent, "C", 0, array=arr)
-    assert err.value.condition == "array_invalid"
-    with pytest.raises(DerivedGraphError) as err:
-        derived_local_graph(parent, "C", 0, array=IntersectionArray(3, 4, (1, 0, 2, 3), arr.cC))
-    assert err.value.condition == "array_invalid"
+    for bad, message in ((arr, r"c_3\^C = 3 outside \[1, 3\)"),
+                         (IntersectionArray(3, 4, (1, 0, 2, 3), arr.cC), r"c_2\^B = 0 outside")):
+        with pytest.raises(ValueError, match=message) as err:
+            derived_array(bad)
+        assert not isinstance(err.value, DerivedGraphError)
 
 
 def test_derived_rejects_undefined_gamma3():
     # a valid array whose distance-3 homogeneity denominator
     # b3(c4 - 1) + c3(b2 - 1) is 0 (c4 = 1, b2 = 1), so Delta3 = 0 and
     # gamma3 is 0/0
-    parent = complete_bipartite(3, 3).graph
     arr = IntersectionArray(3, 3, (1, 2, 1, 1, 1, 3), (1, 2, 1, 1, 1, 3))
     arr.validate()
     with pytest.raises(DerivedGraphError) as err:
-        derived_local_graph(parent, "C", 0, array=arr)
+        derived_array(arr)
     assert err.value.condition == "gamma3_undefined"
+
+
+@pytest.mark.parametrize("build,side,condition", [
+    (lambda: complete_bipartite(3, 4).graph, "C", "diameter"),
+    (lambda: subdivision(petersen()), "B", "c2_bound"),
+], ids=["complete_bipartite", "subdivided_petersen"])
+def test_derived_checks_the_measured_array(build, side, condition):
+    # the hypotheses are checked on the parent's measured array, oriented to
+    # z: K_3,4 has covering radii 2; seen from a Petersen vertex, the
+    # subdivided Petersen graph has c4 = 1 on z's line and gamma3 = c2 = 1
+    with pytest.raises(DerivedGraphError) as err:
+        derived_local_graph(build(), side, 0)
+    assert err.value.condition == condition
 
 
 @pytest.mark.parametrize("side,index,message", [
@@ -246,17 +258,15 @@ def test_derived_rejects_undefined_gamma3():
 ])
 def test_derived_rejects_vertex_outside_parent(side, index, message):
     parent = gen_delorme_graph(dual_hyperoval_system(4))
-    arr = dbrg_check(parent.graph).array
     with pytest.raises(ValueError, match=message) as err:
-        derived_local_graph(parent.graph, side, index, array=arr)
+        derived_local_graph(parent.graph, side, index)
     assert not isinstance(err.value, DerivedGraphError)
 
 
 def test_derived_vertex_choice_is_irrelevant():
     parent = gen_delorme_graph(dual_hyperoval_system(4))
-    arr = dbrg_check(parent.graph).array
-    a = derived_local_graph(parent.graph, "B", 0, array=arr)
-    b = derived_local_graph(parent.graph, "B", 17, array=arr)
+    a = derived_local_graph(parent.graph, "B", 0)
+    b = derived_local_graph(parent.graph, "B", 17)
     assert dbrg_check(a.graph).array == dbrg_check(b.graph).array
 
 

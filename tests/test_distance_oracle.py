@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from dbrg.bigraph import (
     BipartiteGraph,
     DbrgResult,
-    Graph,
     _levels,
     dbrg_check,
     distance_partition,
@@ -27,6 +26,8 @@ from dbrg.bigraph import (
 )
 from dbrg.constructions import cone_graph
 from dbrg.params import IntersectionArray
+
+from simple_graphs import simple_graph
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -49,9 +50,9 @@ def structured_bigraphs(draw):
     elif kind == "cycle":
         g = BipartiteGraph(n, n, [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)])
     elif kind == "subdivided-cycle":
-        g = subdivision(Graph(n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)]))
+        g = subdivision(simple_graph(n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)]))
     else:
-        g = subdivision(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+        g = subdivision(simple_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
     extra = draw(st.lists(st.tuples(st.integers(0, g.nB - 1), st.integers(0, g.nC - 1)),
                           max_size=2))
     return BipartiteGraph(g.nB, g.nC, list(g.edges) + extra)
@@ -204,7 +205,7 @@ def products(g, side):
             calls.append(other)
             return np.asarray(other) @ np.asarray(self)
 
-    n = g.biadjacency(np.float32).view(Counted)
+    n = g.biadjacency().view(Counted)
     levels = list(_levels(g, n, side, np.arange((g.nB, g.nC)[side])))
     return len(calls), len(levels)
 
@@ -219,6 +220,19 @@ def test_last_level_costs_no_product(g, expected):
     # level 1 is the sources' rows and the last level is free: a BFS of
     # eccentricity e from every source of a class runs e - 2 products
     assert products(g, 0) == products(g, 1) == expected
+
+
+@pytest.mark.parametrize("source,entry,level", [(0, (0, 2), 1), (0, (1, 1), 2)],
+                         ids=["source_row", "later_product"])
+def test_levels_refuse_a_non_finite_count(source, entry, level):
+    # a NaN count is never > 0: its vertex would stay unreached without a word.
+    # From B0 of the 6-cycle level 1 is B0's row of N, {C0, C1}; C2 is still
+    # unseen, so level 2 is a product, whose B1 count takes the NaN at B1 - C1
+    g = BipartiteGraph(3, 3, [(i, i) for i in range(3)] + [(i, (i + 1) % 3) for i in range(3)])
+    n = g.biadjacency()
+    n[entry] = np.nan
+    with pytest.raises(RuntimeError, match=f"non-finite neighbour count at BFS level {level}"):
+        list(_levels(g, n, 0, np.array([source])))
 
 
 @st.composite

@@ -256,3 +256,20 @@ def test_edited_perp_file_parses_or_exits_65(workdir, params, edits):
         except ValueError:
             assert 65 in codes
         assert codes <= {0, 2, 65}
+
+
+@pytest.mark.parametrize("members,message", [
+    ("1,0,0;0,1,0\n1,0,0;1,0,0\n", "line 3: linearly dependent rows span dimension 1"),
+    ("1,0,0;0,0,0\n1,0,0;0,1,0\n", "line 2: linearly dependent rows span dimension 1"),
+    ("1,0,0;0,1,0\n\n1,1,0;0,1,0\n", "line 4: repeats the member on line 2"),
+])
+def test_perp_file_member_faults_name_their_line(workdir, capsys, members, message):
+    # rows spanning less than their count, or the same plane twice: the
+    # family check in perp_verify would reject both without naming a line
+    text = "q=2^1 modulus=0,1 n=3 k=1\n" + members
+    with pytest.raises(ValueError) as err:
+        parse_perp(text)
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert exit_codes(workdir / "m.perp", text, [["perp", "verify"], ["roundtrip"]]) == {65}
+    assert capsys.readouterr().err == f"invalid input: {message}\n" * 2

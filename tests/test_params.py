@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbrg.feasibility import enumerate_feasible, evaluate
-from dbrg.params import (IntersectionArray, homogeneity, perp_params, perp_srg_params,
-                         prime_power)
+from dbrg.params import (DerivedGraphError, IntersectionArray, derived_array, homogeneity,
+                         perp_params, perp_srg_params, prime_power)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +81,32 @@ def test_homogeneity_pinned_on_the_2000_table():
            for i in (2, 3)]
     assert len(got) == 4 * 91
     assert _digest(got) == "5d8299574619fbc700c5d3ace26b69c14115eb1d2df7562c7edce6c1f0462272"
+
+
+@pytest.mark.parametrize("text,condition,detail", [
+    # gamma3_undefined: test_constructions.test_derived_rejects_undefined_gamma3
+    ("{3;1,3 | 4;1,4}", "diameter", "parent must have covering radii at least 4"),
+    ("{2;1,1,1,2 | 3;1,1,1,3}", "delta3_nonzero", "distance-3 homogeneity scalar is 2"),
+    # c2B <= gamma3 needs c4C = 1, so a covering radius of 5 or more: the
+    # subdivided Petersen graph, seen from a vertex of the Petersen graph
+    ("{2;1,1,1,1,2,2 | 3;1,1,1,1,2}", "c2_bound", "need c2 > gamma3 = 1"),
+    ("{2;1,1,1,2 | 2;1,1,1,2}", "b3_bound", "need b3 > c2 - gamma3 = 1"),
+    ("{2;1,1,1,2 | 7;1,3,1,7}", "gamma3_integrality", "gamma3 = 1/3 is not an integer"),
+    ("{6;1,2,1,6 | 5;1,2,4,5}", "array_integrality", "derived c3 is not an integer"),
+])
+def test_derived_array_names_each_failing_hypothesis(text, condition, detail):
+    with pytest.raises(DerivedGraphError) as err:
+        derived_array(IntersectionArray.parse(text))
+    assert err.value.condition == condition
+    assert str(err.value) == f"{condition}: {detail}"
+
+
+def test_derived_array_values():
+    assert derived_array(IntersectionArray.parse("{3;1,1,1,3 | 2;1,1,1,2}")) == (
+        IntersectionArray.parse("{2;1,1,1,2 | 2;1,1,1,2}"), 0)
+    # the generalised Delorme graph of the dual hyperoval in PG(2,8), at a B vertex
+    assert derived_array(IntersectionArray.parse("{64;1,8,9,64 | 10;1,2,36,10}")) == (
+        IntersectionArray.parse("{28;1,4,9,28 | 10;1,2,18,10}"), 4)
 
 
 def _factor(q):
