@@ -10,20 +10,17 @@ given generators span, after checking each generator exactly against the
 edges.  The trivial group (no generators) is the BFS from every vertex.
 
 Every distance comes from one engine, :func:`_levels`: level-synchronous
-BFS from up to ``_BATCH`` sources of one class at once, as products with
-the biadjacency matrix N (BFS as linear algebra).  A frontier on B times N
-reaches C, one on C times N^T reaches B; each product counts, per vertex,
-its neighbours in the frontier.  The graph is bipartite, so no edge joins
-two vertices at the same distance: for a vertex first reached at level i
-the product is exactly c_i, and b_i = deg - c_i.  One pass gives the
-distances and the (c, b) profile of every source in the batch.  The level
-after one that completes its class is the rest of the other class, with
-c the degree: no product, so eccentricity e >= 2 costs e - 2 products.
-Float32 products are exact: the terms are 0/1, so every partial sum is
-an integer at most the maximum degree, and degrees of 2**24 or more are
-refused.  Memory: edges are two sorted int32 arrays; the engine holds N
-densely (4 nB nC bytes) plus, per level, a few ``_BATCH`` x class-size
-arrays; the file reader holds ``_CHUNK`` lines at a time.
+BFS from up to 64 ``_WORDS`` sources of one class at once, bit-parallel
+(Akiba, Iwata & Yoshida, SIGMOD 2013): bit s of word w of a vertex's row
+stands for source 64w + s.  A counting pass ripple-adds the frontier
+words of each neighbour slot into bit planes, plane i holding bit i of
+every vertex's number of neighbours in the frontier.  The graph is
+bipartite, so for a vertex first reached at level i that number is c_i,
+and b_i = deg - c_i.  Level 1 comes from the edges, and the level after
+one that completes its class is the rest of the other class, with c the
+degree: eccentricity e >= 2 costs e - 2 counting passes.  Memory: the
+edges and the neighbour tables, int32, and per level a few class size x
+``_WORDS`` word arrays; the file reader holds ``_CHUNK`` lines at a time.
 
 A simple :class:`Graph` (a halved graph, or subdivision input) is held as
 a dense read-only boolean adjacency matrix: every consumer works densely,
@@ -44,6 +41,7 @@ from __future__ import annotations
 
 import io
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -129,8 +127,8 @@ class BipartiteGraph:
         return self.eb[self.ec == v - self.nB].astype(np.int64)
 
     def biadjacency(self) -> np.ndarray:
-        """N, the nB x nC float32 0/1 matrix of every product here.  The products
-        are exact: each count is at most nB or nC, far below 2**24."""
+        """N, the nB x nC float32 0/1 matrix of the halved-graph and shortcut
+        products, exact: each count is at most nB or nC, far below 2**24."""
         n = np.zeros((self.nB, self.nC), dtype=np.float32)
         n[self.eb, self.ec] = 1
         return n
@@ -169,54 +167,112 @@ class Graph:
 # Distance engine
 # ---------------------------------------------------------------------------
 
-_BATCH = 64  # sources per BFS pass: per-level arrays stay at _BATCH x class size
-_EXACT_DEGREE = 1 << 24  # float32 counts every integer up to 2**24 exactly
+_WORDS = 16  # source words per BFS chunk: each level array is class size x 16 words
 _CHUNK = 1024  # graph-file lines converted per step: the word lists stay small
 
+# A class's rows are its vertices by decreasing degree, ``order[row]`` the
+# class-local index and ``rank`` its inverse.  Slot j of ``table``, a row's
+# neighbours in the other class, is held by the first ``prefix[j]`` rows;
+# ``degree[i]`` is all ones on the rows whose degree has bit i set.
+_Class = namedtuple("_Class", "order rank table prefix degree")
 
-def _levels(g: BipartiteGraph, n: np.ndarray, side: int, sources: np.ndarray):
-    """BFS from class-local ``sources`` of class ``side`` (0 = B, 1 = C), with
-    ``n`` the float32 biadjacency.  Yields ``(level, cls, new, counts)`` for
-    level 1, 2, ...: ``new`` marks, one row per source, the class-``cls``
-    vertices first reached there; ``counts`` under ``new`` are their c_level.
-    Once a level completes its class, the unseen vertices of positive degree
-    have all their neighbours there: the last level, c = degree.  RuntimeError
-    for a count that is not finite: a NaN is never > 0, its vertex unreached."""
-    steps = (n, n.T)
+
+def _tables(g: BipartiteGraph) -> tuple[_Class, _Class]:
     deg = (g.degrees[:g.nB], g.degrees[g.nB:])
-    seen = [np.zeros((len(sources), g.nB), bool), np.zeros((len(sources), g.nC), bool)]
-    seen[side][np.arange(len(sources)), sources] = True
-    counts, level = steps[side][sources], 1  # level 1: the sources' own rows
-    while True:
-        if not np.isfinite(counts).all():
-            raise RuntimeError(f"non-finite neighbour count at BFS level {level}")
-        side = 1 - side
-        new = (counts > 0) & ~seen[side]
-        if not new.any():
+    order = [np.argsort(-d, kind="stable") for d in deg]
+    rank = [np.argsort(o).astype(np.int32) for o in order]
+    classes = []
+    for x, (heads, tails) in enumerate(((g.eb, g.ec), (g.ec, g.eb))):
+        d = deg[x][order[x]]
+        top = int(d[0]) if d.size else 0
+        table = np.zeros((d.size, top), np.int32)
+        table[np.arange(top) < d[:, None]] = rank[1 - x][tails[np.argsort(rank[x][heads])]]
+        bits = (d >> np.arange(top.bit_length())[:, None]) & 1
+        bits = bits if (d[:1] > d[-1:]).any() else bits[:, :1]
+        classes.append(_Class(order[x], rank[x], table, np.searchsorted(-d, -np.arange(top)),
+                              (-bits).astype(np.uint64)[:, :, None]))
+    return classes[0], classes[1]
+
+
+def _count(c: _Class, frontier: np.ndarray) -> np.ndarray:
+    """Bit planes, low first, of each row's number of neighbours in ``frontier``:
+    slot j's words are ripple-added into the planes a count of j + 1 reaches."""
+    planes = np.zeros((len(c.prefix).bit_length(), len(c.table), frontier.shape[1]), np.uint64)
+    for j, rows in enumerate(c.prefix.tolist()):
+        carry = frontier[c.table[:rows, j]]
+        for p in planes[:(j + 1).bit_length(), :rows]:
+            low = p & carry
+            p ^= carry
+            carry = low
+    return planes
+
+
+def _levels(t: tuple[_Class, _Class], side: int, src: np.ndarray):
+    """Bit-parallel BFS from the rows ``src`` of class ``side`` (0 = B, 1 = C).
+    Yields ``(level, cls, new, planes, seen)`` for level 0, 1, ...: ``new``
+    marks, per class-``cls`` row, the sources that first reach it there,
+    ``planes`` (broadcast to ``new``) hold its c_level, and ``seen`` both
+    classes' reached sets.  Once a level completes its class, the unseen
+    rows of positive degree are the last level, with c their degree."""
+    word, s = np.divmod(np.arange(len(src)), 64)
+    bit = np.uint64(1) << s.astype(np.uint64)
+    seen = [np.zeros((len(c.order), word[-1] + 1), np.uint64) for c in t]
+    new, planes = np.zeros_like(seen[side]), np.zeros((0, 1, 1), np.uint64)
+    new[src, word] = bit
+    full, level, cls, last = np.bitwise_or.reduce(new, axis=0), 0, side, False
+    while new.any():
+        seen[cls] |= new
+        yield level, cls, new, planes, seen
+        if last:
             return
-        seen[side] |= new
-        yield level, side, new, counts
-        if seen[side].all():
-            new = ~seen[1 - side] & (deg[1 - side] > 0)
-            if new.any():
-                yield level + 1, 1 - side, new, np.broadcast_to(deg[1 - side], new.shape)
-            return
-        counts, level = new.astype(np.float32) @ steps[side], level + 1
+        o = t[1 - cls]
+        if level == 0:  # level 1 from the edges, c = 1
+            valid = t[side].prefix > src[:, None]
+            n, new = valid.sum(1), np.zeros_like(seen[1 - cls])
+            np.bitwise_or.at(new, (t[side].table[src][valid], np.repeat(word, n)), np.repeat(bit, n))
+            planes = np.full((1, 1, 1), ~np.uint64(0))
+        elif (np.bitwise_and.reduce(seen[cls], axis=0) == full).all():
+            new = ~seen[1 - cls] & full & np.bitwise_or.reduce(o.degree, axis=0)
+            planes, last = o.degree, True
+        else:
+            planes = _count(o, new)
+            new = np.bitwise_or.reduce(planes, axis=0) & ~seen[1 - cls]
+        level, cls = level + 1, 1 - cls
 
 
 def _sweeps(g: BipartiteGraph, vertices: Iterable[int]):
-    """Yield ``(batch, levels)`` per run of up to ``_BATCH`` same-class
-    vertices of the increasing ``vertices``; ``levels`` is its BFS."""
+    """Yield ``(batch, tables, levels)`` per run of up to 64 ``_WORDS``
+    same-class vertices of the increasing ``vertices``."""
     vs = np.asarray(vertices, dtype=np.int64)
     if vs.size and (vs[0] < 0 or vs[-1] >= g.V):
         raise ValueError(f"vertex out of range for V={g.V}")
-    if g.V and g.degrees.max() >= _EXACT_DEGREE:
-        raise ValueError("maximum degree must be below 2**24 for exact float32 counts")
-    n = g.biadjacency()
+    t = _tables(g)
     for side, part in ((0, vs[vs < g.nB]), (1, vs[vs >= g.nB] - g.nB)):
-        for start in range(0, len(part), _BATCH):
-            batch = part[start:start + _BATCH]
-            yield batch + side * g.nB, _levels(g, n, side, batch)
+        for start in range(0, len(part), 64 * _WORDS):
+            batch = part[start:start + 64 * _WORDS]
+            yield batch + side * g.nB, t, _levels(t, side, t[side].rank[batch])
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Bits 0..n-1 of each row of uint64 words, as uint8 0/1."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, bitorder="little")[..., :n]
+
+
+def _alone(g: BipartiteGraph, v: int) -> tuple[list[list[int]], tuple[int, int, int] | None]:
+    """The BFS from v alone: its cells, increasing, and ``(level, u, w)`` for
+    its first inequitable cell, u its least vertex, w the least unlike u."""
+    (_, t, levels), = _sweeps(g, [v])
+    cells, witness = [], None
+    for level, cls, new, planes, _ in levels:
+        rows = np.flatnonzero(new[:, 0])
+        rows = rows[np.argsort(t[cls].order[rows])]
+        cells.append((t[cls].order[rows] + cls * g.nB).tolist())
+        key = np.array([np.broadcast_to(p, new.shape)[rows, 0] for p in (*planes, *t[cls].degree)],
+                       np.uint64).reshape(-1, len(rows)) & 1
+        odd = (key != key[:, :1]).any(axis=0)
+        if witness is None and odd.any():
+            witness = (level, cells[-1][0], cells[-1][odd.argmax()])
+    return cells, witness
 
 
 @dataclass(frozen=True)
@@ -239,16 +295,9 @@ class _Disconnected(ValueError):
         super().__init__("graph is disconnected")
 
 
-def _cells(g: BipartiteGraph, v: int) -> tuple[tuple[int, ...], ...]:
-    """The vertices at distance 0, 1, 2, ... from v, in its component."""
-    (_, levels), = _sweeps(g, [v])
-    return ((v,),) + tuple(tuple((np.flatnonzero(new[0]) + cls * g.nB).tolist())
-                           for _, cls, new, _ in levels)
-
-
 def distance_partition(g: BipartiteGraph, v: int) -> DistancePartition:
     """BFS-exact distance partition from v; raises if g is disconnected."""
-    cells = _cells(g, v)
+    cells = tuple(map(tuple, _alone(g, v)[0]))
     if sum(map(len, cells)) < g.V:
         raise _Disconnected()
     return DistancePartition(v, cells)
@@ -265,33 +314,29 @@ class LocalCheck:
 def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
     """Yield the :class:`LocalCheck` of each of the increasing ``vertices``.
 
-    A cell is equitable iff c and the degree are constant on it (b = deg - c).
-    Raises ValueError if g is disconnected.
+    A cell is equitable iff c and the degree (b = deg - c) are: iff no bit
+    plane of either has a set and a clear bit under ``new``, which word ORs
+    decide.  ValueError if g is disconnected.
     """
-    deg = (g.degrees[:g.nB], g.degrees[g.nB:])
-    uneven = [d.size > 0 and d.min() < d.max() for d in deg]  # else deg != du never holds
-    for batch, levels in _sweeps(g, vertices):
-        rows = np.arange(len(batch))
-        profiles = [[(0, d)] for d in g.degrees[batch].tolist()]
-        fail, reached = {}, np.ones(len(batch), np.int64)
-        for level, cls, new, counts in levels:
-            u = new.argmax(axis=1)
-            cu, du = counts[rows, u], deg[cls][u]
-            bad = new & (counts != cu[:, None])
-            if uneven[cls]:
-                bad |= new & (deg[cls] != du[:, None])
-            off = cls * g.nB
-            for r in np.flatnonzero(bad.any(axis=1)).tolist():
-                fail.setdefault(r, (level, int(u[r]) + off, int(bad[r].argmax()) + off))
-            sizes = new.sum(axis=1)
-            for r in np.flatnonzero(sizes).tolist():
-                profiles[r].append((int(cu[r]), int(du[r]) - int(cu[r])))
-            reached += sizes
-        if reached.min() < g.V:
+    for batch, t, levels in _sweeps(g, vertices):
+        rows = []  # per level and source: reached, inequitable, c, degree
+        for _, cls, new, planes, seen in levels:
+            reach, values, bad = np.bitwise_or.reduce(new, axis=0), [], 0
+            for p in (planes, t[cls].degree):
+                x = new if p.shape[1] > 1 else reach[None]  # planes alike on every row: their OR
+                hit = p & x
+                hi, lo = np.bitwise_or.reduce(hit, axis=1), np.bitwise_or.reduce(hit ^ x, axis=1)
+                bad = bad | np.bitwise_or.reduce(hi & lo, axis=0)
+                values.append(_bits(hi, len(batch)).T @ (1 << np.arange(len(hi))))
+            rows.append((_bits(reach, len(batch)), _bits(bad, len(batch)), *values))
+        whole = np.bitwise_and.reduce(seen[0], axis=0) & np.bitwise_and.reduce(seen[1], axis=0)
+        if not _bits(whole, len(batch)).all():
             raise _Disconnected()
-        for r, profile in enumerate(profiles):
-            c, b = zip(*profile)
-            yield LocalCheck(False, witness=fail[r]) if r in fail else LocalCheck(True, c=c, b=b)
+        reached, bad, c, d = np.array(rows).transpose(1, 2, 0)
+        cs, bs, ecc, bad = c.tolist(), (d - c).tolist(), reached.sum(1).tolist(), bad.any(1).tolist()
+        for r, v in enumerate(batch.tolist()):
+            yield (LocalCheck(False, witness=_alone(g, v)[1]) if bad[r]
+                   else LocalCheck(True, c=tuple(cs[r][:ecc[r]]), b=tuple(bs[r][:ecc[r]])))
 
 
 def local_dr_check(g: BipartiteGraph, v: int) -> LocalCheck:
@@ -375,6 +420,9 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
     local check, so the result and its witness are those of the full
     check: the first failing vertex is the least of its orbit, and so are
     vertex 0 and the first C vertex, the references of each class.
+
+    The engine runs 64 ``_WORDS`` sources at a time, in memory bounded by
+    the edges and that chunk; a failing source runs again alone.
     """
     if g.nB == 0 or g.nC == 0:
         raise ValueError(f"both classes must be non-empty, got B={g.nB} C={g.nC}")
@@ -389,7 +437,7 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
             if (c, b) != (res.c, res.b):
                 return DbrgResult(False, witness=("side", side, rep, v))
     except _Disconnected:  # raised by the first batch, before any verdict
-        apart = min(set(range(g.V)).difference(*_cells(g, 0)))
+        apart = min(set(range(g.V)).difference(*_alone(g, 0)[0]))
         return DbrgResult(False, witness=("disconnected", 0, apart))
     (_, cB, bB), (_, cC, bC) = first["B"], first["C"]
     array = IntersectionArray(k=bB[0], l=bC[0], cB=cB[1:], cC=cC[1:])
@@ -400,11 +448,12 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
 def girth(g: BipartiteGraph) -> int:
     """Exact girth, 0 for an acyclic graph: a vertex first reached at level i
     with two parents closes a cycle of length at most 2i, and every vertex
-    of a shortest cycle sees one at half its length."""
+    of a shortest cycle sees one at half its length.  Two parents or more
+    is a set bit in count plane 1 or above under ``new``."""
     best = 0
-    for _, levels in _sweeps(g, range(g.V)):
-        for level, _, new, counts in levels:
-            if (counts[new] >= 2).any():
+    for _, _, levels in _sweeps(g, range(g.V)):
+        for level, _, new, planes, _ in levels:
+            if any((p & new).any() for p in planes[1:]):
                 best = 2 * level
             if best and 2 * level + 2 >= best:
                 break
@@ -559,9 +608,9 @@ def c3_shortcut_check(g: BipartiteGraph, c2b: int, c3b: int, c2c: int) -> Shortc
 # ---------------------------------------------------------------------------
 
 def serialize_graph(g: BipartiteGraph) -> str:
-    lines = [f"B={g.nB} C={g.nC}"]
-    lines.extend(f"{b} {c}" for b, c in zip(g.eb.tolist(), g.ec.tolist()))
-    return "\n".join(lines) + "\n"
+    b = np.array([f"{i} " for i in range(g.nB)], dtype=object)
+    c = np.array([f"{j}\n" for j in range(g.nC)], dtype=object)
+    return f"B={g.nB} C={g.nC}\n" + "".join((b[g.eb] + c[g.ec]).tolist())
 
 
 def parse_graph(source: str | TextIO) -> BipartiteGraph:

@@ -484,7 +484,8 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
 
     ValueError if the header does not give each of q, modulus, n and k
     exactly once, and nothing else, or naming the first member line with a
-    bad vector, linearly dependent rows or an earlier line's member."""
+    bad vector, linearly dependent rows, another dimension than the first
+    member's or an earlier line's member."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty perp file")
@@ -515,6 +516,8 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
         member = subspace_make(ctx, n, rows)
         if member.dim < len(rows):
             raise ValueError(f"line {no}: linearly dependent rows span dimension {member.dim}")
+        if member.dim != (first := next(iter(members), member)).dim:
+            raise ValueError(f"line {no}: dimension {member.dim}, not {first.dim} as on line {members[first]}")
         if member in members:
             raise ValueError(f"line {no}: repeats the member on line {members[member]}")
         members[member] = no

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from dbrg import bigraph
 from dbrg.bigraph import (
     BipartiteGraph,
     Graph,
@@ -302,10 +301,3 @@ def test_array_invariants_raise():
         IntersectionArray(3, 2, (1, 1, 1, 1, 2), (1, 1, 3)).validate()
     with pytest.raises(ValueError, match="odd diameter"):
         IntersectionArray(3, 2, (1, 1, 2), (1, 1, 3)).validate()
-
-
-def test_engine_refuses_degrees_beyond_exact_float32(monkeypatch):
-    monkeypatch.setattr(bigraph, "_EXACT_DEGREE", 3)
-    with pytest.raises(ValueError, match="2\\*\\*24"):
-        dbrg_check(complete_bip(3, 3))
-    assert dbrg_check(complete_bip(2, 2)).ok

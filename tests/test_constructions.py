@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -164,6 +165,22 @@ def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
     # sha256 of the graph file as the per-vector builders wrote it
     text = serialize_graph(build().graph)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_distance_engine_memory_is_below_dense_n():
+    # the check of the dual Denniston (16,4) Delorme graph, 4096+832
+    # vertices, with its translations: the engine keeps neighbour tables
+    # and bit sets, far below the 4 nB nC bytes of a float32 biadjacency
+    built = gen_delorme_graph(dual_denniston_system(16, 4))
+    g = built.graph
+    tracemalloc.start()
+    try:
+        res = dbrg_check(g, built.automorphisms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.array == built.predicted
+    assert peak < 4 * g.nB * g.nC / 2, peak
 
 
 @pytest.mark.parametrize("build,count", [

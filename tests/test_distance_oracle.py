@@ -5,7 +5,8 @@ of distance-biregularity one vertex at a time, in index order, the way
 the witness contract states it.  Random graphs closed under random
 class-preserving permutations check the orbit path of ``dbrg_check``
 against its full path.  Named graphs check the last BFS level, which the
-engine finds without a product, and count the products it runs.
+engine finds without a counting pass, and count the passes it runs;
+others put counts at the edges of the engine's bit planes.
 """
 
 import networkx as nx
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbrg import bigraph
 from dbrg.bigraph import (
     BipartiteGraph,
     DbrgResult,
-    _levels,
     dbrg_check,
     distance_partition,
     flip,
@@ -58,8 +59,19 @@ def structured_bigraphs(draw):
     return BipartiteGraph(g.nB, g.nC, list(g.edges) + extra)
 
 
+@st.composite
+def dense_bigraphs(draw):
+    # classes of up to 24 vertices, a complete graph less a few random edges:
+    # counts reach 2**4 and beyond, so the engine's fifth bit plane carries
+    nb, nc = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    pairs = st.tuples(st.integers(0, nb - 1), st.integers(0, nc - 1))
+    missing = set(draw(st.lists(pairs, max_size=2 * max(nb, nc))))
+    return BipartiteGraph(nb, nc, [(b, c) for b in range(nb) for c in range(nc)
+                                   if (b, c) not in missing])
+
+
 def bigraphs():
-    return st.one_of(random_bigraphs(), structured_bigraphs())
+    return st.one_of(random_bigraphs(), structured_bigraphs(), dense_bigraphs())
 
 
 class Oracle:
@@ -192,22 +204,14 @@ def test_last_level_matches_oracle(g):
         assert_girth_matches_oracle(h)
 
 
-def products(g, side):
-    """The biadjacency products of one BFS pass from all of class ``side``."""
+def passes(g, side, monkeypatch):
+    """The counting passes and levels of one BFS from all of class ``side``."""
     calls = []
-
-    class Counted(np.ndarray):
-        def __matmul__(self, other):
-            calls.append(other)
-            return np.asarray(self) @ np.asarray(other)
-
-        def __rmatmul__(self, other):
-            calls.append(other)
-            return np.asarray(other) @ np.asarray(self)
-
-    n = g.biadjacency().view(Counted)
-    levels = list(_levels(g, n, side, np.arange((g.nB, g.nC)[side])))
-    return len(calls), len(levels)
+    count = bigraph._count
+    monkeypatch.setattr(bigraph, "_count", lambda c, frontier: calls.append(c) or count(c, frontier))
+    (_, _, levels), = bigraph._sweeps(g, range(side * g.nB, g.nB + side * g.nC))
+    eccentricity = len(list(levels)) - 1
+    return len(calls), eccentricity
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -216,23 +220,34 @@ def products(g, side):
      (1, 3)),
     (cone_graph(2).graph, (2, 4)),
 ], ids=["K_3,4", "6-cycle", "cone_q2"])
-def test_last_level_costs_no_product(g, expected):
-    # level 1 is the sources' rows and the last level is free: a BFS of
-    # eccentricity e from every source of a class runs e - 2 products
-    assert products(g, 0) == products(g, 1) == expected
+def test_last_level_costs_no_product(g, expected, monkeypatch):
+    # level 1 comes from the edges and the last level is free: a BFS of
+    # eccentricity e from every source of a class runs e - 2 counting passes
+    assert passes(g, 0, monkeypatch) == passes(g, 1, monkeypatch) == expected
 
 
-@pytest.mark.parametrize("source,entry,level", [(0, (0, 2), 1), (0, (1, 1), 2)],
-                         ids=["source_row", "later_product"])
-def test_levels_refuse_a_non_finite_count(source, entry, level):
-    # a NaN count is never > 0: its vertex would stay unreached without a word.
-    # From B0 of the 6-cycle level 1 is B0's row of N, {C0, C1}; C2 is still
-    # unseen, so level 2 is a product, whose B1 count takes the NaN at B1 - C1
-    g = BipartiteGraph(3, 3, [(i, i) for i in range(3)] + [(i, (i + 1) % 3) for i in range(3)])
-    n = g.biadjacency()
-    n[entry] = np.nan
-    with pytest.raises(RuntimeError, match=f"non-finite neighbour count at BFS level {level}"):
-        list(_levels(g, n, 0, np.array([source])))
+# Degrees and counts that fill or overflow a bit plane, each graph with its
+# classes exchanged too.  In K_{2,7..9}, K_{3,255} and K_{3,256} they are
+# degrees, and c = degree on the last level; K_{n,n} less a perfect
+# matching runs a counting pass to c = n - 2 = 7, 8, 9.  The last graph is
+# not distance-biregular: from C0 the level-2 cell is C1 and C2, both of
+# degree 9, with 1 and 9 neighbours at level 1: counts that differ in bit 3
+# alone, after an equitable level 1.
+BIT_PLANE_CASES = {
+    **{f"K_{k},{l}": complete(k, l) for k, l in [(2, 7), (2, 8), (2, 9), (3, 255), (3, 256)]},
+    **{f"K_{n},{n}-I": BipartiteGraph(n, n, [(b, c) for b in range(n) for c in range(n) if b != c])
+       for n in (9, 10, 11)},
+    "counts_1_and_9": BipartiteGraph(18, 3, [(b, 0) for b in range(10)] + [(0, 1)]
+                                     + [(b, 1) for b in range(10, 18)]
+                                     + [(b, 2) for b in range(1, 10)]),
+}
+
+
+@pytest.mark.parametrize("g", BIT_PLANE_CASES.values(), ids=BIT_PLANE_CASES)
+def test_bit_plane_boundaries_match_oracle(g):
+    for h in (g, flip(g)):
+        assert_dbrg_check_matches_oracle(h)
+        assert_local_checks_and_partitions_match_oracle(h)
 
 
 @st.composite

@@ -262,10 +262,12 @@ def test_edited_perp_file_parses_or_exits_65(workdir, params, edits):
     ("1,0,0;0,1,0\n1,0,0;1,0,0\n", "line 3: linearly dependent rows span dimension 1"),
     ("1,0,0;0,0,0\n1,0,0;0,1,0\n", "line 2: linearly dependent rows span dimension 1"),
     ("1,0,0;0,1,0\n\n1,1,0;0,1,0\n", "line 4: repeats the member on line 2"),
+    ("1,0,0;0,1,0\n1,0,0\n", "line 3: dimension 1, not 2 as on line 2"),
 ])
 def test_perp_file_member_faults_name_their_line(workdir, capsys, members, message):
-    # rows spanning less than their count, or the same plane twice: the
-    # family check in perp_verify would reject both without naming a line
+    # rows spanning less than their count, the same plane twice, or a member
+    # of another dimension: the family check in perp_verify would reject
+    # each without naming a line
     text = "q=2^1 modulus=0,1 n=3 k=1\n" + members
     with pytest.raises(ValueError) as err:
         parse_perp(text)
