@@ -42,8 +42,7 @@ from __future__ import annotations
 import io
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -275,8 +274,7 @@ def _alone(g: BipartiteGraph, v: int) -> tuple[list[list[int]], tuple[int, int, 
     return cells, witness
 
 
-@dataclass(frozen=True)
-class DistancePartition:
+class DistancePartition(NamedTuple):
     source: int
     cells: tuple[tuple[int, ...], ...]
 
@@ -303,8 +301,7 @@ def distance_partition(g: BipartiteGraph, v: int) -> DistancePartition:
     return DistancePartition(v, cells)
 
 
-@dataclass(frozen=True)
-class LocalCheck:
+class LocalCheck(NamedTuple):
     ok: bool
     c: tuple[int, ...] = ()
     b: tuple[int, ...] = ()
@@ -348,8 +345,7 @@ def local_dr_check(g: BipartiteGraph, v: int) -> LocalCheck:
     return next(_local_checks(g, [v]))
 
 
-@dataclass(frozen=True)
-class DbrgResult:
+class DbrgResult(NamedTuple):
     ok: bool
     array: IntersectionArray | None = None
     regular: bool = False
@@ -460,8 +456,7 @@ def girth(g: BipartiteGraph) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class SemiregularResult:
+class SemiregularResult(NamedTuple):
     ok: bool
     k: int | None = None
     l: int | None = None
@@ -489,8 +484,7 @@ def halved_graphs(g: BipartiteGraph) -> tuple[Graph, Graph]:
     return halves[0], halves[1]
 
 
-@dataclass(frozen=True)
-class SrgResult:
+class SrgResult(NamedTuple):
     ok: bool
     params: tuple[int, int, int, int] | None = None
     witness: tuple | None = None
@@ -554,8 +548,7 @@ def induced_subgraph(
 # Diameter-4 shortcut check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShortcutResult:
+class ShortcutResult(NamedTuple):
     verdict: str  # "applies" | "inconclusive" | "hypothesis_failed"
     reason: str = ""
     predicted: IntersectionArray | None = None
@@ -613,11 +606,18 @@ def serialize_graph(g: BipartiteGraph) -> str:
     return f"B={g.nB} C={g.nC}\n" + "".join((b[g.eb] + c[g.ec]).tolist())
 
 
+def _integer(word: str) -> int:
+    """A graph-file integer: ASCII digits after an optional "-", else ValueError."""
+    if not (word.isascii() and word.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {word!r}")
+    return int(word)
+
+
 def parse_graph(source: str | TextIO) -> BipartiteGraph:
     """Parse the graph text format from a string or from a text file opened
     in universal-newline mode (``open``'s default), which is read
     ``_CHUNK`` lines at a time and never held whole; ValueError names the
-    first faulty line."""
+    first faulty line.  The header is two words, ``B=<nB> C=<nC>``."""
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     head = lines.readline()
     if not head:
@@ -625,9 +625,10 @@ def parse_graph(source: str | TextIO) -> BipartiteGraph:
     head = head.rstrip("\n")
     header = head.split()
     try:
-        nb = int(header[0].removeprefix("B="))
-        nc = int(header[1].removeprefix("C="))
-    except (IndexError, ValueError) as exc:
+        if len(header) != 2 or header[0][:2] != "B=" or header[1][:2] != "C=":
+            raise ValueError("not two words 'B=<nB> C=<nC>'")
+        nb, nc = _integer(header[0][2:]), _integer(header[1][2:])
+    except ValueError as exc:
         raise ValueError(f"line 1: bad header {head!r}") from exc
     try:
         _check_class_sizes(nb, nc)
@@ -640,11 +641,12 @@ def parse_graph(source: str | TextIO) -> BipartiteGraph:
             edges, nos = (np.concatenate([a, np.empty_like(a)]) for a in (edges, nos))
         # "b c ; b c ; ...": ";" is no integer, so if 3k - 1 words hold integers in
         # every b and c place, the k - 1 separators fill the rest: two words a line
-        k, words = len(chunk), " ; ".join(chunk).split()
-        b, c = edges[m:m + k].T
-        try:
+        k, text = len(chunk), " ; ".join(chunk)
+        words, (b, c) = text.split(), edges[m:m + k].T
+        try:  # int() also reads "1_0", "+0" and non-ASCII digits: such chunks go line by line
             b[:], c[:] = (np.fromiter(map(int, words[i::3]), np.int64, k) for i in (0, 1))
-            fast = len(words) == 3 * k - 1 and min(b.min(), c.min()) >= 0
+            fast = (len(words) == 3 * k - 1 and min(b.min(), c.min()) >= 0
+                    and text.isascii() and "_" not in text and "+" not in text)
         except (ValueError, OverflowError):
             fast = False
         if fast and b.max() < nb and c.max() < nc:
@@ -658,7 +660,7 @@ def parse_graph(source: str | TextIO) -> BipartiteGraph:
             if len(parts) != 2:
                 raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
             try:
-                b, c = int(parts[0]), int(parts[1])
+                b, c = _integer(parts[0]), _integer(parts[1])
             except ValueError as exc:
                 raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
             if not (0 <= b < nb and 0 <= c < nc):

@@ -5,8 +5,10 @@ Every subcommand is a thin composition of library calls: builders from
 :mod:`dbrg.perpsys`, and the feasibility enumeration.  Each command
 imports only the layers it calls, so importing this module loads none of
 them, and ``feas enumerate`` and ``catalog`` run on the integer layer
-alone: they load neither numpy nor :mod:`dataclasses`, whose import
-(with :mod:`inspect`) costs more than the enumeration they run.
+alone, without numpy.  No command loads :mod:`dataclasses`: every record
+is a NamedTuple or a plain class, as importing it (with :mod:`inspect`)
+and building frozen dataclasses costs more than a feasibility command's
+enumeration, and about 10 ms of each graph or perp command.
 Identical invocations produce byte-identical artifacts; the last stdout
 line of each command is a compact JSON summary.
 

@@ -23,8 +23,7 @@ and array from :func:`dbrg.params.derived_array`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -60,15 +59,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     graph: BipartiteGraph
     predicted: IntersectionArray
     provenance: str
-    params: dict = dc_field(default_factory=dict)
+    params: dict = {}  # one shared default: no caller mutates params
     # claimed automorphisms, each a vertex permutation of length V;
     # dbrg_check verifies them before it uses them
-    automorphisms: tuple[np.ndarray, ...] = dc_field(default=(), compare=False)
+    automorphisms: tuple[np.ndarray, ...] = ()
 
 
 def complete_bipartite(k: int, l: int) -> ConstructionResult:

@@ -3,7 +3,9 @@
 Provides the subspace families that feed the graph builders: hyperovals
 (conic plus nucleus), Denniston maximal arcs via a pencil of conics,
 point/hyperplane duality under the standard dot form, and the two
-rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6.
+rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6,
+written down through the Klein correspondence with the points of
+PG(3, q) and a map sigma that swaps the rulings (no 3-space is enumerated).
 
 Every family is a :class:`SpaceFamily`; so is a perp system of
 :mod:`dbrg.perpsys`.  Points of PG(n-1, q) are 1-dim members, and a
@@ -11,12 +13,12 @@ point set (an arc, a hyperoval, a two-intersection set) lists them in
 lex order of their normalized vectors; its dual is the family of
 hyperplanes in the same order.  Families reach the :mod:`dbrg.gfcore`
 kernels as ``SpaceFamily.bases`` and come back through ``subspaces``.
+Families and records are plain classes and NamedTuples: no dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,15 +26,11 @@ from .gfcore import (
     FieldContext,
     Subspace,
     dot,
-    echelon_bases,
     field,
     hyperplane_counts,
     orthogonal_complement,
     projective_points,
     subspace_make,
-    subspace_vector_ids,
-    subspaces,
-    vector_bitsets,
 )
 from .params import prime_power
 
@@ -55,21 +53,41 @@ def field_for_order(q: int) -> FieldContext:
     return field(*prime_power(q))
 
 
-@dataclass(frozen=True)
 class SpaceFamily:
-    """A duplicate-free family of equal-dimensional subspaces of one F_q^n."""
+    """A duplicate-free family of equal-dimensional subspaces of one F_q^n:
+    read-only ``ctx``, ``n`` and ``members``, a tuple of :class:`Subspace`.
+    Families of one class are equal when their fields are."""
 
-    ctx: FieldContext
-    n: int
-    members: tuple[Subspace, ...]
+    __slots__ = ("ctx", "n", "members")
 
-    def __post_init__(self):
-        if self.members:
-            d = self.members[0].dim
-            if any(m.dim != d or m.n != self.n or m.ctx != self.ctx for m in self.members):
+    def __init__(self, ctx: FieldContext, n: int, members: tuple[Subspace, ...]):
+        if members:
+            d = members[0].dim
+            if any(m.dim != d or m.n != n or m.ctx != ctx for m in members):
                 raise ValueError("SpaceFamily members must share field, space and dimension")
-        if len(set(self.members)) != len(self.members):
+        if len(set(members)) != len(members):
             raise ValueError("duplicate members in SpaceFamily")
+        self.__setstate__((None, {"ctx": ctx, "n": n, "members": members}))
+
+    def __setstate__(self, state) -> None:
+        # (None, slot values): as __init__ fills the slots and copy and pickle restore them
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for cls in reversed(type(self).__mro__)
+                     for name in vars(cls).get("__slots__", ()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __len__(self) -> int:
         return len(self.members)
@@ -139,8 +157,7 @@ def _trace(ctx: FieldContext, a: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class ArcCheckResult:
+class ArcCheckResult(NamedTuple):
     ok: bool
     degree: int
     violating_line: tuple[int, ...] | None = None
@@ -178,28 +195,23 @@ def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     """Totally singular 3-spaces of the quadric X1X2 - X3X4 + X5X6 on F_q^6.
 
     Returns (all of them, the ruling through M0 = <e1, e3, e5>): sizes
-    2(q+1)(q^2+1) and (q+1)(q^2+1), in enumeration order.  The quadric
-    (as X1X2 + X5X6 = X3X4) on each basis row and its polar form on each
-    pair of rows are tested on all echelon bases at once, as dot products.
-    The ruling is the one with dim(M meet M0) odd, read from the number of
-    vector ids M shares with M0.  RuntimeError if either family has
-    another size (a broken construction).
+    2(q+1)(q^2+1) and (q+1)(q^2+1), each in the order of
+    :func:`dbrg.gfcore.echelon_bases` (pivot columns, then entries).  The
+    quadric is the Klein quadric of PG(3, q) in the Plucker coordinates
+    (X1, ..., X6) = (p01, p23, p02, p13, p03, p12) (Hirschfeld, *Finite
+    Projective Spaces of Three Dimensions*, 1985, ch. 15).  The ruling
+    through M0, the lines through (1, 0, 0, 0), is one generator
+    <P ^ e_j : j = 0..3> per point P of PG(3, q); the other ruling is its
+    image under sigma: (X1, ..., X6) -> (X2, X1, -X4, -X3, X6, X5), which
+    keeps the quadric.  Generators of one ruling meet in odd dimension.
     """
-    ctx = field_for_order(q)
-    singular = []
-    for rows in echelon_bases(ctx, 6, 3):
-        u, v = rows[:, [0, 0, 1]], rows[:, [1, 2, 2]]  # the three pairs of rows
-        ok = ((dot(ctx, rows[..., [0, 4]], rows[..., [1, 5]])
-               == dot(ctx, rows[..., [2]], rows[..., [3]])).all(axis=1)
-              & (dot(ctx, u[..., [0, 1, 4, 5]], v[..., [1, 0, 5, 4]])
-                 == dot(ctx, u[..., [2, 3]], v[..., [3, 2]])).all(axis=1))
-        singular.append(rows[ok])
-    singular = np.concatenate(singular)
-    m0 = vector_bitsets(subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2]), q**6)
-    shared = np.bitwise_count(vector_bitsets(subspace_vector_ids(ctx, singular), q**6) & m0)
-    odd = np.isin(shared.sum(axis=1), (q - 1, q**3 - 1))
-    r_star = SpaceFamily(ctx, 6, tuple(subspaces(ctx, singular)))
-    s_star = SpaceFamily(ctx, 6, tuple(subspaces(ctx, singular[odd])))
-    if (len(r_star), len(s_star)) != (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1)):
-        raise RuntimeError(f"quadric families of sizes {len(r_star)} and {len(s_star)}")
-    return r_star, s_star
+    ctx, star, other = field_for_order(q), [], []
+    plucker = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))  # X1..X6 as p_ab
+    for p in projective_points(ctx, 4).tolist():
+        rows = [[p[a] if b == j else ctx.neg(p[b]) if a == j else 0 for a, b in plucker]
+                for j in range(4)]
+        star.append(subspace_make(ctx, 6, rows))
+        other.append(subspace_make(ctx, 6, [[r[1], r[0], ctx.neg(r[3]), ctx.neg(r[2]), r[5], r[4]]
+                                            for r in rows]))
+    return tuple(SpaceFamily(ctx, 6, tuple(sorted(fam, key=lambda m: (m.pivots, m.basis))))
+                 for fam in (star + other, star))

@@ -34,9 +34,8 @@ through :func:`subspace_vector_ids`, :func:`coset_ids`,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,13 +311,17 @@ def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
 
 
 def parse_vector(ctx: FieldContext, text: str) -> tuple[int, ...]:
-    """Parse a comma-separated vector literal; coordinates are base-p digits."""
+    """Parse a comma-separated vector literal: coordinates are ASCII decimal
+    digits over a prime field, else base-p digits 0-9a-f, as :func:`format_vector` writes."""
     coords = []
+    digits = "0123456789abcdef"[:ctx.p] if ctx.t > 1 else "0123456789"
     for tok in text.strip().split(","):
         tok = tok.strip()
         if not tok:
             raise ValueError(f"empty coordinate in vector literal {text!r}")
-        val = int(tok, ctx.p) if ctx.t > 1 else int(tok)
+        if tok.strip(digits):
+            raise ValueError(f"coordinate {tok!r} is not written in the digits {digits!r}")
+        val = int(tok, ctx.p if ctx.t > 1 else 10)
         if not 0 <= val < ctx.q:
             raise ValueError(f"coordinate {tok!r} out of range for {ctx!r}")
         coords.append(val)
@@ -372,8 +375,7 @@ def rref(ctx: FieldContext, rows: Sequence[Sequence[int]], n: int) -> tuple[tupl
     return tuple(tuple(r) for r in work[:rank])
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F_q^n in canonical reduced row-echelon form.
 
     Equality and hashing go through the echelon basis, so subspaces can be

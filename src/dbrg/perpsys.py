@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,18 +81,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, kw_only=True)
 class PerpSystem(SpaceFamily):
     """A verified perp system (construct through :func:`perp_verify`): a
-    :class:`SpaceFamily` plus k, d and s, keyword-only so an order slip fails."""
+    :class:`SpaceFamily` plus read-only k, d, s, keyword-only so an order slip fails."""
 
-    k: int
-    d: int
-    s: int
+    __slots__ = ("k", "d", "s")
+
+    def __init__(self, ctx: FieldContext, n: int, members: tuple[Subspace, ...], *,
+                 k: int, d: int, s: int):
+        super().__init__(ctx, n, members)
+        self.__setstate__((None, {"k": k, "d": d, "s": s}))
 
 
-@dataclass(frozen=True)
-class PerpViolation:
+class PerpViolation(NamedTuple):
     kind: str  # mixed_multiplicity | d_too_small | all_covered | pair_meet
     vector: tuple[int, ...] | None = None
     pair: tuple[int, int] | None = None
@@ -168,8 +168,7 @@ def perp_verify(
 # Two-intersection sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoIntersectionSet:
+class TwoIntersectionSet(NamedTuple):
     points: SpaceFamily
     N: int
     K: int
@@ -251,8 +250,7 @@ def perp_dualize(system: PerpSystem) -> SpaceFamily:
 # Search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # found | exhausted | budget
     system: PerpSystem | None
     nodes: int
@@ -266,8 +264,7 @@ class SearchOutcome:
     setup_seconds: float = 0.0
 
 
-@dataclass
-class _Node:
+class _Node(NamedTuple):
     """A partial family in :func:`perp_search`."""
 
     members: tuple[int, ...]  # candidate indices
@@ -393,7 +390,7 @@ def perp_search(
     def drop(node: _Node, dead) -> None:
         node.live[dead] = False
         for i in range(0, len(dead), _CHUNK):
-            node.avail -= np.bincount(ids[dead[i:i + _CHUNK]].ravel(), minlength=size)
+            node.avail[:] -= np.bincount(ids[dead[i:i + _CHUNK]].ravel(), minlength=size)
 
     def join(node: _Node, c: int) -> _Node:
         cover = node.cover.copy()
@@ -483,9 +480,10 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
     """Parse a perp-system file into (ctx, n, k, members), unverified.
 
     ValueError if the header does not give each of q, modulus, n and k
-    exactly once, and nothing else, or naming the first member line with a
-    bad vector, linearly dependent rows, another dimension than the first
-    member's or an earlier line's member."""
+    exactly once, in ASCII digits, and nothing else, or naming the first
+    member line with a bad vector (see :func:`dbrg.gfcore.parse_vector`),
+    linearly dependent rows, another dimension than the first member's or
+    an earlier line's member."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty perp file")
@@ -495,10 +493,10 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
         if len(fields) != len(tokens) or fields.keys() != {"q", "modulus", "n", "k"}:
             raise ValueError("a key is repeated, unknown or missing")
         p_s, _, t_s = fields["q"].partition("^")
-        p, t = int(p_s), int(t_s) if t_s else 1
-        modulus = tuple(int(c) for c in fields["modulus"].split(","))
-        n = int(fields["n"])
-        k = int(fields["k"])
+        numbers = [p_s, t_s or "1", fields["n"], fields["k"], *fields["modulus"].split(",")]
+        if not all(x.isascii() and x.isdigit() for x in numbers):
+            raise ValueError("a number is not ASCII digits")
+        p, t, n, k, *modulus = map(int, numbers)
     except ValueError as exc:
         raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
     ctx = FieldContext(p, t, modulus)

@@ -344,6 +344,23 @@ def test_construct_and_derive_load_neither_feasibility_nor_perp_search(tmp_path)
     assert _fresh_interpreter(code, tmp_path) == "[0, 2] []"
 
 
+def test_numpy_commands_load_no_dataclasses(tmp_path):
+    # the numpy layers' records are NamedTuples and their families plain
+    # classes, so the cone build, a bare-file verify and a perp verify add
+    # no dataclasses module to those a bare interpreter has
+    code = ("import contextlib, io, sys\n"
+            "from dbrg.cli import main\n"
+            "from dbrg.perpsys import perp_search, serialize_perp\n"
+            "open('s.perp', 'w').write(serialize_perp(perp_search(3, 1, 4, 2).system))\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['construct', 'cone', '--q', '2', '--out', 'cone']),\n"
+            "             main(['verify', 'cone.graph']), main(['perp', 'verify', 's.perp'])]\n"
+            "print(codes, sorted(m for m in set(sys.modules) - before\n"
+            "                    if m.split('.')[0] == 'dataclasses'), 'dataclasses' in sys.modules)\n")
+    assert _fresh_interpreter(code, tmp_path) == "[0, 0, 0] [] False"
+
+
 MIXED_PERP = "q=2^1 modulus=0,1 n=3 k=1\n0,1,0;0,0,1\n1,0,0;0,0,1\n"  # two planes of F_2^3
 
 

@@ -1,17 +1,21 @@
 """Builders against the definition-exact verifier."""
 
-import dataclasses
 import hashlib
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dbrg import perpsys
 from dbrg.bigraph import (
     BipartiteGraph,
+    ShortcutResult,
     dbrg_check,
+    distance_partition,
     girth,
     halved_graphs,
+    local_dr_check,
     semiregular_check,
     serialize_graph,
     srg_check,
@@ -27,10 +31,10 @@ from dbrg.constructions import (
     gen_delorme_graph,
     hyperoval_affine_graph,
 )
-from dbrg.geometry import SpaceFamily, denniston_arc, dualize, hyperoval
+from dbrg.geometry import ArcCheckResult, SpaceFamily, cone_spaces, denniston_arc, dualize, hyperoval
 from dbrg.gfcore import field, index_vector, subspace_make, translations
 from dbrg.params import DerivedGraphError, IntersectionArray, derived_array
-from dbrg.perpsys import perp_verify
+from dbrg.perpsys import PerpSystem, PerpViolation, perp_search, perp_verify, two_intersection_set
 
 from simple_graphs import petersen
 
@@ -89,7 +93,8 @@ def test_gen_delorme_q2_hypercube_parameters():
 
 def test_gen_delorme_rejects_non_integral_c3b():
     # q^(n-2k)(s-1)/d = 4 * 5 / 3 is not an integer
-    broken = dataclasses.replace(dual_hyperoval_system(4), d=3)
+    good = dual_hyperoval_system(4)
+    broken = PerpSystem(good.ctx, good.n, good.members, k=good.k, d=3, s=good.s)
     with pytest.raises(ValueError, match="c3B"):
         gen_delorme_graph(broken)
 
@@ -335,3 +340,42 @@ def test_coset_positions_match_reduce(case):
     for row, perm in zip(shifts.tolist(), lifted.tolist()):
         assert perm[:g.nB] == row
         assert perm[g.nB:] == [g.nB + coset_of[row[some_vector[c]], c // per] for c in range(g.nC)]
+
+
+def _records():
+    """One value of each record of the numpy layers, with its fields in order."""
+    path, system = complete_bipartite(1, 2).graph, dual_hyperoval_system(2)
+    return [
+        (distance_partition(path, 0), "source cells"),
+        (local_dr_check(path, 0), "ok c b witness"),
+        (dbrg_check(path), "ok array regular witness"),
+        (semiregular_check(path), "ok k l witness"),
+        (srg_check(petersen()), "ok params witness"),
+        (ShortcutResult("inconclusive"), "verdict reason predicted agrees"),
+        (subspace_make(field(2), 3, [(1, 0, 0)]), "ctx n basis"),
+        (ArcCheckResult(True, 2), "ok degree violating_line count"),
+        (complete_bipartite(2, 2), "graph predicted provenance params automorphisms"),
+        (PerpViolation("d_too_small"), "kind vector pair detail"),
+        (two_intersection_set(system), "points N K h1 h2 hyperplanes_h1 hyperplanes_h2"),
+        (perp_search(3, 1, 2, 2), "status system nodes elapsed solutions complete setup_seconds"),
+        (perpsys._Node((), None, None, None), "members cover live avail"),
+        (cone_spaces(2)[1], "ctx n members"),
+        (system, "ctx n members k d s"),
+    ]
+
+
+def test_records_are_read_only_with_their_fields_in_order():
+    # the records are NamedTuples, and the two families plain classes with
+    # __slots__; none takes an assignment, a deletion or a new attribute
+    for record, names in _records():
+        fields = getattr(record, "_fields", None) or tuple(
+            name for cls in reversed(type(record).__mro__) for name in vars(cls).get("__slots__", ()))
+        assert fields == tuple(names.split()), type(record)
+        for name in (fields[0], fields[-1], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+    # copy and pickle fill the families' slots without their setattr
+    for family in (hyperoval(4), dual_hyperoval_system(2)):
+        assert pickle.loads(pickle.dumps(family)) == family

@@ -10,6 +10,7 @@ same first faulty line.
 """
 
 import io
+import re
 import tracemalloc
 from functools import cache
 from unittest import mock
@@ -103,6 +104,14 @@ def test_edited_graph_file_parses_or_exits_65(workdir, g, edits):
     assert codes <= {0, 2, 65} if parsed else codes == {65}
 
 
+def integer(word: str) -> int:
+    """ASCII digits after an optional minus sign; int() alone would also
+    read "1_0", "+0" and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", word):
+        raise ValueError(f"not an integer: {word!r}")
+    return int(word)
+
+
 def reference_parse_graph(text: str) -> BipartiteGraph:
     """The graph-file reader as a loop over lines, one at a time."""
     if not text:
@@ -111,9 +120,10 @@ def reference_parse_graph(text: str) -> BipartiteGraph:
     head = lines.readline().rstrip("\n")
     header = head.split()
     try:
-        nb = int(header[0].removeprefix("B="))
-        nc = int(header[1].removeprefix("C="))
-    except (IndexError, ValueError) as exc:
+        if len(header) != 2 or not (header[0].startswith("B=") and header[1].startswith("C=")):
+            raise ValueError("not 'B=<nB> C=<nC>'")
+        nb, nc = integer(header[0][2:]), integer(header[1][2:])
+    except ValueError as exc:
         raise ValueError(f"line 1: bad header {head!r}") from exc
     try:
         bigraph._check_class_sizes(nb, nc)
@@ -127,7 +137,7 @@ def reference_parse_graph(text: str) -> BipartiteGraph:
         if len(parts) != 2:
             raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
         try:
-            b, c = int(parts[0]), int(parts[1])
+            b, c = integer(parts[0]), integer(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
         if not (0 <= b < nb and 0 <= c < nc):
@@ -196,6 +206,15 @@ def first_faulty_line_wins(parse, newline):
         parse(text(["1 1", "1 -1", "1 0"]))
     with pytest.raises(ValueError, match=r"^line 4: edge \(1,100000000000000000000\) out of"):
         parse(text(["1 1", f"1 {10**20}", non_integer]))
+    # int() reads each of these as 1, but an integer is ASCII digits after
+    # an optional minus sign; the lines before them are integer pairs in range
+    for word in ("0_1", "+1", "\uff11", "\u0661"):  # fullwidth and Arabic-Indic 1
+        with pytest.raises(ValueError, match=rf"^line 4: non-integer edge '1 {re.escape(word)}'"):
+            parse(text(["1 1", f"1 {word}", "1 0"]))
+    # the header is exactly two words, B= and C= followed by integers
+    for head in ("B=1_1 C=2", "B=2 C=+2", "B=\uff12 C=2", "B=2 C=2 extra", "2 2"):
+        with pytest.raises(ValueError, match=rf"^line 1: bad header '{re.escape(head)}'"):
+            parse(newline.join([head, "0 0"]) + newline)
     # both faults in the second chunk of lines, behind a blank line; repeated
     # edges are named only once every line has been read
     good = [f"{i % 2} {i // 2 % 2}" for i in range(bigraph._CHUNK + 30)]
@@ -259,6 +278,9 @@ def test_edited_perp_file_parses_or_exits_65(workdir, params, edits):
 
 
 @pytest.mark.parametrize("members,message", [
+    ("1,0,0;0,1,0\n1,0,0;0,0_1,0\n", "line 3: coordinate '0_1' is not written in the digits "
+                                      "'0123456789'"),
+    ("1,0,0;+0,1,0\n", "line 2: coordinate '+0' is not written in the digits '0123456789'"),
     ("1,0,0;0,1,0\n1,0,0;1,0,0\n", "line 3: linearly dependent rows span dimension 1"),
     ("1,0,0;0,0,0\n1,0,0;0,1,0\n", "line 2: linearly dependent rows span dimension 1"),
     ("1,0,0;0,1,0\n\n1,1,0;0,1,0\n", "line 4: repeats the member on line 2"),
@@ -274,4 +296,21 @@ def test_perp_file_member_faults_name_their_line(workdir, capsys, members, messa
     assert str(err.value) == message
     capsys.readouterr()
     assert exit_codes(workdir / "m.perp", text, [["perp", "verify"], ["roundtrip"]]) == {65}
+    assert capsys.readouterr().err == f"invalid input: {message}\n" * 2
+
+
+@pytest.mark.parametrize("word", ["0_0", "0b0", "+0", "0B0", "\uff10"])
+def test_perp_coordinates_over_gf8_are_base_2_digits(workdir, capsys, word):
+    # int(word, 2) reads each of these as 0, and the file would verify, but
+    # it would not round-trip: a coordinate of GF(8) is written as the
+    # base-2 digits of its polynomial coefficients, and nothing else
+    lines = searched_perp_text((3, 1, 8, 2)).splitlines(keepends=True)
+    assert lines[1] == "1,0,0;0,1,0\n"
+    lines[1] = f"1,{word},0;0,1,0\n"
+    message = f"line 2: coordinate {word!r} is not written in the digits '01'"
+    with pytest.raises(ValueError) as err:
+        parse_perp("".join(lines))
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert exit_codes(workdir / "g8.perp", "".join(lines), [["perp", "verify"], ["roundtrip"]]) == {65}
     assert capsys.readouterr().err == f"invalid input: {message}\n" * 2

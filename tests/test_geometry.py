@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (enumerate_subspaces, orthogonal_complement, projective_points,
-                         subspace_make, subspace_meet)
+from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, orthogonal_complement,
+                         projective_points, rref, subspace_make, subspace_meet,
+                         subspace_vector_ids, subspaces, vector_bitsets)
 from dbrg.geometry import (
     ArcCheckResult,
     SpaceFamily,
@@ -176,6 +177,54 @@ def test_cone_spaces_match_brute_force(q):
     r_star, s_star = cone_spaces(q)
     assert r_star.members == tuple(singular)
     assert s_star.members == tuple(ruling)
+
+
+def filtered_cone_spaces(q):
+    """Every totally singular [6, 3]_q space, in enumeration order, and the
+    ruling meeting <e1, e3, e5> in odd dimension.  The quadric on each basis
+    row (as X1X2 + X5X6 = X3X4) and its polar form on each pair of rows are
+    tested on all echelon bases of a pivot set at once, as dot products;
+    the ruling is read from the number of vector ids M shares with M0."""
+    ctx = field_for_order(q)
+    singular = []
+    for rows in echelon_bases(ctx, 6, 3):
+        u, v = rows[:, [0, 0, 1]], rows[:, [1, 2, 2]]  # the three pairs of rows
+        ok = ((dot(ctx, rows[..., [0, 4]], rows[..., [1, 5]])
+               == dot(ctx, rows[..., [2]], rows[..., [3]])).all(axis=1)
+              & (dot(ctx, u[..., [0, 1, 4, 5]], v[..., [1, 0, 5, 4]])
+                 == dot(ctx, u[..., [2, 3]], v[..., [3, 2]])).all(axis=1))
+        singular.append(rows[ok])
+    singular = np.concatenate(singular)
+    m0 = vector_bitsets(subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2]), q**6)
+    shared = np.bitwise_count(vector_bitsets(subspace_vector_ids(ctx, singular), q**6) & m0)
+    odd = np.isin(shared.sum(axis=1), (q - 1, q**3 - 1))
+    return tuple(subspaces(ctx, singular)), tuple(subspaces(ctx, singular[odd]))
+
+
+def test_cone_spaces_match_the_filter_q4():
+    # all 376 805 [6, 3]_4 spaces filtered: both rulings, member for member
+    r_star, s_star = cone_spaces(4)
+    assert (r_star.members, s_star.members) == filtered_cone_spaces(4)
+    assert (len(r_star), len(s_star)) == (170, 85)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_cone_spaces_are_the_generators(q):
+    # 2(q+1)(q^2+1) distinct totally singular 3-spaces are every generator
+    # of the hyperbolic quadric: each basis row and each sum of two rows is
+    # singular, so the polar form vanishes on each pair of rows and every
+    # vector is singular; the ruling is the generators meeting
+    # M0 = <e1, e3, e5> in odd dimension 3 - rank of their X2, X4, X6 columns
+    r_star, s_star = cone_spaces(q)
+    ctx = r_star.ctx
+    assert (len(r_star), len(s_star)) == (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1))
+    rows = np.moveaxis(r_star.bases, -1, 0)  # coordinates first, as quadric reads them
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        v = rows[..., i] if i == j else ctx.add(rows[..., i], rows[..., j])
+        assert not quadric(ctx, v).any()
+    odd = [m for m in r_star.members
+           if len(rref(ctx, [row[1::2] for row in m.basis], 3)) in (0, 2)]
+    assert s_star.members == tuple(odd)
 
 
 def test_cone_meet_dimension_distribution_q2():

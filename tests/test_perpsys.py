@@ -1,7 +1,7 @@
 """Perp-system verification, parameters, duals, search, and file format."""
 
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -158,8 +158,9 @@ def test_unverified_systems_raise_value_error():
 def test_perp_system_is_a_space_family_with_keyword_fields():
     good = dual_hyperoval_system(4)
     assert isinstance(good, SpaceFamily)
-    assert [f.name for f in dataclasses.fields(PerpSystem)] == [
-        "ctx", "n", "members", "k", "d", "s"]
+    fields = inspect.signature(PerpSystem).parameters
+    assert list(fields) == ["ctx", "n", "members", "k", "d", "s"]
+    assert {p.kind for p in list(fields.values())[3:]} == {inspect.Parameter.KEYWORD_ONLY}
     with pytest.raises(TypeError):
         PerpSystem(good.ctx, good.n, good.members, good.k, good.d, good.s)
 
@@ -510,7 +511,7 @@ def perp_like_systems(draw):
     base = draw(st.sampled_from(KNOWN))
     if kind == "known":
         return base
-    members = list(base.members)
+    members, d, s = list(base.members), base.d, base.s
     others = [m for m in enumerate_subspaces(base.ctx, base.n, base.n - base.k)
               if m not in members]
 
@@ -528,10 +529,10 @@ def perp_like_systems(draw):
         elif op == "add":
             members.append(fresh())
         elif op == "d":
-            base = dataclasses.replace(base, d=draw(st.integers(1, 2 * base.d)))
+            d = draw(st.integers(1, 2 * d))
         else:
-            base = dataclasses.replace(base, s=draw(st.integers(2, 2 * base.s)))
-    return dataclasses.replace(base, members=tuple(members))
+            s = draw(st.integers(2, 2 * s))
+    return PerpSystem(base.ctx, base.n, tuple(members), k=base.k, d=d, s=s)
 
 
 # three lines of PG(2,2) with the right covered-point count for d = s = 2,

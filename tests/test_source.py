@@ -123,6 +123,15 @@ def test_integer_layer_imports_no_numpy():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples and the families plain classes: building a
+    # frozen dataclass execs generated code in every process that imports
+    # it, and importing dataclasses loads inspect, dis and ast
+    found = [f"{path.name} imports {name}" for path in SOURCES
+             for name in sorted(_imports(path)[1]) if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_cli_imports_no_layer_at_module_level():
     # each command imports the layers it calls, so `import dbrg.cli` is cheap
     path = Path(dbrg.__file__).parent / "cli.py"
