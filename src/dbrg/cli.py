@@ -2,10 +2,13 @@
 
 Every subcommand is a thin composition of library calls: builders from
 :mod:`dbrg.constructions`, checks from :mod:`dbrg.bigraph` and
-:mod:`dbrg.perpsys`, and the feasibility enumeration.  Each command
-imports only the layers it calls, so importing this module loads none of
-them, and ``feas enumerate`` and ``catalog`` run on the integer layer
-alone, without numpy.  No command loads :mod:`dataclasses`: every record
+:mod:`dbrg.perpfile`, the perp search of :mod:`dbrg.perpsys`, and the
+feasibility enumeration.  Each command imports only the layers it
+calls, so importing this module loads none of them.  ``feas enumerate``
+and ``catalog`` run on the integer layer alone, and ``perp verify`` and
+``roundtrip`` of a perp file on the integer, field and perp-file layers
+(:mod:`dbrg.params`, :mod:`dbrg.gfint` and :mod:`dbrg.perpfile`), none
+of which imports numpy.  No command loads :mod:`dataclasses`: every record
 is a NamedTuple or a plain class, as importing it (with :mod:`inspect`)
 and building frozen dataclasses costs more than a feasibility command's
 enumeration, and about 10 ms of each graph or perp command.
@@ -63,10 +66,10 @@ def _array_payload(arr) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _gen_delorme(c, args):
-    from . import perpsys
+    from . import perpfile
 
-    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perp).read_text()))
-    if isinstance(res, perpsys.PerpViolation):
+    res = perpfile.perp_verify(*perpfile.parse_perp(Path(args.perp).read_text()))
+    if isinstance(res, perpfile.PerpViolation):
         raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
     return c.gen_delorme_graph(res)
 
@@ -167,10 +170,10 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_perp_verify(args) -> int:
-    from . import perpsys
+    from . import perpfile
 
-    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perpfile).read_text()))
-    if isinstance(res, perpsys.PerpViolation):
+    res = perpfile.perp_verify(*perpfile.parse_perp(Path(args.perpfile).read_text()))
+    if isinstance(res, perpfile.PerpViolation):
         _summary({"command": "perp-verify", "ok": False, "kind": res.kind,
                   "detail": res.detail})
         return EXIT_VERDICT
@@ -273,13 +276,13 @@ def cmd_roundtrip(args) -> int:
 
         again = bigraph.serialize_graph(bigraph.parse_graph(text))
     elif head.startswith("q="):
-        from . import perpsys
+        from . import perpfile
 
-        res = perpsys.perp_verify(*perpsys.parse_perp(text))
-        if isinstance(res, perpsys.PerpViolation):
+        res = perpfile.perp_verify(*perpfile.parse_perp(text))
+        if isinstance(res, perpfile.PerpViolation):
             _summary({"command": "roundtrip", "ok": False, "detail": res.detail})
             return EXIT_VERDICT
-        again = perpsys.serialize_perp(res)
+        again = perpfile.serialize_perp(res)
     else:
         raise ValueError(f"unrecognized file header {head!r}")
     identical = again == text

@@ -35,6 +35,7 @@ from .gfcore import (
     echelon_bases,
     qbinom,
     scaling,
+    stack_bases,
     subspace_vector_ids,
     translations,
     vector_bitsets,
@@ -44,7 +45,7 @@ from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hypero
 from .params import DerivedGraphError, IntersectionArray, derived_array
 
 if TYPE_CHECKING:
-    from .perpsys import PerpSystem
+    from .perpfile import PerpSystem
 
 __all__ = [
     "ConstructionResult",
@@ -131,7 +132,7 @@ def _coset_incidence(family: SpaceFamily, maps: np.ndarray) -> tuple[BipartiteGr
     C vertex i * q^(n-dim) + j, and j = 0 is the member itself.  Also
     returns the vector-id maps ``maps`` (one per row, each sending every
     coset of a member to a coset of that member) as vertex permutations."""
-    cosets = coset_ids(family.ctx, family.bases)
+    cosets = coset_ids(family.ctx, stack_bases(family))
     s, per, size = cosets.shape
     c = np.repeat(np.arange(s * per), size)
     g = BipartiteGraph(family.ctx.q**family.n, s * per, np.column_stack([cosets.ravel(), c]))

@@ -7,12 +7,13 @@ rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6,
 written down through the Klein correspondence with the points of
 PG(3, q) and a map sigma that swaps the rulings (no 3-space is enumerated).
 
-Every family is a :class:`SpaceFamily`; so is a perp system of
-:mod:`dbrg.perpsys`.  Points of PG(n-1, q) are 1-dim members, and a
+Every family is a :class:`dbrg.gfint.SpaceFamily` (defined in the
+numpy-free field layer and re-exported here); so is a perp system of
+:mod:`dbrg.perpfile`.  Points of PG(n-1, q) are 1-dim members, and a
 point set (an arc, a hyperoval, a two-intersection set) lists them in
 lex order of their normalized vectors; its dual is the family of
 hyperplanes in the same order.  Families reach the :mod:`dbrg.gfcore`
-kernels as ``SpaceFamily.bases`` and come back through ``subspaces``.
+kernels as ``stack_bases(family)`` and come back through ``subspaces``.
 Families and records are plain classes and NamedTuples: no dataclasses.
 """
 
@@ -22,16 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gfcore import (
-    FieldContext,
-    Subspace,
-    dot,
-    field,
-    hyperplane_counts,
-    orthogonal_complement,
-    projective_points,
-    subspace_make,
-)
+from .gfcore import dot, hyperplane_counts, projective_points, stack_bases
+from .gfint import FieldContext, SpaceFamily, Subspace, field, orthogonal_complement, subspace_make
 from .params import prime_power
 
 __all__ = [
@@ -51,52 +44,6 @@ def field_for_order(q: int) -> FieldContext:
     """Context for GF(q), with q factored by :func:`dbrg.params.prime_power`
     (ValueError if q is not a prime power or exceeds 2^16)."""
     return field(*prime_power(q))
-
-
-class SpaceFamily:
-    """A duplicate-free family of equal-dimensional subspaces of one F_q^n:
-    read-only ``ctx``, ``n`` and ``members``, a tuple of :class:`Subspace`.
-    Families of one class are equal when their fields are."""
-
-    __slots__ = ("ctx", "n", "members")
-
-    def __init__(self, ctx: FieldContext, n: int, members: tuple[Subspace, ...]):
-        if members:
-            d = members[0].dim
-            if any(m.dim != d or m.n != n or m.ctx != ctx for m in members):
-                raise ValueError("SpaceFamily members must share field, space and dimension")
-        if len(set(members)) != len(members):
-            raise ValueError("duplicate members in SpaceFamily")
-        self.__setstate__((None, {"ctx": ctx, "n": n, "members": members}))
-
-    def __setstate__(self, state) -> None:
-        # (None, slot values): as __init__ fills the slots and copy and pickle restore them
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for cls in reversed(type(self).__mro__)
-                     for name in vars(cls).get("__slots__", ()))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._values() == self._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def bases(self) -> np.ndarray:
-        """The members' echelon bases for the kernels: int64, shape (K, m, n), also if m = 0."""
-        m = self.members[0].dim if self.members else 0
-        return np.array([mb.basis for mb in self.members], np.int64).reshape(len(self), m, self.n)
 
 
 def point(ctx: FieldContext, v: Sequence[int]) -> Subspace:
@@ -173,7 +120,7 @@ def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     ValueError if a member is not a point."""
     if any(pt.dim != 1 for pt in arc.members):
         raise ValueError("arc_check takes a family of points (1-dim members)")
-    counts = hyperplane_counts(arc.ctx, arc.bases)
+    counts = hyperplane_counts(arc.ctx, stack_bases(arc))
     bad = np.flatnonzero((counts != 0) & (counts != r))
     if bad.size:
         line = projective_points(arc.ctx, arc.n)[bad[0]]

@@ -11,31 +11,25 @@ d must be a power of the characteristic dividing q^(n-2k), and the
 points covered d times form a projective two-intersection set whose
 associated graph is strongly regular.
 
-``perp_verify`` measures everything exhaustively and returns either a
-:class:`PerpSystem` or a :class:`PerpViolation` naming the offending
-vector or member pair.  ``perp_search`` is a deterministic exact-cover
-search with multiplicities (Knuth's Algorithm M): it branches on the
-partially covered vector with the fewest candidates left.  Both work on
-the member vector ids and uint64 bitsets of :mod:`dbrg.gfcore`; the
-search finds the candidates holding a vector by testing its bit.
+``perp_search`` is a deterministic exact-cover search with
+multiplicities (Knuth's Algorithm M): it branches on the partially
+covered vector with the fewest candidates left.  It works on the
+candidates' vector ids and uint64 bitsets of :mod:`dbrg.gfcore`, and
+finds the candidates holding a vector by testing its bit.
 
-A :class:`PerpSystem` is a :class:`dbrg.geometry.SpaceFamily` plus k, d
-and s, always in the primal formulation that :func:`perp_verify`
-checked; the coset graph, the two-intersection set and the file format
-read it.  ``perp_dualize`` checks the dual formulation (k-dimensional
-members meeting trivially, every hyperplane holding 0 or d of them) and
-returns it as a plain :class:`dbrg.geometry.SpaceFamily`; the way back
-is ``perp_verify(ctx, n, k, dualize(family).members)``.  The member
-count and the admissibility rules are :func:`dbrg.params.perp_params`.
-
-File format (one system per file)::
-
-    q=<p>^<t> modulus=<c0,...,ct> n=<n> k=<k>
-    <vector>;<vector>;...       one member per line, coords comma-separated
-
-The header gives each of its four keys once, and no other key.  Members
-and basis rows are written in canonical echelon order, so serialization
-round-trips byte-identically.
+The records, the exhaustive check ``perp_verify`` and the file format
+are the numpy-free :mod:`dbrg.perpfile`, re-exported here, so that
+``perp verify``, the perp ``roundtrip`` and the file read of
+``construct gen-delorme`` run without numpy.  A :class:`PerpSystem` is a
+:class:`dbrg.gfint.SpaceFamily` plus k, d and s, always in the primal
+formulation that :func:`perp_verify` checked; the coset graph, the
+two-intersection set and the file format read it.  ``perp_dualize``
+checks the dual formulation (k-dimensional members meeting trivially,
+every hyperplane holding 0 or d of them), with the meet routine of
+``perp_verify``, and returns it as a plain
+:class:`dbrg.gfint.SpaceFamily`; the way back is
+``perp_verify(ctx, n, k, dualize(family).members)``.  The member count
+and the admissibility rules are :func:`dbrg.params.perp_params`.
 """
 
 from __future__ import annotations
@@ -43,29 +37,32 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .gfcore import (
-    FieldContext,
-    Subspace,
     bitset_contains,
     echelon_bases,
-    format_vector,
     hyperplane_counts,
-    index_vector,
-    parse_vector,
     projective_points,
-    qbinom,
-    subspace_make,
+    stack_bases,
     subspace_vector_ids,
     subspaces,
     vector_bitsets,
     vector_ids,
 )
-from .geometry import SpaceFamily, dualize, field_for_order, point_family
+from .gfint import FieldContext, SpaceFamily, id_bitset, qbinom, span_ids
+from .geometry import dualize, field_for_order, point_family
 from .params import perp_params
+from .perpfile import (
+    PerpSystem,
+    PerpViolation,
+    meeting_pair,
+    parse_perp,
+    perp_verify,
+    serialize_perp,
+)
 
 __all__ = [
     "PerpSystem",
@@ -79,89 +76,6 @@ __all__ = [
     "serialize_perp",
     "parse_perp",
 ]
-
-
-class PerpSystem(SpaceFamily):
-    """A verified perp system (construct through :func:`perp_verify`): a
-    :class:`SpaceFamily` plus read-only k, d, s, keyword-only so an order slip fails."""
-
-    __slots__ = ("k", "d", "s")
-
-    def __init__(self, ctx: FieldContext, n: int, members: tuple[Subspace, ...], *,
-                 k: int, d: int, s: int):
-        super().__init__(ctx, n, members)
-        self.__setstate__((None, {"k": k, "d": d, "s": s}))
-
-
-class PerpViolation(NamedTuple):
-    kind: str  # mixed_multiplicity | d_too_small | all_covered | pair_meet
-    vector: tuple[int, ...] | None = None
-    pair: tuple[int, int] | None = None
-    detail: str = ""
-
-
-def _meet_sizes(bits: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Nonzero vectors shared by each bitset in ``bits`` with ``row``."""
-    return np.bitwise_count(bits & row).sum(axis=1)
-
-
-def _first_meeting_pair(bits: np.ndarray, want: int) -> tuple[int, int] | None:
-    """First pair (i, j), i < j in lex order, of bitsets not sharing ``want`` ids."""
-    for i in range(len(bits) - 1):
-        wrong = np.flatnonzero(_meet_sizes(bits[i + 1:], bits[i]) != want)
-        if wrong.size:
-            return i, i + 1 + int(wrong[0])
-    return None
-
-
-def perp_verify(
-    ctx: FieldContext, n: int, k: int, members: Iterable[Subspace]
-) -> PerpSystem | PerpViolation:
-    """Exhaustive check of the two covering conditions.
-
-    Preconditions raise ValueError: members that do not form a
-    :class:`dbrg.geometry.SpaceFamily` in F_q^n, an empty family, k > n/2,
-    or members not of dimension n - k.  Failures of the covering or meet
-    conditions come back as :class:`PerpViolation` values.
-    """
-    family = SpaceFamily(ctx, n, tuple(members))
-    members = family.members
-    if not members:
-        raise ValueError("empty family")
-    if 2 * k > n or k < 1:
-        raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-    if members[0].dim != n - k:
-        raise ValueError(f"member of dimension {members[0].dim}, expected {n - k}")
-    if len(members) < 2:
-        return PerpViolation("d_too_small", detail="family has a single member (s >= 2 required)")
-
-    q = ctx.q
-    ids = subspace_vector_ids(ctx, family.bases)
-    mults = np.bincount(ids.ravel(), minlength=q**n)[1:]
-    covered = mults[mults > 0]  # not empty: every member has dimension n - k >= 1
-    d, ref = int(covered.min()), int(covered.max())
-    if d != ref:
-        bad = int(np.flatnonzero((mults > 0) & (mults != ref))[0]) + 1
-        return PerpViolation(
-            "mixed_multiplicity",
-            vector=index_vector(ctx, bad, n),
-            detail=f"vector covered {int(mults[bad - 1])} times, elsewhere {ref}",
-        )
-    if d < 2:
-        return PerpViolation("d_too_small", detail="covered vectors have multiplicity 1, need d >= 2")
-    if (mults == 0).sum() == 0:
-        return PerpViolation("all_covered", detail="no vector with multiplicity 0")
-    bits = vector_bitsets(ids, q**n)
-    pair = _first_meeting_pair(bits, q ** (n - 2 * k) - 1)
-    if pair is not None:
-        i, j = pair
-        # the meet is a subspace: the members share q^dim - 1 nonzero vectors
-        got = round(math.log(int(_meet_sizes(bits[j:j + 1], bits[i])[0]) + 1, q))
-        return PerpViolation(
-            "pair_meet", pair=pair,
-            detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
-        )
-    return PerpSystem(ctx, n, members, k=k, d=d, s=len(members))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +106,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
     points = projective_points(ctx, n)
-    ids = subspace_vector_ids(ctx, system.bases)
+    ids = subspace_vector_ids(ctx, stack_bases(system))
     mults = np.bincount(ids.ravel(), minlength=q**n)
     reps = points[mults[vector_ids(ctx, points)] == d]
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
@@ -233,10 +147,10 @@ def perp_dualize(system: PerpSystem) -> SpaceFamily:
     """
     ctx, n, d = system.ctx, system.n, system.d
     dual = SpaceFamily(ctx, n, tuple(sorted(dualize(system).members, key=lambda m: m.basis)))
-    pair = _first_meeting_pair(vector_bitsets(subspace_vector_ids(ctx, dual.bases), ctx.q**n), 0)
+    pair = meeting_pair([id_bitset(span_ids(ctx, m.basis)) for m in dual.members], 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
-    counts = hyperplane_counts(ctx, dual.bases)
+    counts = hyperplane_counts(ctx, stack_bases(dual))
     bad = np.flatnonzero((counts != 0) & (counts != d))
     if bad.size:
         w, cnt = tuple(projective_points(ctx, n)[bad[0]].tolist()), int(counts[bad[0]])
@@ -461,62 +375,3 @@ def perp_search(
         status = "found"
     return SearchOutcome(status, first, nodes, time.monotonic() - t0, solutions, complete,
                          setup_seconds)
-
-# ---------------------------------------------------------------------------
-# File format
-# ---------------------------------------------------------------------------
-
-def serialize_perp(system: PerpSystem) -> str:
-    """The file text of a system, which :func:`parse_perp` reads back."""
-    ctx = system.ctx
-    mod = ",".join(str(c) for c in ctx.modulus)
-    lines = [f"q={ctx.p}^{ctx.t} modulus={mod} n={system.n} k={system.k}"]
-    for m in sorted(system.members, key=lambda m: m.basis):
-        lines.append(";".join(format_vector(ctx, row) for row in m.basis))
-    return "\n".join(lines) + "\n"
-
-
-def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]:
-    """Parse a perp-system file into (ctx, n, k, members), unverified.
-
-    ValueError if the header does not give each of q, modulus, n and k
-    exactly once, in ASCII digits, and nothing else, or naming the first
-    member line with a bad vector (see :func:`dbrg.gfcore.parse_vector`),
-    linearly dependent rows, another dimension than the first member's or
-    an earlier line's member."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty perp file")
-    tokens = [tok.partition("=") for tok in lines[0].split()]
-    fields = {key: val for key, _, val in tokens}
-    try:
-        if len(fields) != len(tokens) or fields.keys() != {"q", "modulus", "n", "k"}:
-            raise ValueError("a key is repeated, unknown or missing")
-        p_s, _, t_s = fields["q"].partition("^")
-        numbers = [p_s, t_s or "1", fields["n"], fields["k"], *fields["modulus"].split(",")]
-        if not all(x.isascii() and x.isdigit() for x in numbers):
-            raise ValueError("a number is not ASCII digits")
-        p, t, n, k, *modulus = map(int, numbers)
-    except ValueError as exc:
-        raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
-    ctx = FieldContext(p, t, modulus)
-    members: dict[Subspace, int] = {}  # member -> its line
-    for no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows = [parse_vector(ctx, part) for part in line.split(";")]
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from exc
-        if any(len(r) != n for r in rows):
-            raise ValueError(f"line {no}: vector of wrong length")
-        member = subspace_make(ctx, n, rows)
-        if member.dim < len(rows):
-            raise ValueError(f"line {no}: linearly dependent rows span dimension {member.dim}")
-        if member.dim != (first := next(iter(members), member)).dim:
-            raise ValueError(f"line {no}: dimension {member.dim}, not {first.dim} as on line {members[first]}")
-        if member in members:
-            raise ValueError(f"line {no}: repeats the member on line {members[member]}")
-        members[member] = no
-    return ctx, n, k, tuple(members)

@@ -283,12 +283,12 @@ def test_huge_field_order_exits_65_quickly(tmp_path):
     ("bigraph", "dbrg_check", ["verify", "{graph}"]),
     ("perpsys", "perp_search", ["perp", "search", "--n", "3", "--k", "1", "--q", "2",
                                 "--d", "2"]),
-    ("perpsys", "perp_verify", ["perp", "verify", "{perp}"]),
+    ("perpfile", "perp_verify", ["perp", "verify", "{perp}"]),
 ])
 def test_memory_error_exits_65(tmp_path, capsys, monkeypatch, layer, call, argv):
     # a file or parameters whose arrays cannot be allocated (a dense N of
     # 74.5 GiB, a search table of terabytes) is invalid input; the layer
-    # call raises here as numpy would, with no real allocation
+    # call raises here as numpy or a list would, with no real allocation
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, orthogonal_complement,
-                         projective_points, rref, subspace_make, subspace_meet,
+from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, mul, orthogonal_complement,
+                         projective_points, rref, stack_bases, subspace_make, subspace_meet,
                          subspace_vector_ids, subspaces, vector_bitsets)
 from dbrg.geometry import (
     ArcCheckResult,
@@ -127,10 +127,12 @@ def test_space_family_rejects_a_member_over_another_field():
 def test_bases_are_stacked_int64_also_for_zero_dim_members():
     gf2 = field_for_order(2)
     fam = SpaceFamily(gf2, 4, (subspace_make(gf2, 4, []),))
-    assert fam.bases.dtype == np.int64 and fam.bases.shape == (1, 0, 4)
+    bases = stack_bases(fam)
+    assert bases.dtype == np.int64 and bases.shape == (1, 0, 4)
     arc = hyperoval(4)
-    assert arc.bases.dtype == np.int64 and arc.bases.shape == (6, 1, 3)
-    assert arc.bases[:, 0].tolist() == [list(pt.basis[0]) for pt in arc.members]
+    bases = stack_bases(arc)
+    assert bases.dtype == np.int64 and bases.shape == (6, 1, 3)
+    assert bases[:, 0].tolist() == [list(pt.basis[0]) for pt in arc.members]
 
 
 def test_dualize_subspace_dimension():
@@ -152,8 +154,9 @@ def test_cone_spaces_q2_counts_and_membership():
 
 
 def quadric(ctx, v):
-    """X1X2 - X3X4 + X5X6, one field operation at a time."""
-    return ctx.add(ctx.add(ctx.mul(v[0], v[1]), ctx.neg(ctx.mul(v[2], v[3]))), ctx.mul(v[4], v[5]))
+    """X1X2 - X3X4 + X5X6, one field operation at a time, on ints or arrays."""
+    minus = mul(ctx, ctx.p - 1, mul(ctx, v[2], v[3]))
+    return ctx.add(ctx.add(mul(ctx, v[0], v[1]), minus), mul(ctx, v[4], v[5]))
 
 
 def test_cone_members_are_totally_singular_q2():
@@ -218,7 +221,7 @@ def test_cone_spaces_are_the_generators(q):
     r_star, s_star = cone_spaces(q)
     ctx = r_star.ctx
     assert (len(r_star), len(s_star)) == (2 * (q + 1) * (q * q + 1), (q + 1) * (q * q + 1))
-    rows = np.moveaxis(r_star.bases, -1, 0)  # coordinates first, as quadric reads them
+    rows = np.moveaxis(stack_bases(r_star), -1, 0)  # coordinates first, as quadric reads them
     for i, j in itertools.combinations_with_replacement(range(3), 2):
         v = rows[..., i] if i == j else ctx.add(rows[..., i], rows[..., j])
         assert not quadric(ctx, v).any()

@@ -36,10 +36,13 @@ def test_all_names_exist():
     assert missing == []
 
 
-def test_gfcore_alone_knows_ids_and_bitsets():
-    # no module imports another module's private name; outside gfcore no
-    # module spells the vector-id weights, adds ids digit-wise (an ``add``
-    # with a digit count) or reads bitset words and bits
+FIELD_LAYERS = ("gfint", "gfcore")  # the scalar and the stacked field layer
+
+
+def test_field_layers_alone_know_ids_and_bitsets():
+    # no module imports another module's private name; outside the field
+    # layers no module spells the vector-id weights, adds ids digit-wise (an
+    # ``add`` with a digit count) or reads bitset words and bits
     found = []
     for path in SOURCES:
         text = path.read_text()
@@ -47,28 +50,29 @@ def test_gfcore_alone_knows_ids_and_bitsets():
             if isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 found += [f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names
                           if a.name.startswith("_")]
-            if path.stem == "gfcore" or not isinstance(node, ast.Call):
+            if path.stem in FIELD_LAYERS or not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name == "add" and (len(node.args) > 2 or node.keywords):
                 found.append(f"{path.name}:{node.lineno}: digit-wise add")
-        if path.stem != "gfcore":
-            for pattern in (r"\*\*\s*np\.arange", r">>\s*6\b", r"&\s*63\b"):
+        if path.stem not in FIELD_LAYERS:
+            for pattern in (r"\*\*\s*np\.arange", r">>\s*[36]\b", r"&\s*(63|7)\b"):
                 found += [f"{path.name}: {m.group()}" for m in re.finditer(pattern, text)]
     assert found == []
 
 
 def test_family_bases_cross_to_the_kernels_in_one_place():
-    # member bases are stacked only by ``SpaceFamily.bases``; stacked rows
-    # become Subspace values only in gfcore (``subspaces``), since the
-    # Subspace constructor trusts its rows to be a canonical echelon basis
+    # member bases are stacked only by ``gfcore.stack_bases``; stacked rows
+    # become Subspace values only in the field layers (``gfcore.subspaces``
+    # and ``gfint.subspace_make``), since the Subspace constructor trusts
+    # its rows to be a canonical echelon basis
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         allowed = set()
-        if path.stem == "geometry":
+        if path.stem == "gfcore":
             allowed = {id(node) for fn in ast.walk(tree)
-                       if isinstance(fn, ast.FunctionDef) and fn.name == "bases"
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "stack_bases"
                        for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or id(node) in allowed:
@@ -78,7 +82,7 @@ def test_family_bases_cross_to_the_kernels_in_one_place():
                     isinstance(sub, ast.Attribute) and sub.attr == "basis"
                     for arg in node.args for sub in ast.walk(arg)):
                 found.append(f"{path.name}:{node.lineno}: stacks member bases")
-            if name == "Subspace" and path.stem != "gfcore":
+            if name == "Subspace" and path.stem not in FIELD_LAYERS:
                 found.append(f"{path.name}:{node.lineno}: builds a Subspace")
     assert found == []
 
@@ -105,11 +109,12 @@ def _start_up_cost(name):
 
 
 def test_integer_layer_imports_no_numpy():
-    # params and feasibility, and every package module they import, are
-    # integer and Fraction work with NamedTuple records and a plain read of
-    # the catalog file; cli.py itself imports no layer (see below)
+    # params and feasibility, the scalar field layer gfint and the perp-file
+    # layer perpfile, and every package module they import, are integer and
+    # Fraction work with NamedTuple records, plain classes and a plain read
+    # of the catalog file; cli.py itself imports no layer (see below)
     package = Path(dbrg.__file__).parent
-    todo, seen, found = ["params", "feasibility"], set(), []
+    todo, seen, found = ["params", "feasibility", "gfint", "perpfile"], set(), []
     while todo:
         stem = todo.pop()
         if stem in seen:
@@ -118,6 +123,11 @@ def test_integer_layer_imports_no_numpy():
         local, other = _imports(package / f"{stem}.py")
         todo += local
         found += [f"{stem}.py imports {name}" for name in sorted(other) if _start_up_cost(name)]
+        # nor can a module of the layer reach numpy by a dynamic import
+        found += [f"{stem}.py imports {name}" for name in sorted(other)
+                  if name.split(".")[0] == "importlib"]
+        found += [f"{stem}.py calls __import__" for node in ast.walk(
+            ast.parse((package / f"{stem}.py").read_text())) if getattr(node, "id", None) == "__import__"]
     found += [f"cli.py imports {name}" for name in sorted(_imports(package / "cli.py")[1])
               if _start_up_cost(name)]
     assert found == []
