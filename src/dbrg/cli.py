@@ -5,13 +5,15 @@ Every subcommand is a thin composition of library calls: builders from
 :mod:`dbrg.perpfile`, the perp search of :mod:`dbrg.perpsys`, and the
 feasibility enumeration.  Each command imports only the layers it
 calls, so importing this module loads none of them.  ``feas enumerate``
-and ``catalog`` run on the integer layer alone, and ``perp verify`` and
+and ``catalog`` run on the integer layer alone; ``perp verify`` and
 ``roundtrip`` of a perp file on the integer, field and perp-file layers
-(:mod:`dbrg.params`, :mod:`dbrg.gfint` and :mod:`dbrg.perpfile`), none
-of which imports numpy.  No command loads :mod:`dataclasses`: every record
-is a NamedTuple or a plain class, as importing it (with :mod:`inspect`)
-and building frozen dataclasses costs more than a feasibility command's
-enumeration, and about 10 ms of each graph or perp command.
+(:mod:`dbrg.params`, :mod:`dbrg.gfint` and :mod:`dbrg.perpfile`), and
+``perp search`` on those and :mod:`dbrg.perpsys`.  None of these imports
+numpy, and the perp commands load no :mod:`fractions` either.  No
+command loads :mod:`dataclasses`: every record is a NamedTuple or a
+plain class, as importing it (with :mod:`inspect`) and building frozen
+dataclasses costs more than a feasibility command's enumeration, and
+about 10 ms of each graph or perp command.
 Identical invocations produce byte-identical artifacts; the last stdout
 line of each command is a compact JSON summary.
 

@@ -8,7 +8,8 @@ written down through the Klein correspondence with the points of
 PG(3, q) and a map sigma that swaps the rulings (no 3-space is enumerated).
 
 Every family is a :class:`dbrg.gfint.SpaceFamily` (defined in the
-numpy-free field layer and re-exported here); so is a perp system of
+numpy-free field layer, like ``field_for_order``, and re-exported
+here); so is a perp system of
 :mod:`dbrg.perpfile`.  Points of PG(n-1, q) are 1-dim members, and a
 point set (an arc, a hyperoval, a two-intersection set) lists them in
 lex order of their normalized vectors; its dual is the family of
@@ -24,8 +25,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gfcore import dot, hyperplane_counts, projective_points, stack_bases
-from .gfint import FieldContext, SpaceFamily, Subspace, field, orthogonal_complement, subspace_make
-from .params import prime_power
+from .gfint import (FieldContext, SpaceFamily, Subspace, field_for_order, orthogonal_complement,
+                    subspace_make)
 
 __all__ = [
     "SpaceFamily",
@@ -38,12 +39,6 @@ __all__ = [
     "cone_spaces",
     "field_for_order",
 ]
-
-
-def field_for_order(q: int) -> FieldContext:
-    """Context for GF(q), with q factored by :func:`dbrg.params.prime_power`
-    (ValueError if q is not a prime power or exceeds 2^16)."""
-    return field(*prime_power(q))
 
 
 def point(ctx: FieldContext, v: Sequence[int]) -> Subspace:

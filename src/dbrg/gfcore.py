@@ -271,5 +271,6 @@ def hyperplane_counts(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
 
 def projective_points(ctx: FieldContext, n: int) -> np.ndarray:
     """Normalized representatives (first nonzero coordinate 1) of the points
-    of PG(n-1, q), one per row in lex order: the 1-dim echelon bases."""
+    of PG(n-1, q), one per row, as the 1-dim echelon bases come: by the
+    place of the leading 1, then in lex order."""
     return np.concatenate(list(echelon_bases(ctx, n, 1)))[:, 0]

@@ -24,17 +24,33 @@ This module imports no numpy: the exp/log tables are Python lists, and
 integer operators, so it also applies elementwise to integer arrays; the
 array product, and everything on stacked bases, is :mod:`dbrg.gfcore`,
 which reads the same tables.  A vector's id is its
-:func:`vector_index`, the coordinates read as one base-q number, so ids
-add digit by digit (``ctx.add(id1, id2, n * ctx.t)``); :func:`span_ids`
-lists the ids of a subspace and :func:`id_bitset` packs ids into one
-Python int.
+:func:`vector_index`, the coordinates read as one base-q number; the
+base-p digits of a coordinate are its polynomial coefficients, so the
+base-p digits of an id are the vector's coordinates over GF(p).
+
+A set of vectors is a bitset: one Python int, bit i set iff the vector
+with id i is in the set.  This module provides them:
+:func:`span_ids` lists the ids of a subspace and :func:`id_bitset`
+packs ids into one int; :func:`hyperplane_bitsets` gives the nonzero
+vectors of each hyperplane w-perp, and :func:`echelon_bitsets` the
+nonzero vectors of every m-dimensional subspace, in the order of
+:func:`dbrg.gfcore.echelon_bases`, each the AND of the hyperplanes of
+its dual basis (:func:`echelon_space` decodes a position in that order
+back to its :class:`Subspace`).  A subspace's bitset determines it, so
+the bitset is a canonical key.  Counts per vector are bit planes, a
+list whose entry i is the bitset of the vectors whose count has bit i
+set: :func:`planes_count` counts a list of sets, :func:`planes_add` adds
+one set and :func:`planes_sub` takes counts out,
+:func:`planes_equal`, :func:`planes_less` and :func:`planes_min` select
+vectors by their counts, and :func:`incidence_planes` counts a family
+and checks it is every m-dimensional subspace once.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .params import prime_power
 
@@ -49,8 +65,21 @@ __all__ = [
     "orthogonal_complement",
     "vector_index",
     "index_vector",
+    "field_for_order",
     "span_ids",
     "id_bitset",
+    "vector_bit",
+    "point_vectors",
+    "hyperplane_bitsets",
+    "echelon_bitsets",
+    "echelon_space",
+    "incidence_planes",
+    "planes_add",
+    "planes_sub",
+    "planes_count",
+    "planes_equal",
+    "planes_less",
+    "planes_min",
     "parse_vector",
     "format_vector",
 ]
@@ -251,6 +280,12 @@ def field(p: int, t: int = 1) -> FieldContext:
     return FieldContext(p, t)
 
 
+def field_for_order(q: int) -> FieldContext:
+    """Context for GF(q), with q factored by :func:`dbrg.params.prime_power`
+    (ValueError if q is not a prime power or exceeds 2^16)."""
+    return field(*prime_power(q))
+
+
 def qbinom(n: int, m: int, q: int) -> int:
     """Number of m-dimensional subspaces of F_q^n (Gaussian binomial).
 
@@ -292,15 +327,32 @@ def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
 def span_ids(ctx: FieldContext, basis: Sequence[Sequence[int]]) -> list[int]:
     """Sorted ids of the nonzero vectors spanned by linearly independent rows.
 
-    The scalar form of :func:`dbrg.gfcore.subspace_vector_ids`: the ids
-    of c * row for every scalar c come from the tables, and the spans
-    from the digit-wise addition of ids."""
-    ids = [0]
+    The scalar form of :func:`dbrg.gfcore.subspace_vector_ids`.  A vector
+    is read as its n t coordinates over GF(p), the base-p digits of its
+    id, and a digit of a sum is the sum of the summands' digits mod p.  So
+    each digit column is summed over every combination of the rows, from
+    the digits of the rows' scalar multiples, and the ids are read off
+    the columns, one place value each, with no carries between them."""
+    if not basis:
+        return []
+    p, q = ctx.p, ctx.q
+    places = [p**e for e in reversed(range(ctx.t))]  # a coordinate's digits, most significant first
+    cols = [[0] for _ in range(len(basis[0]) * ctx.t)]  # unreduced sums, one combination each
     for row in basis:
-        digits = len(row) * ctx.t
-        scaled = [vector_index(ctx, [ctx.mul(c, x) for x in row]) for c in ctx.elements()]
-        ids = [ctx.add(a, b, digits) for a in ids for b in scaled]
-    return sorted(ids[1:])
+        k = 0
+        for x in row:
+            products = [ctx.mul(c, x) for c in ctx.elements()]
+            for place in places:
+                # the same combination order in every column: this row's scalar varies slowest
+                if x:
+                    cols[k] = [a + y // place % p for y in products for a in cols[k]]
+                else:  # every multiple is 0 here
+                    cols[k] *= q
+                k += 1
+    ids = [0] * len(cols[0])
+    for sums in cols:
+        ids = [i * p + x % p for i, x in zip(ids, sums)]
+    return sorted(ids[1:])  # the combination with all scalars 0 comes first
 
 
 def id_bitset(ids: Sequence[int]) -> int:
@@ -309,6 +361,243 @@ def id_bitset(ids: Sequence[int]) -> int:
     for i in ids:
         buf[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buf, "little")
+
+
+def vector_bit(ctx: FieldContext, v: Sequence[int]) -> int:
+    """The bitset holding the one vector ``v``."""
+    return 1 << vector_index(ctx, v)
+
+
+def point_vectors(ctx: FieldContext, n: int) -> list[tuple[int, ...]]:
+    """Normalized representatives (first nonzero coordinate 1) of the points
+    of PG(n-1, q), as the rows of :func:`dbrg.gfcore.projective_points`:
+    by the place of the leading 1, then in lex order."""
+    return [(0,) * lead + (1,) + rest for lead in range(n)
+            for rest in itertools.product(range(ctx.q), repeat=n - lead - 1)]
+
+
+def hyperplane_bitsets(ctx: FieldContext, n: int) -> Callable[[Sequence[int]], int]:
+    """A map from w in F_q^n to the bitset of the nonzero vectors v with
+    v . w = 0 under the standard dot form (all of them for w = 0).
+
+    The sets come from a recursion on the coordinates of w: the vectors
+    (x, v') with x w_0 + v' . w' = c are those (0, v') with v' . w' = c - x w_0,
+    shifted by x q^(n-1) in id.  Each suffix w' of length l < n is
+    memoised, with q bitsets over the q^l ids, one per value c, built by
+    shifts and ORs; a whole w takes q shifts and ORs more."""
+    q = ctx.q
+    levels: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * (q - 1)}
+
+    def level(w: tuple[int, ...]) -> list[int]:
+        got = levels.get(w)
+        if got is None:
+            rest, shift, got = level(w[1:]), q ** (len(w) - 1), [0] * q
+            for x in range(q):
+                xw = ctx.mul(x, w[0])
+                for c, bits in enumerate(rest):
+                    got[ctx.add(c, xw)] |= bits << x * shift
+            levels[w] = got
+        return got
+
+    def hyperplane(w: Sequence[int]) -> int:
+        if len(w) != n:
+            raise ValueError(f"vector of length {len(w)} in ambient dimension {n}")
+        rest, shift, got = level(tuple(w[1:])), q ** (n - 1), 0
+        for x in range(q):
+            got |= rest[ctx.neg(ctx.mul(x, w[0]))] << x * shift
+        return got ^ 1  # v = 0 is in every hyperplane; the sets hold nonzero vectors
+
+    return hyperplane
+
+
+def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
+    """The free echelon entries (row, column) for a pivot-column set, row by
+    row: the cells :func:`dbrg.gfcore.echelon_bases` fills, last fastest."""
+    return [(i, j) for i, piv in enumerate(pivots) for j in range(piv + 1, n)
+            if j not in pivots]
+
+
+def echelon_bitsets(ctx: FieldContext, n: int, m: int) -> Iterator[list[int]]:
+    """The nonzero vectors of every m-dimensional subspace of F_q^n, as
+    bitsets, in the order of :func:`dbrg.gfcore.echelon_bases`: one list
+    per pivot-column set and value of its first free cell, the cell that
+    varies slowest, so that no list takes long to build.
+
+    A subspace with echelon basis B and pivot columns p_0 < ... < p_{m-1}
+    is the intersection of the hyperplanes w_j-perp, one for each
+    non-pivot column j, with w_j = e_j - sum_i B[i][j] e_{p_i}.  w_j
+    depends only on the free cells of column j, and each cell's value
+    adds a fixed amount to the subspace's position in its list; so the
+    lists are built column by column, one AND and one sum per subspace
+    and column.  ValueError unless 0 <= m <= n."""
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got ({n}, {m})")
+    q = ctx.q
+    hyperplane = hyperplane_bitsets(ctx, n)
+    for pivots in itertools.combinations(range(n), m):
+        cells = _free_cells(n, pivots)
+        for first in range(q) if cells else [0]:
+            choices = [[first]] + [range(q)] * (len(cells) - 1)  # per cell, its values here
+            where, bits = [0], None
+            for j in range(n):
+                if j in pivots:
+                    continue
+                at = [pos for pos, (_, col) in enumerate(cells) if col == j]
+                offsets, hyperplanes = [], []
+                for values in itertools.product(*(choices[pos] for pos in at)):
+                    w = [0] * n
+                    w[j] = 1
+                    for pos, x in zip(at, values):
+                        w[pivots[cells[pos][0]]] = ctx.neg(x)
+                    offsets.append(sum(x * q ** (len(cells) - 1 - pos)
+                                       for pos, x in zip(at, values) if pos))
+                    hyperplanes.append(hyperplane(w))
+                where = [a + b for a in where for b in offsets]
+                bits = hyperplanes if bits is None else [a & b for a in bits for b in hyperplanes]
+            if bits is None:  # m = n: the whole space
+                bits = [hyperplane([0] * n)]
+            part = [0] * len(bits)
+            for pos, b in zip(where, bits):
+                part[pos] = b
+            yield part
+
+
+def echelon_space(ctx: FieldContext, n: int, m: int, index: int) -> Subspace:
+    """The m-dimensional subspace at position ``index`` of the order of
+    :func:`echelon_bitsets`: its pivot set's block, then the base-q digits
+    of the offset in it as the free cells, the last cell least significant.
+    IndexError unless 0 <= index < [n, m]_q."""
+    if index >= 0:
+        for pivots in itertools.combinations(range(n), m):
+            cells = _free_cells(n, pivots)
+            if index < ctx.q ** len(cells):
+                rows = [[int(j == piv) for j in range(n)] for piv in pivots]
+                for i, j in reversed(cells):
+                    index, rows[i][j] = divmod(index, ctx.q)
+                return Subspace(ctx, n, tuple(map(tuple, rows)))
+            index -= ctx.q ** len(cells)
+    raise IndexError(f"no {m}-dimensional subspace of F_{ctx.q}^{n} at this position")
+
+
+# ---------------------------------------------------------------------------
+# Counts per vector as bit planes: entry i of a list of planes is the bitset
+# of the vectors whose count has bit i set.
+# ---------------------------------------------------------------------------
+
+def planes_add(planes: list[int], bits: int) -> None:
+    """Count each vector of ``bits`` once more, in place (ripple carry; a
+    carry out of the top plane becomes a new plane)."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ bits
+        bits &= plane
+        if not bits:
+            return
+    if bits:
+        planes.append(bits)
+
+
+def planes_sub(planes: list[int], other: Sequence[int]) -> None:
+    """Take the counts ``other`` (planes too: ``[bits]`` counts one set)
+    out of ``planes`` in place, borrow by borrow; RuntimeError if some
+    count would fall below zero."""
+    borrow = 0
+    for i, x in enumerate(other):
+        if i == len(planes):
+            if x | borrow:
+                raise RuntimeError("a count per vector fell below zero")
+            continue
+        plane = planes[i]
+        half = plane ^ x
+        planes[i] = half ^ borrow
+        borrow = (x & ~plane) | (borrow & ~half)
+    for i in range(len(other), len(planes)):
+        if not borrow:
+            return
+        plane = planes[i]
+        planes[i] = plane ^ borrow
+        borrow &= ~plane
+    if borrow:
+        raise RuntimeError("a count per vector fell below zero")
+
+
+def planes_count(sets: Sequence[int]) -> list[int]:
+    """The planes of how many of the bitsets ``sets`` hold each vector.
+
+    Carry-save: at each weight, full adders turn three sets into their
+    sum at that weight and their carry at the next, until one set is
+    left, the plane of that weight; five operations a set in all."""
+    planes, level = [], list(sets)
+    while level:
+        carries = []
+        while len(level) > 2:
+            a, b, c = level.pop(), level.pop(), level.pop()
+            half = a ^ b
+            level.append(half ^ c)
+            carries.append((a & b) | (half & c))
+        if len(level) == 2:
+            a, b = level
+            level = [a ^ b]
+            carries.append(a & b)
+        planes.append(level[0])
+        level = carries
+    return planes
+
+
+def planes_equal(planes: Sequence[int], value: int, mask: int) -> int:
+    """The vectors of ``mask`` counted exactly ``value`` times."""
+    if value < 0 or value >> len(planes):
+        return 0
+    for i, plane in enumerate(planes):
+        mask &= plane if value >> i & 1 else ~plane
+    return mask
+
+
+def planes_less(planes: Sequence[int], value: int, mask: int) -> int:
+    """The vectors of ``mask`` counted fewer than ``value`` times."""
+    if value <= 0:
+        return 0
+    if value >> len(planes):
+        return mask
+    less = 0
+    for i in reversed(range(len(planes))):
+        if value >> i & 1:
+            less |= mask & ~planes[i]
+            mask &= planes[i]
+        else:
+            mask &= ~planes[i]
+    return less
+
+
+def planes_min(planes: Sequence[int], mask: int) -> int:
+    """The vectors of ``mask`` with the least count among them."""
+    for plane in reversed(planes):
+        if mask & ~plane:
+            mask &= ~plane
+    return mask
+
+
+def incidence_planes(ctx: FieldContext, n: int, m: int, bits: Sequence[int]) -> list[int]:
+    """The planes of how many of ``bits`` hold each vector, checked to be the
+    counts of all m-dimensional subspaces: RuntimeError unless there are
+    [n, m]_q sets and every nonzero vector lies in [n-1, m-1]_q of them
+    (GL(n, q) is transitive on nonzero vectors)."""
+    planes = planes_count(bits)
+    q = ctx.q
+    count, per = qbinom(n, m, q), qbinom(n - 1, m - 1, q) if m else 0
+    nonzero = (1 << q**n) - 2
+    if len(bits) != count or planes_equal(planes, per, nonzero) != nonzero:
+        low, high = planes_min(planes, nonzero), nonzero
+        for plane in reversed(planes):
+            high = high & plane or high
+        raise RuntimeError(f"{len(bits)} candidates, each vector in {_count_at(planes, low)} to "
+                           f"{_count_at(planes, high)} of them; expected {count} and {per}")
+    return planes
+
+
+def _count_at(planes: Sequence[int], bits: int) -> int:
+    """The count of the lowest vector of ``bits``."""
+    low = bits & -bits
+    return sum(1 << i for i, plane in enumerate(planes) if plane & low)
 
 
 _DIGITS = "0123456789abcdef"

@@ -22,14 +22,20 @@ without it.  Its records are :class:`typing.NamedTuple` classes, not
 dataclasses: importing :mod:`dataclasses` loads :mod:`inspect` and its
 parsers, which would outweigh the integer work of a feasibility command.
 A record is therefore a tuple: it compares equal to the tuple of its
-fields, and it hashes, iterates and orders as that tuple.
+fields, and it hashes, iterates and orders as that tuple.  The three
+functions that use :class:`fractions.Fraction` import it themselves, so
+the perp commands, which need only :func:`prime_power` and
+:func:`perp_params`, load neither :mod:`fractions` nor the
+:mod:`decimal` and :mod:`numbers` it imports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Condition",
@@ -162,6 +168,8 @@ def homogeneity(arr: IntersectionArray, i: int) -> tuple[Fraction, Fraction | No
     if arr.dB < 4 or arr.dC < 4:
         raise ValueError(f"{arr}: homogeneity needs covering radii at least 4, "
                          f"got {arr.dB} and {arr.dC}")
+    from fractions import Fraction
+
     b, c = (arr.bB, arr.cB) if i == 2 else (arr.bC, arr.cC)
     c2B, c2C = arr.cB[1], arr.cC[1]
     den = b(i) * (c[i] - 1) + c[i - 1] * (b(i - 1) - 1)
@@ -253,6 +261,8 @@ def srg_from_spectrum(v: int, k: int | Fraction, r: int | Fraction,
         raise ValueError(f"eigenvalues out of order: r={r}, s={s}")
     f1, rem = divmod(-k - (v - 1) * s, r - s)
     if rem:
+        from fractions import Fraction
+
         raise ValueError(f"non-integral multiplicity f1 = {Fraction(-k - (v - 1) * s, r - s)}")
     f2 = v - 1 - f1
     if f1 < 0 or f2 < 0:
@@ -376,6 +386,8 @@ def perp_srg_params(n: int, k: int, q: int, d: int) -> SrgParams:
     mu = q^(n-2k) s (s-1) / d^2.  ValueError if (n, k, q, d) is
     inadmissible, or if :func:`srg_from_spectrum` rejects the spectrum.
     """
+    from fractions import Fraction
+
     s = perp_params(n, k, q, d).forced_s()
     return srg_from_spectrum(q**n, Fraction(s * (q ** (n - k) - 1), d),
                              Fraction(q ** (n - k) - s, d), Fraction(-s, d))

@@ -14,13 +14,14 @@ associated graph is strongly regular.
 ``perp_search`` is a deterministic exact-cover search with
 multiplicities (Knuth's Algorithm M): it branches on the partially
 covered vector with the fewest candidates left.  It works on the
-candidates' vector ids and uint64 bitsets of :mod:`dbrg.gfcore`, and
-finds the candidates holding a vector by testing its bit.
+candidates' bitsets of :func:`dbrg.gfint.echelon_bitsets`, one Python
+int per candidate over the q^n vector ids, and keeps the counts per
+vector (how many members and how many live candidates hold it) as bit
+planes of :mod:`dbrg.gfint`.  A candidate's bitset is its canonical
+key: two candidates are equal iff their bitsets are.
 
 The records, the exhaustive check ``perp_verify`` and the file format
-are the numpy-free :mod:`dbrg.perpfile`, re-exported here, so that
-``perp verify``, the perp ``roundtrip`` and the file read of
-``construct gen-delorme`` run without numpy.  A :class:`PerpSystem` is a
+are :mod:`dbrg.perpfile`, re-exported here.  A :class:`PerpSystem` is a
 :class:`dbrg.gfint.SpaceFamily` plus k, d and s, always in the primal
 formulation that :func:`perp_verify` checked; the coset graph, the
 two-intersection set and the file format read it.  ``perp_dualize``
@@ -29,31 +30,41 @@ every hyperplane holding 0 or d of them), with the meet routine of
 ``perp_verify``, and returns it as a plain
 :class:`dbrg.gfint.SpaceFamily`; the way back is
 ``perp_verify(ctx, n, k, dualize(family).members)``.  The member count
-and the admissibility rules are :func:`dbrg.params.perp_params`.
+and the admissibility rules are :func:`dbrg.params.perp_params`.  The
+hyperplane counts of ``perp_dualize`` and ``two_intersection_set`` come
+from :func:`dbrg.gfint.hyperplane_bitsets`.
+
+Like the modules it imports, this one imports no numpy, so
+``perp search`` runs without it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from .gfcore import (
-    bitset_contains,
-    echelon_bases,
-    hyperplane_counts,
-    projective_points,
-    stack_bases,
-    subspace_vector_ids,
-    subspaces,
-    vector_bitsets,
-    vector_ids,
+from .gfint import (
+    SpaceFamily,
+    echelon_bitsets,
+    echelon_space,
+    field_for_order,
+    hyperplane_bitsets,
+    id_bitset,
+    incidence_planes,
+    orthogonal_complement,
+    planes_add,
+    planes_count,
+    planes_equal,
+    planes_less,
+    planes_min,
+    planes_sub,
+    point_vectors,
+    qbinom,
+    span_ids,
+    subspace_make,
+    vector_bit,
 )
-from .gfint import FieldContext, SpaceFamily, id_bitset, qbinom, span_ids
-from .geometry import dualize, field_for_order, point_family
 from .params import perp_params
 from .perpfile import (
     PerpSystem,
@@ -96,40 +107,49 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     """The d-times-covered points, with the hyperplane sizes verified.
 
     Exhaustively intersects every hyperplane with the point set and
-    checks that exactly the two predicted sizes occur, by
-    :func:`dbrg.gfcore.hyperplane_counts`.  ValueError means
-    ``system`` is not a perp system (a predicted size is not an integer,
-    or the measured point set differs); RuntimeError means the double
-    count of point-hyperplane incidences failed, which holds by
-    construction.
+    checks that exactly the two predicted sizes occur, on the bitsets of
+    :func:`dbrg.gfint.hyperplane_bitsets`.  ValueError means ``system``
+    is not a perp system (a predicted size is not an integer, or the
+    measured point set differs); RuntimeError means the double count of
+    point-hyperplane incidences failed, which holds by construction.
     """
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
-    points = projective_points(ctx, n)
-    ids = subspace_vector_ids(ctx, stack_bases(system))
-    mults = np.bincount(ids.ravel(), minlength=q**n)
-    reps = points[mults[vector_ids(ctx, points)] == d]
-    big_n = Fraction(s, d) * qbinom(n - k, 1, q)
-    h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
-    h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
-    if big_n.denominator != 1 or h1.denominator != 1 or h2.denominator != 1:
+    mults = planes_count([id_bitset(span_ids(ctx, m.basis)) for m in system.members])
+    covered = planes_equal(mults, d, (1 << q**n) - 2)
+    points = point_vectors(ctx, n)
+    reps = [w for w in points if covered & vector_bit(ctx, w)]
+    # d N, d h1 and d h2
+    sizes = (s * qbinom(n - k, 1, q), qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q),
+             s * qbinom(n - k - 1, 1, q))
+    (big_n, r0), (h1, r1), (h2, r2) = (divmod(x, d) for x in sizes)
+    if r0 or r1 or r2:
+        big_n, h1, h2 = (_ratio(x, d) for x in sizes)
         raise ValueError(f"non-integral point count or hyperplane size: N={big_n}, "
                          f"h1={h1}, h2={h2}")
-    big_n, h1, h2 = int(big_n), int(h1), int(h2)
     if len(reps) != big_n:
         raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
-    counts = hyperplane_counts(ctx, reps[:, None])
-    bad = np.flatnonzero((counts != h1) & (counts != h2))
-    if bad.size:
-        w, cnt = tuple(points[bad[0]].tolist()), int(counts[bad[0]])
-        raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
-    n1 = int((counts == h1).sum())
-    n2 = len(counts) - n1
+    hyperplane, n1 = hyperplane_bitsets(ctx, n), 0
+    for w in points:
+        # each point of the set in w-perp is q - 1 of its nonzero vectors
+        cnt = (covered & hyperplane(w)).bit_count() // (q - 1)
+        if cnt not in (h1, h2):
+            raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
+        n1 += cnt == h1
+    n2 = len(points) - n1
     if h1 != h2 and (n1 == 0 or n2 == 0):
         raise ValueError("one of the two hyperplane sizes does not occur")
     if big_n * qbinom(n - 1, 1, q) != n1 * h1 + n2 * h2:
         raise RuntimeError("point-hyperplane incidences do not double count")
-    return TwoIntersectionSet(point_family(ctx, n, reps.tolist()), big_n, n, h1, h2, n1, n2)
+    point_set = tuple(subspace_make(ctx, n, [w]) for w in sorted(reps))  # in lex order
+    return TwoIntersectionSet(SpaceFamily(ctx, n, point_set), big_n, n, h1, h2, n1, n2)
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as ``Fraction`` prints it."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +161,26 @@ def perp_dualize(system: PerpSystem) -> SpaceFamily:
     by basis.
 
     They are k-dimensional, meet pairwise trivially, and every hyperplane
-    contains 0 or d of them (checked exhaustively); ValueError means
-    ``system`` fails one of these checks.  The way back is
+    contains 0 or d of them (checked exhaustively, on the bitsets of
+    :func:`dbrg.gfint.hyperplane_bitsets`); ValueError means ``system``
+    fails one of these checks.  The way back is
     ``perp_verify(ctx, n, k, dualize(family).members)``.
     """
     ctx, n, d = system.ctx, system.n, system.d
-    dual = SpaceFamily(ctx, n, tuple(sorted(dualize(system).members, key=lambda m: m.basis)))
-    pair = meeting_pair([id_bitset(span_ids(ctx, m.basis)) for m in dual.members], 0)
+    dual = SpaceFamily(ctx, n, tuple(sorted(map(orthogonal_complement, system.members),
+                                            key=lambda m: m.basis)))
+    bits = [id_bitset(span_ids(ctx, m.basis)) for m in dual.members]
+    pair = meeting_pair(bits, 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
-    counts = hyperplane_counts(ctx, stack_bases(dual))
-    bad = np.flatnonzero((counts != 0) & (counts != d))
-    if bad.size:
-        w, cnt = tuple(projective_points(ctx, n)[bad[0]].tolist()), int(counts[bad[0]])
-        raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
-    if not ((counts == 0).any() and (counts == d).any()):
+    hyperplane, seen = hyperplane_bitsets(ctx, n), set()
+    for w in point_vectors(ctx, n):
+        plane = hyperplane(w)
+        cnt = sum((b & plane) == b for b in bits)
+        if cnt not in (0, d):
+            raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
+        seen.add(cnt)
+    if seen != {0, d}:
         raise ValueError("hyperplane covering must take both values 0 and d")
     return dual
 
@@ -173,18 +198,11 @@ class SearchOutcome(NamedTuple):
     # solutions * K / s (GL(n, q) is transitive on the K candidates)
     solutions: int = 0
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
-    # wall seconds to tabulate the candidates: int8 bases, int32 vector ids
-    # and uint64 bitsets
+    # wall seconds to build the candidates' bitsets and count them per vector
     setup_seconds: float = 0.0
 
 
-class _Node(NamedTuple):
-    """A partial family in :func:`perp_search`."""
-
-    members: tuple[int, ...]  # candidate indices
-    cover: np.ndarray  # per vector id: members containing it
-    live: np.ndarray  # per candidate: may still join
-    avail: np.ndarray  # per vector id: live candidates containing it
+_MAX_TABLE_BYTES = 2**30
 
 
 class _Budget(Exception):
@@ -193,42 +211,6 @@ class _Budget(Exception):
 
 class _Found(Exception):
     pass
-
-
-_CHUNK = 512  # candidates tabulated, tested or dropped per step: the temporaries stay small
-
-
-def _candidate_tables(ctx: FieldContext, n: int, k: int,
-                      out_of_time: Callable[[], bool]) -> tuple[np.ndarray, ...]:
-    """The tables of :func:`perp_search` over the codimension-k subspaces:
-    (bases, ids, bits), filled ``_CHUNK`` candidates at a time.  Raises
-    _Budget when ``out_of_time()`` holds before a part; RuntimeError if
-    the candidates are not [n, n-k]_q, or some nonzero vector does not lie
-    in exactly [n-1, n-k-1]_q of them (GL(n, q) is transitive on nonzero
-    vectors)."""
-    q, size = ctx.q, ctx.q**n
-    count, per_vector = qbinom(n, n - k, q), qbinom(n - 1, n - k - 1, q)
-    bases = ids = bits = None
-    fill = np.zeros(size, np.int64)  # candidates holding each vector so far
-    start = 0
-    for block in echelon_bases(ctx, n, n - k):
-        for part in np.split(block, range(_CHUNK, len(block), _CHUNK)):
-            if out_of_time():
-                raise _Budget
-            part_ids = subspace_vector_ids(ctx, part)
-            if bases is None:  # in the dtypes of the parts: int8 bases, int32 ids
-                bases = np.empty((count,) + part.shape[1:], part.dtype)
-                ids = np.empty((count, part_ids.shape[1]), part_ids.dtype)
-                bits = np.empty((count, -(-size // 64)), np.uint64)
-            stop = start + len(part)
-            bases[start:stop], ids[start:stop] = part, part_ids
-            bits[start:stop] = vector_bitsets(part_ids, size)
-            fill += np.bincount(part_ids.ravel(), minlength=size)
-            start = stop
-    if start != count or (fill[1:] != per_vector).any():
-        raise RuntimeError(f"{start} candidates, each vector in {fill[1:].min()} to "
-                           f"{fill[1:].max()} of them; expected {count} and {per_vector}")
-    return bases, ids, bits
 
 
 def perp_search(
@@ -251,35 +233,40 @@ def perp_search(
     inclusion the candidates that meet the new member in the wrong size
     or contain a vector now covered d times are killed.  The search
     branches on the partially covered vector with the fewest live
-    candidates; sibling i excludes siblings 0..i-1, so ``count_all``
-    counts each system through candidate 0 once.  GL(n, q) is transitive
-    on the K candidates, so each lies in equally many systems, and the
-    number of all systems is ``solutions * K / s``.  A node with no partially covered vector
+    candidates, the lowest id among ties; sibling i excludes siblings
+    0..i-1, so ``count_all`` counts each system through candidate 0 once.
+    GL(n, q) is transitive on the K candidates, so each lies in equally
+    many systems, and the number of all systems is ``solutions * K / s``.
+    A node with no partially covered vector
     has no live candidate: as n > 2k, every candidate shares a vector
     with member 0, and that vector is then covered d times.  A node is
     pruned when some partially covered vector has fewer live candidates
     than it still needs, or needs more than the members left.  The
     search is deterministic.
 
-    Set-up tabulates the K = [n, n-k]_q candidates in three tables:
-    echelon bases (int8 while q < 128), their sorted nonzero vector ids
-    (int32 while q^n < 2^31) and their uint64 bitsets.  The tables are
-    allocated once and filled ``_CHUNK`` candidates at a time, so no step
-    holds a temporary larger than a few arrays the size of one part;
-    RuntimeError if some vector does not lie in exactly R = [n-1, n-k-1]_q
-    candidates.  The search reads the candidates holding a vector, and
-    those holding a vector now covered d times, from the bitsets, in
-    increasing order; it tests the live candidates against a new member,
-    and counts killed candidates out of the live counts, ``_CHUNK`` at a
-    time, so the search temporaries stay as small.
+    Set-up builds the K = [n, n-k]_q candidates' bitsets with
+    :func:`dbrg.gfint.echelon_bitsets`, one Python int each over the q^n
+    vector ids, and counts them per vector in bit planes
+    (:func:`dbrg.gfint.incidence_planes`): RuntimeError if there are not
+    K of them or some vector does not lie in exactly R = [n-1, n-k-1]_q.
+    A node holds its members, the bit planes of how many members cover
+    each vector, its live candidates as a list of indices, and the bit
+    planes of how many live candidates hold each vector.  Joining c
+    keeps the live y with ``(bits[y] & bits[c]).bit_count()`` equal to
+    q^(n-2k) - 1 that hold no vector c has just filled to d covers; the
+    child's live counts are those of the kept candidates, or the node's
+    less those of the killed, whichever set is smaller to count.  No
+    step holds more than the candidates' bitsets and one node's planes
+    per depth.  MemoryError, before any set-up, if the bitsets would
+    take more than 1 GiB.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
-    time from entry, set-up included (it is checked before each part).
-    Returns status ``found`` with a system checked by :func:`perp_verify`,
-    ``exhausted`` when the whole space was explored (with ``solutions``
-    counted if ``count_all``), or ``budget`` when a cap was hit first.
-    ValueError if ``budget_nodes`` is negative or ``budget_seconds`` is
-    negative, infinite or NaN.
+    time from entry, set-up included (it is checked before each part of
+    the candidates that :func:`dbrg.gfint.echelon_bitsets` yields).  Returns status ``found`` with a system checked by
+    :func:`perp_verify`, ``exhausted`` when the whole space was explored
+    (with ``solutions`` counted if ``count_all``), or ``budget`` when a
+    cap was hit first.  ValueError if ``budget_nodes`` is negative or
+    ``budget_seconds`` is negative, infinite or NaN.
     """
     t0 = time.monotonic()
     if budget_nodes is not None and budget_nodes < 0:
@@ -288,54 +275,67 @@ def perp_search(
         raise ValueError(f"budget_seconds must be finite and non-negative, got {budget_seconds}")
     s_target = perp_params(n, k, q, d).forced_s()
     ctx = field_for_order(q)
-    size = q**n
     want = q ** (n - 2 * k) - 1
+    # the candidates' bitsets, and the q^(n-1) suffixes of q sets each of q^(n-1) bits
+    # that the hyperplane recursion keeps
+    table_bytes = (qbinom(n, n - k, q) * q**n + q ** (2 * n - 1)) // 8
+    if table_bytes > _MAX_TABLE_BYTES:
+        raise MemoryError(f"{qbinom(n, n - k, q)} candidate bitsets over {q**n} vectors "
+                          f"need about {table_bytes} bytes")
 
     def out_of_time() -> bool:
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
-    try:
-        bases, ids, bits = _candidate_tables(ctx, n, k, out_of_time)
-    except _Budget:
-        spent = time.monotonic() - t0
-        return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
+    bits: list[int] = []
+    for part in echelon_bitsets(ctx, n, n - k):
+        if out_of_time():
+            spent = time.monotonic() - t0
+            return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
+        bits += part
+    avail = incidence_planes(ctx, n, n - k, bits)
     setup_seconds = time.monotonic() - t0
 
-    def drop(node: _Node, dead) -> None:
-        node.live[dead] = False
-        for i in range(0, len(dead), _CHUNK):
-            node.avail[:] -= np.bincount(ids[dead[i:i + _CHUNK]].ravel(), minlength=size)
+    def join(members, cover, live, avail, c):
+        new = bits[c]
+        cover = cover.copy()
+        planes_add(cover, new)
+        full = planes_equal(cover, d, new)  # vectors now covered d times
+        keep, dead = [], []
+        for y in live:  # c itself meets c in too much and leaves
+            held = bits[y]
+            if held & full or (held & new).bit_count() != want:
+                dead.append(held)
+            else:
+                keep.append(y)
+        if len(dead) < len(keep):  # count the smaller side
+            avail = avail.copy()
+            planes_sub(avail, planes_count(dead))
+        else:
+            avail = planes_count([bits[y] for y in keep])
+        return members + (c,), cover, keep, avail
 
-    def join(node: _Node, c: int) -> _Node:
-        cover = node.cover.copy()
-        cover[ids[c]] += 1
-        full = ids[c][cover[ids[c]] == d]  # vectors now covered d times
-        live = np.flatnonzero(node.live)
-        dead = np.empty(len(live), bool)
-        for i in range(0, len(live), _CHUNK):
-            held = bits[live[i:i + _CHUNK]]
-            dead[i:i + _CHUNK] = bitset_contains(held, full).any(axis=1)
-            held &= bits[c]  # in place: the meets with c, c itself included
-            dead[i:i + _CHUNK] |= np.bitwise_count(held).sum(axis=1) != want
-        child = _Node(node.members + (c,), cover, node.live.copy(), node.avail.copy())
-        drop(child, live[dead])
-        return child
-
-    def feasible(node: _Node) -> bool:
-        part = (node.cover > 0) & (node.cover < d)
-        need = d - node.cover[part]
-        left = s_target - len(node.members)
-        return not need.size or (need.max() <= left and (node.avail[part] >= need).all())
+    def feasible(members, cover, _live, avail) -> bool:
+        left, covered = s_target - len(members), 0
+        for plane in cover:
+            covered |= plane
+        for have in range(1, d):  # the partially covered vectors, by cover
+            part = planes_equal(cover, have, covered)
+            if part and (d - have > left or planes_less(avail, d - have, part)):
+                return False
+        return True
 
     nodes = solutions = 0
     first: PerpSystem | None = None
 
-    def visit(node: _Node) -> None:
+    def visit(members, cover, live, avail) -> None:
         nonlocal nodes, solutions, first
-        if len(node.members) == s_target:
+        covered = 0
+        for plane in cover:
+            covered |= plane
+        if len(members) == s_target:
             # feasible, so every vector is covered 0 or d times
-            if (node.cover[1:] == 0).any():
-                res = perp_verify(ctx, n, k, subspaces(ctx, bases[list(node.members)]))
+            if covered.bit_count() < q**n - 1:
+                res = perp_verify(ctx, n, k, [echelon_space(ctx, n, n - k, c) for c in members])
                 if not isinstance(res, PerpSystem):
                     raise RuntimeError(f"search produced a family that fails perp_verify: {res}")
                 solutions += 1
@@ -344,29 +344,28 @@ def perp_search(
                 if not count_all:
                     raise _Found
             return
-        part = np.flatnonzero((node.cover > 0) & (node.cover < d))
-        if not part.size:  # no live candidate is left (see the docstring)
+        part = covered & ~planes_equal(cover, d, covered)
+        if not part:  # no live candidate is left (see the docstring)
             return
-        v = part[np.argmin(node.avail[part])]
-        for c in np.flatnonzero(node.live & bitset_contains(bits, v)).tolist():
+        fewest = planes_min(avail, part)
+        v = fewest & -fewest  # the lowest of them
+        for c in [y for y in live if bits[y] & v]:
             nodes += 1
             if (budget_nodes is not None and nodes >= budget_nodes) or out_of_time():
                 raise _Budget
-            child = join(node, c)
-            if feasible(child):
-                visit(child)
-            drop(node, [c])  # later siblings exclude c
-            if not feasible(node):
+            child = join(members, cover, live, avail, c)
+            if feasible(*child):
+                visit(*child)
+            live.remove(c)  # later siblings exclude c
+            planes_sub(avail, [bits[c]])
+            if not feasible(members, cover, live, avail):
                 return
 
-    avail = np.full(size, qbinom(n - 1, n - k - 1, q))
-    avail[0] = 0  # the zero vector is in no candidate's id list
-    root = _Node((), np.zeros(size, dtype=np.int64), np.ones(len(ids), dtype=bool), avail)
-    start = join(root, 0)
+    start = join((), [], list(range(len(bits))), avail, 0)
     status, complete = "exhausted", True
     try:
-        if feasible(start):
-            visit(start)
+        if feasible(*start):
+            visit(*start)
     except _Found:
         complete = False
     except _Budget:

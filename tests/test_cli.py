@@ -332,6 +332,35 @@ def test_feasibility_commands_leave_numpy_unimported(tmp_path):
     assert _fresh_interpreter(code, tmp_path) == "[0, 0] 21 (729, 560, 433, 420) False []"
 
 
+def _importtime_listing(args: list[str], cwd: Path) -> set[str]:
+    """The modules ``python -X importtime`` lists for ``args``."""
+    src = str(Path(dbrg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=60).stderr
+    return {line.split("|")[-1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_perp_search_and_verify_load_no_numpy_dataclasses_or_fractions(tmp_path):
+    # the search, field and perp-file layers are integer work on Python
+    # ints: numpy would cost 70-100 ms of a 30 ms search set-up, and
+    # fractions (with decimal and numbers) is needed only by the
+    # feasibility rules; modules a bare interpreter lists do not count
+    fixture = Path(dbrg.__file__).resolve().parents[2] / "bench" / "data" / "dual_hyperoval_q8.perp"
+    bare = _importtime_listing(["-c", "pass"], tmp_path)
+    added = {
+        "search": _importtime_listing(["-m", "dbrg.cli", "perp", "search", "--n", "7", "--k", "3",
+                                       "--q", "2", "--d", "2", "--budget-nodes", "1"], tmp_path),
+        "verify": _importtime_listing(["-m", "dbrg.cli", "perp", "verify", str(fixture)], tmp_path),
+    }
+    assert "dbrg.perpsys" in added["search"] and "dbrg.perpfile" in added["verify"]
+    forbidden = {cmd: sorted(m for m in listed - bare if m.split(".")[0] in
+                             ("numpy", "dataclasses", "fractions", "decimal", "numbers"))
+                 for cmd, listed in added.items()}
+    assert forbidden == {"search": [], "verify": []}
+
+
 def test_construct_and_derive_load_neither_feasibility_nor_perp_search(tmp_path):
     # the builders and the derived graph need the graph layers and the
     # shared parameter records, not the enumeration or the perp search

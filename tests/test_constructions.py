@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dbrg import perpsys
 from dbrg.bigraph import (
     BipartiteGraph,
     ShortcutResult,
@@ -343,7 +342,9 @@ def test_coset_positions_match_reduce(case):
 
 
 def _records():
-    """One value of each record of the numpy layers, with its fields in order."""
+    """One value of each record of the graph, geometry and perp layers, with
+    its fields in order (the search keeps no node record: a node is the
+    arguments of its call)."""
     path, system = complete_bipartite(1, 2).graph, dual_hyperoval_system(2)
     return [
         (distance_partition(path, 0), "source cells"),
@@ -358,7 +359,6 @@ def _records():
         (PerpViolation("d_too_small"), "kind vector pair detail"),
         (two_intersection_set(system), "points N K h1 h2 hyperplanes_h1 hyperplanes_h2"),
         (perp_search(3, 1, 2, 2), "status system nodes elapsed solutions complete setup_seconds"),
-        (perpsys._Node((), None, None, None), "members cover live avail"),
         (cone_spaces(2)[1], "ctx n members"),
         (system, "ctx n members k d s"),
     ]

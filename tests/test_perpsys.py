@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbrg.gfcore import (echelon_bases, enumerate_subspaces, field, orthogonal_complement,
-                         qbinom, subspace_make, subspace_meet, subspace_vector_ids,
-                         vector_bitsets)
+from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, field, orthogonal_complement,
+                         qbinom, subspace_make, subspace_meet, subspace_vector_ids)
+from dbrg.gfint import echelon_bitsets, echelon_space, hyperplane_bitsets, incidence_planes
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg import perpsys
 from dbrg.params import perp_params, perp_srg_params
@@ -258,30 +259,56 @@ def test_search_count_matches_brute_force(n, k, q, d):
 
 
 def candidate_tables(n, k, q):
-    return perpsys._candidate_tables(field_for_order(q), n, k, lambda: False)
+    ctx = field_for_order(q)
+    return [bits for block in echelon_bitsets(ctx, n, n - k) for bits in block]
 
 
 @pytest.mark.parametrize("n,k,q", [(7, 3, 2), (3, 1, 4), (6, 2, 3)])
 def test_candidate_tables_match_brute_force(n, k, q):
+    # the candidates' bitsets against the stacked kernels: echelon_bases
+    # in order, their vector ids, and the ids packed bit by bit
     ctx, size = field_for_order(q), q**n
-    bases, ids, bits = candidate_tables(n, k, q)
-    assert (bases.dtype, ids.dtype, bits.dtype) == (np.int8, np.int32, np.uint64)
-    assert np.array_equal(bases, np.concatenate(list(echelon_bases(ctx, n, n - k))))
-    assert np.array_equal(ids, subspace_vector_ids(ctx, bases))
-    assert np.array_equal(bits, vector_bitsets(ids, size))
-    # membership table: candidate c holds vector v; bit v of row c is set iff so
+    bits = candidate_tables(n, k, q)
+    bases = np.concatenate(list(echelon_bases(ctx, n, n - k)))
+    ids = subspace_vector_ids(ctx, bases)
+    assert len(bits) == len(bases) == len(set(bits)) == qbinom(n, n - k, q)
+    assert bits == [sum(1 << i for i in row) for row in ids.tolist()]
+    # echelon_space decodes a position back to that basis
+    assert all(echelon_space(ctx, n, n - k, c).basis == tuple(map(tuple, rows))
+               for c, rows in enumerate(bases.tolist()))
+    with pytest.raises(IndexError):
+        echelon_space(ctx, n, n - k, len(bases))
+    # membership table: candidate c holds vector v; bit v of c's set is set iff so
     holds = np.zeros((len(ids), size), dtype=bool)
     holds[np.arange(len(ids))[:, None], ids] = True
-    assert np.array_equal(np.unpackbits(bits.astype("<u8").view(np.uint8), axis=1,
+    width = size // 8 + 1
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+    assert np.array_equal(np.unpackbits(packed.reshape(len(bits), width), axis=1,
                                         bitorder="little")[:, :size], holds)
     per_vector = qbinom(n - 1, n - k - 1, q)
     # every nonzero vector lies in R candidates, the root availability
     assert (holds[:, 0].sum(), set(holds[:, 1:].sum(axis=0).tolist())) == (0, {per_vector})
+    planes = incidence_planes(ctx, n, n - k, bits)
+    assert [sum((p >> v & 1) << i for i, p in enumerate(planes)) for v in range(size)] == (
+        holds.sum(axis=0).tolist())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hyperplane_bitsets_match_brute_force(q):
+    # every w of F_q^3, zero included, against the dot products of all vectors
+    ctx, n = field_for_order(q), 3
+    vectors = np.array(list(itertools.product(range(q), repeat=n)))
+    hyperplane = hyperplane_bitsets(ctx, n)
+    for w in vectors.tolist():
+        zero = np.flatnonzero(dot(ctx, vectors, w) == 0)
+        assert hyperplane(w) == sum(1 << int(v) for v in zero if v)
+    with pytest.raises(ValueError):
+        hyperplane([1] * (n + 1))
 
 
 def test_search_7_3_2_2_first_system_pinned():
-    # the first join kills 4131 candidates, more than the 512 counted at a
-    # time, so the live counts fall in several runs; any miscount changes
+    # the first join kills 4131 of the 11811 candidates, so the child's
+    # live counts are the parent's less the killed; any miscount changes
     # the branching, the node count and the system found
     out = perp_search(7, 3, 2, 2)
     assert (out.status, out.nodes, out.system.d, out.system.s) == ("found", 92, 2, 16)
@@ -292,21 +319,24 @@ def test_search_7_3_2_2_first_system_pinned():
 def test_candidate_tables_refuse_a_missing_block(monkeypatch):
     # without its first pivot block of 4096 subspaces, (7,3,2) has 7715
     # candidates, and some vectors lie in fewer than R = 1395 of them
-    blocks = echelon_bases(field_for_order(2), 7, 4)
-    next(blocks)
-    monkeypatch.setattr(perpsys, "echelon_bases", lambda ctx, n, m: blocks)
+    def without_first_block(ctx, n, m):
+        parts, dropped = echelon_bitsets(ctx, n, m), 0
+        while dropped < 4096:  # the block comes in parts, one per value of its first cell
+            dropped += len(next(parts))
+        assert dropped == 4096
+        return parts
+
+    monkeypatch.setattr(perpsys, "echelon_bitsets", without_first_block)
     with pytest.raises(RuntimeError, match="^7715 candidates, each vector in 883 to 1395 of them; "
                                            "expected 11811 and 1395$"):
-        candidate_tables(7, 3, 2)
+        perp_search(7, 3, 2, 2)
 
 
 def test_search_setup_peak_memory_is_bounded_by_its_tables():
-    # the set-up fills its 1.23 MB of tables 512 candidates at a time and
-    # peaks near 1.62 MB of traced memory, the first node near 1.63 MB
-    # (Python 3.11, numpy 2.4); whole echelon blocks and a fourth,
-    # vector -> candidate table peaked at 2.63 MB, and concatenating the
-    # blocks and sorting every id at once at 6.9 MB
-    table_bytes = sum(a.nbytes for a in candidate_tables(7, 3, 2))
+    # the 11811 bitsets of (7,3,2) take 0.59 MB as Python ints in a list;
+    # set-up and the first node peak near 1.30 MB of traced memory
+    # (Python 3.11), against 1.62 MB for the numpy tables they replace
+    table_bytes = sys.getsizeof(bits := candidate_tables(7, 3, 2)) + sum(map(sys.getsizeof, bits))
     perp_search(7, 3, 2, 2, budget_nodes=1)
     tracemalloc.start()
     try:
@@ -315,15 +345,15 @@ def test_search_setup_peak_memory_is_bounded_by_its_tables():
     finally:
         tracemalloc.stop()
     assert (out.status, out.nodes) == ("budget", 1)
-    assert peak < 1.5 * table_bytes
+    assert peak < 2.5 * table_bytes
 
 
 def test_search_peak_memory_after_set_up_stays_below_the_set_up_peak(monkeypatch):
-    # join tests the live candidates 512 at a time: gathering the bitsets of
-    # all 11011 (6,2,3,3) candidates for the root join at once peaked at
-    # 6.23 MB of traced memory against the set-up's 5.81 MB; chunked, the
-    # search after set-up peaks near 5.49 MB (Python 3.11, numpy 2.4)
-    tables, peaks = perpsys._candidate_tables, []
+    # after set-up, a join holds one node's planes and its live list: for
+    # (6,2,3,3) set-up peaks near 2.19 MB of traced memory and the root join
+    # and first node near 2.04 MB (Python 3.11); the numpy tables peaked
+    # at 5.81 MB in set-up
+    tables, peaks = perpsys.incidence_planes, []
 
     def traced(*args):
         out = tables(*args)
@@ -331,7 +361,7 @@ def test_search_peak_memory_after_set_up_stays_below_the_set_up_peak(monkeypatch
         tracemalloc.reset_peak()
         return out
 
-    monkeypatch.setattr(perpsys, "_candidate_tables", traced)
+    monkeypatch.setattr(perpsys, "incidence_planes", traced)
     perp_search(6, 2, 3, 3, budget_nodes=1)
     peaks.clear()
     tracemalloc.start()
@@ -342,7 +372,14 @@ def test_search_peak_memory_after_set_up_stays_below_the_set_up_peak(monkeypatch
         tracemalloc.stop()
     assert (out.status, out.nodes) == ("budget", 1)
     set_up, search = peaks
-    assert search <= set_up
+    assert search <= set_up < 3e6
+
+
+def test_search_refuses_tables_beyond_a_gibibyte():
+    # (3,1,128,2): 16513 candidates over 2^21 vectors, about 8.6 GB of
+    # bitsets; refused before any set-up, as the CLI's "too large"
+    with pytest.raises(MemoryError, match="^16513 candidate bitsets over 2097152 vectors"):
+        perp_search(3, 1, 128, 2, budget_seconds=5)
 
 
 def test_search_time_budget_covers_setup():

@@ -109,12 +109,13 @@ def _start_up_cost(name):
 
 
 def test_integer_layer_imports_no_numpy():
-    # params and feasibility, the scalar field layer gfint and the perp-file
-    # layer perpfile, and every package module they import, are integer and
-    # Fraction work with NamedTuple records, plain classes and a plain read
-    # of the catalog file; cli.py itself imports no layer (see below)
+    # params and feasibility, the scalar field layer gfint, the perp-file
+    # layer perpfile and the perp search perpsys, and every package module
+    # they import, are integer and Fraction work with NamedTuple records,
+    # plain classes and a plain read of the catalog file; cli.py itself
+    # imports no layer (see below)
     package = Path(dbrg.__file__).parent
-    todo, seen, found = ["params", "feasibility", "gfint", "perpfile"], set(), []
+    todo, seen, found = ["params", "feasibility", "gfint", "perpfile", "perpsys"], set(), []
     while todo:
         stem = todo.pop()
         if stem in seen:

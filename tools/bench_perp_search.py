@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Parent-versus-change measurements of the perp search, written as one JSON file.
+
+Run from anywhere, with two checkouts of the repository (each holding
+``src/`` and ``bench/``), for example a ``git archive`` of the parent
+commit and a copy of the change:
+
+    python3 tools/bench_perp_search.py --parent /tmp/parent --change /tmp/change \\
+        --seeds 61 --pairs 10 --out BENCH_24.json
+
+It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
+either tree, so every command compiles what it imports:
+
+* ``bench/run.py --workload perp --seed s --seconds 30 --trace 0`` in
+  both trees, ``--pairs`` times with seeds ``--seeds``, ``--seeds + 1``,
+  ...; odd seeds run the parent first, even seeds the change first;
+* one such pair each of the ``cone`` and ``feas`` workloads;
+* in fresh interpreters, parent and change alternating, ``--procs``
+  processes per side: the (6,2,3,3) search to 20 000 nodes (set-up
+  seconds, and nodes per second after set-up), the (7,3,2,2) probe to
+  one node (set-up and total seconds), and ``perp_verify`` of a
+  21-member family of 4-spaces of F_3^6 (the first 21 echelon bases;
+  per process the median of 15 calls after one warm-up).
+
+Every run is kept in the output.  Medians and quartiles use
+``statistics.median`` and ``statistics.quantiles`` (exclusive method).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("norm_wall_s", "norm_cmd_geomean_s", "setup_s", "peak_rss_mb")
+
+IN_PROCESS = {
+    "search_6_2_3_3_20000": (
+        "from dbrg.perpsys import perp_search\n"
+        "out = perp_search(6, 2, 3, 3, budget_nodes=20000)\n"
+        "result = {'setup_s': out.setup_seconds, 'nodes': out.nodes,\n"
+        "          'nodes_per_s': out.nodes / (out.elapsed - out.setup_seconds)}\n"),
+    "probe_7_3_2_2": (
+        "from dbrg.perpsys import perp_search\n"
+        "out = perp_search(7, 3, 2, 2, budget_nodes=1)\n"
+        "result = {'setup_s': out.setup_seconds, 'total_s': out.elapsed, 'nodes': out.nodes}\n"),
+    "perp_verify_f3_6_21": (
+        "import statistics, time\n"
+        "from dbrg.gfcore import echelon_bases, field, subspaces\n"
+        "from dbrg.perpsys import perp_verify\n"
+        "ctx = field(3)\n"
+        "members = list(subspaces(ctx, next(echelon_bases(ctx, 6, 4))[:21]))\n"
+        "perp_verify(ctx, 6, 2, members)\n"
+        "times = []\n"
+        "for _ in range(15):\n"
+        "    t = time.perf_counter()\n"
+        "    verdict = perp_verify(ctx, 6, 2, members)\n"
+        "    times.append(time.perf_counter() - t)\n"
+        "result = {'ms': statistics.median(times) * 1e3, 'verdict': verdict.kind}\n"),
+}
+
+
+def environment(tree: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+
+
+def clean(tree: Path) -> None:
+    for cache in tree.rglob("__pycache__"):
+        shutil.rmtree(cache)
+
+
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
+                          str(seed), "--seconds", "30", "--trace", "0"], cwd=tree,
+                         env=environment(tree), capture_output=True, text=True, check=True)
+    last = json.loads(out.stdout.strip().splitlines()[-1])
+    return {"correct": last["correct"], "failed": last["failed"],
+            **{m: last["metrics"][m]["value"] for m in METRICS}}
+
+
+def in_process(tree: Path, code: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", code + "import json\nprint(json.dumps(result))\n"],
+                         cwd=tree, env=environment(tree), capture_output=True, text=True,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="exclusive")
+    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4)}
+
+
+def compare(parent: list[float], change: list[float], lower_is_better: bool = True) -> dict:
+    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    out = {"parent": summary(parent), "change": summary(change),
+           "change_better": f"{wins}/{len(parent)}",
+           "runs": {"parent": [round(x, 4) for x in parent],
+                    "change": [round(x, 4) for x in change]}}
+    out["change_vs_parent"] = round(out["change"]["median"] / out["parent"]["median"] - 1, 4)
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--seeds", type=int, default=61, help="first perp seed")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--procs", type=int, default=7, help="fresh interpreters per side")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        clean(tree)
+
+    def pair(workload: str, seed: int) -> dict:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        got = {side: bench_run(trees[side], workload, seed) for side in order}
+        print(workload, seed, {side: got[side]["norm_wall_s"] for side in order}, flush=True)
+        return got
+
+    workloads = {}
+    plan = [("perp", [args.seeds + i for i in range(args.pairs)]),
+            ("cone", [args.seeds]), ("feas", [args.seeds])]
+    for workload, seeds in plan:
+        runs = [pair(workload, seed) for seed in seeds]
+        entry = {"seeds": seeds,
+                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
+                                    for r in runs for s in trees)}
+        for m in METRICS:
+            values = {s: [r[s][m] for r in runs] for s in trees}
+            if len(runs) >= 2:
+                entry[m] = compare(values["parent"], values["change"])
+            else:
+                entry[m] = values
+        workloads[workload] = entry
+
+    processes = {}
+    for name, code in IN_PROCESS.items():
+        got = {"parent": [], "change": []}
+        for i in range(args.procs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                got[side].append(in_process(trees[side], code))
+        print(name, got, flush=True)
+        entry = {"runs": got}
+        for key in got["parent"][0]:
+            if isinstance(got["parent"][0][key], float):
+                entry[key] = compare([r[key] for r in got["parent"]],
+                                     [r[key] for r in got["change"]],
+                                     lower_is_better=key != "nodes_per_s")
+        processes[name] = entry
+
+    record = {
+        "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, Python {platform.python_version()}",
+        "method": __doc__.split("It runs,", 1)[1].strip(),
+        "workloads": workloads,
+        "in_process": processes,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
