@@ -7,9 +7,11 @@ Submodules:
   records, so it imports no dataclasses).
 * :mod:`dbrg.gfint` -- finite fields GF(p^t), vectors, canonical subspaces,
   subspace families, and vector sets as Python-int bitsets (no numpy).
-* :mod:`dbrg.gfcore` -- the stacked kernels over GF(p^t): echelon bases,
-  vector ids and bitsets as numpy arrays.
-* :mod:`dbrg.geometry` -- hyperovals, maximal arcs, dualities, quadric cones.
+* :mod:`dbrg.gfcore` -- the stacked kernels over GF(p^t) that the coset and
+  inclusion graphs run on: echelon bases, vector ids, cosets and maps of
+  ids as numpy arrays.
+* :mod:`dbrg.geometry` -- hyperovals, maximal arcs, dualities, quadric cones
+  (no numpy).
 * :mod:`dbrg.perpfile` -- perp-system records, verification and files
   (no numpy).
 * :mod:`dbrg.perpsys` -- perp systems: search, duals, two-intersection sets

@@ -13,6 +13,9 @@ by a primitive element.  A claim is not trusted: ``dbrg_check(graph,
 automorphisms)`` checks every generator against the edges exactly and
 raises ValueError for a wrong one, and only then runs one BFS per orbit.
 
+A builder refuses, with MemoryError and before it allocates, a graph
+whose predicted edge count is over :data:`MAX_EDGES`.
+
 Families: complete bipartite graphs; the two unbounded-diameter
 subset/subspace inclusion families; vector-coset incidence graphs of
 perp systems and of the quadric-cone family; the affine hyperoval
@@ -23,13 +26,13 @@ and array from :func:`dbrg.params.derived_array`.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
 from .gfcore import (
-    bitset_contains,
     coset_ids,
     coset_permutation,
     echelon_bases,
@@ -38,11 +41,10 @@ from .gfcore import (
     stack_bases,
     subspace_vector_ids,
     translations,
-    vector_bitsets,
     vector_ids,
 )
 from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
-from .params import DerivedGraphError, IntersectionArray, derived_array
+from .params import DerivedGraphError, IntersectionArray, derived_array, prime_power
 
 if TYPE_CHECKING:
     from .perpfile import PerpSystem
@@ -57,7 +59,18 @@ __all__ = [
     "cone_graph",
     "hyperoval_affine_graph",
     "derived_local_graph",
+    "MAX_EDGES",
 ]
+
+# builds and their checks peak at about 100 bytes per edge
+MAX_EDGES = 2**24
+
+
+def _check_size(edges: int) -> None:
+    """MemoryError if a graph of at least ``edges`` edges is over MAX_EDGES."""
+    if edges > MAX_EDGES:
+        count = edges if edges < 2**64 else f"2^{edges.bit_length() - 1}"
+        raise MemoryError(f"a graph of at least {count} edges, over the bound of {MAX_EDGES}")
 
 
 class ConstructionResult(NamedTuple):
@@ -74,7 +87,8 @@ def complete_bipartite(k: int, l: int) -> ConstructionResult:
     """K_{l,k}: the class of size l has valency k."""
     if k < 1 or l < 1:
         raise ValueError("valencies must be positive")
-    g = BipartiteGraph(l, k, [(b, c) for b in range(l) for c in range(k)])
+    _check_size(k * l)
+    g = BipartiteGraph(l, k, np.indices((l, k)).reshape(2, -1).T)
     cb = (1, k) if l > 1 else (1,)
     cc = (1, l) if k > 1 else (1,)
     note = "complete-bipartite"
@@ -92,6 +106,9 @@ def bi_johnson(n: int, k: int) -> ConstructionResult:
     """Inclusion graph of k-subsets vs (k+1)-subsets of an n-set."""
     if k < 1 or n < 2 * k + 2:
         raise ValueError(f"need k >= 1 and n >= 2k+2, got n={n}, k={k}")
+    # C(n, j) grows with j < n/2, so this is exact up to k = 25 and, past
+    # that, a lower bound already over MAX_EDGES (n >= 52)
+    _check_size(math.comb(n, min(k, 25)) * (n - k))
     small = list(itertools.combinations(range(n), k))
     large = list(itertools.combinations(range(n), k + 1))
     big_index = {s: i for i, s in enumerate(large)}
@@ -109,16 +126,22 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     """Inclusion graph of k-dim vs (k+1)-dim subspaces of F_q^n."""
     if k < 1 or n < 2 * k + 2:
         raise ValueError(f"need k >= 1 and n >= 2k+2, got n={n}, k={k}")
+    prime_power(q)  # ValueError for a q that is no field order, before it is counted
+    # [n, k]_q >= [n, 1]_q >= 2^(n-1): a larger n is over the bound, counted in part
+    _check_size(qbinom(n, k, q) * qbinom(n - k, 1, q) if n <= 25 else qbinom(26, 1, q))
     ctx = field_for_order(q)
     small = np.concatenate(list(echelon_bases(ctx, n, k)))
     large = np.concatenate(list(echelon_bases(ctx, n, k + 1)))
     rows = vector_ids(ctx, small)
-    bits = vector_bitsets(subspace_vector_ids(ctx, large), q**n)
     # a small space lies in a large one iff each of its basis rows does;
-    # large spaces go in chunks so the table stays a few million entries
-    step = max(1, 2**22 // (len(small) * k))
-    edges = [np.argwhere(bitset_contains(bits[c:c + step], rows).all(axis=2))[:, ::-1] + (0, c)
-             for c in range(0, len(large), step)]
+    # large spaces go in chunks so that each table stays a few million entries
+    step = max(1, 2**22 // max(len(small) * k, q**n))
+    edges = []
+    for c in range(0, len(large), step):
+        ids = subspace_vector_ids(ctx, large[c:c + step])
+        member = np.zeros((len(ids), q**n), dtype=bool)  # member[i, v]: v lies in large space c + i
+        member[np.arange(len(ids))[:, None], ids] = True
+        edges.append(np.argwhere(member[:, rows].all(axis=2))[:, ::-1] + (0, c))
     g = BipartiteGraph(len(small), len(large), np.concatenate(edges))
     cb = tuple(qbinom(v, 1, q) for v in _stair(2 * k + 1))
     cc = tuple(qbinom(v, 1, q) for v in _stair(2 * k + 2))
@@ -151,6 +174,7 @@ def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
     c3b, rem = divmod(q ** (n - 2 * k) * (s - 1), d)
     if rem:
         raise ValueError(f"c3B = q^(n-2k)(s-1)/d = {q ** (n - 2 * k) * (s - 1)}/{d} is not an integer")
+    _check_size(q**n * s)
     g, shifts = _coset_incidence(system, translations(ctx, n))
     arr = IntersectionArray(
         s, q ** (n - k),
@@ -194,6 +218,7 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
     """
     if q < 4 or q & (q - 1):
         raise ValueError("need q = 2^m with m >= 2")
+    _check_size(q**3 * (q + 2))  # the incidence graph of all cosets, before the restriction
     # planes of the dual hyperoval: perps of the oval points; each has q
     # cosets, the plane through the origin first
     planes = dualize(hyperoval(q))

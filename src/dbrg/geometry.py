@@ -13,20 +13,18 @@ here); so is a perp system of
 :mod:`dbrg.perpfile`.  Points of PG(n-1, q) are 1-dim members, and a
 point set (an arc, a hyperoval, a two-intersection set) lists them in
 lex order of their normalized vectors; its dual is the family of
-hyperplanes in the same order.  Families reach the :mod:`dbrg.gfcore`
-kernels as ``stack_bases(family)`` and come back through ``subspaces``.
-Families and records are plain classes and NamedTuples: no dataclasses.
+hyperplanes in the same order.  Everything here is scalar work on the
+field layer :mod:`dbrg.gfint`: this module imports no numpy.  Families
+and records are plain classes and NamedTuples: no dataclasses.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import itertools
+from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .gfcore import dot, hyperplane_counts, projective_points, stack_bases
 from .gfint import (FieldContext, SpaceFamily, Subspace, field_for_order, orthogonal_complement,
-                    subspace_make)
+                    point_vectors, subspace_make)
 
 __all__ = [
     "SpaceFamily",
@@ -81,11 +79,11 @@ def denniston_arc(q: int, r: int) -> SpaceFamily:
         raise ValueError(f"degree r={r} must divide q={q}")
     ctx = field_for_order(q)
     beta = next(b for b in ctx.nonzero() if _trace(ctx, b) == 1)
+    mul, add = ctx.mul, ctx.add
     # the form at every affine point (1, x, y); GF(2^m) elements with
     # encoding < r form an additive subgroup of order r
-    x, y = np.indices((q, q)).reshape(2, -1)
-    val = dot(ctx, np.stack([x, x, y], 1), np.stack([x, y, dot(ctx, y[:, None], [beta])], 1))
-    arc = point_family(ctx, 3, np.stack([np.ones_like(x), x, y], 1)[val < r].tolist())
+    arc = point_family(ctx, 3, [(1, x, y) for x in ctx.elements() for y in ctx.elements()
+                                if add(add(mul(x, x), mul(x, y)), mul(beta, mul(y, y))) < r])
     if len(arc) != q * r - q + r:
         raise RuntimeError(f"arc of size {len(arc)}, expected {q * r - q + r}")
     return arc
@@ -109,18 +107,39 @@ class ArcCheckResult(NamedTuple):
 def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     """Does every line of the plane meet the point set in 0 or r points?
 
-    The counts come from :func:`dbrg.gfcore.hyperplane_counts`.
-    Violations are reported, not raised: the first offending line (as a
-    normal vector, lex order) comes back with its intersection count.
-    ValueError if a member is not a point."""
+    Each point P adds one to the count of each line w-perp through it,
+    the points w of P-perp (:func:`_points`); so it works alike for the
+    hyperplanes of PG(n-1, q).  Violations are reported, not raised: the
+    first offending line in :func:`dbrg.gfint.point_vectors` order (as a
+    normal vector) comes back with its intersection count.  ValueError if
+    a member is not a point."""
     if any(pt.dim != 1 for pt in arc.members):
         raise ValueError("arc_check takes a family of points (1-dim members)")
-    counts = hyperplane_counts(arc.ctx, stack_bases(arc))
-    bad = np.flatnonzero((counts != 0) & (counts != r))
-    if bad.size:
-        line = projective_points(arc.ctx, arc.n)[bad[0]]
-        return ArcCheckResult(False, r, tuple(line.tolist()), int(counts[bad[0]]))
+    counts: dict[tuple[int, ...], int] = {}
+    for pt in arc.members:
+        for w in _points(orthogonal_complement(pt)):
+            counts[w] = counts.get(w, 0) + 1
+    for w in point_vectors(arc.ctx, arc.n):
+        count = counts.get(w, 0)
+        if count not in (0, r):
+            return ArcCheckResult(False, r, w, count)
     return ArcCheckResult(True, r)
+
+
+def _points(space: Subspace) -> Iterator[tuple[int, ...]]:
+    """The normalized vectors (first nonzero coordinate 1) of the points of
+    ``space``: each row of its echelon basis plus every combination of the
+    rows below it, whose pivots it holds as zeros.  For a line with basis
+    r1, r2 these are r1 + c r2, one per c, and r2."""
+    ctx, basis = space.ctx, space.basis
+    multiples = [[tuple(ctx.mul(c, x) for x in row) for c in ctx.elements()] for row in basis[1:]]
+    for i, lead in enumerate(basis):
+        for coeffs in itertools.product(ctx.elements(), repeat=len(basis) - i - 1):
+            v = lead
+            for c, row in zip(coeffs, multiples[i:]):
+                if c:
+                    v = tuple(map(ctx.add, v, row[c]))
+            yield v
 
 
 def dualize(family: SpaceFamily) -> SpaceFamily:
@@ -137,19 +156,19 @@ def cone_spaces(q: int) -> tuple[SpaceFamily, SpaceFamily]:
     """Totally singular 3-spaces of the quadric X1X2 - X3X4 + X5X6 on F_q^6.
 
     Returns (all of them, the ruling through M0 = <e1, e3, e5>): sizes
-    2(q+1)(q^2+1) and (q+1)(q^2+1), each in the order of
-    :func:`dbrg.gfcore.echelon_bases` (pivot columns, then entries).  The
-    quadric is the Klein quadric of PG(3, q) in the Plucker coordinates
-    (X1, ..., X6) = (p01, p23, p02, p13, p03, p12) (Hirschfeld, *Finite
-    Projective Spaces of Three Dimensions*, 1985, ch. 15).  The ruling
-    through M0, the lines through (1, 0, 0, 0), is one generator
-    <P ^ e_j : j = 0..3> per point P of PG(3, q); the other ruling is its
-    image under sigma: (X1, ..., X6) -> (X2, X1, -X4, -X3, X6, X5), which
-    keeps the quadric.  Generators of one ruling meet in odd dimension.
+    2(q+1)(q^2+1) and (q+1)(q^2+1), each sorted into echelon order.  No
+    3-space is enumerated.  The quadric is the Klein quadric of PG(3, q)
+    in the Plucker coordinates (X1, ..., X6) = (p01, p23, p02, p13, p03,
+    p12) (Hirschfeld, *Finite Projective Spaces of Three Dimensions*,
+    1985, ch. 15).  The ruling through M0, the lines through (1, 0, 0, 0),
+    is one generator <P ^ e_j : j = 0..3> per point P of PG(3, q), from
+    :func:`dbrg.gfint.point_vectors`; the other ruling is its image under
+    sigma: (X1, ..., X6) -> (X2, X1, -X4, -X3, X6, X5), which keeps the
+    quadric.  Generators of one ruling meet in odd dimension.
     """
     ctx, star, other = field_for_order(q), [], []
     plucker = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))  # X1..X6 as p_ab
-    for p in projective_points(ctx, 4).tolist():
+    for p in point_vectors(ctx, 4):
         rows = [[p[a] if b == j else ctx.neg(p[b]) if a == j else 0 for a, b in plucker]
                 for j in range(4)]
         star.append(subspace_make(ctx, 6, rows))

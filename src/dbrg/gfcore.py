@@ -1,32 +1,31 @@
-"""Stacked kernels over GF(p^t): subspaces as arrays, vector ids and bitsets.
+"""Stacked kernels over GF(p^t) for the coset and inclusion graphs.
 
-The fields, vectors and canonical subspaces themselves live in the
-numpy-free :mod:`dbrg.gfint`; this module re-exports them
-(``gfcore.FieldContext is gfint.FieldContext``) and adds the array work.
-Stacked echelon bases (arrays of shape (K, m, n)) come from
-:func:`echelon_bases` or, for a :class:`dbrg.gfint.SpaceFamily`, from
-:func:`stack_bases`, and become :class:`Subspace` values only in
-:func:`subspaces`.
+The fields, vectors, canonical subspaces and vector-set bitsets live in
+the numpy-free :mod:`dbrg.gfint`; this module re-exports the first three
+(``gfcore.FieldContext is gfint.FieldContext``) and adds the array work
+that :mod:`dbrg.constructions` runs.  Stacked echelon bases (arrays of
+shape (K, m, n)) come from :func:`echelon_bases` or, for a
+:class:`dbrg.gfint.SpaceFamily`, from :func:`stack_bases`;
+:func:`enumerate_subspaces` turns the first into :class:`Subspace`
+values one at a time.
 
 One pair of exp/log tables serves both layers: a :class:`FieldContext`
 holds them as Python lists for its scalar methods, and :func:`mul`
 reads them as int32 arrays (converted once per field) for the products
-of :func:`dot`, :func:`subspace_vector_ids` and :func:`scaling`.
-Sums go through ``FieldContext.add``, which is written in integer
-operators and so applies to arrays unchanged.  This module and
-:mod:`dbrg.gfint` are the only ones that know the vector-id encoding
-(:func:`vector_ids`: coordinates as one base-q number, added digit by
-digit) and the bitset layouts; callers work through
-:func:`subspace_vector_ids`, :func:`coset_ids`, :func:`vector_bitsets`,
-:func:`bitset_contains`, :func:`dot` and :func:`hyperplane_counts`, and
-act on ids through the maps :func:`translations`, :func:`scaling` and
+of :func:`subspace_vector_ids` and :func:`scaling`.  Sums go through
+``FieldContext.add``, which is written in integer operators and so
+applies to arrays unchanged.  This module and :mod:`dbrg.gfint` are the
+only ones that know the vector-id encoding (:func:`vector_ids`:
+coordinates as one base-q number, added digit by digit); callers work
+through :func:`subspace_vector_ids` and :func:`coset_ids`, and act on
+ids through the maps :func:`translations`, :func:`scaling` and
 :func:`coset_permutation`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "subspace_meet",
     "orthogonal_complement",
     "enumerate_subspaces",
-    "subspaces",
     "stack_bases",
     "echelon_bases",
     "mul",
@@ -65,11 +63,6 @@ __all__ = [
     "translations",
     "scaling",
     "coset_permutation",
-    "vector_bitsets",
-    "bitset_contains",
-    "dot",
-    "hyperplane_counts",
-    "projective_points",
     "rref",
     "index_vector",
     "vector_index",
@@ -88,13 +81,6 @@ def mul(ctx: FieldContext, a, b) -> np.ndarray:
     """a * b over ``ctx``, elementwise on integer arrays that broadcast."""
     exp, log = _tables(ctx)
     return exp[log[a] + log[b]]
-
-
-def dot(ctx: FieldContext, u, v):
-    """Dot product along the last axis, the other axes broadcast:
-    ``dot(ctx, u[:, None], v[None])`` is the table of all pairs of rows."""
-    u, v = np.moveaxis(np.asarray(u), -1, 0), np.moveaxis(np.asarray(v), -1, 0)
-    return reduce(ctx.add, (mul(ctx, a, b) for a, b in zip(u, v)))
 
 
 def stack_bases(family: SpaceFamily) -> np.ndarray:
@@ -123,14 +109,8 @@ def enumerate_subspaces(ctx: FieldContext, n: int, m: int) -> Iterator[Subspace]
     restarted at will and always yields qbinom(n, m, q) subspaces.
     """
     for block in echelon_bases(ctx, n, m):
-        yield from subspaces(ctx, block)
-
-
-def subspaces(ctx: FieldContext, bases: np.ndarray) -> Iterator[Subspace]:
-    """Canonical echelon bases, shape (K, m, n), as :class:`Subspace` values,
-    one at a time (a block can hold q^(m(n-m)) bases); no row is reduced."""
-    for rows in bases:
-        yield Subspace(ctx, bases.shape[-1], tuple(map(tuple, rows.tolist())))
+        for rows in block:  # one at a time: a block can hold q^(m(n-m)) bases
+            yield Subspace(ctx, n, tuple(map(tuple, rows.tolist())))
 
 
 def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:
@@ -239,38 +219,3 @@ def coset_permutation(cosets: np.ndarray, images: np.ndarray) -> np.ndarray:
     where[rows[:, :, None], cosets] = np.arange(per)[:, None]
     moved = where[rows, np.asarray(images)[..., cosets[:, :, 0]]]
     return (rows * per + moved).reshape(*moved.shape[:-2], -1)
-
-
-def vector_bitsets(ids: np.ndarray, size: int) -> np.ndarray:
-    """Rows of ``ids`` (shape (K, m)) as uint64 bitsets over ``size`` vector ids.
-
-    Word ``w`` of row ``r`` has bit ``b`` set iff ``64 w + b`` is in
-    ``ids[r]``; the ids in a row must be distinct.  Memory: besides the
-    result, about 5 bytes per id for int32 ``ids`` (a one-byte bit mask,
-    then the byte index in the dtype of ``ids``); bits are set byte by
-    byte, with no row-number array and no int64 or uint64 copy of ``ids``.
-    """
-    out = np.zeros((len(ids), -(-size // 64) * 8), dtype=np.uint8)
-    mask = np.uint8(1) << (ids & 7).astype(np.uint8)
-    np.bitwise_or.at(out, (np.arange(len(ids), dtype=np.int32)[:, None], ids >> 3), mask)
-    return out.view("<u8").astype(np.uint64, copy=False)  # byte j of a row: ids 8j .. 8j + 7
-
-
-def bitset_contains(bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Whether each row of ``bits`` holds each id, shape (len(bits),) + ids.shape."""
-    return ((bits[:, ids >> 6] >> (ids & 63).astype(np.uint64)) & 1).astype(bool)
-
-
-def hyperplane_counts(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
-    """For each point w of :func:`projective_points`, in its order, how many
-    of the subspaces (echelon bases, shape (K, m, n)) lie in the hyperplane
-    w-perp, that is, have every basis row orthogonal to w."""
-    points = projective_points(ctx, bases.shape[-1])
-    return (dot(ctx, points[:, None, None], bases[None]) == 0).all(axis=2).sum(axis=1)
-
-
-def projective_points(ctx: FieldContext, n: int) -> np.ndarray:
-    """Normalized representatives (first nonzero coordinate 1) of the points
-    of PG(n-1, q), one per row, as the 1-dim echelon bases come: by the
-    place of the leading 1, then in lex order."""
-    return np.concatenate(list(echelon_bases(ctx, n, 1)))[:, 0]

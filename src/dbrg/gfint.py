@@ -17,7 +17,9 @@ without external polynomial tables.
 Subspaces of ``F_q^n`` are kept in reduced row-echelon form, which gives
 each subspace a unique, hashable representation: two subspaces are equal
 iff their echelon bases are identical tuples.  A :class:`SpaceFamily` is
-a duplicate-free family of them.
+a duplicate-free family of them.  Echelon order lists subspaces by
+pivot-column set, then by the free entries of the basis read row by
+row (the last fastest), both lexicographically.
 
 This module imports no numpy: the exp/log tables are Python lists, and
 ``mul``, ``neg``, ``inv`` and ``pow`` take ints.  ``add`` uses only
@@ -33,10 +35,10 @@ with id i is in the set.  This module provides them:
 :func:`span_ids` lists the ids of a subspace and :func:`id_bitset`
 packs ids into one int; :func:`hyperplane_bitsets` gives the nonzero
 vectors of each hyperplane w-perp, and :func:`echelon_bitsets` the
-nonzero vectors of every m-dimensional subspace, in the order of
-:func:`dbrg.gfcore.echelon_bases`, each the AND of the hyperplanes of
-its dual basis (:func:`echelon_space` decodes a position in that order
-back to its :class:`Subspace`).  A subspace's bitset determines it, so
+nonzero vectors of every m-dimensional subspace, in echelon order, each
+the AND of the hyperplanes of its dual basis (:func:`echelon_space`
+decodes a position in that order back to its :class:`Subspace`).  A
+subspace's bitset determines it, so
 the bitset is a canonical key.  Counts per vector are bit planes, a
 list whose entry i is the bitset of the vectors whose count has bit i
 set: :func:`planes_count` counts a list of sets, :func:`planes_add` adds
@@ -370,8 +372,7 @@ def vector_bit(ctx: FieldContext, v: Sequence[int]) -> int:
 
 def point_vectors(ctx: FieldContext, n: int) -> list[tuple[int, ...]]:
     """Normalized representatives (first nonzero coordinate 1) of the points
-    of PG(n-1, q), as the rows of :func:`dbrg.gfcore.projective_points`:
-    by the place of the leading 1, then in lex order."""
+    of PG(n-1, q) in echelon order: by the place of the leading 1, then lex."""
     return [(0,) * lead + (1,) + rest for lead in range(n)
             for rest in itertools.product(range(ctx.q), repeat=n - lead - 1)]
 
@@ -412,16 +413,16 @@ def hyperplane_bitsets(ctx: FieldContext, n: int) -> Callable[[Sequence[int]], i
 
 def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
     """The free echelon entries (row, column) for a pivot-column set, row by
-    row: the cells :func:`dbrg.gfcore.echelon_bases` fills, last fastest."""
+    row, in the order that echelon order reads them (last fastest)."""
     return [(i, j) for i, piv in enumerate(pivots) for j in range(piv + 1, n)
             if j not in pivots]
 
 
 def echelon_bitsets(ctx: FieldContext, n: int, m: int) -> Iterator[list[int]]:
     """The nonzero vectors of every m-dimensional subspace of F_q^n, as
-    bitsets, in the order of :func:`dbrg.gfcore.echelon_bases`: one list
-    per pivot-column set and value of its first free cell, the cell that
-    varies slowest, so that no list takes long to build.
+    bitsets, in echelon order: one list per pivot-column set and value of
+    its first free cell, the cell that varies slowest, so that no list
+    takes long to build.
 
     A subspace with echelon basis B and pivot columns p_0 < ... < p_{m-1}
     is the intersection of the hyperplanes w_j-perp, one for each
@@ -463,9 +464,10 @@ def echelon_bitsets(ctx: FieldContext, n: int, m: int) -> Iterator[list[int]]:
 
 
 def echelon_space(ctx: FieldContext, n: int, m: int, index: int) -> Subspace:
-    """The m-dimensional subspace at position ``index`` of the order of
-    :func:`echelon_bitsets`: its pivot set's block, then the base-q digits
-    of the offset in it as the free cells, the last cell least significant.
+    """The m-dimensional subspace at position ``index`` of echelon order,
+    as :func:`echelon_bitsets` lists them: its pivot set's block, then the
+    base-q digits of the offset in it as the free cells, the last cell
+    least significant.
     IndexError unless 0 <= index < [n, m]_q."""
     if index >= 0:
         for pivots in itertools.combinations(range(n), m):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,23 @@ def test_memory_error_exits_65(tmp_path, capsys, monkeypatch, layer, call, argv)
     captured = capsys.readouterr()
     assert captured.err == "invalid input: too large: Unable to allocate 74.5 GiB for an array\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete-bipartite", "--k", "100000", "--l", "100000"],
+    ["bi-johnson", "--n", "40", "--k", "19"],
+    ["bi-grassmann", "--n", "8", "--k", "1", "--q", "16"],
+    ["hyperoval-affine", "--q", "64"],
+])
+def test_oversized_construct_exits_65_at_once(tmp_path, capsys, argv):
+    # sizes whose graph would pass the builders' edge bound are refused
+    # before anything is built, and no file is written
+    t0 = time.monotonic()
+    assert main(["construct", *argv, "--out", str(tmp_path / "g")]) == 65
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: too large: a graph of at least ")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import time
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from dbrg.bigraph import (
     subdivision,
 )
 from dbrg.constructions import (
+    MAX_EDGES,
     _coset_incidence,
     bi_grassmann,
     bi_johnson,
@@ -157,18 +159,58 @@ def dual_denniston_system(q, r):
      "e4385c3ec0bdfa99640d46a22e2bb44ddf3d13c724fdf9becce7069ceff0fd98"),
     (lambda: bi_grassmann(4, 1, 3),
      "e87b22384476759344beb210c355862b0c1215e82e34f42ea32cec8109e3eeed"),
+    (lambda: bi_grassmann(4, 1, 4),
+     "e5e05c4232b71d08d7d7f7e28f82082cd45cacb657f7ac79fa6330f376cb04e8"),
+    (lambda: bi_grassmann(6, 2, 2),
+     "1a88619e4d697a20241c296613c61bf586cff41386e8d73ee72c75a01e730ec8"),
+    (lambda: bi_grassmann(6, 1, 3),
+     "430c96dbc88df8efe7978caeb790462a3d978d91ba54f3d16c82690602be51ef"),
     (lambda: gen_delorme_graph(dual_hyperoval_system(4)),
      "64321102284e2c59b91a1173d5916dc1d74342b3219359f3d2ad817a1f64ce31"),
     (lambda: gen_delorme_graph(dual_hyperoval_system(8)),
      "192131bbeb9034c0d369675164ffe5201030cba3743a9c1b88f34deb84c9b910"),
     (lambda: gen_delorme_graph(dual_denniston_system(8, 4)),
      "4f5b09f4e0ad3747f2d594f1a0bb90471424af34e38a2bab344cb07d89c7e075"),
-], ids=["cone2", "cone3", "cone4", "grassmann4_1_2", "grassmann4_1_3",
-        "delorme_hyperoval4", "delorme_hyperoval8", "delorme_denniston8_4"])
+], ids=["cone2", "cone3", "cone4", "grassmann4_1_2", "grassmann4_1_3", "grassmann4_1_4",
+        "grassmann6_2_2", "grassmann6_1_3", "delorme_hyperoval4", "delorme_hyperoval8", "delorme_denniston8_4"])
 def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
     # sha256 of the graph file as the per-vector builders wrote it
     text = serialize_graph(build().graph)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_bipartite(100_000, 100_000),  # 10^10 pairs
+    lambda: bi_johnson(40, 19),  # C(40, 19) subsets, about 1.3 10^11
+    lambda: bi_johnson(10**30, 10**29),  # counted in part: C(n, 25) is over already
+    lambda: bi_grassmann(8, 1, 16),
+    lambda: bi_grassmann(10**30, 2, 2),  # counted in part, as [26, 1]_2
+    lambda: hyperoval_affine_graph(64),  # 64^3 66 edges before the restriction
+    lambda: hyperoval_affine_graph(2**40),  # beyond the field bound as well
+], ids=["complete_bipartite", "bi_johnson", "bi_johnson_huge", "bi_grassmann",
+        "bi_grassmann_huge", "hyperoval_affine64", "hyperoval_affine_huge"])
+def test_oversized_builds_are_refused_before_allocating(build):
+    # the predicted edge count is checked against MAX_EDGES first: the
+    # refusal is immediate and allocates next to nothing
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(MemoryError, match=f"over the bound of {MAX_EDGES}$"):
+            build()
+        seconds, peak = time.monotonic() - t0, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1 and peak < 2**20, (seconds, peak)
+
+
+def test_oversized_gen_delorme_graph_is_refused():
+    # the dual hyperoval of PG(2, 64) verifies as a perp system; its graph
+    # would have 64^3 66 > 2^24 edges
+    system = dual_hyperoval_system(64)
+    t0 = time.monotonic()
+    with pytest.raises(MemoryError, match="at least 17301504 edges"):
+        gen_delorme_graph(system)
+    assert time.monotonic() - t0 < 1
 
 
 def test_distance_engine_memory_is_below_dense_n():

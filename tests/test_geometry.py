@@ -1,14 +1,14 @@
 """Arcs, hyperovals, duality, and the quadric-cone space families."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, mul, orthogonal_complement,
-                         projective_points, rref, stack_bases, subspace_make, subspace_meet,
-                         subspace_vector_ids, subspaces, vector_bitsets)
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, orthogonal_complement, rref,
+                         stack_bases, subspace_make, subspace_meet, subspace_vector_ids)
 from dbrg.geometry import (
     ArcCheckResult,
     SpaceFamily,
@@ -20,6 +20,9 @@ from dbrg.geometry import (
     hyperoval,
     point,
 )
+from dbrg.gfint import point_vectors
+
+from test_gfcore import array_dot
 
 
 def test_field_for_order():
@@ -39,7 +42,7 @@ def test_hyperoval_meets_every_line_in_0_or_2(q, lines):
     assert len(h) == q + 2
     res = arc_check(h, 2)
     assert res.ok, res
-    assert len(projective_points(h.ctx, 3)) == lines
+    assert len(point_vectors(h.ctx, 3)) == lines
 
 
 def test_hyperoval_odd_q_rejected():
@@ -61,20 +64,32 @@ def test_conic_without_nucleus_has_a_tangent():
 def test_all_points_fail_arc_check():
     ctx = field_for_order(2)
     everything = SpaceFamily(
-        ctx, 3, tuple(point(ctx, v) for v in projective_points(ctx, 3).tolist())
+        ctx, 3, tuple(point(ctx, v) for v in point_vectors(ctx, 3))
     )
     res = arc_check(everything, 2)
     assert not res.ok and res.count == 3
 
 
+# sha256 of the repr of the members' bases, as the array form evaluation listed them
+DENNISTON_DIGESTS = {
+    (4, 2): "1110421a57bbbdd70b037f14b29aedc3c27b47c6cf1d11f94a2e756a5a81d792",
+    (8, 2): "3aa7944e2e818f453ee72c68ae169daac9a17c54712a941490ac2ac86b5377f9",
+    (8, 4): "e45fd77fd70e2e4b99bbfca7a8571879b488f2dfcc1a629b8147afe2c97169d1",
+    (16, 8): "84b8e84ec763562ff2eb4a5100a3288cbb63abd509b1aafa6fd7224c1cd684ac",
+    (32, 4): "9afec0dc78613b53b1f1aeb2a6cd2eeac0a7084a320725dccec36e3b5f35d774",
+}
+
+
 @pytest.mark.parametrize(
     "q,r,size",
-    [(4, 2, 6), (8, 2, 10), (8, 4, 28)],
+    [(4, 2, 6), (8, 2, 10), (8, 4, 28), (16, 8, 120), (32, 4, 100)],
 )
 def test_denniston_arcs(q, r, size):
     arc = denniston_arc(q, r)
     assert len(arc) == q * r - q + r == size
     assert arc_check(arc, r).ok
+    digest = hashlib.sha256(repr([m.basis for m in arc.members]).encode()).hexdigest()
+    assert digest == DENNISTON_DIGESTS[q, r]
 
 
 def test_denniston_rejects_bad_parameters():
@@ -98,7 +113,7 @@ def test_dual_hyperoval_point_counts():
     assert len(fam) == 4
     ctx = h.ctx
     counts = []
-    for w in projective_points(ctx, 3).tolist():
+    for w in point_vectors(ctx, 3):
         pt = point(ctx, w)
         counts.append(sum(1 for m in fam.members if subspace_meet(m, pt).dim == 1))
     assert set(counts) == {0, 2}
@@ -109,7 +124,7 @@ def test_dualize_preserves_incidence_counts():
     h = hyperoval(4)
     ctx = h.ctx
     fam = dualize(h)
-    for w in projective_points(ctx, 3).tolist():
+    for w in point_vectors(ctx, 3):
         pt = point(ctx, w)
         on_lines = sum(1 for m in fam.members if subspace_meet(m, pt).dim == 1)
         hyp = orthogonal_complement(pt)
@@ -192,16 +207,17 @@ def filtered_cone_spaces(q):
     singular = []
     for rows in echelon_bases(ctx, 6, 3):
         u, v = rows[:, [0, 0, 1]], rows[:, [1, 2, 2]]  # the three pairs of rows
-        ok = ((dot(ctx, rows[..., [0, 4]], rows[..., [1, 5]])
-               == dot(ctx, rows[..., [2]], rows[..., [3]])).all(axis=1)
-              & (dot(ctx, u[..., [0, 1, 4, 5]], v[..., [1, 0, 5, 4]])
-                 == dot(ctx, u[..., [2, 3]], v[..., [3, 2]])).all(axis=1))
+        ok = ((array_dot(ctx, rows[..., [0, 4]], rows[..., [1, 5]])
+               == array_dot(ctx, rows[..., [2]], rows[..., [3]])).all(axis=1)
+              & (array_dot(ctx, u[..., [0, 1, 4, 5]], v[..., [1, 0, 5, 4]])
+                 == array_dot(ctx, u[..., [2, 3]], v[..., [3, 2]])).all(axis=1))
         singular.append(rows[ok])
     singular = np.concatenate(singular)
-    m0 = vector_bitsets(subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2]), q**6)
-    shared = np.bitwise_count(vector_bitsets(subspace_vector_ids(ctx, singular), q**6) & m0)
-    odd = np.isin(shared.sum(axis=1), (q - 1, q**3 - 1))
-    return tuple(subspaces(ctx, singular)), tuple(subspaces(ctx, singular[odd]))
+    m0 = subspace_vector_ids(ctx, np.eye(6, dtype=np.int8)[None, ::2])
+    shared = np.isin(subspace_vector_ids(ctx, singular), m0).sum(axis=1)
+    odd = np.isin(shared, (q - 1, q**3 - 1))
+    spaces = tuple(subspace_make(ctx, 6, rows) for rows in singular.tolist())
+    return spaces, tuple(m for m, keep in zip(spaces, odd) if keep)
 
 
 def test_cone_spaces_match_the_filter_q4():
@@ -265,21 +281,24 @@ def arc_check_reference(arc, r):
 
 
 @st.composite
-def plane_point_sets(draw):
-    """A random point set of PG(2, q) and a degree r, or a known arc."""
-    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
+def point_sets(draw):
+    """A random point set of PG(2, q), or of PG(3, q) for q <= 3, and a
+    degree r; or a known arc."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9, 16]))
     ctx = field_for_order(q)
-    pts = list(lex_points(ctx, 3))
-    if q in (4, 8) and draw(st.booleans()):
-        r = draw(st.sampled_from([rr for rr in (2, 4) if rr < q]))
+    if q in (4, 8, 16) and draw(st.booleans()):
+        r = draw(st.sampled_from([rr for rr in (2, 4, 8) if rr < q]))
         return denniston_arc(q, r), r
+    n = 4 if q <= 3 and draw(st.booleans()) else 3
+    pts = list(lex_points(ctx, n))
     chosen = draw(st.sets(st.sampled_from(pts), max_size=len(pts)))
-    arc = SpaceFamily(ctx, 3, tuple(point(ctx, v) for v in sorted(chosen)))
-    return arc, draw(st.integers(0, q + 1))
+    arc = SpaceFamily(ctx, n, tuple(point(ctx, v) for v in sorted(chosen)))
+    return arc, draw(st.integers(0, q**(n - 2) + q + 1))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(plane_point_sets())
+@given(point_sets())
 def test_arc_check_matches_scalar_reference(case):
     arc, r = case
     assert arc_check(arc, r) == arc_check_reference(arc, r)
+

@@ -1,5 +1,6 @@
 """Field arithmetic, canonical subspaces, and enumeration counts."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from dbrg.gfcore import (
     FieldContext,
     echelon_bases,
     subspace_vector_ids,
-    vector_bitsets,
     vector_index,
     field,
     qbinom,
@@ -18,7 +18,6 @@ from dbrg.gfcore import (
     subspace_meet,
     orthogonal_complement,
     enumerate_subspaces,
-    projective_points,
     index_vector,
     mul,
     parse_vector,
@@ -26,6 +25,7 @@ from dbrg.gfcore import (
     scaling,
     translations,
 )
+from dbrg.gfint import id_bitset, point_vectors
 
 
 def test_prime_field_modulus_is_x():
@@ -260,10 +260,10 @@ def test_coset_and_hyperplane_streams():
     assert len(reps) == 9  # q^(n-dim) = 3^2
     assert all(r[:4] == (0, 0, 0, 0) and m.reduce(r) == r for r in reps)
     hyps = [orthogonal_complement(subspace_make(gf3, 6, [w]))
-            for w in projective_points(gf3, 6).tolist()]
+            for w in point_vectors(gf3, 6)]
     assert len(set(hyps)) == 364  # [6]_3
     assert all(h.dim == 5 for h in hyps)
-    pts = projective_points(gf3, 3).tolist()
+    pts = point_vectors(gf3, 3)
     assert len(pts) == 13
 
 
@@ -325,8 +325,12 @@ def bitset_reference(row):
     return sum(1 << v for v in row)
 
 
-def as_integers(bits):
-    return [sum(w << (64 * i) for i, w in enumerate(words)) for words in bits.tolist()]
+def array_dot(ctx, u, v):
+    """Dot product over ``ctx`` along the last axis, the other axes
+    broadcast, from ``gfcore.mul`` and ``ctx.add``: ``array_dot(ctx,
+    u[:, None], v[None])`` is the table of all pairs of rows."""
+    u, v = np.moveaxis(np.asarray(u), -1, 0), np.moveaxis(np.asarray(v), -1, 0)
+    return functools.reduce(ctx.add, (mul(ctx, a, b) for a, b in zip(u, v)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -337,22 +341,21 @@ def test_kernel_ids_match_subspace_vectors(case):
     ids = subspace_vector_ids(gf, bases)
     for row, s in zip(ids.tolist(), spaces):
         assert row == sorted(vector_index(gf, v) for v in s.vectors() if any(v))
-    bits = vector_bitsets(ids, gf.q**n)
-    assert as_integers(bits) == [bitset_reference(r) for r in ids.tolist()]
+        assert id_bitset(row) == bitset_reference(row)
 
 
 @pytest.mark.parametrize("size", [63, 64, 65, 128, 729, 4096])
 def test_vector_bitsets_at_word_edges(size):
-    # rows of distinct ids, each holding the ids on both sides of every word
-    # edge below size and 40 random others, in random order
+    # the Python-int bitsets of gfint.id_bitset, which packs ids byte by
+    # byte: rows of distinct ids, each holding the ids on both sides of
+    # every 64-bit word edge below size and 40 random others, in random order
     rng = np.random.default_rng(size)
     edges = sorted({v for w in range(64, size, 64) for v in (w - 1, w)} | {0, size - 1})
     others = np.setdiff1d(np.arange(size), edges)
-    ids = np.array([rng.permutation(np.concatenate([edges, rng.choice(others, 40, replace=False)]))
-                    for _ in range(200)], dtype=np.int32)
-    bits = vector_bitsets(ids, size)
-    assert bits.shape == (len(ids), -(-size // 64)) and bits.dtype == np.uint64
-    assert as_integers(bits) == [bitset_reference(r) for r in ids.tolist()]
+    ids = [rng.permutation(np.concatenate([edges, rng.choice(others, 40, replace=False)])).tolist()
+           for _ in range(200)]
+    assert [id_bitset(row) for row in ids] == [bitset_reference(row) for row in ids]
+    assert all(id_bitset(row).bit_length() == size for row in ids)
 
 
 def echelon_loop(gf, n, m):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbrg.gfcore import (dot, echelon_bases, enumerate_subspaces, field, orthogonal_complement,
-                         qbinom, subspace_make, subspace_meet, subspace_vector_ids)
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, field, orthogonal_complement, qbinom,
+                         subspace_make, subspace_meet, subspace_vector_ids)
 from dbrg.gfint import echelon_bitsets, echelon_space, hyperplane_bitsets, incidence_planes
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg import perpsys
@@ -28,6 +28,8 @@ from dbrg.perpsys import (
     serialize_perp,
     two_intersection_set,
 )
+
+from test_gfcore import array_dot
 
 
 def dual_hyperoval_system(q):
@@ -300,7 +302,7 @@ def test_hyperplane_bitsets_match_brute_force(q):
     vectors = np.array(list(itertools.product(range(q), repeat=n)))
     hyperplane = hyperplane_bitsets(ctx, n)
     for w in vectors.tolist():
-        zero = np.flatnonzero(dot(ctx, vectors, w) == 0)
+        zero = np.flatnonzero(array_dot(ctx, vectors, w) == 0)
         assert hyperplane(w) == sum(1 << int(v) for v in zero if v)
     with pytest.raises(ValueError):
         hyperplane([1] * (n + 1))

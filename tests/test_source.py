@@ -39,6 +39,16 @@ def test_all_names_exist():
 FIELD_LAYERS = ("gfint", "gfcore")  # the scalar and the stacked field layer
 
 
+def test_gfcore_keeps_no_second_vector_set_or_point_layer():
+    # vector sets, the listing of points and hyperplane counts are gfint's
+    # Python-int work; gfcore defines the coset and inclusion graph kernels
+    # and none of its former array copies of them
+    tree = ast.parse((Path(dbrg.__file__).parent / "gfcore.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined & {"dot", "hyperplane_counts", "projective_points", "vector_bitsets",
+                      "bitset_contains", "subspaces"} == set()
+
+
 def test_field_layers_alone_know_ids_and_bitsets():
     # no module imports another module's private name; outside the field
     # layers no module spells the vector-id weights, adds ids digit-wise (an
@@ -63,9 +73,9 @@ def test_field_layers_alone_know_ids_and_bitsets():
 
 def test_family_bases_cross_to_the_kernels_in_one_place():
     # member bases are stacked only by ``gfcore.stack_bases``; stacked rows
-    # become Subspace values only in the field layers (``gfcore.subspaces``
-    # and ``gfint.subspace_make``), since the Subspace constructor trusts
-    # its rows to be a canonical echelon basis
+    # become Subspace values only in the field layers
+    # (``gfcore.enumerate_subspaces`` and ``gfint.subspace_make``), since the
+    # Subspace constructor trusts its rows to be a canonical echelon basis
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -109,13 +119,14 @@ def _start_up_cost(name):
 
 
 def test_integer_layer_imports_no_numpy():
-    # params and feasibility, the scalar field layer gfint, the perp-file
-    # layer perpfile and the perp search perpsys, and every package module
-    # they import, are integer and Fraction work with NamedTuple records,
-    # plain classes and a plain read of the catalog file; cli.py itself
-    # imports no layer (see below)
+    # params and feasibility, the scalar field layer gfint, the geometry
+    # families, the perp-file layer perpfile and the perp search perpsys,
+    # and every package module they import (so not gfcore), are integer and
+    # Fraction work with NamedTuple records, plain classes and a plain read
+    # of the catalog file; cli.py itself imports no layer (see below)
     package = Path(dbrg.__file__).parent
-    todo, seen, found = ["params", "feasibility", "gfint", "perpfile", "perpsys"], set(), []
+    todo = ["geometry", "params", "feasibility", "gfint", "perpfile", "perpsys"]
+    seen, found = set(), []
     while todo:
         stem = todo.pop()
         if stem in seen:

@@ -51,11 +51,11 @@ IN_PROCESS = {
         "out = perp_search(7, 3, 2, 2, budget_nodes=1)\n"
         "result = {'setup_s': out.setup_seconds, 'total_s': out.elapsed, 'nodes': out.nodes}\n"),
     "perp_verify_f3_6_21": (
-        "import statistics, time\n"
-        "from dbrg.gfcore import echelon_bases, field, subspaces\n"
+        "import itertools, statistics, time\n"
+        "from dbrg.gfcore import enumerate_subspaces, field\n"
         "from dbrg.perpsys import perp_verify\n"
         "ctx = field(3)\n"
-        "members = list(subspaces(ctx, next(echelon_bases(ctx, 6, 4))[:21]))\n"
+        "members = list(itertools.islice(enumerate_subspaces(ctx, 6, 4), 21))\n"
         "perp_verify(ctx, 6, 2, members)\n"
         "times = []\n"
         "for _ in range(15):\n"
