@@ -31,27 +31,28 @@ base-p digits of a coordinate are its polynomial coefficients, so the
 base-p digits of an id are the vector's coordinates over GF(p).
 
 A set of vectors is a bitset: one Python int, bit i set iff the vector
-with id i is in the set.  This module provides them:
-:func:`span_ids` lists the ids of a subspace and :func:`id_bitset`
-packs ids into one int; :func:`hyperplane_bitsets` gives the nonzero
-vectors of each hyperplane w-perp, and :func:`echelon_bitsets` the
-nonzero vectors of every m-dimensional subspace, in echelon order, each
-the AND of the hyperplanes of its dual basis (:func:`echelon_space`
-decodes a position in that order back to its :class:`Subspace`).  A
-subspace's bitset determines it, so
-the bitset is a canonical key.  Counts per vector are bit planes, a
-list whose entry i is the bitset of the vectors whose count has bit i
-set: :func:`planes_count` counts a list of sets, :func:`planes_add` adds
-one set and :func:`planes_sub` takes counts out,
-:func:`planes_equal`, :func:`planes_less` and :func:`planes_min` select
-vectors by their counts, and :func:`incidence_planes` counts a family
-and checks it is every m-dimensional subspace once.
+with id i is in the set.  A subspace's set is the AND of the
+hyperplanes w-perp (:func:`hyperplane_bitsets`) over a basis of its
+orthogonal complement: :func:`subspace_bitset` for one subspace,
+:func:`echelon_bitsets` for every m-dimensional one in echelon order
+(:func:`echelon_space` decodes a position back to its
+:class:`Subspace`).  The set determines the subspace, so it is a
+canonical key.  Callers refuse inputs whose sets would pass
+:data:`MAX_BITSET_BYTES`.  Counts per vector are bit planes, a list
+whose entry i is the bitset of the vectors whose count has bit i set:
+:func:`planes_count` counts a list of sets, :func:`planes_add` adds one
+set and :func:`planes_sub` takes counts out, :func:`planes_equal`,
+:func:`planes_less`, :func:`planes_min` and :func:`planes_max` select
+vectors by their counts, :func:`planes_at` reads one count, and
+:func:`incidence_planes` counts a family and checks it is every
+m-dimensional subspace once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import lru_cache
+import operator
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .params import prime_power
@@ -68,11 +69,11 @@ __all__ = [
     "vector_index",
     "index_vector",
     "field_for_order",
-    "span_ids",
-    "id_bitset",
     "vector_bit",
     "point_vectors",
     "hyperplane_bitsets",
+    "subspace_bitset",
+    "MAX_BITSET_BYTES",
     "echelon_bitsets",
     "echelon_space",
     "incidence_planes",
@@ -82,6 +83,8 @@ __all__ = [
     "planes_equal",
     "planes_less",
     "planes_min",
+    "planes_max",
+    "planes_at",
     "parse_vector",
     "format_vector",
 ]
@@ -276,7 +279,7 @@ class FieldContext:
         return f"GF({self.q})"
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def field(p: int, t: int = 1) -> FieldContext:
     """Shared context for GF(p^t) with the canonical (least) modulus."""
     return FieldContext(p, t)
@@ -326,45 +329,6 @@ def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def span_ids(ctx: FieldContext, basis: Sequence[Sequence[int]]) -> list[int]:
-    """Sorted ids of the nonzero vectors spanned by linearly independent rows.
-
-    The scalar form of :func:`dbrg.gfcore.subspace_vector_ids`.  A vector
-    is read as its n t coordinates over GF(p), the base-p digits of its
-    id, and a digit of a sum is the sum of the summands' digits mod p.  So
-    each digit column is summed over every combination of the rows, from
-    the digits of the rows' scalar multiples, and the ids are read off
-    the columns, one place value each, with no carries between them."""
-    if not basis:
-        return []
-    p, q = ctx.p, ctx.q
-    places = [p**e for e in reversed(range(ctx.t))]  # a coordinate's digits, most significant first
-    cols = [[0] for _ in range(len(basis[0]) * ctx.t)]  # unreduced sums, one combination each
-    for row in basis:
-        k = 0
-        for x in row:
-            products = [ctx.mul(c, x) for c in ctx.elements()]
-            for place in places:
-                # the same combination order in every column: this row's scalar varies slowest
-                if x:
-                    cols[k] = [a + y // place % p for y in products for a in cols[k]]
-                else:  # every multiple is 0 here
-                    cols[k] *= q
-                k += 1
-    ids = [0] * len(cols[0])
-    for sums in cols:
-        ids = [i * p + x % p for i, x in zip(ids, sums)]
-    return sorted(ids[1:])  # the combination with all scalars 0 comes first
-
-
-def id_bitset(ids: Sequence[int]) -> int:
-    """Distinct ids as one Python int, bit i set iff i is in ``ids``."""
-    buf = bytearray(max(ids, default=-1) // 8 + 1)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 def vector_bit(ctx: FieldContext, v: Sequence[int]) -> int:
     """The bitset holding the one vector ``v``."""
     return 1 << vector_index(ctx, v)
@@ -375,6 +339,10 @@ def point_vectors(ctx: FieldContext, n: int) -> list[tuple[int, ...]]:
     of PG(n-1, q) in echelon order: by the place of the leading 1, then lex."""
     return [(0,) * lead + (1,) + rest for lead in range(n)
             for rest in itertools.product(range(ctx.q), repeat=n - lead - 1)]
+
+
+# the most that one call holds in bitsets, hyperplane memo included
+MAX_BITSET_BYTES = 2**30
 
 
 def hyperplane_bitsets(ctx: FieldContext, n: int) -> Callable[[Sequence[int]], int]:
@@ -411,6 +379,15 @@ def hyperplane_bitsets(ctx: FieldContext, n: int) -> Callable[[Sequence[int]], i
     return hyperplane
 
 
+def subspace_bitset(hyperplane: Callable[[Sequence[int]], int], space: Subspace) -> int:
+    """The bitset of the nonzero vectors of ``space``: the AND of the
+    hyperplanes w-perp, from a map of :func:`hyperplane_bitsets` for its
+    F_q^n, over the basis of its :func:`orthogonal_complement` (all
+    nonzero vectors for the whole space, as :func:`echelon_bitsets`)."""
+    dual = orthogonal_complement(space).basis or ((0,) * space.n,)
+    return functools.reduce(operator.and_, map(hyperplane, dual))
+
+
 def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
     """The free echelon entries (row, column) for a pivot-column set, row by
     row, in the order that echelon order reads them (last fastest)."""
@@ -420,8 +397,8 @@ def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
 
 def echelon_bitsets(ctx: FieldContext, n: int, m: int) -> Iterator[list[int]]:
     """The nonzero vectors of every m-dimensional subspace of F_q^n, as
-    bitsets, in echelon order: one list per pivot-column set and value of
-    its first free cell, the cell that varies slowest, so that no list
+    bitsets, in echelon order: one list per pivot-column set and values of
+    its first two free cells, the cells that vary slowest, so that no list
     takes long to build.
 
     A subspace with echelon basis B and pivot columns p_0 < ... < p_{m-1}
@@ -437,22 +414,28 @@ def echelon_bitsets(ctx: FieldContext, n: int, m: int) -> Iterator[list[int]]:
     hyperplane = hyperplane_bitsets(ctx, n)
     for pivots in itertools.combinations(range(n), m):
         cells = _free_cells(n, pivots)
-        for first in range(q) if cells else [0]:
-            choices = [[first]] + [range(q)] * (len(cells) - 1)  # per cell, its values here
+        lead = min(len(cells), 2)
+        built = {}  # column -> its lead cells' values, offsets and hyperplanes, as last built
+        for fixed in itertools.product(range(q), repeat=lead):
+            choices = [[x] for x in fixed] + [range(q)] * (len(cells) - lead)  # per cell
             where, bits = [0], None
             for j in range(n):
                 if j in pivots:
                     continue
                 at = [pos for pos, (_, col) in enumerate(cells) if col == j]
-                offsets, hyperplanes = [], []
-                for values in itertools.product(*(choices[pos] for pos in at)):
-                    w = [0] * n
-                    w[j] = 1
-                    for pos, x in zip(at, values):
-                        w[pivots[cells[pos][0]]] = ctx.neg(x)
-                    offsets.append(sum(x * q ** (len(cells) - 1 - pos)
-                                       for pos, x in zip(at, values) if pos))
-                    hyperplanes.append(hyperplane(w))
+                mine = [fixed[pos] for pos in at if pos < lead]
+                if built.get(j, (None,))[0] != mine:  # w_j depends on column j's cells only
+                    offsets, hyperplanes = [], []
+                    for values in itertools.product(*(choices[pos] for pos in at)):
+                        w = [0] * n
+                        w[j] = 1
+                        for pos, x in zip(at, values):
+                            w[pivots[cells[pos][0]]] = ctx.neg(x)
+                        offsets.append(sum(x * q ** (len(cells) - 1 - pos)
+                                           for pos, x in zip(at, values) if pos >= lead))
+                        hyperplanes.append(hyperplane(w))
+                    built[j] = mine, offsets, hyperplanes
+                _, offsets, hyperplanes = built[j]
                 where = [a + b for a in where for b in offsets]
                 bits = hyperplanes if bits is None else [a & b for a in bits for b in hyperplanes]
             if bits is None:  # m = n: the whole space
@@ -578,6 +561,14 @@ def planes_min(planes: Sequence[int], mask: int) -> int:
     return mask
 
 
+def planes_max(planes: Sequence[int], mask: int) -> int:
+    """The vectors of ``mask`` with the greatest count among them."""
+    for plane in reversed(planes):
+        if mask & plane:
+            mask &= plane
+    return mask
+
+
 def incidence_planes(ctx: FieldContext, n: int, m: int, bits: Sequence[int]) -> list[int]:
     """The planes of how many of ``bits`` hold each vector, checked to be the
     counts of all m-dimensional subspaces: RuntimeError unless there are
@@ -588,15 +579,13 @@ def incidence_planes(ctx: FieldContext, n: int, m: int, bits: Sequence[int]) -> 
     count, per = qbinom(n, m, q), qbinom(n - 1, m - 1, q) if m else 0
     nonzero = (1 << q**n) - 2
     if len(bits) != count or planes_equal(planes, per, nonzero) != nonzero:
-        low, high = planes_min(planes, nonzero), nonzero
-        for plane in reversed(planes):
-            high = high & plane or high
-        raise RuntimeError(f"{len(bits)} candidates, each vector in {_count_at(planes, low)} to "
-                           f"{_count_at(planes, high)} of them; expected {count} and {per}")
+        low, high = planes_min(planes, nonzero), planes_max(planes, nonzero)
+        raise RuntimeError(f"{len(bits)} candidates, each vector in {planes_at(planes, low)} to "
+                           f"{planes_at(planes, high)} of them; expected {count} and {per}")
     return planes
 
 
-def _count_at(planes: Sequence[int], bits: int) -> int:
+def planes_at(planes: Sequence[int], bits: int) -> int:
     """The count of the lowest vector of ``bits``."""
     low = bits & -bits
     return sum(1 << i for i, plane in enumerate(planes) if plane & low)
@@ -746,15 +735,14 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     if s.dim == 0:
         return subspace_make(ctx, n, [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)])
     # nullspace of the basis matrix from its RREF
-    pivots = set(s.pivots)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for row, piv in zip(s.basis, s.pivots):
-            v[piv] = ctx.neg(row[j])
-        out.append(v)
+    pivots, out = s.pivots, []
+    for j in range(n):
+        if j not in pivots:
+            v = [0] * n
+            v[j] = 1
+            for row, piv in zip(s.basis, pivots):
+                v[piv] = ctx.neg(row[j])
+            out.append(v)
     return subspace_make(ctx, n, out)
 
 

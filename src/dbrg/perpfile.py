@@ -7,12 +7,11 @@ in dimension exactly n - 2k.
 
 ``perp_verify`` measures everything exhaustively and returns either a
 :class:`PerpSystem` or a :class:`PerpViolation` naming the offending
-vector or member pair.  It works on the members' sorted nonzero vector
-ids (:func:`dbrg.gfint.span_ids`), counts multiplicities in a list and
-meets on Python-int bitsets (:func:`meeting_pair`), so ``perp verify``
-and the perp ``roundtrip`` import no numpy.  Search, duals and
-two-intersection sets are :mod:`dbrg.perpsys`, which re-exports this
-module's names.
+vector or member pair.  It ANDs hyperplanes into the members' bitsets
+(:func:`dbrg.gfint.subspace_bitset`), counts them in bit planes and
+meets them pairwise (:func:`meeting_pair`), so ``perp verify`` and the
+perp ``roundtrip`` import no numpy.  Search, duals and two-intersection
+sets are :mod:`dbrg.perpsys`, which re-exports this module's names.
 
 File format (one system per file)::
 
@@ -29,14 +28,19 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .gfint import (
+    MAX_BITSET_BYTES,
     FieldContext,
     SpaceFamily,
     Subspace,
     format_vector,
-    id_bitset,
+    hyperplane_bitsets,
     index_vector,
     parse_vector,
-    span_ids,
+    planes_at,
+    planes_count,
+    planes_equal,
+    planes_max,
+    subspace_bitset,
     subspace_make,
 )
 
@@ -71,7 +75,7 @@ class PerpViolation(NamedTuple):
 
 def meeting_pair(bits: Sequence[int], want: int) -> tuple[int, int] | None:
     """First pair (i, j), i < j in lex order, of Python-int bitsets
-    (:func:`dbrg.gfint.id_bitset`) not sharing ``want`` ids."""
+    (:func:`dbrg.gfint.subspace_bitset`) not sharing ``want`` ids."""
     for i, row in enumerate(bits):
         for j in range(i + 1, len(bits)):
             if (row & bits[j]).bit_count() != want:
@@ -102,26 +106,30 @@ def perp_verify(
     if len(members) < 2:
         return PerpViolation("d_too_small", detail="family has a single member (s >= 2 required)")
 
-    q = ctx.q
-    ids = [span_ids(ctx, m.basis) for m in members]
-    mults = [0] * q**n  # per vector id; the zero vector is in no id list
-    for row in ids:
-        for i in row:
-            mults[i] += 1
-    covered = [c for c in mults if c]  # not empty: every member has dimension n - k >= 1
-    d, ref = min(covered), max(covered)
-    if d != ref:
-        bad = next(i for i, c in enumerate(mults) if c and c != ref)
+    q, s = ctx.q, len(members)
+    # the members' bitsets, and at most 2 q^n bits of hyperplane memo per dual basis vector
+    need = s * (2 * k + 1) * q**n // 8
+    if need > MAX_BITSET_BYTES:
+        raise MemoryError(f"{s} member bitsets over {q**n} vectors, with their hyperplanes, "
+                          f"need about {need} bytes")
+    hyperplane = hyperplane_bitsets(ctx, n)
+    bits = [subspace_bitset(hyperplane, m) for m in members]
+    mults = planes_count(bits)
+    nonzero = (1 << q**n) - 2
+    covered = nonzero & ~planes_equal(mults, 0, nonzero)  # not empty: members have dim >= 1
+    most = planes_max(mults, covered)
+    d = planes_at(mults, most)  # the largest multiplicity
+    if most != covered:
+        bad = covered & ~most  # its lowest vector is the first of another multiplicity
         return PerpViolation(
             "mixed_multiplicity",
-            vector=index_vector(ctx, bad, n),
-            detail=f"vector covered {mults[bad]} times, elsewhere {ref}",
+            vector=index_vector(ctx, (bad & -bad).bit_length() - 1, n),
+            detail=f"vector covered {planes_at(mults, bad)} times, elsewhere {d}",
         )
     if d < 2:
         return PerpViolation("d_too_small", detail="covered vectors have multiplicity 1, need d >= 2")
-    if len(covered) == q**n - 1:
+    if covered == nonzero:
         return PerpViolation("all_covered", detail="no vector with multiplicity 0")
-    bits = [id_bitset(row) for row in ids]
     pair = meeting_pair(bits, q ** (n - 2 * k) - 1)
     if pair is not None:
         i, j = pair
@@ -134,7 +142,7 @@ def perp_verify(
             "pair_meet", pair=pair,
             detail=f"members {i},{j} meet in dimension {got}, expected {n - 2 * k}",
         )
-    return PerpSystem(ctx, n, members, k=k, d=d, s=len(members))
+    return PerpSystem(ctx, n, members, k=k, d=d, s=s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ associated graph is strongly regular.
 
 ``perp_search`` is a deterministic exact-cover search with
 multiplicities (Knuth's Algorithm M): it branches on the partially
-covered vector with the fewest candidates left.  It works on the
-candidates' bitsets of :func:`dbrg.gfint.echelon_bitsets`, one Python
-int per candidate over the q^n vector ids, and keeps the counts per
-vector (how many members and how many live candidates hold it) as bit
-planes of :mod:`dbrg.gfint`.  A candidate's bitset is its canonical
-key: two candidates are equal iff their bitsets are.
+covered vector with the fewest candidates left.  Every subspace here,
+candidate or member, is a Python int over the q^n vector ids, the AND of
+the hyperplanes over a basis of its orthogonal complement
+(:func:`dbrg.gfint.echelon_bitsets`, :func:`dbrg.gfint.subspace_bitset`),
+and a bitset is its subspace's canonical key.  The counts per vector
+(how many members and how many live candidates hold it) are bit planes.
 
 The records, the exhaustive check ``perp_verify`` and the file format
 are :mod:`dbrg.perpfile`, re-exported here.  A :class:`PerpSystem` is a
@@ -30,9 +30,7 @@ every hyperplane holding 0 or d of them), with the meet routine of
 ``perp_verify``, and returns it as a plain
 :class:`dbrg.gfint.SpaceFamily`; the way back is
 ``perp_verify(ctx, n, k, dualize(family).members)``.  The member count
-and the admissibility rules are :func:`dbrg.params.perp_params`.  The
-hyperplane counts of ``perp_dualize`` and ``two_intersection_set`` come
-from :func:`dbrg.gfint.hyperplane_bitsets`.
+and the admissibility rules are :func:`dbrg.params.perp_params`.
 
 Like the modules it imports, this one imports no numpy, so
 ``perp search`` runs without it.
@@ -45,12 +43,12 @@ import time
 from typing import NamedTuple
 
 from .gfint import (
+    MAX_BITSET_BYTES,
     SpaceFamily,
     echelon_bitsets,
     echelon_space,
     field_for_order,
     hyperplane_bitsets,
-    id_bitset,
     incidence_planes,
     orthogonal_complement,
     planes_add,
@@ -61,7 +59,7 @@ from .gfint import (
     planes_sub,
     point_vectors,
     qbinom,
-    span_ids,
+    subspace_bitset,
     subspace_make,
     vector_bit,
 )
@@ -114,8 +112,8 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     point-hyperplane incidences failed, which holds by construction.
     """
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
-    q = ctx.q
-    mults = planes_count([id_bitset(span_ids(ctx, m.basis)) for m in system.members])
+    q, hyperplane = ctx.q, hyperplane_bitsets(ctx, n)
+    mults = planes_count([subspace_bitset(hyperplane, m) for m in system.members])
     covered = planes_equal(mults, d, (1 << q**n) - 2)
     points = point_vectors(ctx, n)
     reps = [w for w in points if covered & vector_bit(ctx, w)]
@@ -129,7 +127,7 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
                          f"h1={h1}, h2={h2}")
     if len(reps) != big_n:
         raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
-    hyperplane, n1 = hyperplane_bitsets(ctx, n), 0
+    n1 = 0
     for w in points:
         # each point of the set in w-perp is q - 1 of its nonzero vectors
         cnt = (covered & hyperplane(w)).bit_count() // (q - 1)
@@ -169,11 +167,11 @@ def perp_dualize(system: PerpSystem) -> SpaceFamily:
     ctx, n, d = system.ctx, system.n, system.d
     dual = SpaceFamily(ctx, n, tuple(sorted(map(orthogonal_complement, system.members),
                                             key=lambda m: m.basis)))
-    bits = [id_bitset(span_ids(ctx, m.basis)) for m in dual.members]
+    hyperplane, seen = hyperplane_bitsets(ctx, n), set()
+    bits = [subspace_bitset(hyperplane, m) for m in dual.members]
     pair = meeting_pair(bits, 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
-    hyperplane, seen = hyperplane_bitsets(ctx, n), set()
     for w in point_vectors(ctx, n):
         plane = hyperplane(w)
         cnt = sum((b & plane) == b for b in bits)
@@ -200,9 +198,6 @@ class SearchOutcome(NamedTuple):
     complete: bool = False  # whole space explored (exhausted, or found with count_all)
     # wall seconds to build the candidates' bitsets and count them per vector
     setup_seconds: float = 0.0
-
-
-_MAX_TABLE_BYTES = 2**30
 
 
 class _Budget(Exception):
@@ -261,8 +256,10 @@ def perp_search(
     take more than 1 GiB.
 
     A node is one inclusion tried.  ``budget_seconds`` bounds the wall
-    time from entry, set-up included (it is checked before each part of
-    the candidates that :func:`dbrg.gfint.echelon_bitsets` yields).  Returns status ``found`` with a system checked by
+    time from entry, set-up included: it is checked after each part of
+    the candidates that :func:`dbrg.gfint.echelon_bitsets` yields, after
+    the incidence planes, at each candidate of the root join and at each
+    node.  Returns status ``found`` with a system checked by
     :func:`perp_verify`, ``exhausted`` when the whole space was explored
     (with ``solutions`` counted if ``count_all``), or ``budget`` when a
     cap was hit first.  ValueError if ``budget_nodes`` is negative or
@@ -279,21 +276,20 @@ def perp_search(
     # the candidates' bitsets, and the q^(n-1) suffixes of q sets each of q^(n-1) bits
     # that the hyperplane recursion keeps
     table_bytes = (qbinom(n, n - k, q) * q**n + q ** (2 * n - 1)) // 8
-    if table_bytes > _MAX_TABLE_BYTES:
+    if table_bytes > MAX_BITSET_BYTES:
         raise MemoryError(f"{qbinom(n, n - k, q)} candidate bitsets over {q**n} vectors "
                           f"need about {table_bytes} bytes")
 
     def out_of_time() -> bool:
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
-    bits: list[int] = []
-    for part in echelon_bitsets(ctx, n, n - k):
-        if out_of_time():
-            spent = time.monotonic() - t0
-            return SearchOutcome("budget", None, 0, spent, setup_seconds=spent)
-        bits += part
-    avail = incidence_planes(ctx, n, n - k, bits)
-    setup_seconds = time.monotonic() - t0
+    def timed(items):  # each item as it comes, while there is time
+        for item in items:
+            if out_of_time():
+                raise _Budget
+            yield item
+
+    setup_seconds = None
 
     def join(members, cover, live, avail, c):
         new = bits[c]
@@ -361,9 +357,14 @@ def perp_search(
             if not feasible(members, cover, live, avail):
                 return
 
-    start = join((), [], list(range(len(bits))), avail, 0)
     status, complete = "exhausted", True
     try:
+        bits = [b for part in timed(echelon_bitsets(ctx, n, n - k)) for b in part]
+        avail = incidence_planes(ctx, n, n - k, bits)
+        setup_seconds = time.monotonic() - t0
+        if out_of_time():
+            raise _Budget
+        start = join((), [], timed(range(len(bits))), avail, 0)
         if feasible(*start):
             visit(*start)
     except _Found:
@@ -372,5 +373,6 @@ def perp_search(
         status, complete = "budget", False
     if first is not None:
         status = "found"
-    return SearchOutcome(status, first, nodes, time.monotonic() - t0, solutions, complete,
-                         setup_seconds)
+    elapsed = time.monotonic() - t0
+    return SearchOutcome(status, first, nodes, elapsed, solutions, complete,
+                         elapsed if setup_seconds is None else setup_seconds)

@@ -25,7 +25,7 @@ from dbrg.gfcore import (
     scaling,
     translations,
 )
-from dbrg.gfint import id_bitset, point_vectors
+from dbrg.gfint import point_vectors
 
 
 def test_prime_field_modulus_is_x():
@@ -325,6 +325,15 @@ def bitset_reference(row):
     return sum(1 << v for v in row)
 
 
+def pack_ids(ids):
+    """Distinct ids as one Python int, packed byte by byte: the packer the
+    bitset oracles of the perp tests use on rows of thousands of ids."""
+    buf = bytearray(max(ids, default=-1) // 8 + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def array_dot(ctx, u, v):
     """Dot product over ``ctx`` along the last axis, the other axes
     broadcast, from ``gfcore.mul`` and ``ctx.add``: ``array_dot(ctx,
@@ -341,21 +350,21 @@ def test_kernel_ids_match_subspace_vectors(case):
     ids = subspace_vector_ids(gf, bases)
     for row, s in zip(ids.tolist(), spaces):
         assert row == sorted(vector_index(gf, v) for v in s.vectors() if any(v))
-        assert id_bitset(row) == bitset_reference(row)
+        assert pack_ids(row) == bitset_reference(row)
 
 
 @pytest.mark.parametrize("size", [63, 64, 65, 128, 729, 4096])
 def test_vector_bitsets_at_word_edges(size):
-    # the Python-int bitsets of gfint.id_bitset, which packs ids byte by
-    # byte: rows of distinct ids, each holding the ids on both sides of
-    # every 64-bit word edge below size and 40 random others, in random order
+    # the test packer pack_ids, which packs ids byte by byte: rows of
+    # distinct ids, each holding the ids on both sides of every 64-bit
+    # word edge below size and 40 random others, in random order
     rng = np.random.default_rng(size)
     edges = sorted({v for w in range(64, size, 64) for v in (w - 1, w)} | {0, size - 1})
     others = np.setdiff1d(np.arange(size), edges)
     ids = [rng.permutation(np.concatenate([edges, rng.choice(others, 40, replace=False)])).tolist()
            for _ in range(200)]
-    assert [id_bitset(row) for row in ids] == [bitset_reference(row) for row in ids]
-    assert all(id_bitset(row).bit_length() == size for row in ids)
+    assert [pack_ids(row) for row in ids] == [bitset_reference(row) for row in ids]
+    assert all(pack_ids(row).bit_length() == size for row in ids)
 
 
 def echelon_loop(gf, n, m):

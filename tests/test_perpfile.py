@@ -1,16 +1,19 @@
 """The numpy-free field and perp-file layers.
 
 Every violation kind of ``perp_verify`` is pinned on a crafted file, and
-its verdicts agree with a point-by-point reference.  The scalar span ids
-of :mod:`dbrg.gfint` agree with the stacked kernel of :mod:`dbrg.gfcore`,
-and its bitsets with a sum of powers of two.  ``perp verify`` and ``roundtrip`` of a perp file
-load no numpy.
+its verdicts agree with a point-by-point reference, in characteristic 2
+over GF(4), GF(8) and GF(16) too.  The subspace bitsets of
+:mod:`dbrg.gfint` (ANDs of hyperplanes) agree with the vector ids of the
+stacked kernel of :mod:`dbrg.gfcore`.  ``perp verify`` and ``roundtrip``
+of a perp file load no numpy, and a file whose bitsets would not fit is
+refused at once.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +23,12 @@ from hypothesis import given, settings, strategies as st
 import dbrg
 from dbrg import geometry, gfcore, gfint, perpfile, perpsys
 from dbrg.geometry import dualize, hyperoval
-from dbrg.gfint import (field, format_vector, id_bitset, index_vector, parse_vector, span_ids,
+from dbrg.gfint import (field, format_vector, hyperplane_bitsets, index_vector,
+                        orthogonal_complement, parse_vector, point_vectors, subspace_bitset,
                         subspace_make)
 from dbrg.perpfile import PerpSystem, PerpViolation, parse_perp, perp_verify
 
-from test_gfcore import bitset_reference
+from test_gfcore import pack_ids
 
 # one crafted file per violation: (file text, kind, vector, pair, detail)
 VIOLATIONS = {
@@ -85,35 +89,6 @@ def test_moved_names_are_one_object_each():
         assert getattr(perpsys, name) is getattr(perpfile, name), name
 
 
-@st.composite
-def echelon_stacks(draw):
-    """A field of order 2 to 16 and a few random subspaces of one dimension
-    in F_q^n, as canonical echelon bases."""
-    p, t = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)]))
-    gf = field(p, t)
-    n = draw(st.integers(1, 4 if gf.q <= 5 else 3))
-    m = draw(st.integers(0, n))
-    count = draw(st.integers(1, 4))
-    spaces = []
-    while len(spaces) < count:
-        rows = draw(st.lists(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n),
-                             min_size=m, max_size=m))
-        space = subspace_make(gf, n, rows)
-        if space.dim == m:
-            spaces.append(space)
-    return gf, n, m, spaces
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(echelon_stacks())
-def test_span_ids_and_bitsets_match_the_stacked_kernels(case):
-    gf, n, m, spaces = case
-    bases = np.array([s.basis for s in spaces], dtype=np.int64).reshape(len(spaces), m, n)
-    ids = gfcore.subspace_vector_ids(gf, bases).tolist()
-    assert [span_ids(gf, s.basis) for s in spaces] == ids
-    assert [id_bitset(row) for row in ids] == [bitset_reference(row) for row in ids]
-
-
 def test_fields_without_a_vector_literal_are_named():
     # GF(17^2): base-17 coordinate digits run past the digits 0-9a-f
     gf = field(17, 2)
@@ -168,6 +143,40 @@ KNOWN += [perp_verify(fam.ctx, 3, 1, fam.members)
 
 
 @st.composite
+def bitset_cases(draw):
+    """A field of order 2 to 16 and a few subspaces of F_q^n: random ones
+    of one dimension from 0 to n (n is the whole space), or the
+    k-dimensional duals that ``perp_dualize`` builds of a known system."""
+    if draw(st.booleans()):
+        dual = perpsys.perp_dualize(draw(st.sampled_from(KNOWN)))
+        return dual.ctx, dual.n, dual.members[0].dim, dual.members
+    p, t = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)]))
+    gf = field(p, t)
+    n = draw(st.integers(1, 4 if gf.q <= 5 else 3))
+    m, count = draw(st.integers(0, n)), draw(st.integers(1, 4))
+    spaces = []
+    while len(spaces) < count:
+        rows = draw(st.lists(st.lists(st.integers(0, gf.q - 1), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        space = subspace_make(gf, n, rows)
+        if space.dim == m:
+            spaces.append(space)
+    return gf, n, m, spaces
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bitset_cases())
+def test_subspace_bitsets_match_the_stacked_kernels(case):
+    # the one path from a subspace to its bitset, against the vector ids
+    # of gfcore.subspace_vector_ids, packed into ints
+    gf, n, m, spaces = case
+    bases = np.array([s.basis for s in spaces], dtype=np.int64).reshape(len(spaces), m, n)
+    ids = gfcore.subspace_vector_ids(gf, bases).tolist()
+    hyperplane = hyperplane_bitsets(gf, n)
+    assert [subspace_bitset(hyperplane, s) for s in spaces] == [pack_ids(row) for row in ids]
+
+
+@st.composite
 def perp_like_files(draw):
     """A verified system with members dropped, replaced or added and in any
     order; codimension-2 members of F_2^4 or F_2^5 drawn at random; or all
@@ -209,6 +218,57 @@ def perp_like_files(draw):
 def test_verify_matches_the_point_by_point_reference(case):
     ctx, n, k, members = case
     assert perp_verify(ctx, n, k, members) == verify_reference(ctx, n, k, members)
+
+
+def char_two_family(q, case):
+    """A family over GF(q), q = 2^t, named by the verdict it gets: the dual
+    hyperoval of PG(2, q), a perp system; it with its last line swapped
+    for another, or cut to one member; three points of PG(1, q), each
+    covered once; every line of PG(2, q); or the dual hyperoval lifted to
+    lines of the plane x3 = 0 of PG(3, q), which meet pairwise."""
+    ctx = field(2, q.bit_length() - 1)
+    oval = list(dualize(hyperoval(q)).members)
+    lines = [orthogonal_complement(subspace_make(ctx, 3, [w])) for w in point_vectors(ctx, 3)]
+    return {
+        "system": lambda: (ctx, 3, 1, oval),
+        "mixed_multiplicity": lambda: (
+            ctx, 3, 1, oval[:-1] + [next(line for line in lines if line not in oval)]),
+        "d_too_small-single": lambda: (ctx, 3, 1, oval[:1]),
+        "d_too_small-once": lambda: (
+            ctx, 2, 1, [subspace_make(ctx, 2, [v]) for v in ((1, 0), (0, 1), (1, 1))]),
+        "all_covered": lambda: (ctx, 3, 1, lines),
+        "pair_meet": lambda: (
+            ctx, 4, 2, [subspace_make(ctx, 4, [row + (0,) for row in m.basis]) for m in oval]),
+    }[case]()
+
+
+# at q = 16 the reference's pass over the 273 lines, or over F_16^4, takes seconds
+@pytest.mark.parametrize("q,case", [
+    (q, case) for q in (4, 8, 16)
+    for case in ("system", "mixed_multiplicity", "d_too_small-single", "d_too_small-once",
+                 "all_covered", "pair_meet")
+    if q < 16 or case not in ("all_covered", "pair_meet")])
+def test_verify_matches_the_reference_in_characteristic_two(q, case):
+    # kind, vector, pair and detail all agree, and each family gets the verdict it is named for
+    ctx, n, k, members = char_two_family(q, case)
+    got = perp_verify(ctx, n, k, members)
+    assert got == verify_reference(ctx, n, k, members)
+    assert getattr(got, "kind", "system") == case.partition("-")[0]
+
+
+def test_perp_file_too_large_for_its_bitsets_exits_65_at_once(tmp_path, capsys):
+    from dbrg.cli import main
+
+    # three planes of F_1024^3: 2^30-bit member sets, about 1.2 GB with their hyperplanes
+    path = tmp_path / "gf1024.perp"
+    path.write_text("q=2^10 modulus=1,0,0,1,0,0,0,0,0,0,1 n=3 k=1\n"
+                    "0,1,0;0,0,1\n1,0,0;0,0,1\n1,0,0;0,1,0\n")
+    t0 = time.monotonic()
+    assert main(["perp", "verify", str(path)]) == 65
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err == (
+        "invalid input: too large: 3 member bitsets over 1073741824 vectors, with their "
+        "hyperplanes, need about 1207959552 bytes\n")
 
 
 def test_perp_file_commands_load_no_numpy(tmp_path):

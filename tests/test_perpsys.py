@@ -323,7 +323,7 @@ def test_candidate_tables_refuse_a_missing_block(monkeypatch):
     # candidates, and some vectors lie in fewer than R = 1395 of them
     def without_first_block(ctx, n, m):
         parts, dropped = echelon_bitsets(ctx, n, m), 0
-        while dropped < 4096:  # the block comes in parts, one per value of its first cell
+        while dropped < 4096:  # the block comes in parts, one per value of its first two cells
             dropped += len(next(parts))
         assert dropped == 4096
         return parts
@@ -395,6 +395,56 @@ def test_search_zero_time_budget_stops_in_setup():
     out = perp_search(7, 3, 2, 2, budget_seconds=0)
     assert (out.status, out.nodes, out.system, out.complete) == ("budget", 0, None, False)
     assert out.setup_seconds == out.elapsed
+
+
+def test_search_setup_stops_once_the_clock_passes_the_budget(monkeypatch):
+    # a clock that reads 0 up to its ticks-th reading and 10 after, against
+    # a budget of 1 s, for every ticks >= 1 (the start reads 0) until the
+    # search finds its system:
+    # once the clock has read 10, no set-up stage starts (a part of the
+    # candidates or the incidence planes), and the search reads it at most
+    # twice more, for the elapsed time and the set-up seconds or the check
+    # that follows them; so the root join stops at the candidate it reads at
+    reads = ticks = 0
+    stages = []
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0 if reads <= ticks else 10.0
+
+    def parts(ctx, n, m):
+        inner = echelon_bitsets(ctx, n, m)
+        while True:
+            stages.append(("part", reads > ticks))
+            part = next(inner, None)
+            if part is None:
+                return
+            yield part
+
+    def planes(*args):
+        stages.append(("incidence", reads > ticks))
+        return incidence_planes(*args)
+
+    monkeypatch.setattr(perpsys.time, "monotonic", clock)
+    monkeypatch.setattr(perpsys, "echelon_bitsets", parts)
+    monkeypatch.setattr(perpsys, "incidence_planes", planes)
+    stopped_in = []
+    for ticks in itertools.count(1):
+        reads, stages = 0, []
+        out = perp_search(3, 1, 4, 2, budget_seconds=1.0)
+        assert not any(late for _, late in stages), ticks
+        if out.status != "budget":
+            break
+        assert (out.elapsed, out.system, out.complete) == (10.0, None, False)
+        assert reads - ticks <= 3
+        stopped_in.append((len(stages), out.nodes))
+    # (3,1,4): a reading after each of 21 parts; the incidence planes, then
+    # readings for the set-up seconds and after them; one at each of the 21
+    # candidates of the root join; then one at each of the 5 nodes
+    assert out.status == "found" and out.nodes == 5
+    assert stopped_in == ([(i + 1, 0) for i in range(21)] + [(23, 0)] * 23
+                          + [(23, i) for i in range(1, 6)])
 
 
 @pytest.mark.parametrize("budget,name", [

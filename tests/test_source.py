@@ -49,6 +49,14 @@ def test_gfcore_keeps_no_second_vector_set_or_point_layer():
                       "bitset_contains", "subspaces"} == set()
 
 
+def test_one_path_from_a_subspace_to_its_bitset():
+    # a subspace's vector set is the AND of hyperplanes (gfint.subspace_bitset
+    # and echelon_bitsets); no module lists its ids and packs them apart
+    found = [f"{path.name}: {name}" for path in SOURCES for name in ("span_ids", "id_bitset")
+             if name in path.read_text()]
+    assert found == []
+
+
 def test_field_layers_alone_know_ids_and_bitsets():
     # no module imports another module's private name; outside the field
     # layers no module spells the vector-id weights, adds ids digit-wise (an

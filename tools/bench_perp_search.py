@@ -6,7 +6,7 @@ Run from anywhere, with two checkouts of the repository (each holding
 commit and a copy of the change:
 
     python3 tools/bench_perp_search.py --parent /tmp/parent --change /tmp/change \\
-        --seeds 61 --pairs 10 --out BENCH_24.json
+        --seeds 61 --pairs 10 --out BENCH_26.json
 
 It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
 either tree, so every command compiles what it imports:
@@ -19,8 +19,10 @@ either tree, so every command compiles what it imports:
   processes per side: the (6,2,3,3) search to 20 000 nodes (set-up
   seconds, and nodes per second after set-up), the (7,3,2,2) probe to
   one node (set-up and total seconds), and ``perp_verify`` of a
-  21-member family of 4-spaces of F_3^6 (the first 21 echelon bases;
-  per process the median of 15 calls after one warm-up).
+  21-member family of 4-spaces of F_3^6 (the first 21 echelon bases),
+  of the dual hyperovals of PG(2,16) and PG(2,32) and of the dual
+  Denniston (32,4) arc (per process the median of 15 calls after one
+  warm-up).
 
 Every run is kept in the output.  Medians and quartiles use
 ``statistics.median`` and ``statistics.quantiles`` (exclusive method).
@@ -40,6 +42,22 @@ from pathlib import Path
 
 METRICS = ("norm_wall_s", "norm_cmd_geomean_s", "setup_s", "peak_rss_mb")
 
+
+def _verify(setup: str) -> str:
+    """Code timing ``perp_verify`` on the ``ctx, n, k, members`` that
+    ``setup`` defines: the median of 15 calls after one warm-up."""
+    return (setup + "import statistics, time\n"
+            "from dbrg.perpsys import perp_verify\n"
+            "perp_verify(ctx, n, k, members)\n"
+            "times = []\n"
+            "for _ in range(15):\n"
+            "    t = time.perf_counter()\n"
+            "    verdict = perp_verify(ctx, n, k, members)\n"
+            "    times.append(time.perf_counter() - t)\n"
+            "result = {'ms': statistics.median(times) * 1e3,\n"
+            "          'verdict': getattr(verdict, 'kind', 'system')}\n")
+
+
 IN_PROCESS = {
     "search_6_2_3_3_20000": (
         "from dbrg.perpsys import perp_search\n"
@@ -50,19 +68,18 @@ IN_PROCESS = {
         "from dbrg.perpsys import perp_search\n"
         "out = perp_search(7, 3, 2, 2, budget_nodes=1)\n"
         "result = {'setup_s': out.setup_seconds, 'total_s': out.elapsed, 'nodes': out.nodes}\n"),
-    "perp_verify_f3_6_21": (
-        "import itertools, statistics, time\n"
+    "perp_verify_f3_6_21": _verify(
+        "import itertools\n"
         "from dbrg.gfcore import enumerate_subspaces, field\n"
-        "from dbrg.perpsys import perp_verify\n"
-        "ctx = field(3)\n"
-        "members = list(itertools.islice(enumerate_subspaces(ctx, 6, 4), 21))\n"
-        "perp_verify(ctx, 6, 2, members)\n"
-        "times = []\n"
-        "for _ in range(15):\n"
-        "    t = time.perf_counter()\n"
-        "    verdict = perp_verify(ctx, 6, 2, members)\n"
-        "    times.append(time.perf_counter() - t)\n"
-        "result = {'ms': statistics.median(times) * 1e3, 'verdict': verdict.kind}\n"),
+        "ctx, n, k = field(3), 6, 2\n"
+        "members = list(itertools.islice(enumerate_subspaces(ctx, 6, 4), 21))\n"),
+    **{f"perp_verify_{name}": _verify(
+        "from dbrg.geometry import denniston_arc, dualize, hyperoval\n"
+        f"fam = dualize({family})\n"
+        "ctx, n, k, members = fam.ctx, 3, 1, fam.members\n")
+       for name, family in (("dual_hyperoval_16", "hyperoval(16)"),
+                            ("dual_hyperoval_32", "hyperoval(32)"),
+                            ("dual_denniston_32_4", "denniston_arc(32, 4)"))},
 }
 
 
