@@ -155,7 +155,7 @@ def cmd_derive(args) -> int:
     with open(args.graphfile) as lines:
         g = bigraph.parse_graph(lines)
     side, _, idx = args.vertex.partition(":")
-    if side not in ("B", "C") or not idx.isdigit():
+    if side not in ("B", "C") or not (idx.isascii() and idx.isdigit()):
         raise ValueError(f"--vertex must look like B:3 or C:17, got {args.vertex!r}")
     try:
         built = constructions.derived_local_graph(g, side, int(idx))

@@ -20,11 +20,10 @@ and records are plain classes and NamedTuples: no dataclasses.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .gfint import (FieldContext, SpaceFamily, Subspace, field_for_order, orthogonal_complement,
-                    point_vectors, subspace_make)
+from .gfint import (FieldContext, SpaceFamily, Subspace, field_for_order, hyperplane_counts,
+                    orthogonal_complement, point_vectors, subspace_make)
 
 __all__ = [
     "SpaceFamily",
@@ -107,39 +106,19 @@ class ArcCheckResult(NamedTuple):
 def arc_check(arc: SpaceFamily, r: int) -> ArcCheckResult:
     """Does every line of the plane meet the point set in 0 or r points?
 
-    Each point P adds one to the count of each line w-perp through it,
-    the points w of P-perp (:func:`_points`); so it works alike for the
+    Each point P adds one to the count of each line w-perp through it
+    (:func:`dbrg.gfint.hyperplane_counts`); so it works alike for the
     hyperplanes of PG(n-1, q).  Violations are reported, not raised: the
     first offending line in :func:`dbrg.gfint.point_vectors` order (as a
     normal vector) comes back with its intersection count.  ValueError if
     a member is not a point."""
     if any(pt.dim != 1 for pt in arc.members):
         raise ValueError("arc_check takes a family of points (1-dim members)")
-    counts: dict[tuple[int, ...], int] = {}
-    for pt in arc.members:
-        for w in _points(orthogonal_complement(pt)):
-            counts[w] = counts.get(w, 0) + 1
+    counts = hyperplane_counts(arc.members)
     for w in point_vectors(arc.ctx, arc.n):
-        count = counts.get(w, 0)
-        if count not in (0, r):
-            return ArcCheckResult(False, r, w, count)
+        if counts[w] not in (0, r):
+            return ArcCheckResult(False, r, w, counts[w])
     return ArcCheckResult(True, r)
-
-
-def _points(space: Subspace) -> Iterator[tuple[int, ...]]:
-    """The normalized vectors (first nonzero coordinate 1) of the points of
-    ``space``: each row of its echelon basis plus every combination of the
-    rows below it, whose pivots it holds as zeros.  For a line with basis
-    r1, r2 these are r1 + c r2, one per c, and r2."""
-    ctx, basis = space.ctx, space.basis
-    multiples = [[tuple(ctx.mul(c, x) for x in row) for c in ctx.elements()] for row in basis[1:]]
-    for i, lead in enumerate(basis):
-        for coeffs in itertools.product(ctx.elements(), repeat=len(basis) - i - 1):
-            v = lead
-            for c, row in zip(coeffs, multiples[i:]):
-                if c:
-                    v = tuple(map(ctx.add, v, row[c]))
-            yield v
 
 
 def dualize(family: SpaceFamily) -> SpaceFamily:

@@ -29,6 +29,9 @@ which reads the same tables.  A vector's id is its
 :func:`vector_index`, the coordinates read as one base-q number; the
 base-p digits of a coordinate are its polynomial coefficients, so the
 base-p digits of an id are the vector's coordinates over GF(p).
+The points of PG(n-1, q) are the normalized vectors of
+:func:`point_vectors`; :func:`hyperplane_counts` counts the subspaces of
+a family in each hyperplane w-perp.
 
 A set of vectors is a bitset: one Python int, bit i set iff the vector
 with id i is in the set.  A subspace's set is the AND of the
@@ -53,7 +56,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .params import prime_power
 
@@ -69,8 +73,8 @@ __all__ = [
     "vector_index",
     "index_vector",
     "field_for_order",
-    "vector_bit",
     "point_vectors",
+    "hyperplane_counts",
     "hyperplane_bitsets",
     "subspace_bitset",
     "MAX_BITSET_BYTES",
@@ -327,11 +331,6 @@ def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
         out[i] = idx % ctx.q
         idx //= ctx.q
     return tuple(out)
-
-
-def vector_bit(ctx: FieldContext, v: Sequence[int]) -> int:
-    """The bitset holding the one vector ``v``."""
-    return 1 << vector_index(ctx, v)
 
 
 def point_vectors(ctx: FieldContext, n: int) -> list[tuple[int, ...]]:
@@ -744,6 +743,29 @@ def orthogonal_complement(s: Subspace) -> Subspace:
                 v[piv] = ctx.neg(row[j])
             out.append(v)
     return subspace_make(ctx, n, out)
+
+
+def hyperplane_counts(spaces: Iterable[Subspace]) -> Counter:
+    """For each normalized w (first nonzero coordinate 1), how many of
+    ``spaces`` lie in the hyperplane w-perp.  X lies in w-perp iff w lies
+    in X-perp, so each space adds one at each point of its
+    :func:`orthogonal_complement`; a point in no such complement reads 0."""
+    return Counter(w for space in spaces for w in _points(orthogonal_complement(space)))
+
+
+def _points(space: Subspace) -> Iterator[tuple[int, ...]]:
+    """The normalized vectors of the points of ``space``: each echelon row
+    plus every combination of the rows below it (whose pivots it holds as
+    zeros); for a line with basis r1, r2, r1 + c r2 for each c, and r2."""
+    ctx, basis = space.ctx, space.basis
+    multiples = [[tuple(ctx.mul(c, x) for x in row) for c in ctx.elements()] for row in basis[1:]]
+    for i, lead in enumerate(basis):
+        for coeffs in itertools.product(ctx.elements(), repeat=len(basis) - i - 1):
+            v = lead
+            for c, row in zip(coeffs, multiples[i:]):
+                if c:
+                    v = tuple(map(ctx.add, v, row[c]))
+            yield v
 
 
 class SpaceFamily:

@@ -13,9 +13,9 @@ associated graph is strongly regular.
 
 ``perp_search`` is a deterministic exact-cover search with
 multiplicities (Knuth's Algorithm M): it branches on the partially
-covered vector with the fewest candidates left.  Every subspace here,
-candidate or member, is a Python int over the q^n vector ids, the AND of
-the hyperplanes over a basis of its orthogonal complement
+covered vector with the fewest candidates left.  Its candidates and
+members are Python ints over the q^n vector ids, each the AND of the
+hyperplanes over a basis of its orthogonal complement
 (:func:`dbrg.gfint.echelon_bitsets`, :func:`dbrg.gfint.subspace_bitset`),
 and a bitset is its subspace's canonical key.  The counts per vector
 (how many members and how many live candidates hold it) are bit planes.
@@ -29,8 +29,10 @@ checks the dual formulation (k-dimensional members meeting trivially,
 every hyperplane holding 0 or d of them), with the meet routine of
 ``perp_verify``, and returns it as a plain
 :class:`dbrg.gfint.SpaceFamily`; the way back is
-``perp_verify(ctx, n, k, dualize(family).members)``.  The member count
-and the admissibility rules are :func:`dbrg.params.perp_params`.
+``perp_verify(ctx, n, k, dualize(family).members)``.  It and
+``two_intersection_set`` count incidences with no hyperplane's bitset,
+by :func:`dbrg.gfint.hyperplane_counts`.  The member count and the
+admissibility rules are :func:`dbrg.params.perp_params`.
 
 Like the modules it imports, this one imports no numpy, so
 ``perp search`` runs without it.
@@ -49,6 +51,7 @@ from .gfint import (
     echelon_space,
     field_for_order,
     hyperplane_bitsets,
+    hyperplane_counts,
     incidence_planes,
     orthogonal_complement,
     planes_add,
@@ -61,7 +64,6 @@ from .gfint import (
     qbinom,
     subspace_bitset,
     subspace_make,
-    vector_bit,
 )
 from .params import perp_params
 from .perpfile import (
@@ -104,19 +106,18 @@ class TwoIntersectionSet(NamedTuple):
 def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
     """The d-times-covered points, with the hyperplane sizes verified.
 
-    Exhaustively intersects every hyperplane with the point set and
-    checks that exactly the two predicted sizes occur, on the bitsets of
-    :func:`dbrg.gfint.hyperplane_bitsets`.  ValueError means ``system``
-    is not a perp system (a predicted size is not an integer, or the
-    measured point set differs); RuntimeError means the double count of
-    point-hyperplane incidences failed, which holds by construction.
+    Counts by :func:`dbrg.gfint.hyperplane_counts`: over the members'
+    complements they are the points' multiplicities (v lies in M iff
+    M-perp lies in v-perp), over the covered points the hyperplanes'
+    sizes.  ValueError means ``system`` is not a perp system (a predicted
+    size is not an integer, or the measured point set differs);
+    RuntimeError means the double count of point-hyperplane incidences
+    failed, which holds by construction.
     """
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
-    q, hyperplane = ctx.q, hyperplane_bitsets(ctx, n)
-    mults = planes_count([subspace_bitset(hyperplane, m) for m in system.members])
-    covered = planes_equal(mults, d, (1 << q**n) - 2)
-    points = point_vectors(ctx, n)
-    reps = [w for w in points if covered & vector_bit(ctx, w)]
+    q, points = ctx.q, point_vectors(ctx, n)
+    mults = hyperplane_counts(map(orthogonal_complement, system.members))
+    reps = [w for w in points if mults[w] == d]
     # d N, d h1 and d h2
     sizes = (s * qbinom(n - k, 1, q), qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q),
              s * qbinom(n - k - 1, 1, q))
@@ -127,19 +128,18 @@ def two_intersection_set(system: PerpSystem) -> TwoIntersectionSet:
                          f"h1={h1}, h2={h2}")
     if len(reps) != big_n:
         raise ValueError(f"covered-point count {len(reps)} != predicted {big_n}")
-    n1 = 0
+    point_set = tuple(subspace_make(ctx, n, [w]) for w in sorted(reps))  # in lex order
+    met, n1 = hyperplane_counts(point_set), 0
     for w in points:
-        # each point of the set in w-perp is q - 1 of its nonzero vectors
-        cnt = (covered & hyperplane(w)).bit_count() // (q - 1)
-        if cnt not in (h1, h2):
-            raise ValueError(f"hyperplane {w} meets the point set in {cnt}, expected {h1} or {h2}")
-        n1 += cnt == h1
+        if met[w] not in (h1, h2):
+            raise ValueError(f"hyperplane {w} meets the point set in {met[w]}, "
+                             f"expected {h1} or {h2}")
+        n1 += met[w] == h1
     n2 = len(points) - n1
     if h1 != h2 and (n1 == 0 or n2 == 0):
         raise ValueError("one of the two hyperplane sizes does not occur")
     if big_n * qbinom(n - 1, 1, q) != n1 * h1 + n2 * h2:
         raise RuntimeError("point-hyperplane incidences do not double count")
-    point_set = tuple(subspace_make(ctx, n, [w]) for w in sorted(reps))  # in lex order
     return TwoIntersectionSet(SpaceFamily(ctx, n, point_set), big_n, n, h1, h2, n1, n2)
 
 
@@ -159,25 +159,22 @@ def perp_dualize(system: PerpSystem) -> SpaceFamily:
     by basis.
 
     They are k-dimensional, meet pairwise trivially, and every hyperplane
-    contains 0 or d of them (checked exhaustively, on the bitsets of
-    :func:`dbrg.gfint.hyperplane_bitsets`); ValueError means ``system``
-    fails one of these checks.  The way back is
+    contains 0 or d of them (counted by :func:`dbrg.gfint.hyperplane_counts`);
+    ValueError means ``system`` fails one of these checks.  The way back is
     ``perp_verify(ctx, n, k, dualize(family).members)``.
     """
     ctx, n, d = system.ctx, system.n, system.d
     dual = SpaceFamily(ctx, n, tuple(sorted(map(orthogonal_complement, system.members),
                                             key=lambda m: m.basis)))
-    hyperplane, seen = hyperplane_bitsets(ctx, n), set()
-    bits = [subspace_bitset(hyperplane, m) for m in dual.members]
-    pair = meeting_pair(bits, 0)
+    hyperplane = hyperplane_bitsets(ctx, n)
+    pair = meeting_pair([subspace_bitset(hyperplane, m) for m in dual.members], 0)
     if pair is not None:
         raise ValueError(f"dual members {pair[0]},{pair[1]} do not meet trivially")
+    counts, seen = hyperplane_counts(dual.members), set()
     for w in point_vectors(ctx, n):
-        plane = hyperplane(w)
-        cnt = sum((b & plane) == b for b in bits)
-        if cnt not in (0, d):
-            raise ValueError(f"hyperplane {w} contains {cnt} dual members, expected 0 or {d}")
-        seen.add(cnt)
+        if counts[w] not in (0, d):
+            raise ValueError(f"hyperplane {w} contains {counts[w]} dual members, expected 0 or {d}")
+        seen.add(counts[w])
     if seen != {0, d}:
         raise ValueError("hyperplane covering must take both values 0 and d")
     return dual

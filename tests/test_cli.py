@@ -99,6 +99,18 @@ def test_derive_from_parent_that_is_not_distance_biregular(tmp_path, capsys):
     assert not (tmp_path / "nope.graph").exists()
 
 
+@pytest.mark.parametrize("vertex", ["B:\u0663", "B:\u00b2", "B:", "X:0", "B:-1", "B:1_0"])
+def test_derive_vertex_takes_a_side_and_ascii_digits(tmp_path, capsys, vertex):
+    # int() reads any script's decimal digits, so B:<Arabic-Indic three> was
+    # vertex B:3, and str.isdigit() holds for a superscript two that int()
+    # refuses; each is invalid input naming the --vertex form
+    path = tmp_path / "apart.graph"
+    path.write_text("B=2 C=2\n0 0\n1 1\n")
+    rc = main(["derive", str(path), "--vertex", vertex, "--out", str(tmp_path / "nope")])
+    assert rc == 65
+    assert "invalid input: --vertex must look like B:3 or C:17" in capsys.readouterr().err
+
+
 def test_perp_search_budget_exit_code(capsys):
     rc = main(["perp", "search", "--n", "6", "--k", "2", "--q", "3", "--d", "3",
                "--budget-nodes", "1000"])

@@ -168,10 +168,17 @@ def test_perp_system_is_a_space_family_with_keyword_fields():
         PerpSystem(good.ctx, good.n, good.members, good.k, good.d, good.s)
 
 
-def test_two_intersection_set_q4():
-    tis = two_intersection_set(dual_hyperoval_system(4))
-    assert (tis.N, tis.h1, tis.h2) == (15, 5, 3)
-    assert (tis.hyperplanes_h1, tis.hyperplanes_h2) == (6, 15)
+@pytest.mark.parametrize("arc,counts,duals", [
+    (lambda: hyperoval(4), (15, 5, 3, 6, 15), 6),
+    (lambda: hyperoval(32), (561, 33, 17, 34, 1023), 34),
+    (lambda: denniston_arc(32, 4), (825, 33, 25, 100, 957), 100),
+], ids=["dual_hyperoval_4", "dual_hyperoval_32", "dual_denniston_32_4"])
+def test_two_intersection_set_and_dual_counts(arc, counts, duals):
+    fam = dualize(arc())
+    system = perp_verify(fam.ctx, 3, 1, fam.members)
+    tis = two_intersection_set(system)
+    assert (tis.N, tis.h1, tis.h2, tis.hyperplanes_h1, tis.hyperplanes_h2) == counts
+    assert len(perp_dualize(system)) == duals
 
 
 def test_two_intersection_set_q2():

@@ -57,6 +57,61 @@ def test_one_path_from_a_subspace_to_its_bitset():
     assert found == []
 
 
+def _results(tree, fn):
+    """The names bound to a call of ``fn`` (``x = fn(...)`` or
+    ``x, y = fn(...), ...``) anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and isinstance(v, ast.Call) and getattr(v.func, "id", None) == fn}
+    return names
+
+
+def test_no_loop_over_the_points_takes_each_hyperplane_bitset():
+    # arcs, two-intersection sets and perp duals count hyperplanes with
+    # gfint.hyperplane_counts, one pass over the points of each space's perp;
+    # no loop over the points of PG(n-1, q) calls a hyperplane_bitsets map,
+    # and only gfint enumerates the points of a subspace
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        points, maps = _results(tree, "point_vectors"), _results(tree, "hyperplane_bitsets")
+
+        def over_points(it):
+            return getattr(it, "id", None) in points or (
+                isinstance(it, ast.Call) and getattr(it.func, "id", None) == "point_vectors")
+
+        def takes_a_hyperplane(node):
+            return isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in maps
+                or isinstance(node.func, ast.Call)
+                and getattr(node.func.func, "id", None) == "hyperplane_bitsets")
+
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.For) and over_points(loop.iter):
+                body = loop.body
+            elif (isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+                  and any(over_points(gen.iter) for gen in loop.generators)):
+                body = [loop]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: a hyperplane bitset per point"
+                      for stmt in body for node in ast.walk(stmt) if takes_a_hyperplane(node)]
+        if path.stem != "gfint":
+            found += [f"{path.name}:{node.lineno}: defines {node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name in ("hyperplane_counts", "_points")]
+    assert found == []
+    gfint = ast.parse((Path(dbrg.__file__).parent / "gfint.py").read_text())
+    assert {"hyperplane_counts", "_points"} <= {node.name for node in gfint.body
+                                               if isinstance(node, ast.FunctionDef)}
+
+
 def test_field_layers_alone_know_ids_and_bitsets():
     # no module imports another module's private name; outside the field
     # layers no module spells the vector-id weights, adds ids digit-wise (an

@@ -6,7 +6,7 @@ Run from anywhere, with two checkouts of the repository (each holding
 commit and a copy of the change:
 
     python3 tools/bench_perp_search.py --parent /tmp/parent --change /tmp/change \\
-        --seeds 61 --pairs 10 --out BENCH_26.json
+        --seeds 61 --pairs 10 --out BENCH_27.json
 
 It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
 either tree, so every command compiles what it imports:
@@ -21,8 +21,9 @@ either tree, so every command compiles what it imports:
   one node (set-up and total seconds), and ``perp_verify`` of a
   21-member family of 4-spaces of F_3^6 (the first 21 echelon bases),
   of the dual hyperovals of PG(2,16) and PG(2,32) and of the dual
-  Denniston (32,4) arc (per process the median of 15 calls after one
-  warm-up).
+  Denniston (32,4) arc, and ``perp_dualize`` and
+  ``two_intersection_set`` of the last two (per process the median of
+  15 calls after one warm-up).
 
 Every run is kept in the output.  Medians and quartiles use
 ``statistics.median`` and ``statistics.quantiles`` (exclusive method).
@@ -43,19 +44,37 @@ from pathlib import Path
 METRICS = ("norm_wall_s", "norm_cmd_geomean_s", "setup_s", "peak_rss_mb")
 
 
-def _verify(setup: str) -> str:
-    """Code timing ``perp_verify`` on the ``ctx, n, k, members`` that
-    ``setup`` defines: the median of 15 calls after one warm-up."""
+def _timed(setup: str, call: str, verdict: str) -> str:
+    """Code timing ``call`` after ``setup``: the median of 15 calls after
+    one warm-up, with ``verdict`` read from the last result ``got``."""
     return (setup + "import statistics, time\n"
-            "from dbrg.perpsys import perp_verify\n"
-            "perp_verify(ctx, n, k, members)\n"
+            f"{call}\n"
             "times = []\n"
             "for _ in range(15):\n"
             "    t = time.perf_counter()\n"
-            "    verdict = perp_verify(ctx, n, k, members)\n"
+            f"    got = {call}\n"
             "    times.append(time.perf_counter() - t)\n"
-            "result = {'ms': statistics.median(times) * 1e3,\n"
-            "          'verdict': getattr(verdict, 'kind', 'system')}\n")
+            f"result = {{'ms': statistics.median(times) * 1e3, 'verdict': {verdict}}}\n")
+
+
+def _verify(setup: str) -> str:
+    """Code timing ``perp_verify`` on the ``ctx, n, k, members`` that
+    ``setup`` defines."""
+    return _timed(setup + "from dbrg.perpsys import perp_verify\n",
+                  "perp_verify(ctx, n, k, members)", "getattr(got, 'kind', 'system')")
+
+
+DUAL_ARCS = (("dual_hyperoval_32", "hyperoval(32)"),
+             ("dual_denniston_32_4", "denniston_arc(32, 4)"))
+
+
+def _system(family: str) -> str:
+    """Code defining ``system``, the verified perp system of the dual of
+    ``family``."""
+    return ("from dbrg.geometry import denniston_arc, dualize, hyperoval\n"
+            "from dbrg.perpsys import perp_dualize, perp_verify, two_intersection_set\n"
+            f"fam = dualize({family})\n"
+            "system = perp_verify(fam.ctx, 3, 1, fam.members)\n")
 
 
 IN_PROCESS = {
@@ -77,9 +96,12 @@ IN_PROCESS = {
         "from dbrg.geometry import denniston_arc, dualize, hyperoval\n"
         f"fam = dualize({family})\n"
         "ctx, n, k, members = fam.ctx, 3, 1, fam.members\n")
-       for name, family in (("dual_hyperoval_16", "hyperoval(16)"),
-                            ("dual_hyperoval_32", "hyperoval(32)"),
-                            ("dual_denniston_32_4", "denniston_arc(32, 4)"))},
+       for name, family in (("dual_hyperoval_16", "hyperoval(16)"), *DUAL_ARCS)},
+    **{f"perp_dualize_{name}": _timed(_system(family), "perp_dualize(system)", "len(got)")
+       for name, family in DUAL_ARCS},
+    **{f"two_intersection_set_{name}": _timed(_system(family), "two_intersection_set(system)",
+                                              "list(got[1:])")
+       for name, family in DUAL_ARCS},
 }
 
 
