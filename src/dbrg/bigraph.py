@@ -2,11 +2,10 @@
 
 Verification is definition-first: a BFS from every vertex, with the
 per-cell neighbour counts (c_i, b_i) tested for constancy cell by cell.
-Theorem shortcuts are available as cross-checks but never replace the
-definition.  Known automorphisms cut the work without weakening it: an
-automorphism carries the distance partition from v onto the one from its
-image, so :func:`dbrg_check` runs one BFS per orbit of the group that
-given generators span, after checking each generator exactly against the
+Known automorphisms cut the work without weakening it: an automorphism
+carries the distance partition from v onto the one from its image, so
+:func:`dbrg_check` runs one BFS per orbit of the group that given
+generators span, after checking each generator exactly against the
 edges.  The trivial group (no generators) is the BFS from every vertex.
 
 Every distance comes from one engine, :func:`_levels`: level-synchronous
@@ -22,11 +21,8 @@ degree: eccentricity e >= 2 costs e - 2 counting passes.  Memory: the
 edges and the neighbour tables, int32, and per level a few class size x
 ``_WORDS`` word arrays; the file reader holds ``_CHUNK`` lines at a time.
 
-A simple :class:`Graph` (a halved graph, or subdivision input) is held as
-a dense read-only boolean adjacency matrix: every consumer works densely,
-so its edge list is derived from the matrix, not stored.  The parameter
-records, :class:`dbrg.params.IntersectionArray` and the strongly regular
-:class:`dbrg.params.SrgParams` with its one derivation
+The parameter records, :class:`dbrg.params.IntersectionArray` and the
+strongly regular :class:`dbrg.params.SrgParams` with its one derivation
 :func:`dbrg.params.srg_from_spectrum`, live in :mod:`dbrg.params`, which
 imports no numpy, so the feasibility layer can use them without this one.
 
@@ -50,24 +46,14 @@ from .params import IntersectionArray
 
 __all__ = [
     "BipartiteGraph",
-    "Graph",
     "DistancePartition",
     "LocalCheck",
     "DbrgResult",
-    "SemiregularResult",
-    "SrgResult",
-    "ShortcutResult",
     "distance_partition",
-    "local_dr_check",
     "dbrg_check",
     "girth",
-    "semiregular_check",
-    "halved_graphs",
-    "srg_check",
-    "subdivision",
     "flip",
     "induced_subgraph",
-    "c3_shortcut_check",
     "parse_graph",
     "serialize_graph",
 ]
@@ -120,46 +106,8 @@ class BipartiteGraph:
     def side_of(self, v: int) -> str:
         return "B" if v < self.nB else "C"
 
-    def neighbors(self, v: int) -> np.ndarray:
-        if v < self.nB:
-            return self.ec[self.eb == v].astype(np.int64) + self.nB
-        return self.eb[self.ec == v - self.nB].astype(np.int64)
-
-    def biadjacency(self) -> np.ndarray:
-        """N, the nB x nC float32 0/1 matrix of the halved-graph and shortcut
-        products, exact: each count is at most nB or nC, far below 2**24."""
-        n = np.zeros((self.nB, self.nC), dtype=np.float32)
-        n[self.eb, self.ec] = 1
-        return n
-
     def __repr__(self) -> str:
         return f"BipartiteGraph(B={self.nB}, C={self.nC}, edges={len(self.eb)})"
-
-
-class Graph:
-    """Immutable simple graph held as a dense read-only boolean adjacency.
-
-    ``adj``, square symmetric boolean with a false diagonal (else
-    ValueError), is taken without a copy and made read-only."""
-
-    def __init__(self, adj: np.ndarray):
-        if (adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]
-                or adj.diagonal().any() or (adj != adj.T).any()):
-            raise ValueError("need a square symmetric boolean matrix with a false diagonal")
-        adj.flags.writeable = False
-        self.n, self._adj = len(adj), adj
-
-    def adjacency(self) -> np.ndarray:
-        """The read-only boolean adjacency matrix."""
-        return self._adj
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as sorted (u, v) pairs with u < v."""
-        return tuple(zip(*(x.tolist() for x in np.nonzero(np.triu(self._adj, 1)))))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={int(self._adj.sum()) // 2})"
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +284,6 @@ def _local_checks(g: BipartiteGraph, vertices: Iterable[int]):
                    else LocalCheck(True, c=tuple(cs[r][:ecc[r]]), b=tuple(bs[r][:ecc[r]])))
 
 
-def local_dr_check(g: BipartiteGraph, v: int) -> LocalCheck:
-    """Is the distance partition from v equitable?  Witness on failure.
-
-    The returned c/b tuples run over distances 0..ecc (so ``c[0] = 0``
-    and ``b[0]`` is the valency of v).
-    """
-    return next(_local_checks(g, [v]))
-
-
 class DbrgResult(NamedTuple):
     ok: bool
     array: IntersectionArray | None = None
@@ -456,78 +395,6 @@ def girth(g: BipartiteGraph) -> int:
     return best
 
 
-class SemiregularResult(NamedTuple):
-    ok: bool
-    k: int | None = None
-    l: int | None = None
-    witness: int | None = None
-
-
-def semiregular_check(g: BipartiteGraph) -> SemiregularResult:
-    """Constant valency on each side; witness is the first offender."""
-    kb = int(g.degrees[0]) if g.nB else 0
-    kc = int(g.degrees[g.nB]) if g.nC else 0
-    bad = np.flatnonzero(g.degrees != np.repeat([kb, kc], [g.nB, g.nC]))
-    if bad.size:
-        return SemiregularResult(False, witness=int(bad[0]))
-    return SemiregularResult(True, k=kb, l=kc)
-
-
-def halved_graphs(g: BipartiteGraph) -> tuple[Graph, Graph]:
-    """Distance-two graphs on B and on C (for a connected bipartite g)."""
-    n = g.biadjacency()
-    halves = []
-    for prod in (n @ n.T, n.T @ n):
-        adj = prod > 0.5
-        np.fill_diagonal(adj, False)
-        halves.append(Graph(adj))
-    return halves[0], halves[1]
-
-
-class SrgResult(NamedTuple):
-    ok: bool
-    params: tuple[int, int, int, int] | None = None
-    witness: tuple | None = None
-
-
-def srg_check(h: Graph) -> SrgResult:
-    """Combinatorial strong-regularity check (no spectra).
-
-    Counts common neighbours for every pair: adjacent pairs must agree on
-    lambda, non-adjacent pairs on mu.  Requires a regular, non-complete,
-    non-empty graph; the witness names the first violation.
-    """
-    v, adj = h.n, h.adjacency()
-    degs = adj.sum(axis=1)
-    k = int(degs[0])
-    bad = np.flatnonzero(degs != k)
-    if bad.size:
-        return SrgResult(False, witness=("degree", int(bad[0])))
-    non = ~adj
-    np.fill_diagonal(non, False)
-    if not adj.any() or not non.any():
-        raise ValueError("srg_check requires a non-complete, non-empty graph")
-    a = adj.astype(np.float32)  # exact: common-neighbour counts are below v < 2**24
-    common = (a @ a).astype(np.int64)
-    lam_vals = common[adj]
-    lam = int(lam_vals[0])
-    if (lam_vals != lam).any():
-        i, j = next(zip(*np.nonzero(adj & (common != lam))))
-        return SrgResult(False, witness=("lambda", int(i), int(j)))
-    mu_vals = common[non]
-    mu = int(mu_vals[0])
-    if (mu_vals != mu).any():
-        i, j = next(zip(*np.nonzero(non & (common != mu))))
-        return SrgResult(False, witness=("mu", int(i), int(j)))
-    return SrgResult(True, params=(v, k, lam, mu))
-
-
-def subdivision(h: Graph) -> BipartiteGraph:
-    """Vertex-edge incidence graph: B = vertices of h, C = edges of h."""
-    edges = h.edges
-    return BipartiteGraph(h.n, len(edges), [(u, ci) for ci, e in enumerate(edges) for u in e])
-
-
 def flip(g: BipartiteGraph) -> BipartiteGraph:
     """The same graph with the two classes exchanged."""
     return BipartiteGraph(g.nC, g.nB, np.column_stack([g.ec, g.eb]))
@@ -542,58 +409,6 @@ def induced_subgraph(
     edges = np.column_stack([np.searchsorted(b_keep, g.eb[keep]),
                              np.searchsorted(c_keep, g.ec[keep])])
     return BipartiteGraph(len(b_keep), len(c_keep), edges)
-
-
-# ---------------------------------------------------------------------------
-# Diameter-4 shortcut check
-# ---------------------------------------------------------------------------
-
-class ShortcutResult(NamedTuple):
-    verdict: str  # "applies" | "inconclusive" | "hypothesis_failed"
-    reason: str = ""
-    predicted: IntersectionArray | None = None
-    agrees: bool | None = None
-
-
-def c3_shortcut_check(g: BipartiteGraph, c2b: int, c3b: int, c2c: int) -> ShortcutResult:
-    """Diameter-4 certification shortcut from one locally regular side.
-
-    Hypotheses verified on the graph: every B vertex locally
-    distance-regular with c-line (1, c2b, c3b, k); the count of common
-    neighbours of any two C vertices at distance two constant equal to
-    c2c; and k strictly greater than c2b*c3b/c2c.  When they hold, the
-    full predicted array is emitted and compared with the definition
-    check.
-    """
-    semi = semiregular_check(g)
-    if not semi.ok:
-        return ShortcutResult("hypothesis_failed", f"not semiregular at {semi.witness}")
-    k, l = semi.k, semi.l
-    expected = (1, c2b, c3b, k)
-    for v, res in enumerate(_local_checks(g, range(g.nB))):
-        if not res.ok:
-            return ShortcutResult("hypothesis_failed", f"B vertex {v} not locally distance-regular")
-        if res.c[1:] != expected:
-            return ShortcutResult("hypothesis_failed",
-                                  f"B vertex {v} has c-line {res.c[1:]}, wanted {expected}")
-    n = g.biadjacency()
-    cc = (n.T @ n).astype(np.int64)
-    off = cc[~np.eye(g.nC, dtype=bool)]
-    vals = set(np.unique(off).tolist()) - {0}
-    if vals != {c2c}:
-        return ShortcutResult(
-            "hypothesis_failed", f"C-side common-neighbour counts {sorted(vals)} != {{{c2c}}}"
-        )
-    if k * c2c == c2b * c3b:
-        return ShortcutResult("inconclusive", "k equals c2B*c3B/c2C; strict inequality required")
-    if k * c2c < c2b * c3b:
-        return ShortcutResult("hypothesis_failed", "k < c2B*c3B/c2C")
-    if (c2b * c3b) % c2c:
-        return ShortcutResult("hypothesis_failed", "predicted c3C is not an integer")
-    predicted = IntersectionArray(k, l, (1, c2b, c3b, k), (1, c2c, c2b * c3b // c2c, l))
-    full = dbrg_check(g)
-    agrees = full.ok and full.array == predicted
-    return ShortcutResult("applies", predicted=predicted, agrees=agrees)
 
 
 # ---------------------------------------------------------------------------

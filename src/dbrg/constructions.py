@@ -36,7 +36,6 @@ from .gfcore import (
     coset_ids,
     coset_permutation,
     echelon_bases,
-    qbinom,
     scaling,
     stack_bases,
     subspace_vector_ids,
@@ -44,6 +43,7 @@ from .gfcore import (
     vector_ids,
 )
 from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
+from .gfint import qbinom
 from .params import DerivedGraphError, IntersectionArray, derived_array, prime_power
 
 if TYPE_CHECKING:

@@ -1,9 +1,8 @@
 """Stacked kernels over GF(p^t) for the coset and inclusion graphs.
 
 The fields, vectors, canonical subspaces and vector-set bitsets live in
-the numpy-free :mod:`dbrg.gfint`; this module re-exports the first three
-(``gfcore.FieldContext is gfint.FieldContext``) and adds the array work
-that :mod:`dbrg.constructions` runs.  Stacked echelon bases (arrays of
+the numpy-free :mod:`dbrg.gfint`; this module adds the array work that
+:mod:`dbrg.constructions` runs.  Stacked echelon bases (arrays of
 shape (K, m, n)) come from :func:`echelon_bases` or, for a
 :class:`dbrg.gfint.SpaceFamily`, from :func:`stack_bases`;
 :func:`enumerate_subspaces` turns the first into :class:`Subspace`
@@ -30,29 +29,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .gfint import (
-    FieldContext,
-    SpaceFamily,
-    Subspace,
-    field,
-    format_vector,
-    index_vector,
-    orthogonal_complement,
-    parse_vector,
-    qbinom,
-    rref,
-    subspace_make,
-    vector_index,
-)
+from .gfint import FieldContext, SpaceFamily, Subspace, rref
+from .gfint import index_vector  # noqa: F401 -- bench/trace_layers.py reads gfcore.index_vector
 
 __all__ = [
-    "FieldContext",
-    "Subspace",
-    "field",
-    "qbinom",
-    "subspace_make",
     "subspace_meet",
-    "orthogonal_complement",
     "enumerate_subspaces",
     "stack_bases",
     "echelon_bases",
@@ -63,11 +44,6 @@ __all__ = [
     "translations",
     "scaling",
     "coset_permutation",
-    "rref",
-    "index_vector",
-    "vector_index",
-    "parse_vector",
-    "format_vector",
 ]
 
 
@@ -138,7 +114,7 @@ def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:
 
 
 def vector_ids(ctx: FieldContext, vectors) -> np.ndarray:
-    """:func:`vector_index` of each vector along the last axis, stacked.
+    """:func:`dbrg.gfint.vector_index` of each vector along the last axis, stacked.
 
     The id reads the coordinates as one base-q number, and the base-p
     digits of a coordinate are its polynomial coefficients, so the base-p

@@ -11,15 +11,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from dbrg.bigraph import (
-    dbrg_check,
-    distance_partition,
-    girth,
-    halved_graphs,
-    srg_check,
-)
+from dbrg.bigraph import dbrg_check, distance_partition
 from dbrg.constructions import (
     bi_grassmann,
     bi_johnson,
@@ -34,8 +27,9 @@ from dbrg.feasibility import (
     evaluate,
     reference_table,
 )
-from dbrg.gfcore import enumerate_subspaces, field, qbinom
+from dbrg.gfcore import enumerate_subspaces
 from dbrg.geometry import denniston_arc, dualize, hyperoval
+from dbrg.gfint import field, qbinom
 from dbrg.params import IntersectionArray
 from dbrg.perpsys import (
     PerpSystem,
@@ -45,6 +39,8 @@ from dbrg.perpsys import (
     serialize_perp,
     two_intersection_set,
 )
+
+from oracles import biadjacency, halved_graphs, srg_check
 
 
 def _announce(criterion, detail):
@@ -332,7 +328,7 @@ def test_criterion_8_property_suites():
         res = dbrg_check(built.graph)
         assert res.ok
         arr = res.array
-        n = built.graph.biadjacency()
+        n = biadjacency(built.graph)
         hb, _ = halved_graphs(built.graph)
         lhs = n @ n.T
         rhs = arr.k * np.eye(built.graph.nB, dtype=np.int64) + arr.cB[1] * hb.adjacency()

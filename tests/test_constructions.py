@@ -8,19 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dbrg.bigraph import (
-    BipartiteGraph,
-    ShortcutResult,
-    dbrg_check,
-    distance_partition,
-    girth,
-    halved_graphs,
-    local_dr_check,
-    semiregular_check,
-    serialize_graph,
-    srg_check,
-    subdivision,
-)
+from dbrg.bigraph import BipartiteGraph, dbrg_check, distance_partition, girth, serialize_graph
 from dbrg.constructions import (
     MAX_EDGES,
     _coset_incidence,
@@ -32,12 +20,14 @@ from dbrg.constructions import (
     gen_delorme_graph,
     hyperoval_affine_graph,
 )
+from dbrg.gfcore import translations
 from dbrg.geometry import ArcCheckResult, SpaceFamily, cone_spaces, denniston_arc, dualize, hyperoval
-from dbrg.gfcore import field, index_vector, subspace_make, translations
+from dbrg.gfint import field, index_vector, subspace_make
 from dbrg.params import DerivedGraphError, IntersectionArray, derived_array
 from dbrg.perpsys import PerpSystem, PerpViolation, perp_search, perp_verify, two_intersection_set
 
-from simple_graphs import petersen
+from oracles import (ShortcutResult, halved_graphs, local_dr_check, petersen, semiregular_check,
+                     srg_check, subdivision)
 
 
 def verified(result):

@@ -22,13 +22,11 @@ from dbrg.bigraph import (
     distance_partition,
     flip,
     girth,
-    local_dr_check,
-    subdivision,
 )
 from dbrg.constructions import cone_graph
 from dbrg.params import IntersectionArray
 
-from simple_graphs import simple_graph
+from oracles import local_dr_check, simple_graph, subdivision
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

@@ -301,7 +301,7 @@ def test_gamma_constants_match_brute_force_on_hypercube():
     _, entries = delta_gamma_check(cube)
     e2 = next(e for e in entries if e.i == 2 and e.orientation == "as-given")
     assert e2.delta == 0 and e2.gamma == 1
-    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.V)]
+    nbrs = [{g.nB + c for b, c in g.edges if b == u} for u in range(g.nB)]
     dist = [{x: d for d, cell in enumerate(distance_partition(g, v).cells) for x in cell}
             for v in range(g.V)]
     seen = set()

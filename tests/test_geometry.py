@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, orthogonal_complement, rref,
-                         stack_bases, subspace_make, subspace_meet, subspace_vector_ids)
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, stack_bases, subspace_meet,
+                         subspace_vector_ids)
 from dbrg.geometry import (
     ArcCheckResult,
     SpaceFamily,
@@ -20,7 +20,7 @@ from dbrg.geometry import (
     hyperoval,
     point,
 )
-from dbrg.gfint import point_vectors
+from dbrg.gfint import orthogonal_complement, point_vectors, rref, subspace_make
 
 from test_gfcore import array_dot
 

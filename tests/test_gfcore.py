@@ -7,25 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (
-    FieldContext,
-    echelon_bases,
-    subspace_vector_ids,
-    vector_index,
-    field,
-    qbinom,
-    subspace_make,
-    subspace_meet,
-    orthogonal_complement,
-    enumerate_subspaces,
-    index_vector,
-    mul,
-    parse_vector,
-    format_vector,
-    scaling,
-    translations,
-)
-from dbrg.gfint import point_vectors
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, scaling, subspace_meet,
+                         subspace_vector_ids, translations)
+from dbrg.gfint import (FieldContext, field, format_vector, index_vector, orthogonal_complement,
+                        parse_vector, point_vectors, qbinom, subspace_make, vector_index)
 
 
 def test_prime_field_modulus_is_x():

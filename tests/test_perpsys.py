@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbrg.gfcore import (echelon_bases, enumerate_subspaces, field, orthogonal_complement, qbinom,
-                         subspace_make, subspace_meet, subspace_vector_ids)
-from dbrg.gfint import echelon_bitsets, echelon_space, hyperplane_bitsets, incidence_planes
+from dbrg.gfcore import echelon_bases, enumerate_subspaces, subspace_meet, subspace_vector_ids
+from dbrg.gfint import (echelon_bitsets, echelon_space, field, hyperplane_bitsets, incidence_planes,
+                        orthogonal_complement, qbinom, subspace_make)
 from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
 from dbrg import perpsys
 from dbrg.params import perp_params, perp_srg_params

@@ -89,7 +89,8 @@ IN_PROCESS = {
         "result = {'setup_s': out.setup_seconds, 'total_s': out.elapsed, 'nodes': out.nodes}\n"),
     "perp_verify_f3_6_21": _verify(
         "import itertools\n"
-        "from dbrg.gfcore import enumerate_subspaces, field\n"
+        "from dbrg.gfcore import enumerate_subspaces\n"
+        "from dbrg.gfint import field\n"
         "ctx, n, k = field(3), 6, 2\n"
         "members = list(itertools.islice(enumerate_subspaces(ctx, 6, 4), 21))\n"),
     **{f"perp_verify_{name}": _verify(
