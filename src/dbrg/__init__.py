@@ -12,10 +12,8 @@ Submodules:
   ids as numpy arrays.
 * :mod:`dbrg.geometry` -- hyperovals, maximal arcs, dualities, quadric cones
   (no numpy).
-* :mod:`dbrg.perpfile` -- perp-system records, verification and files
-  (no numpy).
-* :mod:`dbrg.perpsys` -- perp systems: search, duals, two-intersection sets
-  (no numpy).
+* :mod:`dbrg.perpsys` -- perp systems: verification, files, search, duals,
+  two-intersection sets (no numpy).
 * :mod:`dbrg.bigraph` -- bipartite graph engine and biregularity checks.
 * :mod:`dbrg.constructions` -- graph builders with predicted arrays.
 * :mod:`dbrg.feasibility` -- intersection-array feasibility and enumeration

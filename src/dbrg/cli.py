@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Every subcommand is a thin composition of library calls: builders from
-:mod:`dbrg.constructions`, checks from :mod:`dbrg.bigraph` and
-:mod:`dbrg.perpfile`, the perp search of :mod:`dbrg.perpsys`, and the
-feasibility enumeration.  Each command imports only the layers it
-calls, so importing this module loads none of them.  ``feas enumerate``
-and ``catalog`` run on the integer layer alone; ``perp verify`` and
-``roundtrip`` of a perp file on the integer, field and perp-file layers
-(:mod:`dbrg.params`, :mod:`dbrg.gfint` and :mod:`dbrg.perpfile`), and
-``perp search`` on those and :mod:`dbrg.perpsys`.  None of these imports
+:mod:`dbrg.constructions`, checks from :mod:`dbrg.bigraph`, the perp
+systems of :mod:`dbrg.perpsys`, and the feasibility enumeration.  Each
+command imports only the layers it calls, so importing this module loads
+none of them.  ``feas enumerate`` and ``catalog`` run on the integer
+layer alone; ``perp verify``, ``roundtrip`` of a perp file and
+``perp search`` on the integer, field and perp layers
+(:mod:`dbrg.params`, :mod:`dbrg.gfint` and :mod:`dbrg.perpsys`).  None of these imports
 numpy, and the perp commands load no :mod:`fractions` either.  No
 command loads :mod:`dataclasses`: every record is a NamedTuple or a
 plain class, as importing it (with :mod:`inspect`) and building frozen
@@ -68,10 +67,10 @@ def _array_payload(arr) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _gen_delorme(c, args):
-    from . import perpfile
+    from . import perpsys
 
-    res = perpfile.perp_verify(*perpfile.parse_perp(Path(args.perp).read_text()))
-    if isinstance(res, perpfile.PerpViolation):
+    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perp).read_text()))
+    if isinstance(res, perpsys.PerpViolation):
         raise _Verdict(f"perp file does not verify: {res.kind}: {res.detail}")
     return c.gen_delorme_graph(res)
 
@@ -150,7 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    from . import bigraph, constructions
+    from . import bigraph, constructions, params
 
     with open(args.graphfile) as lines:
         g = bigraph.parse_graph(lines)
@@ -159,7 +158,7 @@ def cmd_derive(args) -> int:
         raise ValueError(f"--vertex must look like B:3 or C:17, got {args.vertex!r}")
     try:
         built = constructions.derived_local_graph(g, side, int(idx))
-    except constructions.DerivedGraphError as exc:
+    except params.DerivedGraphError as exc:
         _summary({"command": "derive", "ok": False, "condition": exc.condition,
                   "detail": str(exc)})
         return EXIT_VERDICT
@@ -172,10 +171,10 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_perp_verify(args) -> int:
-    from . import perpfile
+    from . import perpsys
 
-    res = perpfile.perp_verify(*perpfile.parse_perp(Path(args.perpfile).read_text()))
-    if isinstance(res, perpfile.PerpViolation):
+    res = perpsys.perp_verify(*perpsys.parse_perp(Path(args.perpfile).read_text()))
+    if isinstance(res, perpsys.PerpViolation):
         _summary({"command": "perp-verify", "ok": False, "kind": res.kind,
                   "detail": res.detail})
         return EXIT_VERDICT
@@ -278,13 +277,13 @@ def cmd_roundtrip(args) -> int:
 
         again = bigraph.serialize_graph(bigraph.parse_graph(text))
     elif head.startswith("q="):
-        from . import perpfile
+        from . import perpsys
 
-        res = perpfile.perp_verify(*perpfile.parse_perp(text))
-        if isinstance(res, perpfile.PerpViolation):
+        res = perpsys.perp_verify(*perpsys.parse_perp(text))
+        if isinstance(res, perpsys.PerpViolation):
             _summary({"command": "roundtrip", "ok": False, "detail": res.detail})
             return EXIT_VERDICT
-        again = perpfile.serialize_perp(res)
+        again = perpsys.serialize_perp(res)
     else:
         raise ValueError(f"unrecognized file header {head!r}")
     identical = again == text

@@ -42,16 +42,15 @@ from .gfcore import (
     translations,
     vector_ids,
 )
-from .geometry import SpaceFamily, cone_spaces, dualize, field_for_order, hyperoval
-from .gfint import qbinom
+from .geometry import cone_spaces, dualize, hyperoval
+from .gfint import SpaceFamily, field_for_order, qbinom
 from .params import DerivedGraphError, IntersectionArray, derived_array, prime_power
 
 if TYPE_CHECKING:
-    from .perpfile import PerpSystem
+    from .perpsys import PerpSystem
 
 __all__ = [
     "ConstructionResult",
-    "DerivedGraphError",
     "complete_bipartite",
     "bi_johnson",
     "bi_grassmann",

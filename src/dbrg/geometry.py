@@ -7,15 +7,14 @@ rulings of totally singular 3-spaces on the hyperbolic quadric of F_q^6,
 written down through the Klein correspondence with the points of
 PG(3, q) and a map sigma that swaps the rulings (no 3-space is enumerated).
 
-Every family is a :class:`dbrg.gfint.SpaceFamily` (defined in the
-numpy-free field layer, like ``field_for_order``, and re-exported
-here); so is a perp system of
-:mod:`dbrg.perpfile`.  Points of PG(n-1, q) are 1-dim members, and a
-point set (an arc, a hyperoval, a two-intersection set) lists them in
-lex order of their normalized vectors; its dual is the family of
-hyperplanes in the same order.  Everything here is scalar work on the
-field layer :mod:`dbrg.gfint`: this module imports no numpy.  Families
-and records are plain classes and NamedTuples: no dataclasses.
+Every family is a :class:`dbrg.gfint.SpaceFamily`, defined in the
+numpy-free field layer; so is a perp system of :mod:`dbrg.perpsys`.
+Points of PG(n-1, q) are 1-dim members, and a point set (an arc, a
+hyperoval, a two-intersection set) lists them in lex order of their
+normalized vectors; its dual is the family of hyperplanes in the same
+order.  Everything here is scalar work on the field layer
+:mod:`dbrg.gfint`: this module imports no numpy.  Families and records
+are plain classes and NamedTuples: no dataclasses.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .gfint import (FieldContext, SpaceFamily, Subspace, field_for_order, hyperp
                     orthogonal_complement, point_vectors, subspace_make)
 
 __all__ = [
-    "SpaceFamily",
     "ArcCheckResult",
     "hyperoval",
     "denniston_arc",
@@ -34,7 +32,6 @@ __all__ = [
     "dualize",
     "point_family",
     "cone_spaces",
-    "field_for_order",
 ]
 
 

@@ -128,8 +128,10 @@ class IntersectionArray(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "IntersectionArray":
-        """Read ``{k;c_1,...,c_dB | l;c_1,...,c_dC}`` ('/' may replace '|');
-        ValueError quoting ``text`` if it has another form."""
+        """Read ``{k;c_1,...,c_dB | l;c_1,...,c_dC}`` ('/' may replace '|'),
+        each entry ASCII digits after an optional minus sign (so ``str`` of
+        any array reads back), spaces around it allowed; ValueError quoting
+        ``text`` if it has another form."""
         body = text.strip().strip("{}")
         sep = "|" if "|" in body else "/"
         parts = body.split(sep)
@@ -138,11 +140,11 @@ class IntersectionArray(NamedTuple):
         lines = []
         for part in parts:
             head, _, rest = part.partition(";")
-            try:
-                lines.append((int(head), tuple(int(x) for x in rest.split(","))))
-            except ValueError as exc:
+            entries = [x.strip() for x in (head, *rest.split(","))]
+            if not all((n := x.removeprefix("-")).isascii() and n.isdigit() for x in entries):
                 raise ValueError(f"cannot parse intersection array {text!r}: each line must be "
-                                 "'<valency>;<c_1>,...,<c_d>' with integer entries") from exc
+                                 "'<valency>;<c_1>,...,<c_d>' with ASCII-digit entries")
+            lines.append((int(entries[0]), tuple(map(int, entries[1:]))))
         (k, cb), (l, cc) = lines
         return cls(k, l, cb, cc)
 

@@ -195,6 +195,13 @@ def test_usage_errors():
     ('{"rows": [{"array": "{6 | 16;1,4,5,16}", "status": "exists"}]}',
      "cannot parse intersection array"),
     ('{"rows": [{"array": "{2;1,2 | 3;1,3}", "status": "exists"}]}', "covering radius 4"),
+    # a valid array but for a non-ASCII digit, an underscore or a plus sign
+    ('{"rows": [{"array": "{\u0666;1,2,10,6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "cannot parse intersection array"),
+    ('{"rows": [{"array": "{6;1,2,1_0,6 | 16;1,4,5,16}", "status": "exists"}]}',
+     "cannot parse intersection array"),
+    ('{"rows": [{"array": "{6;1,2,10,6 | +16;1,4,5,16}", "status": "exists"}]}',
+     "cannot parse intersection array"),
     # c1 != 1, c4 != k and c2 > k: each array must be valid as a whole
     ('{"rows": [{"array": "{6;2,2,10,6 | 16;1,4,5,16}", "status": "exists"}]}',
      "B-line must start with c_1 = 1"),
@@ -296,7 +303,7 @@ def test_huge_field_order_exits_65_quickly(tmp_path):
     ("bigraph", "dbrg_check", ["verify", "{graph}"]),
     ("perpsys", "perp_search", ["perp", "search", "--n", "3", "--k", "1", "--q", "2",
                                 "--d", "2"]),
-    ("perpfile", "perp_verify", ["perp", "verify", "{perp}"]),
+    ("perpsys", "perp_verify", ["perp", "verify", "{perp}"]),
 ])
 def test_memory_error_exits_65(tmp_path, capsys, monkeypatch, layer, call, argv):
     # a file or parameters whose arrays cannot be allocated (a dense N of
@@ -384,7 +391,7 @@ def test_perp_search_and_verify_load_no_numpy_dataclasses_or_fractions(tmp_path)
                                        "--q", "2", "--d", "2", "--budget-nodes", "1"], tmp_path),
         "verify": _importtime_listing(["-m", "dbrg.cli", "perp", "verify", str(fixture)], tmp_path),
     }
-    assert "dbrg.perpsys" in added["search"] and "dbrg.perpfile" in added["verify"]
+    assert "dbrg.perpsys" in added["search"] and "dbrg.perpsys" in added["verify"]
     forbidden = {cmd: sorted(m for m in listed - bare if m.split(".")[0] in
                              ("numpy", "dataclasses", "fractions", "decimal", "numbers"))
                  for cmd, listed in added.items()}

@@ -21,8 +21,8 @@ from dbrg.constructions import (
     hyperoval_affine_graph,
 )
 from dbrg.gfcore import translations
-from dbrg.geometry import ArcCheckResult, SpaceFamily, cone_spaces, denniston_arc, dualize, hyperoval
-from dbrg.gfint import field, index_vector, subspace_make
+from dbrg.geometry import ArcCheckResult, cone_spaces, denniston_arc, dualize, hyperoval
+from dbrg.gfint import SpaceFamily, field, index_vector, subspace_make
 from dbrg.params import DerivedGraphError, IntersectionArray, derived_array
 from dbrg.perpsys import PerpSystem, PerpViolation, perp_search, perp_verify, two_intersection_set
 

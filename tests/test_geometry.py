@@ -11,16 +11,15 @@ from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, stack_bases, s
                          subspace_vector_ids)
 from dbrg.geometry import (
     ArcCheckResult,
-    SpaceFamily,
     arc_check,
     cone_spaces,
     denniston_arc,
     dualize,
-    field_for_order,
     hyperoval,
     point,
 )
-from dbrg.gfint import orthogonal_complement, point_vectors, rref, subspace_make
+from dbrg.gfint import (SpaceFamily, field_for_order, orthogonal_complement, point_vectors, rref,
+                        subspace_make)
 
 from test_gfcore import array_dot
 

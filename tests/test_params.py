@@ -36,6 +36,16 @@ def test_parse_accepts_or_raises_value_error(text):
     assert IntersectionArray.parse(str(a)) == a
 
 
+@pytest.mark.parametrize("text", [
+    "{\u0663;1,\u0663 | \u0663;1,\u0663}",  # Arabic-Indic digit three
+    "{1_0;1,2 | 3;1,3}",
+    "{+3;1,3 | 3;1,3}",
+])
+def test_parse_accepts_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="cannot parse intersection array"):
+        IntersectionArray.parse(text)
+
+
 def test_parsed_array_repr_and_str():
     a = IntersectionArray.parse("{5;1,2,3,5 / 7;1,2,3,7}")
     assert repr(a) == "IntersectionArray(k=5, l=7, cB=(1, 2, 3, 5), cC=(1, 2, 3, 7))"

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dbrg
-from dbrg import geometry, gfcore, gfint, perpfile, perpsys
+from dbrg import geometry, gfcore, gfint, perpsys
 from dbrg.geometry import dualize, hyperoval
 from dbrg.gfint import (field, format_vector, hyperplane_bitsets, index_vector,
                         orthogonal_complement, parse_vector, point_vectors, subspace_bitset,
                         subspace_make)
-from dbrg.perpfile import PerpSystem, PerpViolation, parse_perp, perp_verify
+from dbrg.perpsys import PerpSystem, PerpViolation, parse_perp, perp_verify
 
 from test_gfcore import pack_ids
 
@@ -84,8 +84,6 @@ def test_moved_names_are_one_object_each():
     assert all(getattr(gfcore, name).__module__ == "dbrg.gfcore" for name in gfcore.__all__)
     assert gfcore.index_vector is gfint.index_vector
     assert geometry.SpaceFamily is gfint.SpaceFamily
-    for name in ("PerpSystem", "PerpViolation", "perp_verify", "parse_perp", "serialize_perp"):
-        assert getattr(perpsys, name) is getattr(perpfile, name), name
 
 
 def test_fields_without_a_vector_literal_are_named():
@@ -271,7 +269,7 @@ def test_perp_file_too_large_for_its_bitsets_exits_65_at_once(tmp_path, capsys):
 
 
 def test_perp_file_commands_load_no_numpy(tmp_path):
-    # perp verify and the perp roundtrip run on gfint, perpfile and params
+    # perp verify and the perp roundtrip run on gfint, perpsys and params
     fixture = Path(dbrg.__file__).resolve().parents[2] / "bench" / "data" / "dual_hyperoval_q8.perp"
     code = ("import contextlib, io, sys\n"
             "from dbrg.cli import main\n"
@@ -286,5 +284,5 @@ def test_perp_file_commands_load_no_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout.strip()
     assert out == ("[0, 0] True False "
-                   "['dbrg', 'dbrg.cli', 'dbrg.gfint', 'dbrg.params', 'dbrg.perpfile']")
+                   "['dbrg', 'dbrg.cli', 'dbrg.gfint', 'dbrg.params', 'dbrg.perpsys']")
 

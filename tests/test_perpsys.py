@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dbrg.gfcore import echelon_bases, enumerate_subspaces, subspace_meet, subspace_vector_ids
-from dbrg.gfint import (echelon_bitsets, echelon_space, field, hyperplane_bitsets, incidence_planes,
-                        orthogonal_complement, qbinom, subspace_make)
-from dbrg.geometry import SpaceFamily, denniston_arc, dualize, field_for_order, hyperoval
+from dbrg.gfint import (SpaceFamily, echelon_bitsets, echelon_space, field, field_for_order,
+                        hyperplane_bitsets, incidence_planes, orthogonal_complement, qbinom,
+                        subspace_make)
+from dbrg.geometry import denniston_arc, dualize, hyperoval
 from dbrg import perpsys
 from dbrg.params import perp_params, perp_srg_params
 from dbrg.perpsys import (

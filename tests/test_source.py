@@ -36,6 +36,25 @@ def test_all_names_exist():
     assert missing == []
 
 
+def test_every_public_name_has_one_home():
+    # each __all__ name is defined in its own module, by a top-level def,
+    # class or assignment: no module re-exports a name it imports
+    strays = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+        module = importlib.import_module("dbrg" if path.stem == "__init__" else f"dbrg.{path.stem}")
+        strays += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in bound]
+    assert strays == []
+
+
 FIELD_LAYERS = ("gfint", "gfcore")  # the scalar and the stacked field layer
 
 
@@ -183,12 +202,12 @@ def _start_up_cost(name):
 
 def test_integer_layer_imports_no_numpy():
     # params and feasibility, the scalar field layer gfint, the geometry
-    # families, the perp-file layer perpfile and the perp search perpsys,
-    # and every package module they import (so not gfcore), are integer and
-    # Fraction work with NamedTuple records, plain classes and a plain read
-    # of the catalog file; cli.py itself imports no layer (see below)
+    # families and the perp systems perpsys, and every package module they
+    # import (so not gfcore), are integer and Fraction work with NamedTuple
+    # records, plain classes and a plain read of the catalog file; cli.py
+    # itself imports no layer (see below)
     package = Path(dbrg.__file__).parent
-    todo = ["geometry", "params", "feasibility", "gfint", "perpfile", "perpsys"]
+    todo = ["geometry", "params", "feasibility", "gfint", "perpsys"]
     seen, found = set(), []
     while todo:
         stem = todo.pop()

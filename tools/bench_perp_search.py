@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Parent-versus-change measurements of the perp search, written as one JSON file.
+"""Parent-versus-change measurements of the perp layer, written as one JSON file.
 
 Run from anywhere, with two checkouts of the repository (each holding
 ``src/`` and ``bench/``), for example a ``git archive`` of the parent
 commit and a copy of the change:
 
     python3 tools/bench_perp_search.py --parent /tmp/parent --change /tmp/change \\
-        --seeds 61 --pairs 10 --out BENCH_27.json
+        --seeds 61 --pairs 10 --out BENCH_29.json
 
 It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
 either tree, so every command compiles what it imports:
@@ -23,7 +23,11 @@ either tree, so every command compiles what it imports:
   of the dual hyperovals of PG(2,16) and PG(2,32) and of the dual
   Denniston (32,4) arc, and ``perp_dualize`` and
   ``two_intersection_set`` of the last two (per process the median of
-  15 calls after one warm-up).
+  15 calls after one warm-up);
+* ``python -m dbrg.cli perp verify``, ``roundtrip`` and ``construct
+  gen-delorme`` of ``bench/data/dual_hyperoval_q8.perp``, 30 runs per
+  side, parent and change alternating: wall milliseconds from start to
+  exit, and the peak RSS of the command's process.
 
 Every run is kept in the output.  Medians and quartiles use
 ``statistics.median`` and ``statistics.quantiles`` (exclusive method).
@@ -39,6 +43,8 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 METRICS = ("norm_wall_s", "norm_cmd_geomean_s", "setup_s", "peak_rss_mb")
@@ -106,6 +112,15 @@ IN_PROCESS = {
 }
 
 
+PERP_FILE = "bench/data/dual_hyperoval_q8.perp"
+COMMAND_RUNS = 30
+COMMANDS = {
+    "perp_verify": ["perp", "verify", PERP_FILE],
+    "roundtrip": ["roundtrip", PERP_FILE],
+    "gen_delorme": ["construct", "gen-delorme", "--perp", PERP_FILE, "--out", "{out}"],
+}
+
+
 def environment(tree: Path) -> dict[str, str]:
     return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
 
@@ -129,6 +144,22 @@ def in_process(tree: Path, code: str) -> dict:
                          cwd=tree, env=environment(tree), capture_output=True, text=True,
                          check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def command(tree: Path, argv: list[str]) -> dict:
+    """Wall ms and peak RSS (MB) of ``python -m dbrg.cli argv`` in ``tree``,
+    ``{out}`` in ``argv`` naming a fresh temporary prefix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{out}", str(Path(tmp) / "out")) for a in argv]
+        t = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "dbrg.cli", *argv], cwd=tree,
+                                env=environment(tree), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        ms = (time.perf_counter() - t) * 1e3
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv} exited {proc.returncode} in {tree}")
+    return {"ms": ms, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
 def summary(values: list[float]) -> dict:
@@ -197,11 +228,24 @@ def main() -> int:
                                      lower_is_better=key != "nodes_per_s")
         processes[name] = entry
 
+    commands = {}
+    for name, argv in COMMANDS.items():
+        got = {"parent": [], "change": []}
+        for i in range(COMMAND_RUNS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                got[side].append(command(trees[side], argv))
+        commands[name] = {key: compare([r[key] for r in got["parent"]],
+                                       [r[key] for r in got["change"]])
+                          for key in ("ms", "peak_rss_mb")}
+        print(name, {key: (v["parent"]["median"], v["change"]["median"])
+                     for key, v in commands[name].items()}, flush=True)
+
     record = {
         "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, Python {platform.python_version()}",
         "method": __doc__.split("It runs,", 1)[1].strip(),
         "workloads": workloads,
         "in_process": processes,
+        "commands": commands,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
