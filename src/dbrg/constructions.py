@@ -34,7 +34,7 @@ import numpy as np
 from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
 from .gfcore import (
     coset_ids,
-    coset_permutation,
+    coset_index,
     echelon_bases,
     scaling,
     stack_bases,
@@ -61,8 +61,12 @@ __all__ = [
     "MAX_EDGES",
 ]
 
-# builds and their checks peak at about 100 bytes per edge
+# a build and its certified check peak at about 20 bytes per edge over the
+# interpreter (the dual Denniston (32,4) graph: 63 MB for 3.3M edges)
 MAX_EDGES = 2**24
+
+
+_BATCH = 2**16  # coset table entries per batch of members in a coset incidence graph
 
 
 def _check_size(edges: int) -> None:
@@ -87,7 +91,7 @@ def complete_bipartite(k: int, l: int) -> ConstructionResult:
     if k < 1 or l < 1:
         raise ValueError("valencies must be positive")
     _check_size(k * l)
-    g = BipartiteGraph(l, k, np.indices((l, k)).reshape(2, -1).T)
+    g = BipartiteGraph(l, k, np.indices((l, k), np.int32).reshape(2, -1).T)
     cb = (1, k) if l > 1 else (1,)
     cc = (1, l) if k > 1 else (1,)
     note = "complete-bipartite"
@@ -101,6 +105,31 @@ def _stair(count: int) -> tuple[int, ...]:
     return tuple((i + 1) // 2 for i in range(1, count + 1))
 
 
+def _subset_inclusions(n: int, k: int) -> np.ndarray:
+    """The pairs (small, large) of k-subsets in (k+1)-subsets of an n-set,
+    each numbered in ``itertools.combinations`` order, as int32 rows.
+
+    A subset c_0 < ... < c_{k-1} is number C(n, k) - 1 - sum_i C(n-1-c_i,
+    k-i) (the colex rank of {n-1-c_i}).  Dropping element j of a large set
+    L keeps the terms C(n-1-L_i, k-i) of the i < j and shifts those of the
+    i > j to C(n-1-L_i, k+1-i), so each j is a prefix plus a suffix sum.
+    """
+    count = math.comb(n, k + 1)
+    large = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k + 1)),
+                        np.int32, count * (k + 1)).reshape(count, k + 1)
+    np.subtract(n - 1, large, out=large)
+    choose = np.array([[math.comb(a, b) for b in range(k + 2)] for a in range(n)], np.int32)
+    i = np.arange(k + 1)
+    kept, shifted = choose[large, k - i], choose[large, k + 1 - i]
+    del large
+    edges = np.empty((count, k + 1, 2), np.int32)
+    edges[:, :, 0] = math.comb(n, k) - 1
+    edges[:, 1:, 0] -= np.cumsum(kept, axis=1, dtype=np.int32)[:, :-1]
+    edges[:, :-1, 0] -= np.cumsum(shifted[:, ::-1], axis=1, dtype=np.int32)[:, -2::-1]
+    edges[:, :, 1] = np.arange(count)[:, None]
+    return edges.reshape(-1, 2)
+
+
 def bi_johnson(n: int, k: int) -> ConstructionResult:
     """Inclusion graph of k-subsets vs (k+1)-subsets of an n-set."""
     if k < 1 or n < 2 * k + 2:
@@ -108,15 +137,7 @@ def bi_johnson(n: int, k: int) -> ConstructionResult:
     # C(n, j) grows with j < n/2, so this is exact up to k = 25 and, past
     # that, a lower bound already over MAX_EDGES (n >= 52)
     _check_size(math.comb(n, min(k, 25)) * (n - k))
-    small = list(itertools.combinations(range(n), k))
-    large = list(itertools.combinations(range(n), k + 1))
-    big_index = {s: i for i, s in enumerate(large)}
-    edges = []
-    for bi, s in enumerate(small):
-        rest = set(range(n)) - set(s)
-        for extra in rest:
-            edges.append((bi, big_index[tuple(sorted(s + (extra,)))]))
-    g = BipartiteGraph(len(small), len(large), edges)
+    g = BipartiteGraph(math.comb(n, k), math.comb(n, k + 1), _subset_inclusions(n, k))
     arr = IntersectionArray(n - k, k + 1, _stair(2 * k + 1), _stair(2 * k + 2))
     return ConstructionResult(g, arr, "subset-inclusion", {"n": n, "k": k})
 
@@ -148,17 +169,40 @@ def bi_grassmann(n: int, k: int, q: int) -> ConstructionResult:
     return ConstructionResult(g, arr, "subspace-inclusion", {"n": n, "k": k, "q": q})
 
 
-def _coset_incidence(family: SpaceFamily, maps: np.ndarray) -> tuple[BipartiteGraph, np.ndarray]:
-    """B = all vectors of F_q^n by vector index, C = all cosets of all
-    members in :func:`dbrg.gfcore.coset_ids` order: coset j of member i is
-    C vertex i * q^(n-dim) + j, and j = 0 is the member itself.  Also
-    returns the vector-id maps ``maps`` (one per row, each sending every
-    coset of a member to a coset of that member) as vertex permutations."""
-    cosets = coset_ids(family.ctx, stack_bases(family))
-    s, per, size = cosets.shape
-    c = np.repeat(np.arange(s * per), size)
-    g = BipartiteGraph(family.ctx.q**family.n, s * per, np.column_stack([cosets.ravel(), c]))
-    return g, np.hstack([maps, g.nB + coset_permutation(cosets, maps)])
+def _coset_incidence(family: SpaceFamily, maps: np.ndarray,
+                     points: np.ndarray | None = None) -> tuple[BipartiteGraph, np.ndarray]:
+    """B = the vectors ``points`` of F_q^n (increasing vector indices, all
+    of them by default), C = the cosets of the members that hold one, in
+    :func:`dbrg.gfcore.coset_ids` order: with all vectors, coset j of
+    member i is C vertex i * q^(n-dim) + j, and j = 0 is the member
+    itself.  Also returns the vector-id maps ``maps`` (one per row, each
+    keeping ``points`` and sending every coset of a member to a coset of
+    that member) as int32 vertex permutations.
+
+    The edges come a batch of members at a time, each batch's tables
+    about ``_BATCH`` entries, straight from the coset that holds each
+    point; a point's neighbours increase with the member, so the rows
+    point by point, member by member, are sorted.
+    """
+    ctx, bases = family.ctx, stack_bases(family)
+    points = np.arange(ctx.q**family.n) if points is None else points
+    edges = np.empty((len(points), len(bases), 2), np.int32)
+    edges[:, :, 0] = np.arange(len(points))[:, None]
+    lifted, nC, step = [], 0, max(1, _BATCH // ctx.q**family.n)
+    for i in range(0, len(bases), step):
+        cosets = coset_ids(ctx, bases[i:i + step])
+        index = coset_index(cosets)
+        rows = np.arange(len(cosets))[:, None]
+        where, held = index[:, points], np.zeros(cosets.shape[:2], bool)
+        held[rows, where] = True
+        vertex = (np.cumsum(held, dtype=np.int32) + np.int32(nC - 1)).reshape(held.shape)
+        edges[:, i:i + step, 1] = vertex[rows, where].T
+        lifted.append(vertex[rows, index[rows, maps[:, cosets[:, :, 0]]]][:, held])
+        nC += int(held.sum())
+    g = BipartiteGraph(len(points), nC, edges.reshape(-1, 2))
+    del edges
+    moved = np.searchsorted(points, maps[:, points])
+    return g, np.hstack([moved, *(g.nB + c for c in lifted)]).astype(np.int32)
 
 
 def gen_delorme_graph(system: PerpSystem) -> ConstructionResult:
@@ -217,26 +261,25 @@ def hyperoval_affine_graph(q: int) -> ConstructionResult:
     """
     if q < 4 or q & (q - 1):
         raise ValueError("need q = 2^m with m >= 2")
-    _check_size(q**3 * (q + 2))  # the incidence graph of all cosets, before the restriction
+    _check_size(q * (q - 1) ** 2 // 2 * (q + 2))  # each point lies on q + 2 planes
     # planes of the dual hyperoval: perps of the oval points; each has q
-    # cosets, the plane through the origin first
+    # cosets, the plane through the origin first.  The points off every
+    # plane are those with an exterior direction, and lie on affine planes.
     planes = dualize(hyperoval(q))
-    full, (lam,) = _coset_incidence(planes, scaling(planes.ctx, 3, planes.ctx.generator)[None])
-    exterior = np.flatnonzero(np.bincount(full.eb[full.ec % q == 0], minlength=full.nB) == 0)
-    affine = np.flatnonzero(np.arange(full.nC) % q)
-    g = induced_subgraph(full, exterior.tolist(), affine.tolist())
-    # x -> lam x fixes the origin, so it keeps both vertex sets; renumber
-    # it as induced_subgraph does
-    keep = np.concatenate([exterior, full.nB + affine])
-    renumber = np.full(full.V, -1)
-    renumber[keep] = np.arange(len(keep))
+    ctx = planes.ctx
+    on_plane = np.zeros(q**3, bool)
+    on_plane[0] = True
+    on_plane[subspace_vector_ids(ctx, stack_bases(planes))] = True
+    # x -> lam x fixes the origin, so it keeps both vertex sets
+    g, (lam,) = _coset_incidence(planes, scaling(ctx, 3, ctx.generator)[None],
+                                 np.flatnonzero(~on_plane))
     arr = IntersectionArray(
         q + 2, q * (q - 1) // 2,
         (1, 2, q * (q + 1) // 4, q + 2),
         (1, q // 2, q + 1, q * (q - 1) // 2),
     )
     return ConstructionResult(g, arr, "affine hyperoval planes", {"q": q},
-                              automorphisms=(renumber[lam[keep]],))
+                              automorphisms=(lam,))
 
 
 def derived_local_graph(parent: BipartiteGraph, z_side: str, z_index: int) -> ConstructionResult:

@@ -16,9 +16,9 @@ of :func:`subspace_vector_ids` and :func:`scaling`.  Sums go through
 applies to arrays unchanged.  This module and :mod:`dbrg.gfint` are the
 only ones that know the vector-id encoding (:func:`vector_ids`:
 coordinates as one base-q number, added digit by digit); callers work
-through :func:`subspace_vector_ids` and :func:`coset_ids`, and act on
-ids through the maps :func:`translations`, :func:`scaling` and
-:func:`coset_permutation`.
+through :func:`subspace_vector_ids`, :func:`coset_ids` and its inverse
+:func:`coset_index`, and act on ids through the maps :func:`translations`
+and :func:`scaling`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "coset_ids",
     "translations",
     "scaling",
-    "coset_permutation",
+    "coset_index",
 ]
 
 
@@ -181,17 +181,14 @@ def scaling(ctx: FieldContext, n: int, lam: int) -> np.ndarray:
     return vector_ids(ctx, mul(ctx, lam, coords))
 
 
-def coset_permutation(cosets: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The map that vector-id maps ``images`` (shape (..., q^n)) induce on
-    the flattened :func:`coset_ids` ``cosets`` (shape (K, q^(n-m), q^m)):
-    coset j of subspace i, at i q^(n-m) + j, goes to the coset of subspace
-    i that holds the image of its first vector.  Shape (..., K q^(n-m)).
-    It is the induced permutation when each map sends every coset of a
-    subspace to a coset of the same subspace, as translations and
-    scalings do; nothing here checks that."""
+def coset_index(cosets: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`coset_ids` ``cosets`` (shape (K, q^(n-m), q^m)):
+    entry [i, x] is the j whose coset j of subspace i holds vector id x;
+    int32, shape (K, q^n).  A vector-id map that sends each coset of
+    subspace i to a coset of subspace i, as translations and scalings do,
+    sends coset j to coset ``index[i, image[cosets[i, j, 0]]]``, the one
+    holding the image of its first vector; nothing here checks that."""
     count, per, size = cosets.shape
-    where = np.empty((count, per * size), np.int64)  # where[i, x]: the coset of subspace i holding x
-    rows = np.arange(count)[:, None]
-    where[rows[:, :, None], cosets] = np.arange(per)[:, None]
-    moved = where[rows, np.asarray(images)[..., cosets[:, :, 0]]]
-    return (rows * per + moved).reshape(*moved.shape[:-2], -1)
+    index = np.empty((count, per * size), np.int32)
+    index[np.arange(count)[:, None, None], cosets] = np.arange(per, dtype=np.int32)[:, None]
+    return index

@@ -209,6 +209,38 @@ def test_induced_subgraph_and_flip():
     assert dbrg_check(f).ok
 
 
+def test_induced_subgraph_refuses_an_index_outside_its_class():
+    g = complete_bip(3, 2)
+    with pytest.raises(ValueError, match="^B index 7 out of range for B=3$"):
+        induced_subgraph(g, [0, 7], [0, -1])
+    with pytest.raises(ValueError, match="^C index -1 out of range for C=2$"):
+        induced_subgraph(g, [0, 2], [0, -1])
+    assert induced_subgraph(g, [2, 0, 2], [1]).edges == ((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1)],
+    np.array([[0.0, 1.0]]),
+    [(True, 1)],
+    np.array([[True, False]]),
+], ids=["float_list", "float_array", "bool_in_list", "bool_array"])
+def test_graph_refuses_non_integer_edges(edges):
+    with pytest.raises(ValueError, match="^edges must hold integers"):
+        BipartiteGraph(2, 2, edges)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1, 2)], "edge 0 is not a pair: (0, 1, 2)"),
+    ([(0, 1), (1,)], "edge 1 is not a pair: (1,)"),
+    ([(0, 1), (1, 0), 1], "edge 2 is not a pair: 1"),
+    (np.zeros((2, 3), int), "edge 0 is not a pair: array([0, 0, 0])"),
+], ids=["triple", "single", "scalar", "array_rows_of_three"])
+def test_graph_names_the_edge_that_is_no_pair(edges, message):
+    with pytest.raises(ValueError) as err:
+        BipartiteGraph(2, 2, edges)
+    assert str(err.value) == message
+
+
 def test_graph_file_round_trip():
     g = complete_bip(2, 3)
     text = serialize_graph(g)

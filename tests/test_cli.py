@@ -326,7 +326,7 @@ def test_memory_error_exits_65(tmp_path, capsys, monkeypatch, layer, call, argv)
     ["complete-bipartite", "--k", "100000", "--l", "100000"],
     ["bi-johnson", "--n", "40", "--k", "19"],
     ["bi-grassmann", "--n", "8", "--k", "1", "--q", "16"],
-    ["hyperoval-affine", "--q", "64"],
+    ["hyperoval-affine", "--q", "128"],
 ])
 def test_oversized_construct_exits_65_at_once(tmp_path, capsys, argv):
     # sizes whose graph would pass the builders' edge bound are refused

@@ -1,6 +1,7 @@
 """Builders against the definition-exact verifier."""
 
 import hashlib
+import itertools
 import pickle
 import time
 import tracemalloc
@@ -8,7 +9,8 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dbrg.bigraph import BipartiteGraph, dbrg_check, distance_partition, girth, serialize_graph
+from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, girth, parse_graph,
+                          serialize_graph)
 from dbrg.constructions import (
     MAX_EDGES,
     _coset_incidence,
@@ -61,6 +63,18 @@ def test_bi_johnson():
     verified(r2)
     with pytest.raises(ValueError):
         bi_johnson(5, 2)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (7, 2), (9, 3), (10, 4), (12, 5), (30, 1)])
+def test_bi_johnson_edges_are_subset_inclusions(n, k):
+    # numbered as itertools.combinations numbers the subsets
+    small = list(itertools.combinations(range(n), k))
+    large = {s: i for i, s in enumerate(itertools.combinations(range(n), k + 1))}
+    want = sorted((i, large[tuple(sorted(s + (x,)))]) for i, s in enumerate(small)
+                  for x in range(n) if x not in s)
+    g = bi_johnson(n, k).graph
+    assert (g.nB, g.nC) == (len(small), len(large))
+    assert g.edges == tuple(want)
 
 
 def test_bi_grassmann():
@@ -175,10 +189,10 @@ def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
     lambda: bi_johnson(10**30, 10**29),  # counted in part: C(n, 25) is over already
     lambda: bi_grassmann(8, 1, 16),
     lambda: bi_grassmann(10**30, 2, 2),  # counted in part, as [26, 1]_2
-    lambda: hyperoval_affine_graph(64),  # 64^3 66 edges before the restriction
+    lambda: hyperoval_affine_graph(128),  # 128 127^2 / 2 points, each on 130 planes
     lambda: hyperoval_affine_graph(2**40),  # beyond the field bound as well
 ], ids=["complete_bipartite", "bi_johnson", "bi_johnson_huge", "bi_grassmann",
-        "bi_grassmann_huge", "hyperoval_affine64", "hyperoval_affine_huge"])
+        "bi_grassmann_huge", "hyperoval_affine128", "hyperoval_affine_huge"])
 def test_oversized_builds_are_refused_before_allocating(build):
     # the predicted edge count is checked against MAX_EDGES first: the
     # refusal is immediate and allocates next to nothing
@@ -191,6 +205,49 @@ def test_oversized_builds_are_refused_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert seconds < 1 and peak < 2**20, (seconds, peak)
+
+
+def test_hyperoval_affine_64_is_within_the_edge_bound(monkeypatch):
+    # the bound counts the 64 63^2 / 2 * 66 = 8382528 final edges, not the
+    # cosets of all 64^3 vectors: the build gets past the size check to the
+    # hyperoval, stopped here before it allocates anything
+    class Built(Exception):
+        pass
+
+    def stop(q):
+        raise Built(q)
+
+    monkeypatch.setattr("dbrg.constructions.hyperoval", stop)
+    with pytest.raises(Built, match="^64$"):
+        hyperoval_affine_graph(64)
+    assert 64 * 63**2 // 2 * 66 == 8382528 <= MAX_EDGES
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_layers_peak_at_pinned_bytes_per_edge():
+    # every edge-sized array from the builder through the file to the
+    # graph is int32, and no step holds more than one edge-sized copy
+    # beyond the graph (8 bytes an edge) and the text (9.5): measured
+    # 18.9, 20.8, 17.2 and 29.9 bytes an edge (numpy 2.4), each pinned
+    # with a quarter of headroom; bi_johnson's 10010 edges carry its
+    # fixed tables too
+    built, peak = _traced_peak(lambda: cone_graph(4))
+    m = len(built.graph.eb)
+    assert m == 348160 and peak / m < 24, peak / m
+    text, peak = _traced_peak(lambda: serialize_graph(built.graph))
+    assert peak / m < 26, peak / m
+    parsed, peak = _traced_peak(lambda: parse_graph(text))
+    assert parsed.edges == built.graph.edges and peak / m < 22, peak / m
+    built, peak = _traced_peak(lambda: bi_johnson(14, 4))
+    m = len(built.graph.eb)
+    assert m == 10010 and peak / m < 37, peak / m
 
 
 def test_oversized_gen_delorme_graph_is_refused():
