@@ -25,8 +25,8 @@ class size x ``_WORDS`` word arrays.  Beyond that at most one array of
 sort keys at a time (4 bytes an edge while nB nC <= 2^32): the
 constructor's, a table's in the making, or a claimed automorphism's
 image; gathers go ``_STEP`` edges at a time.  The file reader holds
-``_CHUNK`` lines and int32 blocks of edges, the writer formats
-``_CHUNK`` edges at a time.  The Delorme graph of the dual Denniston
+one ``_BLOCK`` of text and int32 blocks of edges, the writer one
+``_CHUNK`` of edges as text.  The Delorme graph of the dual Denniston
 (32,4) arc, 3.3M edges, builds and checks with its translations at a
 93 MB peak RSS, 63 MB over the interpreter and numpy.
 
@@ -39,7 +39,10 @@ Vertices are addressed by a single index: the B class occupies
 ``0..nB-1`` and the C class ``nB..nB+nC-1``.
 
 Graph text format: header ``B=<nB> C=<nC>``, then one edge ``<b> <c>``
-per line with 0-based class-local indices, sorted.
+per line with 0-based class-local indices, sorted.  :func:`write_graph`
+streams it ``_CHUNK`` edges at a time.  :func:`parse_graph` converts a
+block of ``_BLOCK`` characters to a line feed by one ``np.fromstring`` if
+it is lines "<b> <c>" of ASCII digits in range, else line by line.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "induced_subgraph",
     "parse_graph",
     "serialize_graph",
+    "write_graph",
 ]
 
 
@@ -175,7 +179,8 @@ class BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 _WORDS = 16  # source words per BFS chunk: each level array is class size x 16 words
-_CHUNK = 1024  # graph-file lines converted per step: the word lists stay small
+_CHUNK = 1024  # graph-file edges formatted per step
+_BLOCK = 2**16  # graph-file characters read per step, then to the end of the line
 _STEP = 2**16  # edges gathered per step: no temporary as large as the edges
 
 # A class's rows are its vertices by decreasing degree, ``order[row]`` the
@@ -511,13 +516,20 @@ def induced_subgraph(
 # Text format
 # ---------------------------------------------------------------------------
 
-def serialize_graph(g: BipartiteGraph) -> str:
-    """The graph text format, formatted ``_CHUNK`` edges at a time."""
+def write_graph(g: BipartiteGraph, fh: TextIO) -> None:
+    """Write the graph text format to ``fh``, ``_CHUNK`` edges at a time."""
     b = np.array([f"{i} " for i in range(g.nB)], dtype=object)
     c = np.array([f"{j}\n" for j in range(g.nC)], dtype=object)
-    return f"B={g.nB} C={g.nC}\n" + "".join(
-        "".join((b[g.eb[i:i + _CHUNK]] + c[g.ec[i:i + _CHUNK]]).tolist())
-        for i in range(0, len(g.eb), _CHUNK))
+    fh.write(f"B={g.nB} C={g.nC}\n")
+    for i in range(0, len(g.eb), _CHUNK):
+        fh.write("".join((b[g.eb[i:i + _CHUNK]] + c[g.ec[i:i + _CHUNK]]).tolist()))
+
+
+def serialize_graph(g: BipartiteGraph) -> str:
+    """The graph text format as one string, as :func:`write_graph` writes it."""
+    out = io.StringIO()
+    write_graph(g, out)
+    return out.getvalue()
 
 
 def _integer(word: str) -> int:
@@ -527,27 +539,48 @@ def _integer(word: str) -> int:
     return int(word)
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as a universal-newline file yields them, read
-    from pieces that end after a line feed (so a CR LF stays whole), not
-    from a copy of the whole text."""
+def _blocks(source: str | TextIO) -> Iterator[str]:
+    """``source`` in pieces of about ``_BLOCK`` characters that end after a
+    line feed (so a CR LF stays whole), with newlines translated as a
+    universal-newline file reads them; a file is read a piece at a time."""
+    if not isinstance(source, str):
+        while block := source.read(_BLOCK):
+            yield block if block.endswith("\n") else block + source.readline()
+        return
     start = 0
-    while start < len(text):
-        end = text.find("\n", start + 2**16) + 1 or len(text)
-        yield from io.StringIO(text[start:end], newline=None)
+    while start < len(source):
+        end = source.find("\n", start + _BLOCK) + 1 or len(source)
+        yield source[start:end].replace("\r\n", "\n").replace("\r", "\n")
         start = end
+
+
+def _edge_block(block: str, nb: int, nc: int) -> np.ndarray | None:
+    """The int32 edges of ``block`` by one ``np.fromstring`` if it is lines
+    "<b> <c>\\n" of 1 to 18 ASCII digits, b < nb and c < nc, else None: that
+    call also reads "+", "-", tabs and spaces, and caps a number at int64."""
+    if not (block.isascii() and block.endswith("\n")):
+        return None
+    text = np.frombuffer(block.encode(), np.uint8)
+    at = np.flatnonzero((text < 48) | (text > 57))  # the non-digits, with the last "\n"
+    gaps = np.diff(at, prepend=-1)
+    if len(at) % 2 or not (((gaps > 1) & (gaps < 20)).all()
+                           and (text[at].reshape(-1, 2) == (32, 10)).all()):
+        return None
+    edges = np.fromstring(block, np.int64, sep=" ").reshape(-1, 2)
+    fits = len(edges) * 2 == len(at) and edges[:, 0].max() < nb and edges[:, 1].max() < nc
+    return edges.astype(np.int32) if fits else None
 
 
 def parse_graph(source: str | TextIO) -> BipartiteGraph:
     """Parse the graph text format from a string or from a text file opened
     in universal-newline mode (``open``'s default), which is read
-    ``_CHUNK`` lines at a time and never held whole; ValueError names the
-    first faulty line.  The header is two words, ``B=<nB> C=<nC>``."""
-    lines = _text_lines(source) if isinstance(source, str) else source
-    head = next(lines, "")
-    if not head:
+    ``_BLOCK`` characters at a time and never held whole; ValueError names
+    the first faulty line.  The header is two words, ``B=<nB> C=<nC>``."""
+    blocks = _blocks(source)
+    block = next(blocks, "")
+    if not block:
         raise ValueError("empty graph file")
-    head = head.rstrip("\n")
+    head, _, rest = block.partition("\n")
     header = head.split()
     try:
         if len(header) != 2 or header[0][:2] != "B=" or header[1][:2] != "C=":
@@ -559,45 +592,32 @@ def parse_graph(source: str | TextIO) -> BipartiteGraph:
         _check_class_sizes(nb, nc)
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
-    # per chunk: its edges, int32, and the line of each: a range, or a list
-    # if the chunk has a blank line
-    blocks, nos = [], []
-    chunks = iter(lambda: list(itertools.islice(lines, _CHUNK)), [])
-    for first, chunk in zip(itertools.count(2, _CHUNK), chunks):
-        # "b c ; b c ; ...": ";" is no integer, so if 3k - 1 words hold integers in
-        # every b and c place, the k - 1 separators fill the rest: two words a line
-        k, text = len(chunk), " ; ".join(chunk)
-        words, block = text.split(), np.empty((k, 2), np.int32)
-        try:  # int() also reads "1_0", "+0" and non-ASCII digits: such chunks go line by line
-            block[:, 0], block[:, 1] = (np.fromiter(map(int, words[i::3]), np.int32, k)
-                                        for i in (0, 1))
-            fast = (len(words) == 3 * k - 1 and block.min() >= 0
-                    and text.isascii() and "_" not in text and "+" not in text)
-        except (ValueError, OverflowError):
-            fast = False
-        if fast and block[:, 0].max() < nb and block[:, 1].max() < nc:
-            blocks.append(block)
-            nos.append(range(first, first + k))
-            continue
-        kept, lines_at = [], []
-        for no, line in enumerate(chunk, start=first):  # a blank or faulty line
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
-            try:
-                b, c = _integer(parts[0]), _integer(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
-            if not (0 <= b < nb and 0 <= c < nc):
-                raise ValueError(f"line {no}: edge ({b},{c}) out of range for B={nb} C={nc}")
-            kept.append((b, c))
-            lines_at.append(no)
-        blocks.append(np.array(kept, np.int32).reshape(-1, 2))
-        nos.append(lines_at)
-    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), np.int32)
-    del blocks
+    # per block: its edges, int32, and the line of each: a range, or a list
+    # if the block went line by line
+    edge_blocks, nos, first = [], [], 2
+    for block in itertools.chain([rest], blocks):
+        edges, kept, lines_at = _edge_block(block, nb, nc), [], []
+        if edges is None:  # a blank or faulty line, or other spacing: line by line
+            for no, line in enumerate(block.split("\n"), start=first):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 2:
+                    raise ValueError(f"line {no}: expected '<b> <c>', got {line.strip()!r}")
+                try:
+                    b, c = _integer(parts[0]), _integer(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"line {no}: non-integer edge {line.strip()!r}") from exc
+                if not (0 <= b < nb and 0 <= c < nc):
+                    raise ValueError(f"line {no}: edge ({b},{c}) out of range for B={nb} C={nc}")
+                kept.append((b, c))
+                lines_at.append(no)
+            edges = np.array(kept, np.int32).reshape(-1, 2)
+        edge_blocks.append(edges)
+        nos.append(lines_at or range(first, first + len(edges)))
+        first += block.count("\n")
+    edges = np.concatenate(edge_blocks) if edge_blocks else np.empty((0, 2), np.int32)
+    del edge_blocks
     g = BipartiteGraph(nb, nc, edges)
     if len(g.eb) < len(edges):  # name the first line that repeats an earlier edge
         keys = _pair_keys(edges[:, 0], edges[:, 1], nc, _key_dtype(nb, nc))

@@ -26,13 +26,19 @@ Exit codes separate mathematical verdicts from operational failures:
 * 64  usage error (unknown command, malformed invocation)
 * 65  invalid parameters or file contents, including inputs whose
       arrays do not fit in memory (``invalid input: too large: ...``)
-* 66  file I/O failure
+* 66  file I/O failure, also of stdout (a full disk, a closed pipe)
+
+``python -m dbrg.cli`` and ``dbrg`` end through :func:`run`: it flushes
+stdout and stderr and calls ``os._exit``, skipping interpreter and numpy
+teardown; every file written is closed before :func:`main` returns, and
+no module registers an exit handler or a finalizer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,7 +105,8 @@ def _emit(built, out: str, keys: dict) -> int:
     from . import bigraph
 
     res = bigraph.dbrg_check(built.graph, built.automorphisms)
-    _write(out + ".graph", bigraph.serialize_graph(built.graph))
+    with open(out + ".graph", "w") as fh:
+        bigraph.write_graph(built.graph, fh)
     payload = {
         **keys,
         "nB": built.graph.nB,
@@ -378,5 +385,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """Exit with the code of :func:`main` once stdout and stderr are flushed."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None if its fd was closed
+        try:
+            stream.flush()
+        except OSError as exc:  # a full disk or a closed pipe, buffered or not
+            code = EXIT_IO
+            print(f"I/O error: {exc}", file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -490,3 +490,63 @@ def test_feas_enumerate_json_bytes(tmp_path, capsys):
     assert main(["feas", "enumerate", "--max-side", "200", "--json", str(path)]) == 0
     assert last_json(capsys)["rows"] == len(enumerate_feasible(200))
     assert path.read_text() == rows_to_json(enumerate_feasible(200))
+
+
+def _command(args: list[str], cwd: Path, unbuffered: bool, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m dbrg.cli args`` in a new process in ``cwd``, with
+    ``PYTHONUNBUFFERED`` set or unset."""
+    src = str(Path(dbrg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "dbrg.cli", *args], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("args", [["feas", "enumerate", "--max-side", "100"],
+                                  ["construct", "cone", "--q", "2", "--out", "c2"]])
+def test_a_stdout_that_fails_exits_66(tmp_path, args, sink, unbuffered):
+    # a buffered stdout fails only in the flush after main returns, which
+    # an interpreter at exit reports as "Exception ignored" and exit 120
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        with open(sink, "w") as out:
+            proc = _command(args, tmp_path, unbuffered, stdout=out)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _command(args, tmp_path, unbuffered, stdout=write)
+        finally:
+            os.close(write)
+    assert proc.returncode == 66, proc.stderr
+    assert proc.stderr.startswith("I/O error: [Errno ") and "Exception" not in proc.stderr
+
+
+def test_ending_by_os_exit_loses_no_output(tmp_path, capsys, monkeypatch):
+    # each command in a new process, stdout a pipe and buffered, against
+    # main() in this one: the same summary line and byte-identical files
+    commands = [
+        (["construct", "cone", "--q", "2", "--out", "c2"], ["c2.graph", "c2.json"]),
+        (["verify", "c2.graph"], []),
+        (["perp", "search", "--n", "3", "--k", "1", "--q", "4", "--d", "2", "--out", "s.perp"],
+         ["s.perp"]),
+        (["feas", "enumerate", "--max-side", "1300", "--out", "rows.csv", "--json", "rows.json"],
+         ["rows.csv", "rows.json"]),
+    ]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for args, files in commands:
+        proc = _command(args, fresh, unbuffered=False, stdout=subprocess.PIPE)
+        code = main(args)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        line = proc.stdout.splitlines()[-1]
+        assert json.loads(line) and line == capsys.readouterr().out.splitlines()[-1]
+        for name in files:
+            assert (fresh / name).read_bytes() == (here / name).read_bytes(), name

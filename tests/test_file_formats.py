@@ -170,12 +170,70 @@ def parse_outcome(parse, text):
 @SETTINGS
 @given(bigraphs(), EDITS, st.sampled_from(["\n", "\r\n", "\r"]))
 def test_chunked_reader_matches_line_reader(g, edits, newline):
-    # chunks of 3 lines put a chunk boundary every third line of a small file
+    # blocks of 8 characters and then to a line feed put a block boundary
+    # every line or two of a small file
     text = mutate(serialize_graph(g), edits).replace("\n", newline)
-    with mock.patch.object(bigraph, "_CHUNK", 3):
+    with mock.patch.object(bigraph, "_BLOCK", 8):
         want = parse_outcome(reference_parse_graph, text)
         assert parse_outcome(parse_graph, text) == want
         assert parse_outcome(parse_graph_file, text) == want
+
+
+# faults for the block reader: each turns the line "<b> <c>" into text
+# that the one-call conversion of a block must refuse, to be read line by
+# line, or that np.fromstring would read otherwise than the line reader
+FAULTS = {
+    "leading zeros": lambda b, c: f"00{b} {c}",
+    "CR LF": lambda b, c: f"{b} {c}\r",
+    "blank line": lambda b, c: f"\n{b} {c}",
+    "tab": lambda b, c: f"{b}\t{c}",
+    "trailing spaces": lambda b, c: f"{b} {c}  ",
+    "leading space": lambda b, c: f" {b} {c}",
+    "two spaces": lambda b, c: f"{b}  {c}",
+    "plus": lambda b, c: f"+{b} {c}",
+    "underscore": lambda b, c: f"{b}_0 {c}",
+    "minus zero": lambda b, c: f"-0 {c}",
+    "minus": lambda b, c: f"{b} -{c}",
+    "20 digits": lambda b, c: f"{b} {c:020d}",
+    "19 digits": lambda b, c: f"{b:019d} {c}",
+    "20-digit number": lambda b, c: f"{b} {10**19 + c}",
+    "beyond uint64": lambda b, c: f"{2**64 + b} {c}",
+    "non-ASCII digit": lambda b, c: f"{b} {c}\u0661",
+    "fullwidth digit": lambda b, c: f"\uff11 {c}",
+    "three words": lambda b, c: f"{b} {c} {c}",
+    "one word": lambda b, c: f"{b}",
+    "out of range": lambda b, c: f"{b} 9",
+}
+
+
+@SETTINGS
+@given(bigraphs(), st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(sorted(FAULTS))),
+                            max_size=3), st.integers(1, 24), st.booleans())
+def test_block_reader_matches_line_reader_with_faults(g, faults, block, final_newline):
+    # small blocks split a file at many line feeds; every fault must give
+    # the same graph, or the same first message and line, as the reference
+    lines = serialize_graph(g).splitlines()
+    for where, fault in faults:
+        if g.edges:
+            i = where % len(g.edges)
+            lines[1 + i] = FAULTS[fault](*g.edges[i])
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    with mock.patch.object(bigraph, "_BLOCK", block):
+        want = parse_outcome(reference_parse_graph, text)
+        assert parse_outcome(parse_graph, text) == want
+        assert parse_outcome(parse_graph_file, text) == want
+
+
+def test_plain_file_is_converted_a_block_at_a_time():
+    # no line of a written file goes through the line-by-line path: the
+    # header's two integers are the only words it converts alone
+    text = serialize_graph(cone_graph(3).graph)
+    with mock.patch.object(bigraph, "_integer", wraps=bigraph._integer) as words:
+        g = parse_graph(text)
+    assert words.call_count == 2 and serialize_graph(g) == text
+    with mock.patch.object(bigraph, "_integer", wraps=bigraph._integer) as words:
+        parse_graph(text[:-1])  # without its final line feed, the last block goes line by line
+    assert 2 < words.call_count < 2 + 2 * bigraph._BLOCK // 4
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

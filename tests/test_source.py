@@ -236,6 +236,26 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_no_module_needs_the_interpreter_teardown():
+    # every command ends by os._exit, which runs no exit handler and no
+    # finalizer: a module that registered one would lose its work
+    found = [f"{path.name} imports atexit" for path in SOURCES
+             if "atexit" in {name.split(".")[0] for name in _imports(path)[1]}]
+    found += [f"{path.name}:{node.lineno}: defines __del__" for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__del__"]
+    assert found == []
+
+
+def test_every_command_ends_through_run():
+    # python -m dbrg.cli and the dbrg console script both call cli.run
+    package = Path(dbrg.__file__).parent
+    pyproject = package.parents[1] / "pyproject.toml"
+    assert re.search(r'^dbrg = "dbrg\.cli:run"$', pyproject.read_text(), re.M)
+    last = ast.parse((package / "cli.py").read_text()).body[-1]
+    assert ast.unparse(last) == "if __name__ == '__main__':\n    run()"
+
+
 def test_cli_imports_no_layer_at_module_level():
     # each command imports the layers it calls, so `import dbrg.cli` is cheap
     path = Path(dbrg.__file__).parent / "cli.py"
