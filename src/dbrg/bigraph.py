@@ -63,7 +63,6 @@ __all__ = [
     "DbrgResult",
     "distance_partition",
     "dbrg_check",
-    "girth",
     "flip",
     "induced_subgraph",
     "parse_graph",
@@ -309,13 +308,6 @@ class DistancePartition(NamedTuple):
     source: int
     cells: tuple[tuple[int, ...], ...]
 
-    @property
-    def eccentricity(self) -> int:
-        return len(self.cells) - 1
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
-
 
 class _Disconnected(ValueError):
     """Raised by the distance engine when a BFS misses a vertex."""
@@ -471,21 +463,6 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
     array = IntersectionArray(k=bB[0], l=bC[0], cB=cB[1:], cC=cC[1:])
     array.validate()
     return DbrgResult(True, array=array, regular=array.regular)
-
-
-def girth(g: BipartiteGraph) -> int:
-    """Exact girth, 0 for an acyclic graph: a vertex first reached at level i
-    with two parents closes a cycle of length at most 2i, and every vertex
-    of a shortest cycle sees one at half its length.  Two parents or more
-    is a set bit in count plane 1 or above under ``new``."""
-    best = 0
-    for _, _, levels in _sweeps(g, range(g.V)):
-        for level, _, new, planes, _ in levels:
-            if any((p & new).any() for p in planes[1:]):
-                best = 2 * level
-            if best and 2 * level + 2 >= best:
-                break
-    return best
 
 
 def flip(g: BipartiteGraph) -> BipartiteGraph:

@@ -26,7 +26,8 @@ Exit codes separate mathematical verdicts from operational failures:
 * 64  usage error (unknown command, malformed invocation)
 * 65  invalid parameters or file contents, including inputs whose
       arrays do not fit in memory (``invalid input: too large: ...``)
-* 66  file I/O failure, also of stdout (a full disk, a closed pipe)
+* 66  file I/O failure, also of stdout or stderr (a full disk, a closed
+      pipe)
 
 ``python -m dbrg.cli`` and ``dbrg`` end through :func:`run`: it flushes
 stdout and stderr and calls ``os._exit``, skipping interpreter and numpy
@@ -386,14 +387,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with the code of :func:`main` once stdout and stderr are flushed."""
-    code = main()
+    """Exit with the code of :func:`main` once stdout and stderr are flushed:
+    66 if writing to either fails, with a message while stderr takes one."""
+    try:
+        code = main()
+    except OSError:  # a handler's message to a failed stderr
+        code = EXIT_IO
     for stream in filter(None, (sys.stdout, sys.stderr)):  # None if its fd was closed
         try:
             stream.flush()
         except OSError as exc:  # a full disk or a closed pipe, buffered or not
             code = EXIT_IO
-            print(f"I/O error: {exc}", file=sys.stderr)
+            try:
+                print(f"I/O error: {exc}", file=sys.stderr)
+            except OSError:
+                pass
     os._exit(code)
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .bigraph import BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph
 from .gfcore import (
-    coset_ids,
     coset_index,
     echelon_bases,
     scaling,
@@ -173,11 +172,12 @@ def _coset_incidence(family: SpaceFamily, maps: np.ndarray,
                      points: np.ndarray | None = None) -> tuple[BipartiteGraph, np.ndarray]:
     """B = the vectors ``points`` of F_q^n (increasing vector indices, all
     of them by default), C = the cosets of the members that hold one, in
-    :func:`dbrg.gfcore.coset_ids` order: with all vectors, coset j of
+    :func:`dbrg.gfcore.coset_index` order: with all vectors, coset j of
     member i is C vertex i * q^(n-dim) + j, and j = 0 is the member
     itself.  Also returns the vector-id maps ``maps`` (one per row, each
     keeping ``points`` and sending every coset of a member to a coset of
-    that member) as int32 vertex permutations.
+    that member) as int32 vertex permutations, lifted to the cosets
+    through one vector of each.
 
     The edges come a batch of members at a time, each batch's tables
     about ``_BATCH`` entries, straight from the coset that holds each
@@ -185,19 +185,22 @@ def _coset_incidence(family: SpaceFamily, maps: np.ndarray,
     point by point, member by member, are sorted.
     """
     ctx, bases = family.ctx, stack_bases(family)
-    points = np.arange(ctx.q**family.n) if points is None else points
+    size = ctx.q**family.n
+    points = np.arange(size) if points is None else points
     edges = np.empty((len(points), len(bases), 2), np.int32)
     edges[:, :, 0] = np.arange(len(points))[:, None]
-    lifted, nC, step = [], 0, max(1, _BATCH // ctx.q**family.n)
+    lifted, nC, step = [], 0, max(1, _BATCH // size)
+    per = size // ctx.q ** bases.shape[1]  # cosets of each member
     for i in range(0, len(bases), step):
-        cosets = coset_ids(ctx, bases[i:i + step])
-        index = coset_index(cosets)
-        rows = np.arange(len(cosets))[:, None]
-        where, held = index[:, points], np.zeros(cosets.shape[:2], bool)
+        index = coset_index(ctx, bases[i:i + step])
+        rows = np.arange(len(index))[:, None]
+        where, held = index[:, points], np.zeros((len(index), per), bool)
         held[rows, where] = True
         vertex = (np.cumsum(held, dtype=np.int32) + np.int32(nC - 1)).reshape(held.shape)
         edges[:, i:i + step, 1] = vertex[rows, where].T
-        lifted.append(vertex[rows, index[rows, maps[:, cosets[:, :, 0]]]][:, held])
+        reps = np.empty((len(index), per), np.int32)
+        reps[rows, index] = np.arange(size, dtype=np.int32)  # one vector of each coset
+        lifted.append(vertex[rows, index[rows, maps[:, reps]]][:, held])
         nC += int(held.sum())
     g = BipartiteGraph(len(points), nC, edges.reshape(-1, 2))
     del edges
@@ -236,8 +239,7 @@ def cone_graph(q: int) -> ConstructionResult:
     B is the q^6 affine points, C the q^3 cosets of each of the
     (q+1)(q^2+1) totally singular 3-spaces in the chosen ruling.
     """
-    if q > 4:
-        raise ValueError("cone_graph is desk-scale: q <= 4")
+    _check_size(q**6 * (q + 1) * (q * q + 1))  # each point lies on one coset of each member
     _, s_star = cone_spaces(q)
     g, shifts = _coset_incidence(s_star, translations(s_star.ctx, 6))
     n4 = qbinom(4, 1, q)

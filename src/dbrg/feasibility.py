@@ -255,13 +255,6 @@ class FeasibilityReport(NamedTuple):
     status: str  # feasible | infeasible | flagged
     reasons: tuple[str, ...]
 
-    @property
-    def structurally_sound(self) -> bool:
-        """Counts, products, and halved-SRG admissibility all hold."""
-        return self.counts.ok and self.srg.ok and all(
-            c.ok for c in self.conditions if c.name == "products"
-        )
-
 
 def evaluate(a: IntersectionArray) -> FeasibilityReport:
     """Run every implemented condition on one diameter-4, girth-4 array;

@@ -11,14 +11,16 @@ values one at a time.
 One pair of exp/log tables serves both layers: a :class:`FieldContext`
 holds them as Python lists for its scalar methods, and :func:`mul`
 reads them as int32 arrays (converted once per field) for the products
-of :func:`subspace_vector_ids` and :func:`scaling`.  Sums go through
-``FieldContext.add``, which is written in integer operators and so
-applies to arrays unchanged.  This module and :mod:`dbrg.gfint` are the
-only ones that know the vector-id encoding (:func:`vector_ids`:
-coordinates as one base-q number, added digit by digit); callers work
-through :func:`subspace_vector_ids`, :func:`coset_ids` and its inverse
+of :func:`subspace_vector_ids`, :func:`coset_index` and :func:`scaling`.
+Sums go through ``FieldContext.add``, which is written in integer
+operators and so applies to arrays unchanged.  This module and
+:mod:`dbrg.gfint` are the only ones that know the vector-id encoding
+(:func:`vector_ids`: coordinates as one base-q number, added digit by
+digit); callers work through :func:`subspace_vector_ids` and
 :func:`coset_index`, and act on ids through the maps :func:`translations`
-and :func:`scaling`.
+and :func:`scaling`.  Cosets are numbered once, by reduction: coset j of
+a subspace M holds the vectors whose ``M.reduce`` image has the base-q
+digits of j on the free (non-pivot) coordinates, so coset 0 is M.
 """
 
 from __future__ import annotations
@@ -29,18 +31,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .gfint import FieldContext, SpaceFamily, Subspace, rref
+from .gfint import FieldContext, SpaceFamily, Subspace
 from .gfint import index_vector  # noqa: F401 -- bench/trace_layers.py reads gfcore.index_vector
 
 __all__ = [
-    "subspace_meet",
     "enumerate_subspaces",
     "stack_bases",
     "echelon_bases",
     "mul",
     "vector_ids",
     "subspace_vector_ids",
-    "coset_ids",
     "translations",
     "scaling",
     "coset_index",
@@ -64,17 +64,6 @@ def stack_bases(family: SpaceFamily) -> np.ndarray:
     m = family.members[0].dim if family.members else 0
     bases = np.array([mb.basis for mb in family.members], np.int64)
     return bases.reshape(len(family), m, family.n)
-
-
-def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
-    """Exact intersection, via the Zassenhaus block trick."""
-    if u.ctx != w.ctx or u.n != w.n:
-        raise ValueError("subspaces live in different ambient spaces")
-    ctx, n = u.ctx, u.n
-    block = [list(r) + list(r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
-    reduced = rref(ctx, block, 2 * n)
-    inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
-    return Subspace(ctx, n, rref(ctx, inter, n))
 
 
 def enumerate_subspaces(ctx: FieldContext, n: int, m: int) -> Iterator[Subspace]:
@@ -114,12 +103,13 @@ def echelon_bases(ctx: FieldContext, n: int, m: int) -> Iterator[np.ndarray]:
 
 
 def vector_ids(ctx: FieldContext, vectors) -> np.ndarray:
-    """:func:`dbrg.gfint.vector_index` of each vector along the last axis, stacked.
+    """The id of each vector along the last axis, stacked: its rank in the
+    lexicographic order of F_q^n, the coordinates read as one base-q number.
 
-    The id reads the coordinates as one base-q number, and the base-p
-    digits of a coordinate are its polynomial coefficients, so the base-p
-    digits of an id are the vector's coordinates over GF(p): vectors add
-    as ``ctx.add(id1, id2, n * ctx.t)``.  int32 while q^n fits, else int64.
+    The base-p digits of a coordinate are its polynomial coefficients, so
+    the base-p digits of an id are the vector's coordinates over GF(p):
+    vectors add as ``ctx.add(id1, id2, n * ctx.t)``.  int32 while q^n
+    fits, else int64.
     """
     vectors = np.asarray(vectors)
     n = vectors.shape[-1]
@@ -146,25 +136,6 @@ def subspace_vector_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
     return np.sort(ids[:, 1:], axis=1)
 
 
-def coset_ids(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
-    """Vector ids of every coset of each subspace, shape (K, q^(n-m), q^m).
-
-    Coset j of subspace M is rep_j + M, where rep_j (the ``M.reduce``
-    image of the coset) is zero on the pivots of M and has the base-q
-    digits of j, in order, on the free coordinates; so j = 0 is M itself.
-    Each coset lists rep_j first, then rep_j plus the sorted
-    :func:`subspace_vector_ids` of M.
-    """
-    count, m, n = bases.shape
-    q = ctx.q
-    ids = np.pad(subspace_vector_ids(ctx, bases), ((0, 0), (1, 0)))  # the zero vector first
-    free = np.ones((count, n), dtype=bool)
-    free[np.arange(count)[:, None], np.argmax(bases != 0, axis=2)] = False
-    reps = np.zeros((count, n, q ** (n - m)), dtype=ids.dtype)
-    reps[free] = np.tile(np.indices((q,) * (n - m)).reshape(n - m, q ** (n - m)), (count, 1))
-    return ctx.add(vector_ids(ctx, reps.transpose(0, 2, 1))[:, :, None], ids[:, None, :], n * ctx.t)
-
-
 def translations(ctx: FieldContext, n: int) -> np.ndarray:
     """x -> x + e on the vector ids of F_q^n, one row per vector e whose id
     is p^i, i = 0 .. n t - 1: the unit vectors of F_q^n over GF(p), which
@@ -181,14 +152,29 @@ def scaling(ctx: FieldContext, n: int, lam: int) -> np.ndarray:
     return vector_ids(ctx, mul(ctx, lam, coords))
 
 
-def coset_index(cosets: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`coset_ids` ``cosets`` (shape (K, q^(n-m), q^m)):
-    entry [i, x] is the j whose coset j of subspace i holds vector id x;
-    int32, shape (K, q^n).  A vector-id map that sends each coset of
-    subspace i to a coset of subspace i, as translations and scalings do,
-    sends coset j to coset ``index[i, image[cosets[i, j, 0]]]``, the one
-    holding the image of its first vector; nothing here checks that."""
-    count, per, size = cosets.shape
-    index = np.empty((count, per * size), np.int32)
-    index[np.arange(count)[:, None, None], cosets] = np.arange(per, dtype=np.int32)[:, None]
+def coset_index(ctx: FieldContext, bases: np.ndarray) -> np.ndarray:
+    """The coset of every vector modulo each subspace: int32, shape (K, q^n).
+
+    ``bases`` has shape (K, m, n) and holds echelon bases.  Entry [i, x]
+    is the base-q rank of the free coordinates of the vector with id x
+    reduced modulo subspace i (``Subspace.reduce``).  Reduction is linear:
+    coordinate c adds x_c times row c of the reduction matrix, the unit
+    on a free column and -B[r, free] on the pivot column of row r, so the
+    table grows by one coordinate at a time, as ids of F_q^(n-m).
+    """
+    count, m, n = bases.shape
+    if m == n:
+        return np.zeros((count, ctx.q**n), np.int32)
+    members = np.arange(count)[:, None]
+    pivots = np.argmax(bases != 0, axis=2)
+    free = np.ones((count, n), dtype=bool)
+    free[members, pivots] = False
+    cols = np.nonzero(free)[1].reshape(count, n - m)
+    reduction = np.zeros((count, n, n - m), np.int32)
+    reduction[members, cols, np.arange(n - m)] = 1
+    reduction[members, pivots] = mul(ctx, ctx.p - 1, np.take_along_axis(bases, cols[:, None], axis=2))
+    index = np.zeros((count, 1), np.int32)
+    for c in range(n):
+        step = vector_ids(ctx, mul(ctx, np.arange(ctx.q)[:, None, None], reduction[:, c])).T
+        index = ctx.add(index[:, :, None], step[:, None, :], (n - m) * ctx.t).reshape(count, -1)
     return index

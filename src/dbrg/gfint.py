@@ -22,11 +22,11 @@ pivot-column set, then by the free entries of the basis read row by
 row (the last fastest), both lexicographically.
 
 This module imports no numpy: the exp/log tables are Python lists, and
-``mul``, ``neg``, ``inv`` and ``pow`` take ints.  ``add`` uses only
+``mul``, ``neg`` and ``inv`` take ints.  ``add`` uses only
 integer operators, so it also applies elementwise to integer arrays; the
 array product, and everything on stacked bases, is :mod:`dbrg.gfcore`,
-which reads the same tables.  A vector's id is its
-:func:`vector_index`, the coordinates read as one base-q number; the
+which reads the same tables.  A vector's id is its lexicographic rank,
+the coordinates read as one base-q number (see :func:`index_vector`); the
 base-p digits of a coordinate are its polynomial coefficients, so the
 base-p digits of an id are the vector's coordinates over GF(p).
 The points of PG(n-1, q) are the normalized vectors of
@@ -70,7 +70,6 @@ __all__ = [
     "rref",
     "subspace_make",
     "orthogonal_complement",
-    "vector_index",
     "index_vector",
     "field_for_order",
     "point_vectors",
@@ -253,15 +252,6 @@ class FieldContext:
             raise ZeroDivisionError("inversion of zero field element")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self._exp[self._log[a] * e % (self.q - 1)]
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -317,15 +307,8 @@ def qbinom(n: int, m: int, q: int) -> int:
 # Vectors: tuples of field elements, and their ids.
 # ---------------------------------------------------------------------------
 
-def vector_index(ctx: FieldContext, v: Sequence[int]) -> int:
-    """Rank of a vector in the lexicographic enumeration of F_q^n: its id."""
-    idx = 0
-    for c in v:
-        idx = idx * ctx.q + c
-    return idx
-
-
 def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
+    """The vector of F_q^n whose id is ``idx``."""
     out = [0] * n
     for i in range(n - 1, -1, -1):
         out[i] = idx % ctx.q
@@ -704,9 +687,6 @@ class Subspace(NamedTuple):
                 for j in range(piv, self.n):
                     w[j] = ctx.add(w[j], ctx.mul(c, row[j]))
         return tuple(w)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace, deterministic order."""

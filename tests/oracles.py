@@ -1,7 +1,8 @@
-"""Dense references that the tests hold the bipartite engine against.
+"""Dense and scalar references that the tests hold the library against.
 
 No module of :mod:`dbrg` calls these.  Each gives a second view of a
-graph that the engine's verdicts are compared with:
+graph, a field or a subspace that the library's results are compared
+with:
 
 * :func:`biadjacency` and :func:`halved_graphs` -- the dense N and its
   halved graphs, for the walk identity N N^T = k I + c_2 A(H_B) against
@@ -12,18 +13,29 @@ graph that the engine's verdicts are compared with:
 * :class:`Graph`, :func:`simple_graph`, :func:`petersen` and
   :func:`subdivision` -- simple graphs and their vertex-edge incidence
   graphs, whose arrays and girths are known by hand;
+* :func:`girth` -- the girth of a bipartite graph, from networkx;
 * :func:`semiregular_check` and :func:`c3_shortcut_check` -- the
   diameter-4 theorem shortcut, from its hypotheses, against the
   definition check;
 * :func:`local_dr_check` -- the engine's check of one vertex, the unit
-  that the networkx oracle compares vertex by vertex.
+  that the networkx oracle compares vertex by vertex;
+* :func:`cell_sizes` -- the sizes of the cells of a distance partition;
+* :func:`structurally_sound` -- a feasibility report's counts, products
+  and halved-SRG conditions, the filter of the brute-force enumeration;
+* :func:`field_pow`, :func:`vector_index`, :func:`contains` and
+  :func:`subspace_meet` -- powers by repeated squaring, vector ids one
+  coordinate at a time, membership by reduction and intersections by the
+  Zassenhaus block trick, in plain Python ints.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
+import networkx as nx
 import numpy as np
 
-from dbrg.bigraph import BipartiteGraph, LocalCheck, _local_checks, dbrg_check
+from dbrg.bigraph import BipartiteGraph, DistancePartition, LocalCheck, _local_checks, dbrg_check
+from dbrg.feasibility import FeasibilityReport
+from dbrg.gfint import FieldContext, Subspace, rref
 from dbrg.params import IntersectionArray
 
 
@@ -203,3 +215,60 @@ def c3_shortcut_check(g: BipartiteGraph, c2b: int, c3b: int, c2c: int) -> Shortc
     full = dbrg_check(g)
     agrees = full.ok and full.array == predicted
     return ShortcutResult("applies", predicted=predicted, agrees=agrees)
+
+
+def girth(g: BipartiteGraph) -> int:
+    """The girth of g by networkx, 0 for an acyclic graph."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.V))
+    graph.add_edges_from(zip(g.eb.tolist(), (g.ec + g.nB).tolist()))
+    found = nx.girth(graph)
+    return 0 if found == float("inf") else found
+
+
+def cell_sizes(partition: DistancePartition) -> tuple[int, ...]:
+    return tuple(len(c) for c in partition.cells)
+
+
+def structurally_sound(report: FeasibilityReport) -> bool:
+    """Counts, products, and halved-SRG admissibility all hold."""
+    return report.counts.ok and report.srg.ok and all(
+        c.ok for c in report.conditions if c.name == "products")
+
+
+def field_pow(ctx: FieldContext, a: int, e: int) -> int:
+    """a^e in ``ctx`` by repeated squaring with ``ctx.mul``; ZeroDivisionError
+    for a negative power of zero."""
+    if e < 0:
+        if a == 0:
+            raise ZeroDivisionError("negative power of zero")
+        a, e = ctx.inv(a), -e
+    out = 1
+    while e:
+        if e & 1:
+            out = ctx.mul(out, a)
+        a, e = ctx.mul(a, a), e >> 1
+    return out
+
+
+def vector_index(ctx: FieldContext, v: Sequence[int]) -> int:
+    """Rank of a vector in the lexicographic enumeration of F_q^n: its id."""
+    idx = 0
+    for c in v:
+        idx = idx * ctx.q + c
+    return idx
+
+
+def contains(space: Subspace, v: Sequence[int]) -> bool:
+    return all(x == 0 for x in space.reduce(v))
+
+
+def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
+    """Exact intersection, via the Zassenhaus block trick."""
+    if u.ctx != w.ctx or u.n != w.n:
+        raise ValueError("subspaces live in different ambient spaces")
+    ctx, n = u.ctx, u.n
+    block = [list(r) + list(r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
+    reduced = rref(ctx, block, 2 * n)
+    inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
+    return Subspace(ctx, n, rref(ctx, inter, n))

@@ -40,7 +40,7 @@ from dbrg.perpsys import (
     two_intersection_set,
 )
 
-from oracles import biadjacency, halved_graphs, srg_check
+from oracles import biadjacency, cell_sizes, halved_graphs, srg_check
 
 
 def _announce(criterion, detail):
@@ -105,8 +105,8 @@ def test_criterion_2_cone_graphs():
 
 
 def test_criterion_2_cone_q4():
-    # the largest cone the builder allows, checked from the definition at
-    # every vertex, and again with one BFS per orbit of its translations
+    # checked from the definition at every vertex, and again with one BFS
+    # per orbit of its translations
     t0 = time.monotonic()
     c4 = cone_graph(4)
     res = dbrg_check(c4.graph)
@@ -335,7 +335,7 @@ def test_criterion_8_property_suites():
         assert (lhs == rhs).all(), f"walk identity fails for {built.provenance}"
         for side, idx in (("B", 0), ("C", 0)):
             v = built.graph.vertex(side, idx)
-            sizes = distance_partition(built.graph, v).sizes()
+            sizes = cell_sizes(distance_partition(built.graph, v))
             cs = arr.cB if side == "B" else arr.cC
             val = arr.k if side == "B" else arr.l
             other = arr.l if side == "B" else arr.k

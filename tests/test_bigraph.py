@@ -5,12 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, flip, girth,
-                          induced_subgraph, parse_graph, serialize_graph)
+from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, flip, induced_subgraph,
+                          parse_graph, serialize_graph)
 from dbrg.params import IntersectionArray
 
-from oracles import (Graph, biadjacency, c3_shortcut_check, halved_graphs, local_dr_check, petersen,
-                     semiregular_check, simple_graph, srg_check, subdivision)
+from oracles import (Graph, biadjacency, c3_shortcut_check, cell_sizes, girth, halved_graphs,
+                     local_dr_check, petersen, semiregular_check, simple_graph, srg_check,
+                     subdivision)
 
 
 def complete_bip(nb, nc):
@@ -39,12 +40,12 @@ def test_distance_partition_cycle6():
     g = cycle6()
     for v in range(6):
         dp = distance_partition(g, v)
-        assert dp.sizes() == (1, 2, 2, 1)
+        assert cell_sizes(dp) == (1, 2, 2, 1)
 
 
 def test_distance_partition_hypercube():
     dp = distance_partition(hypercube4(), 0)
-    assert dp.sizes() == (1, 4, 6, 4, 1)
+    assert cell_sizes(dp) == (1, 4, 6, 4, 1)
 
 
 def test_distance_partition_disconnected_errors():

@@ -492,7 +492,8 @@ def test_feas_enumerate_json_bytes(tmp_path, capsys):
     assert path.read_text() == rows_to_json(enumerate_feasible(200))
 
 
-def _command(args: list[str], cwd: Path, unbuffered: bool, **kwargs) -> subprocess.CompletedProcess:
+def _command(args: list[str], cwd: Path, unbuffered: bool, stderr=subprocess.PIPE,
+             **kwargs) -> subprocess.CompletedProcess:
     """``python -m dbrg.cli args`` in a new process in ``cwd``, with
     ``PYTHONUNBUFFERED`` set or unset."""
     src = str(Path(dbrg.__file__).resolve().parents[1])
@@ -501,7 +502,7 @@ def _command(args: list[str], cwd: Path, unbuffered: bool, **kwargs) -> subproce
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "dbrg.cli", *args], cwd=cwd, env=env,
-                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+                          stderr=stderr, text=True, timeout=60, **kwargs)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -525,6 +526,21 @@ def test_a_stdout_that_fails_exits_66(tmp_path, args, sink, unbuffered):
             os.close(write)
     assert proc.returncode == 66, proc.stderr
     assert proc.stderr.startswith("I/O error: [Errno ") and "Exception" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["verify", "missing.graph"],
+                                  ["construct", "cone", "--q", "2", "--out", "missing/c2"],
+                                  ["feas", "enumerate", "--max-side", "100"]])
+def test_a_stderr_that_fails_exits_66(tmp_path, args, unbuffered):
+    # the "I/O error" message of a failed read, write or stdout fails in
+    # turn: an OSError that left main or run would make the interpreter
+    # exit 1 or 120
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        proc = _command(args, tmp_path, unbuffered, stderr=full, stdout=full)
+    assert proc.returncode == 66
 
 
 def test_ending_by_os_exit_loses_no_output(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, girth, parse_graph,
+from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, parse_graph,
                           serialize_graph, write_graph)
 from dbrg.constructions import (
     MAX_EDGES,
@@ -28,8 +28,8 @@ from dbrg.gfint import SpaceFamily, field, index_vector, subspace_make
 from dbrg.params import DerivedGraphError, IntersectionArray, derived_array
 from dbrg.perpsys import PerpSystem, PerpViolation, perp_search, perp_verify, two_intersection_set
 
-from oracles import (ShortcutResult, halved_graphs, local_dr_check, petersen, semiregular_check,
-                     srg_check, subdivision)
+from oracles import (ShortcutResult, girth, halved_graphs, local_dr_check, petersen,
+                     semiregular_check, srg_check, subdivision)
 
 
 def verified(result):
@@ -127,6 +127,19 @@ def test_cone_q2():
     assert srg_check(hc).params == (120, 56, 28, 24)
 
 
+def test_cone_q5_is_within_the_edge_bound():
+    # q = 5 is within the edge bound, 5^6 * 6 * 26 = 2437500 edges, and checked
+    # with its translations; q = 6 is no field order, and q = 7 is over the
+    # bound (see test_oversized_builds_are_refused_before_allocating)
+    r = cone_graph(5)
+    assert (r.graph.nB, r.graph.nC) == (5**6, 156 * 5**3)
+    res = dbrg_check(r.graph, r.automorphisms)
+    assert res.ok and str(res.array) == "{156;1,6,25,156 | 125;1,5,30,125}"
+    assert res.array == r.predicted
+    with pytest.raises(ValueError):
+        cone_graph(6)
+
+
 def test_hyperoval_affine_q4_regular():
     r = hyperoval_affine_graph(4)
     assert (r.graph.nB, r.graph.nC) == (18, 18)
@@ -191,8 +204,9 @@ def test_coset_and_inclusion_graph_bytes_pinned(build, digest):
     lambda: bi_grassmann(10**30, 2, 2),  # counted in part, as [26, 1]_2
     lambda: hyperoval_affine_graph(128),  # 128 127^2 / 2 points, each on 130 planes
     lambda: hyperoval_affine_graph(2**40),  # beyond the field bound as well
+    lambda: cone_graph(7),  # 7^6 points, each on 8 * 50 cosets: 47059600 edges
 ], ids=["complete_bipartite", "bi_johnson", "bi_johnson_huge", "bi_grassmann",
-        "bi_grassmann_huge", "hyperoval_affine128", "hyperoval_affine_huge"])
+        "bi_grassmann_huge", "hyperoval_affine128", "hyperoval_affine_huge", "cone7"])
 def test_oversized_builds_are_refused_before_allocating(build):
     # the predicted edge count is checked against MAX_EDGES first: the
     # refusal is immediate and allocates next to nothing

@@ -21,7 +21,6 @@ from dbrg.bigraph import (
     dbrg_check,
     distance_partition,
     flip,
-    girth,
 )
 from dbrg.constructions import cone_graph
 from dbrg.params import IntersectionArray
@@ -147,11 +146,6 @@ def assert_local_checks_and_partitions_match_oracle(g):
         assert distance_partition(g, v).cells == tuple(tuple(c) for c in cells)
 
 
-def assert_girth_matches_oracle(g):
-    expected = nx.girth(Oracle(g).G)
-    assert girth(g) == (0 if expected == float("inf") else expected)
-
-
 @SETTINGS
 @given(bigraphs())
 def test_dbrg_check_matches_oracle(g):
@@ -162,12 +156,6 @@ def test_dbrg_check_matches_oracle(g):
 @given(bigraphs())
 def test_local_checks_and_partitions_match_oracle(g):
     assert_local_checks_and_partitions_match_oracle(g)
-
-
-@SETTINGS
-@given(bigraphs())
-def test_girth_matches_oracle(g):
-    assert_girth_matches_oracle(g)
 
 
 def complete(k, l):
@@ -199,7 +187,6 @@ def test_last_level_matches_oracle(g):
     for h in (g, flip(g)):
         assert_dbrg_check_matches_oracle(h)
         assert_local_checks_and_partitions_match_oracle(h)
-        assert_girth_matches_oracle(h)
 
 
 def passes(g, side, monkeypatch):

@@ -24,6 +24,8 @@ from dbrg.feasibility import (
 )
 from dbrg.params import IntersectionArray
 
+from oracles import structurally_sound
+
 
 def array4(k, l, c2b, c3b, c2c, c3c):
     """The diameter-4 array {k; 1,c2b,c3b,k | l; 1,c2c,c3c,l}."""
@@ -183,7 +185,7 @@ def _brute_force_rows(max_side):
                     if r or not 1 <= c3c <= k - 1:
                         continue
                     rep = evaluate(array4(k, l, c2b, c3b, c2c, c3c))
-                    if rep.structurally_sound and max(rep.counts.nB, rep.counts.nC) <= max_side:
+                    if structurally_sound(rep) and max(rep.counts.nB, rep.counts.nC) <= max_side:
                         rows.append(rep)
     rows.sort(key=lambda r: (r.counts.nB, r.counts.nC, r.array.k, r.array.l,
                              r.array.cB[1], r.array.cB[2]))

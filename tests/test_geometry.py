@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, stack_bases, subspace_meet,
-                         subspace_vector_ids)
+from dbrg.gfcore import echelon_bases, enumerate_subspaces, mul, stack_bases, subspace_vector_ids
 from dbrg.geometry import (
     ArcCheckResult,
     arc_check,
@@ -21,6 +20,7 @@ from dbrg.geometry import (
 from dbrg.gfint import (SpaceFamily, field_for_order, orthogonal_complement, point_vectors, rref,
                         subspace_make)
 
+from oracles import subspace_meet
 from test_gfcore import array_dot
 
 

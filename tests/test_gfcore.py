@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, scaling, subspace_meet,
-                         subspace_vector_ids, translations)
+from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, scaling, subspace_vector_ids,
+                         translations)
 from dbrg.gfint import (FieldContext, field, format_vector, index_vector, orthogonal_complement,
-                        parse_vector, point_vectors, qbinom, subspace_make, vector_index)
+                        parse_vector, point_vectors, qbinom, subspace_make)
+
+from oracles import contains, field_pow, subspace_meet, vector_index
 
 
 def test_prime_field_modulus_is_x():
@@ -71,7 +73,7 @@ def test_inverses_and_group_order():
         gf = field(p, t)
         for a in gf.nonzero():
             assert gf.mul(a, gf.inv(a)) == 1
-            assert gf.pow(a, gf.q - 1) == 1
+            assert field_pow(gf, a, gf.q - 1) == 1
 
 
 def test_field_arith_dispatch():
@@ -79,7 +81,7 @@ def test_field_arith_dispatch():
     assert gf.add(2, 2) == 1
     assert gf.mul(2, 2) == 1
     assert gf.inv(2) == 2
-    assert gf.pow(2, 3) == 2
+    assert field_pow(gf, 2, 3) == 2
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
 
@@ -149,7 +151,7 @@ def test_field_axioms_on_a_sample_of_a_large_field(p, t):
     for x, y in zip(a.tolist()[:300], b.tolist()[:300]):
         assert gf.mul(x, y) == int(mul(gf, np.array(x), np.array(y)))
         if x:
-            assert gf.mul(x, gf.inv(x)) == 1 and gf.pow(x, gf.q - 1) == 1
+            assert gf.mul(x, gf.inv(x)) == 1 and field_pow(gf, x, gf.q - 1) == 1
 
 
 def test_qbinom_small_values():
@@ -211,7 +213,7 @@ def test_meet_join_dimension_formula():
         m, j = subspace_meet(u, w), subspace_make(gf3, 4, u.basis + w.basis)
         assert m.dim + j.dim == u.dim + w.dim
         for row in m.basis:
-            assert u.contains(row) and w.contains(row)
+            assert contains(u, row) and contains(w, row)
 
 
 def test_join_of_complementary_spaces():

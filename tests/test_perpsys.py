@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbrg.gfcore import echelon_bases, enumerate_subspaces, subspace_meet, subspace_vector_ids
+from dbrg.gfcore import echelon_bases, enumerate_subspaces, subspace_vector_ids
 from dbrg.gfint import (SpaceFamily, echelon_bitsets, echelon_space, field, field_for_order,
                         hyperplane_bitsets, incidence_planes, orthogonal_complement, qbinom,
                         subspace_make)
@@ -30,6 +30,7 @@ from dbrg.perpsys import (
     two_intersection_set,
 )
 
+from oracles import contains, subspace_meet
 from test_gfcore import array_dot
 
 
@@ -87,7 +88,7 @@ def test_verify_reports_pair_meet():
     for space, dim, detail in [(plane, 2, "members 0,1 meet in dimension 1, expected 0"),
                                (solid, 3, "members 0,1 meet in dimension 2, expected 1")]:
         members = [s for s in enumerate_subspaces(gf2, space.n, dim)
-                   if all(space.contains(r) for r in s.basis)]
+                   if all(contains(space, r) for r in s.basis)]
         res = perp_verify(gf2, space.n, 2, members)
         assert isinstance(res, PerpViolation)
         assert (res.kind, res.pair, res.detail) == ("pair_meet", (0, 1), detail)
@@ -524,7 +525,7 @@ def two_intersection_reference(system):
     scalar dot products; the same checks in the same order."""
     ctx, n, k, d, s = system.ctx, system.n, system.k, system.d, system.s
     q = ctx.q
-    reps = [w for w in lex_points(ctx, n) if sum(m.contains(w) for m in system.members) == d]
+    reps = [w for w in lex_points(ctx, n) if sum(contains(m, w) for m in system.members) == d]
     big_n = Fraction(s, d) * qbinom(n - k, 1, q)
     h1 = Fraction(qbinom(n - k, 1, q) + (s - 1) * qbinom(n - k - 1, 1, q), d)
     h2 = Fraction(s * qbinom(n - k - 1, 1, q), d)
@@ -601,7 +602,7 @@ def perp_like_systems(draw):
         members = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=8, unique=True))
         d = draw(st.integers(1, 4))
         covered = sum(1 for w in lex_points(ctx, n)
-                      if sum(m.contains(w) for m in members) == d)
+                      if sum(contains(m, w) for m in members) == d)
         s, rem = divmod(covered * d, qbinom(n - 1, 1, q))
         return PerpSystem(ctx, n, tuple(members), k=1, d=d,
                           s=s if s and not rem else len(members))

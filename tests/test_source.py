@@ -61,11 +61,12 @@ FIELD_LAYERS = ("gfint", "gfcore")  # the scalar and the stacked field layer
 def test_gfcore_keeps_no_second_vector_set_or_point_layer():
     # vector sets, the listing of points and hyperplane counts are gfint's
     # Python-int work; gfcore defines the coset and inclusion graph kernels
-    # and none of its former array copies of them
+    # and none of its former array copies of them; its one coset kernel is
+    # coset_index, with no listing of each coset's vectors beside it
     tree = ast.parse((Path(dbrg.__file__).parent / "gfcore.py").read_text())
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert defined & {"dot", "hyperplane_counts", "projective_points", "vector_bitsets",
-                      "bitset_contains", "subspaces"} == set()
+                      "bitset_contains", "subspaces", "coset_ids"} == set()
 
 
 def test_one_path_from_a_subspace_to_its_bitset():
@@ -277,9 +278,6 @@ UNUSED_PUBLIC = {
     "gfcore.enumerate_subspaces": "the benchmark reads it",
     "geometry.arc_check": "an arc command is planned",
     "geometry.denniston_arc": "an arc command is planned",
-    "bigraph.girth": "one of the paper's objects, with tests",
-    "gfcore.subspace_meet": "one of the paper's objects, with tests",
-    "gfint.vector_index": "one of the paper's objects, with tests",
     "params.perp_srg_params": "one of the paper's objects, with tests",
     "perpsys.perp_dualize": "one of the paper's objects, with tests",
     "perpsys.two_intersection_set": "one of the paper's objects, with tests",

@@ -8,8 +8,9 @@ commit and a copy of the change:
     python3 tools/bench_exit_and_reader.py --parent /tmp/parent --change /tmp/change \\
         --seeds 311 --pairs 10 --out BENCH_31.json
 
-It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
-either tree, so every command compiles what it imports:
+It runs, with ``PYTHONDONTWRITEBYTECODE=1``, ``PYTHONPATH=<tree>/src``
+and no other ``PYTHON*`` variable, and no ``__pycache__`` in either tree,
+so every command compiles what it imports:
 
 * ``bench/run.py --workload cone --seed s --seconds 30 --trace 0`` in
   both trees, ``--pairs`` times with seeds ``--seeds``, ``--seeds + 1``,
@@ -35,15 +36,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_perp_search import METRICS, bench_run, clean, compare, environment
+from bench_perp_search import METRICS, bench_run, clean, compare, environment, header
 
 PARSE = """
 import hashlib, json, statistics, sys, time
@@ -178,8 +177,7 @@ def main() -> int:
                        for n, c in commands.items()}, flush=True)
 
     record = {
-        "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, Python {platform.python_version()}",
-        "method": __doc__.split("It runs,", 1)[1].strip(),
+        **header(__doc__),
         "workloads": workloads,
         "parse_graph": parse_graph,
         "commands_ms": commands,

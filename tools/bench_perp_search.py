@@ -8,8 +8,9 @@ commit and a copy of the change:
     python3 tools/bench_perp_search.py --parent /tmp/parent --change /tmp/change \\
         --seeds 61 --pairs 10 --out BENCH_29.json
 
-It runs, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in
-either tree, so every command compiles what it imports:
+It runs, with ``PYTHONDONTWRITEBYTECODE=1``, ``PYTHONPATH=<tree>/src``
+and no other ``PYTHON*`` variable, and no ``__pycache__`` in either tree,
+so every command compiles what it imports:
 
 * ``bench/run.py --workload perp --seed s --seconds 30 --trace 0`` in
   both trees, ``--pairs`` times with seeds ``--seeds``, ``--seeds + 1``,
@@ -121,8 +122,22 @@ COMMANDS = {
 }
 
 
+ENVIRONMENT = "PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=<tree>/src, no other PYTHON* variable"
+
+
 def environment(tree: Path) -> dict[str, str]:
-    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    """The caller's environment with :data:`ENVIRONMENT` for its ``PYTHON*``
+    variables, so that no record depends on the shell it was run from."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return dict(env, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+
+
+def header(doc: str) -> dict:
+    """A record's machine, environment and method, the part of ``doc``
+    from "It runs,"."""
+    return {"machine": f"{os.cpu_count()} CPUs, {platform.platform()}, "
+                       f"Python {platform.python_version()}",
+            "environment": ENVIRONMENT, "method": doc.split("It runs,", 1)[1].strip()}
 
 
 def clean(tree: Path) -> None:
@@ -241,8 +256,7 @@ def main() -> int:
                      for key, v in commands[name].items()}, flush=True)
 
     record = {
-        "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, Python {platform.python_version()}",
-        "method": __doc__.split("It runs,", 1)[1].strip(),
+        **header(__doc__),
         "workloads": workloads,
         "in_process": processes,
         "commands": commands,
