@@ -1,9 +1,13 @@
 """Finite fields GF(p^t), vectors and canonical subspaces in plain Python ints.
 
-Field elements are represented as plain ints in ``0..q-1``.  The base-p
-digits of the integer are the coefficients of the canonical residue
-polynomial: digit ``i`` is the coefficient of ``x^i``.  For prime fields
-this is the usual residue ``0..p-1``.
+Digit ``i`` of an int v in base b is ``v // b**i % b``, and digits are
+listed least significant first.  Field elements are plain ints in
+``0..q-1`` whose base-p digits are the coefficients of the canonical
+residue polynomial: digit ``i`` is the coefficient of ``x^i`` (for prime
+fields, the usual residue ``0..p-1``).  A vector's id is the int whose
+base-q digits are its coordinates, the last coordinate as digit 0: its
+lexicographic rank (see :func:`index_vector`).  So the base-p digits of
+an id are the vector's coordinates over GF(p).
 
 A :class:`FieldContext` fixes the modulus (a monic irreducible polynomial
 of degree ``t`` over GF(p)) and provides all arithmetic through lookup
@@ -25,13 +29,9 @@ This module imports no numpy: the exp/log tables are Python lists, and
 ``mul``, ``neg`` and ``inv`` take ints.  ``add`` uses only
 integer operators, so it also applies elementwise to integer arrays; the
 array product, and everything on stacked bases, is :mod:`dbrg.gfcore`,
-which reads the same tables.  A vector's id is its lexicographic rank,
-the coordinates read as one base-q number (see :func:`index_vector`); the
-base-p digits of a coordinate are its polynomial coefficients, so the
-base-p digits of an id are the vector's coordinates over GF(p).
-The points of PG(n-1, q) are the normalized vectors of
-:func:`point_vectors`; :func:`hyperplane_counts` counts the subspaces of
-a family in each hyperplane w-perp.
+which reads the same tables.  The points of PG(n-1, q) are the
+normalized vectors of :func:`point_vectors`; :func:`hyperplane_counts`
+counts the subspaces of a family in each hyperplane w-perp.
 
 A set of vectors is a bitset: one Python int, bit i set iff the vector
 with id i is in the set.  A subspace's set is the AND of the
@@ -94,64 +94,40 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(p), little-endian coefficient tuples.  Only used to
-# bootstrap the field tables; everything downstream goes through the tables.
+# Digits, as the module docstring defines them, and polynomials over GF(p) as
+# lists of coefficients.  Polynomials only bootstrap the field tables;
+# everything downstream goes through the tables.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        _poly_trim(a)
-    return a
-
-
-def _int_to_poly(v: int, p: int) -> list[int]:
+def _base_digits(v: int, base: int, count: int) -> list[int]:
+    """The first ``count`` base-``base`` digits of v, least significant first."""
     out = []
-    while v:
-        out.append(v % p)
-        v //= p
+    for _ in range(count):
+        out.append(v % base)
+        v //= base
     return out
 
 
-def _poly_to_int(a: Sequence[int], p: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = v * p + c
-    return v
+def _remainder(a: Sequence[int], m: Sequence[int], p: int) -> int:
+    """a modulo the monic m over GF(p), as the int whose base-p digits are its
+    deg(m) coefficients; a has at least as many."""
+    t, a = len(m) - 1, list(a)
+    for top in range(len(a) - 1, t - 1, -1):
+        lead = a[top] % p
+        if lead:
+            for i in range(t):
+                a[top - t + i] -= lead * m[i]
+    out = 0
+    for c in reversed(a[:t]):
+        out = out * p + c % p
+    return out
 
 
 def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
-    t = len(m) - 1
-    if t < 1 or m[-1] != 1:
-        return False
-    if t == 1:
-        return True
-    for deg in range(1, t // 2 + 1):
-        for lower in range(p**deg):
-            div = _int_to_poly(lower, p) + [0] * (deg - len(_int_to_poly(lower, p))) + [1]
-            if not _poly_mod(m, div, p):
+    """Trial division of the monic m by every monic of degree 1..deg(m)/2."""
+    for deg in range(1, (len(m) - 1) // 2 + 1):
+        for low in range(p**deg):
+            if not _remainder(m, _base_digits(low, p, deg) + [1], p):
                 return False
     return True
 
@@ -166,7 +142,7 @@ class FieldContext:
     def __init__(self, p: int, t: int, modulus: Sequence[int] | None = None):
         if t < 1:
             raise ValueError(f"extension degree t={t} must be >= 1")
-        if p > 2**16 or t > 16:  # before the trial division and p**t
+        if t > 16:  # before p**t; prime_power bounds p before its trial division
             raise ValueError(f"field order q={p}^{t} exceeds supported bound 2^16")
         if prime_power(p) != (p, 1):
             raise ValueError(f"p={p} is not prime")
@@ -177,8 +153,13 @@ class FieldContext:
         self.t = t
         self.q = q
         if modulus is None:
-            modulus = self._least_irreducible(p, t)
-        modulus = tuple(int(c) % p for c in modulus)
+            for low in range(p**t):
+                modulus = _base_digits(low, p, t) + [1]
+                if _is_irreducible(modulus, p):
+                    break
+        modulus = tuple(map(int, modulus))
+        if any(not 0 <= c < p for c in modulus):
+            raise ValueError(f"modulus {modulus} has a coefficient outside 0..{p - 1}")
         if len(modulus) != t + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree t")
         if not _is_irreducible(modulus, p):
@@ -186,44 +167,35 @@ class FieldContext:
         self.modulus = modulus
         self._build_tables()
 
-    @staticmethod
-    def _least_irreducible(p: int, t: int) -> tuple[int, ...]:
-        for lower in range(p**t):
-            cand = _int_to_poly(lower, p)
-            cand = cand + [0] * (t - len(cand)) + [1]
-            if _is_irreducible(cand, p):
-                return tuple(cand)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
-
     def _raw_mul(self, a: int, b: int) -> int:
-        pa = _int_to_poly(a, self.p)
-        pb = _int_to_poly(b, self.p)
-        return _poly_to_int(_poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p), self.p)
+        """a b as the schoolbook product of its polynomials, then its remainder."""
+        p, t = self.p, self.t
+        prod, xs = [0] * (2 * t - 1), _base_digits(a, p, t)
+        for j, y in enumerate(_base_digits(b, p, t)):
+            if y:
+                for i, x in enumerate(xs):
+                    prod[i + j] += x * y
+        return _remainder(prod, self.modulus, p)
 
     def _build_tables(self) -> None:
-        # discrete-log tables over a multiplicative generator; exp is stored
-        # twice over, then zeros, and log 0 = 2(q - 1): a product is
+        # discrete-log tables over the first g of 2, 3, ... (1 in GF(2)) whose
+        # walk of powers, kept as it goes, reaches all q - 1 units.  exp is
+        # stored twice over, then zeros, and log 0 = 2(q - 1): a product is
         # exp[log a + log b], with no reduction mod q - 1 and no test for 0
         q = self.q
-        exp = [1] * max(q - 1, 1)
-        log = [0] * q
-        candidates = range(2, q) if q > 2 else range(1, 2)
-        for g in candidates:
-            val, order = 1, 0
-            while True:
-                order += 1
+        for g in range(2, q) if q > 2 else (1,):
+            exp, val = [1], g
+            while val != 1:
+                exp.append(val)
                 val = self._raw_mul(val, g)
-                if val == 1:
-                    break
-            if order == q - 1:
-                val = 1
-                for i in range(q - 1):
-                    exp[i] = val
-                    log[val] = i
-                    val = self._raw_mul(val, g)
-                self.generator = g
+            if len(exp) == q - 1:
                 break
-        log[0] = 2 * (q - 1)
+        else:
+            raise RuntimeError(f"no generator of the units of GF({q})")
+        log = [2 * (q - 1)] + [0] * (q - 1)
+        for i, val in enumerate(exp):
+            log[val] = i
+        self.generator = g
         self._exp = exp * 2 + [0] * (2 * (q - 1) + 1)
         self._log = log
 
@@ -308,12 +280,8 @@ def qbinom(n: int, m: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 def index_vector(ctx: FieldContext, idx: int, n: int) -> tuple[int, ...]:
-    """The vector of F_q^n whose id is ``idx``."""
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = idx % ctx.q
-        idx //= ctx.q
-    return tuple(out)
+    """The vector of F_q^n whose id is ``idx``: its n base-q digits."""
+    return tuple(reversed(_base_digits(idx, ctx.q, n)))
 
 
 def point_vectors(ctx: FieldContext, n: int) -> list[tuple[int, ...]]:
@@ -439,8 +407,8 @@ def echelon_space(ctx: FieldContext, n: int, m: int, index: int) -> Subspace:
             cells = _free_cells(n, pivots)
             if index < ctx.q ** len(cells):
                 rows = [[int(j == piv) for j in range(n)] for piv in pivots]
-                for i, j in reversed(cells):
-                    index, rows[i][j] = divmod(index, ctx.q)
+                for (i, j), x in zip(reversed(cells), _base_digits(index, ctx.q, len(cells))):
+                    rows[i][j] = x
                 return Subspace(ctx, n, tuple(map(tuple, rows)))
             index -= ctx.q ** len(cells)
     raise IndexError(f"no {m}-dimensional subspace of F_{ctx.q}^{n} at this position")
@@ -606,23 +574,14 @@ def parse_vector(ctx: FieldContext, text: str) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _digits(val: int, base: int) -> str:
-    if val == 0:
-        return "0"
-    out = []
-    while val:
-        out.append(_DIGITS[val % base])
-        val //= base
-    return "".join(reversed(out))
-
-
 def format_vector(ctx: FieldContext, v: Sequence[int]) -> str:
     """The literal :func:`parse_vector` reads; ValueError naming the field
     when t > 1 and p > 16."""
-    _, base = _digit_form(ctx)
+    digits, base = _digit_form(ctx)
     if ctx.t == 1:
         return ",".join(str(c) for c in v)
-    return ",".join(_digits(c, base) for c in v)
+    words = ("".join(digits[d] for d in reversed(_base_digits(c, base, ctx.t))) for c in v)
+    return ",".join(word.lstrip("0") or "0" for word in words)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ with:
 * :func:`field_pow`, :func:`vector_index`, :func:`contains` and
   :func:`subspace_meet` -- powers by repeated squaring, vector ids one
   coordinate at a time, membership by reduction and intersections by the
-  Zassenhaus block trick, in plain Python ints.
+  Zassenhaus block trick, in plain Python ints;
+* :func:`reference_field` -- the modulus, generator and exp and log
+  tables of GF(p^t) from the field bootstrap on polynomial lists trimmed
+  of leading zeros, which walks the generator's powers a second time.
 """
 
 from typing import NamedTuple, Sequence
@@ -272,3 +275,108 @@ def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
     reduced = rref(ctx, block, 2 * n)
     inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
     return Subspace(ctx, n, rref(ctx, inter, n))
+
+
+# The field bootstrap on polynomial lists, little-endian and trimmed of
+# leading zeros.
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
+
+
+def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    # m monic
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - dm
+            for i, mi in enumerate(m):
+                a[shift + i] = (a[shift + i] - lead * mi) % p
+        _poly_trim(a)
+    return a
+
+
+def _int_to_poly(v: int, p: int) -> list[int]:
+    out = []
+    while v:
+        out.append(v % p)
+        v //= p
+    return out
+
+
+def _poly_to_int(a: Sequence[int], p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * p + c
+    return v
+
+
+def _is_irreducible(m: Sequence[int], p: int) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(m)/2."""
+    t = len(m) - 1
+    if t < 1 or m[-1] != 1:
+        return False
+    if t == 1:
+        return True
+    for deg in range(1, t // 2 + 1):
+        for lower in range(p**deg):
+            div = _int_to_poly(lower, p) + [0] * (deg - len(_int_to_poly(lower, p))) + [1]
+            if not _poly_mod(m, div, p):
+                return False
+    return True
+
+
+def reference_field(p: int, t: int) -> tuple[tuple[int, ...], int, list[int], list[int]]:
+    """(modulus, generator, exp, log) of GF(p^t) as ``FieldContext`` stores
+    them: the least irreducible monic modulus by its encoding, the first
+    generator of 2, 3, ... (1 in GF(2)) by the order of its walk, exp
+    twice over then 2(q - 1) + 1 zeros, and log 0 = 2(q - 1)."""
+    q = p**t
+    modulus = None
+    for lower in range(p**t):
+        cand = _int_to_poly(lower, p)
+        cand = cand + [0] * (t - len(cand)) + [1]
+        if _is_irreducible(cand, p):
+            modulus = tuple(cand)
+            break
+
+    def raw_mul(a: int, b: int) -> int:
+        pa = _int_to_poly(a, p)
+        pb = _int_to_poly(b, p)
+        return _poly_to_int(_poly_mod(_poly_mul(pa, pb, p), modulus, p), p)
+
+    exp = [1] * max(q - 1, 1)
+    log = [0] * q
+    generator = None
+    candidates = range(2, q) if q > 2 else range(1, 2)
+    for g in candidates:
+        val, order = 1, 0
+        while True:
+            order += 1
+            val = raw_mul(val, g)
+            if val == 1:
+                break
+        if order == q - 1:
+            val = 1
+            for i in range(q - 1):
+                exp[i] = val
+                log[val] = i
+                val = raw_mul(val, g)
+            generator = g
+            break
+    log[0] = 2 * (q - 1)
+    return modulus, generator, exp * 2 + [0] * (2 * (q - 1) + 1), log

@@ -483,6 +483,26 @@ def test_ambiguous_perp_header_exits_65(tmp_path, capsys, header):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ambiguous.perp"]
 
 
+@pytest.mark.parametrize("modulus", ["3,1,0,1", "11,1,0,21"])
+def test_perp_modulus_coefficient_outside_the_prime_exits_65(tmp_path, capsys, modulus):
+    # mod 2 these are the fixture's x^3 + x + 1, so the file would verify
+    # and build its graph, but it would not round-trip: every command that
+    # reads the file refuses a coefficient outside 0..p-1
+    fixture = Path(dbrg.__file__).resolve().parents[2] / "bench" / "data" / "dual_hyperoval_q8.perp"
+    text = fixture.read_text()
+    assert text.startswith("q=2^3 modulus=1,1,0,1 n=3 k=1\n")
+    perp = tmp_path / "bad.perp"
+    perp.write_text(text.replace("modulus=1,1,0,1", f"modulus={modulus}", 1))
+    gd = str(tmp_path / "gd")
+    for argv in (["perp", "verify", str(perp)], ["roundtrip", str(perp)],
+                 ["construct", "gen-delorme", "--perp", str(perp), "--out", gd]):
+        assert main(argv) == 65
+        captured = capsys.readouterr()
+        assert "coefficient outside 0..1" in captured.err
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.perp"]
+
+
 def test_feas_enumerate_json_bytes(tmp_path, capsys):
     from dbrg.feasibility import enumerate_feasible, rows_to_json
 

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, parse_graph,
+from dbrg.bigraph import (BipartiteGraph, dbrg_check, distance_partition, flip, parse_graph,
                           serialize_graph, write_graph)
 from dbrg.constructions import (
     MAX_EDGES,
@@ -158,9 +158,14 @@ def test_hyperoval_affine_q4_regular():
     (16, "39aa8fc7cb5230fcd7eb6ab687ee1e79f9db6dab6cb184370c979f0ce73fd3ec"),
 ])
 def test_hyperoval_affine_graph_bytes_pinned(q, digest):
-    # sha256 of the graph file as the direct point-plane builder wrote it
-    text = serialize_graph(hyperoval_affine_graph(q).graph)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # sha256 of the graph file as the direct point-plane builder wrote it;
+    # by 2-B-homogeneity it is also the flip of the local derived graph at
+    # B:0 of the Delorme graph of the dual hyperoval, in bytes and array
+    built = hyperoval_affine_graph(q)
+    derived = derived_local_graph(gen_delorme_graph(dual_hyperoval_system(q)).graph, "B", 0)
+    for g in (built.graph, flip(derived.graph)):
+        assert hashlib.sha256(serialize_graph(g).encode()).hexdigest() == digest
+    assert derived.predicted.swapped() == built.predicted
 
 
 def dual_denniston_system(q, r):

@@ -11,8 +11,9 @@ from dbrg.gfcore import (echelon_bases, enumerate_subspaces, mul, scaling, subsp
                          translations)
 from dbrg.gfint import (FieldContext, field, format_vector, index_vector, orthogonal_complement,
                         parse_vector, point_vectors, qbinom, subspace_make)
+from dbrg.params import prime_power
 
-from oracles import contains, field_pow, subspace_meet, vector_index
+from oracles import contains, field_pow, reference_field, subspace_meet, vector_index
 
 
 def test_prime_field_modulus_is_x():
@@ -35,6 +36,11 @@ def test_field_make_rejects_bad_input():
         field(2, 0)
     with pytest.raises(ValueError):
         FieldContext(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
+    # taken as given: 3 and 21 are not coefficients over GF(2), though
+    # they reduce mod 2 to those of the irreducible x^3 + x + 1
+    for modulus in ((3, 1, 0, 1), (11, 1, 0, 21)):
+        with pytest.raises(ValueError, match=r"coefficient outside 0\.\.1"):
+            FieldContext(2, 3, modulus=modulus)
     # refused before any trial division of p or power p**t
     for p, t in ((10**18 + 3, 1), (2, 10**12), (65537, 1), (2, 17)):
         with pytest.raises(ValueError, match="exceeds supported bound 2"):
@@ -118,6 +124,22 @@ def test_mul_matches_polynomial_reference_on_every_pair(p, t):
     want = [gf._raw_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert mul(gf, a, b).tolist() == want
     assert [gf.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+
+
+def test_field_tables_match_the_reference_bootstrap():
+    # modulus, generator and tables of every GF(q) with q < 1100 (210
+    # fields), bit for bit as the bootstrap on trimmed polynomial lists
+    # builds them
+    orders = []
+    for q in range(2, 1100):
+        try:
+            orders.append(prime_power(q))
+        except ValueError:
+            continue
+    assert len(orders) == 210
+    for p, t in orders:
+        gf = FieldContext(p, t)
+        assert (gf.modulus, gf.generator, gf._exp, gf._log) == reference_field(p, t), (p, t)
 
 
 @pytest.mark.parametrize("p,t", [(2, 9), (3, 6)])

@@ -69,6 +69,19 @@ def test_gfcore_keeps_no_second_vector_set_or_point_layer():
                       "bitset_contains", "subspaces", "coset_ids"} == set()
 
 
+def test_gfint_reads_digits_one_way():
+    # the field bootstrap, vector ids and vector literals read base-b digits
+    # through one routine and reduce polynomials through one remainder, with
+    # no polynomial list helper, least-irreducible search or literal-digit
+    # routine beside them
+    tree = ast.parse((Path(dbrg.__file__).parent / "gfint.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_poly_trim", "_poly_mul", "_poly_mod", "_int_to_poly", "_poly_to_int",
+                      "_least_irreducible", "_digits"} == set()
+    assert {"_base_digits", "_remainder"} <= defined
+
+
 def test_one_path_from_a_subspace_to_its_bitset():
     # a subspace's vector set is the AND of hyperplanes (gfint.subspace_bitset
     # and echelon_bitsets); no module lists its ids and packs them apart

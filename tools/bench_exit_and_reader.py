@@ -42,7 +42,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_perp_search import METRICS, bench_run, clean, compare, environment, header
+from bench_perp_search import clean, compare, environment, header, workload_pairs
 
 PARSE = """
 import hashlib, json, statistics, sys, time
@@ -137,20 +137,10 @@ def main() -> int:
     def order(i: int) -> tuple[str, str]:
         return ("parent", "change") if i % 2 else ("change", "parent")
 
-    workloads = {}
-    plan = [("cone", args.pairs), ("perp", args.other_pairs), ("feas", args.other_pairs)]
-    for workload, pairs in plan:
-        seeds = [args.seeds + i for i in range(pairs)]
-        runs = []
-        for seed in seeds:
-            runs.append({side: bench_run(trees[side], workload, seed) for side in order(seed)})
-            print(workload, seed, {s: runs[-1][s]["norm_wall_s"] for s in trees}, flush=True)
-        entry = {"seeds": seeds,
-                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
-                                    for r in runs for s in trees)}
-        for m in METRICS:
-            entry[m] = compare([r["parent"][m] for r in runs], [r["change"][m] for r in runs])
-        workloads[workload] = entry
+    workloads = workload_pairs(trees, [
+        (workload, [args.seeds + i for i in range(pairs)])
+        for workload, pairs in (("cone", args.pairs), ("perp", args.other_pairs),
+                                ("feas", args.other_pairs))])
 
     parsed = {"parent": [], "change": []}
     for i in range(args.procs):

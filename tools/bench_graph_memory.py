@@ -39,7 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_perp_search import METRICS, bench_run, clean, compare, environment, header
+from bench_perp_search import clean, compare, environment, header, workload_pairs
 
 DENNISTON = """
 from dbrg.bigraph import dbrg_check
@@ -103,24 +103,9 @@ def main() -> int:
     for tree in trees.values():
         clean(tree)
 
-    def pair(workload: str, seed: int) -> dict:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        got = {side: bench_run(trees[side], workload, seed) for side in order}
-        print(workload, seed, {side: got[side]["peak_rss_mb"] for side in order}, flush=True)
-        return got
-
-    workloads = {}
-    plan = [("cone", [args.seeds + i for i in range(args.pairs)]),
-            ("perp", [args.seeds]), ("feas", [args.seeds])]
-    for workload, seeds in plan:
-        runs = [pair(workload, seed) for seed in seeds]
-        entry = {"seeds": seeds,
-                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
-                                    for r in runs for s in trees)}
-        for m in METRICS:
-            values = {s: [r[s][m] for r in runs] for s in trees}
-            entry[m] = compare(values["parent"], values["change"]) if len(runs) >= 2 else values
-        workloads[workload] = entry
+    workloads = workload_pairs(trees, [("cone", [args.seeds + i for i in range(args.pairs)]),
+                                       ("perp", [args.seeds]), ("feas", [args.seeds])],
+                               shown="peak_rss_mb")
 
     large = {name: {"parent": [], "change": []} for name in LARGE}
     per_edge = {"parent": [], "change": []}

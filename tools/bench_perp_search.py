@@ -154,6 +154,30 @@ def bench_run(tree: Path, workload: str, seed: int) -> dict:
             **{m: last["metrics"][m]["value"] for m in METRICS}}
 
 
+def workload_pairs(trees: dict[str, Path], plan: list[tuple[str, list[int]]],
+                   shown: str = "norm_wall_s") -> dict:
+    """``bench_run`` of each workload of ``plan`` with each of its seeds in
+    both ``trees``, odd seeds the parent first, printing each pair's
+    ``shown`` metric: per workload its seeds, whether every run was correct
+    with none failed, and per metric of :data:`METRICS` the pairs compared
+    (the two values, for one pair)."""
+    workloads = {}
+    for workload, seeds in plan:
+        runs = []
+        for seed in seeds:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            runs.append({side: bench_run(trees[side], workload, seed) for side in order})
+            print(workload, seed, {side: runs[-1][side][shown] for side in order}, flush=True)
+        entry = {"seeds": seeds,
+                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
+                                    for r in runs for s in trees)}
+        for m in METRICS:
+            values = {s: [r[s][m] for r in runs] for s in trees}
+            entry[m] = compare(values["parent"], values["change"]) if len(runs) >= 2 else values
+        workloads[workload] = entry
+    return workloads
+
+
 def in_process(tree: Path, code: str) -> dict:
     out = subprocess.run([sys.executable, "-c", code + "import json\nprint(json.dumps(result))\n"],
                          cwd=tree, env=environment(tree), capture_output=True, text=True,
@@ -206,27 +230,8 @@ def main() -> int:
     for tree in trees.values():
         clean(tree)
 
-    def pair(workload: str, seed: int) -> dict:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        got = {side: bench_run(trees[side], workload, seed) for side in order}
-        print(workload, seed, {side: got[side]["norm_wall_s"] for side in order}, flush=True)
-        return got
-
-    workloads = {}
-    plan = [("perp", [args.seeds + i for i in range(args.pairs)]),
-            ("cone", [args.seeds]), ("feas", [args.seeds])]
-    for workload, seeds in plan:
-        runs = [pair(workload, seed) for seed in seeds]
-        entry = {"seeds": seeds,
-                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
-                                    for r in runs for s in trees)}
-        for m in METRICS:
-            values = {s: [r[s][m] for r in runs] for s in trees}
-            if len(runs) >= 2:
-                entry[m] = compare(values["parent"], values["change"])
-            else:
-                entry[m] = values
-        workloads[workload] = entry
+    workloads = workload_pairs(trees, [("perp", [args.seeds + i for i in range(args.pairs)]),
+                                       ("cone", [args.seeds]), ("feas", [args.seeds])])
 
     processes = {}
     for name, code in IN_PROCESS.items():
