@@ -400,13 +400,12 @@ def _automorphism(g: BipartiteGraph, perm) -> np.ndarray:
     return perm
 
 
-def _orbit_minima(g: BipartiteGraph, automorphisms: Sequence) -> np.ndarray:
+def _orbit_minima(g: BipartiteGraph, gens: list[np.ndarray]) -> np.ndarray:
     """The least vertex of each orbit of the group the checked generators
     span, increasing: union-find over the edges v -- perm[v].  Each pass
     hooks the larger root of every crossing edge under the smaller, then
     jumps pointers to the roots; it stops when no edge crosses two trees.
     Pointers only decrease, so each root is the minimum of its orbit."""
-    gens = [_automorphism(g, perm) for perm in automorphisms]
     root = np.arange(g.V)
     while True:
         merged = False
@@ -441,14 +440,20 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
     check: the first failing vertex is the least of its orbit, and so are
     vertex 0 and the first C vertex, the references of each class.
 
+    A graph with fewer than V - 1 edges is disconnected: once the
+    generators are checked, its witness comes from the BFS of 0 alone.
+
     The engine runs 64 ``_WORDS`` sources at a time, in memory bounded by
     the edges and that chunk; a failing source runs again alone.
     """
     if g.nB == 0 or g.nC == 0:
         raise ValueError(f"both classes must be non-empty, got B={g.nB} C={g.nC}")
-    reps = _orbit_minima(g, automorphisms)
+    gens = [_automorphism(g, perm) for perm in automorphisms]
     first: dict[str, tuple] = {}  # side -> (vertex, c, b) of its first vertex
     try:
+        if len(g.eb) < g.V - 1:
+            raise _Disconnected()
+        reps = _orbit_minima(g, gens)
         for v, res in zip(reps.tolist(), _local_checks(g, reps)):
             if not res.ok:
                 return DbrgResult(False, witness=("local", v, *res.witness))
@@ -456,9 +461,11 @@ def dbrg_check(g: BipartiteGraph, automorphisms: Sequence = ()) -> DbrgResult:
             rep, c, b = first.setdefault(side, (v, res.c, res.b))
             if (c, b) != (res.c, res.b):
                 return DbrgResult(False, witness=("side", side, rep, v))
-    except _Disconnected:  # raised by the first batch, before any verdict
-        apart = min(set(range(g.V)).difference(*_alone(g, 0)[0]))
-        return DbrgResult(False, witness=("disconnected", 0, apart))
+    except _Disconnected:  # too few edges, or the first batch: before any verdict
+        reached = np.zeros(g.V, bool)
+        for cell in _alone(g, 0)[0]:
+            reached[cell] = True
+        return DbrgResult(False, witness=("disconnected", 0, int(reached.argmin())))
     (_, cB, bB), (_, cC, bC) = first["B"], first["C"]
     array = IntersectionArray(k=bB[0], l=bC[0], cB=cB[1:], cC=cC[1:])
     array.validate()

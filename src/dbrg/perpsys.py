@@ -214,8 +214,9 @@ def serialize_perp(system: PerpSystem) -> str:
 def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]:
     """Parse a perp-system file into (ctx, n, k, members), unverified.
 
-    ValueError if the header does not give each of q, modulus, n and k
-    exactly once, in ASCII digits, and nothing else, or naming the first
+    ValueError with line 1 and the reason if the header does not give each
+    of q, modulus, n and k exactly once, in ASCII digits, and nothing else,
+    or gives a field :class:`FieldContext` refuses; or naming the first
     member line with a bad vector (see :func:`dbrg.gfint.parse_vector`),
     linearly dependent rows, another dimension than the first member's or
     an earlier line's member."""
@@ -232,9 +233,9 @@ def parse_perp(text: str) -> tuple[FieldContext, int, int, tuple[Subspace, ...]]
         if not all(x.isascii() and x.isdigit() for x in numbers):
             raise ValueError("a number is not ASCII digits")
         p, t, n, k, *modulus = map(int, numbers)
+        ctx = FieldContext(p, t, modulus)
     except ValueError as exc:
-        raise ValueError(f"line 1: bad header {lines[0]!r}") from exc
-    ctx = FieldContext(p, t, modulus)
+        raise ValueError(f"line 1: bad header {lines[0]!r}: {exc}") from exc
     members: dict[Subspace, int] = {}  # member -> its line
     for no, line in enumerate(lines[1:], start=2):
         line = line.strip()

@@ -293,9 +293,12 @@ def test_huge_field_order_exits_65_quickly(tmp_path):
             "    print(json.dumps([rc, time.monotonic() - t0, err.getvalue()]))\n") % (BIG_Q, BIG_Q)
     runs = [json.loads(line) for line in _fresh_interpreter(code, tmp_path, 60).splitlines()]
     assert len(runs) == 4
-    for rc, seconds, err in runs:
+    for i, (rc, seconds, err) in enumerate(runs):
         assert rc == 65 and seconds < 5
-        assert err.startswith("invalid input: field order q=") and "exceeds supported bound" in err
+        # a perp file's refused field is a fault of its header, line 1
+        prefix = "line 1: bad header " if i >= 2 else "field order q="
+        assert err.startswith(f"invalid input: {prefix}") and "field order q=" in err
+        assert "exceeds supported bound" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["power.perp", "prime.perp"]
 
 
@@ -478,7 +481,8 @@ def test_ambiguous_perp_header_exits_65(tmp_path, capsys, header):
                  ["construct", "gen-delorme", "--perp", str(perp), "--out", gd]):
         assert main(argv) == 65
         captured = capsys.readouterr()
-        assert captured.err == f"invalid input: line 1: bad header {header!r}\n"
+        assert captured.err == (f"invalid input: line 1: bad header {header!r}: "
+                                "a key is repeated, unknown or missing\n")
         assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ambiguous.perp"]
 
@@ -492,13 +496,15 @@ def test_perp_modulus_coefficient_outside_the_prime_exits_65(tmp_path, capsys, m
     text = fixture.read_text()
     assert text.startswith("q=2^3 modulus=1,1,0,1 n=3 k=1\n")
     perp = tmp_path / "bad.perp"
-    perp.write_text(text.replace("modulus=1,1,0,1", f"modulus={modulus}", 1))
+    head = f"q=2^3 modulus={modulus} n=3 k=1"
+    perp.write_text(head + text[text.index("\n"):])
     gd = str(tmp_path / "gd")
     for argv in (["perp", "verify", str(perp)], ["roundtrip", str(perp)],
                  ["construct", "gen-delorme", "--perp", str(perp), "--out", gd]):
         assert main(argv) == 65
         captured = capsys.readouterr()
-        assert "coefficient outside 0..1" in captured.err
+        assert captured.err == (f"invalid input: line 1: bad header {head!r}: modulus "
+                                f"({modulus.replace(',', ', ')}) has a coefficient outside 0..1\n")
         assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.perp"]
 

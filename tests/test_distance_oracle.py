@@ -297,3 +297,13 @@ def test_bogus_automorphisms_raise(perm, message):
     # [3, 2, 1, 0] reverses the path, a graph automorphism that swaps the
     # classes; the identity, given as a list, is the only one kept
     assert dbrg_check(g, automorphisms=([0, 1, 2, 3],)) == dbrg_check(g)
+
+
+def test_bogus_automorphism_of_a_sparse_graph_raises():
+    # the path less B1 - C1 has fewer than V - 1 edges, so it is reported
+    # disconnected without a sweep; a claimed generator is still checked
+    # first, and swapping B0 and B1 is refused before any verdict
+    g = BipartiteGraph(2, 2, [(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="does not preserve the edges"):
+        dbrg_check(g, automorphisms=(np.arange(4), [1, 0, 2, 3]))
+    assert dbrg_check(g) == DbrgResult(False, witness=("disconnected", 0, 1))
